@@ -4,8 +4,7 @@ and 5-point finite difference backends, an implicit time stepper that
 preserves exponential energy decay, and convergence/decay studies."""
 
 from .mesh import FdGrid, Rectangle, TriMesh, build_fd_grid, build_tri_mesh
-from .sparse import SolveReport, SparseMatrix, cg_solve, \
-    smallest_generalized_eigenvalue
+from .sparse import SolveReport, SparseMatrix, cg_solve
 from .fem import FemSpace, ScalarField
 from .stepper import BackendHandles, ModelParams, SpatialField, StepperState, \
     TimeSchedule, init_state, run, steady_state, step
@@ -17,7 +16,7 @@ from .harness import Experiment, builtin_experiments, run_convergence, \
 
 __all__ = [
     "Rectangle", "TriMesh", "FdGrid", "build_tri_mesh", "build_fd_grid",
-    "SparseMatrix", "SolveReport", "cg_solve", "smallest_generalized_eigenvalue",
+    "SparseMatrix", "SolveReport", "cg_solve",
     "FemSpace", "ScalarField",
     "ModelParams", "TimeSchedule", "SpatialField", "StepperState",
     "BackendHandles", "init_state", "step", "run", "steady_state",

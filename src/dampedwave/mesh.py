@@ -131,18 +131,11 @@ def build_tri_mesh(rect: Rectangle, n: int) -> TriMesh:
     xx, yy = np.meshgrid(xs, ys)
     nodes = np.column_stack([xx.ravel(), yy.ravel()])
 
-    def nid(i, j):
-        return j * (n + 1) + i
-
-    tris = np.empty((2 * n * n, 3), dtype=np.int64)
-    t = 0
-    for j in range(n):
-        for i in range(n):
-            ll, lr = nid(i, j), nid(i + 1, j)
-            ul, ur = nid(i, j + 1), nid(i + 1, j + 1)
-            tris[t] = (ll, lr, ur)
-            tris[t + 1] = (ll, ur, ul)
-            t += 2
+    # cell (i, j) in row-major order: lower-left node, then its two triangles
+    j, i = np.divmod(np.arange(n * n, dtype=np.int64), n)
+    ll = j * (n + 1) + i
+    lr, ul, ur = ll + 1, ll + n + 1, ll + n + 2
+    tris = np.stack([ll, lr, ur, ll, ur, ul], axis=1).reshape(2 * n * n, 3)
 
     ii, jj = np.meshgrid(np.arange(n + 1), np.arange(n + 1))
     boundary = (ii == 0) | (ii == n) | (jj == 0) | (jj == n)

@@ -3,17 +3,21 @@ power iteration for the generalized eigenproblem K v = lambda M v."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 
 class CgError(RuntimeError):
-    """CG failed to reach the requested tolerance within the iteration cap."""
+    """CG hit a non-finite residual or the iteration cap before the tolerance."""
 
     def __init__(self, iterations: int, residual: float):
+        why = "did not converge" if math.isfinite(residual) \
+            else "met a non-finite residual"
         super().__init__(
-            f"CG did not converge in {iterations} iterations "
+            f"CG {why} in {iterations} iterations "
             f"(last relative residual {residual:.3e})"
         )
         self.iterations = iterations
@@ -39,31 +43,42 @@ class SparseMatrix:
     vals: np.ndarray
     dim: int
 
+    @cached_property
+    def row_ids(self) -> np.ndarray:
+        """Row index of every stored entry."""
+        return np.repeat(np.arange(self.dim), np.diff(self.row_ptr))
+
+    @cached_property
+    def inv_diagonal(self) -> np.ndarray:
+        """1 / diagonal(), computed once per matrix for the Jacobi preconditioner."""
+        return 1.0 / self.diagonal()
+
+    @cached_property
+    def empty_rows(self) -> np.ndarray:
+        """Indices of the rows without a stored entry."""
+        return np.flatnonzero(self.row_ptr[1:] == self.row_ptr[:-1])
+
     def matvec(self, x: np.ndarray) -> np.ndarray:
         if x.shape[0] != self.dim:
             raise ValueError(f"dimension mismatch: {x.shape[0]} != {self.dim}")
-        prod = self.vals * x[self.col_idx]
-        # reduceat mishandles empty rows; assembled matrices always carry the
-        # diagonal, so every row is nonempty.
-        return np.add.reduceat(prod, self.row_ptr[:-1])
+        # reduceat returns the entry at an empty row's start instead of 0, and
+        # needs every start inside the array: pad with a zero, then clear them
+        y = np.add.reduceat(np.append(self.vals * x[self.col_idx], 0.0),
+                            self.row_ptr[:-1])
+        y[self.empty_rows] = 0.0
+        return y
 
     __matmul__ = matvec
 
     def diagonal(self) -> np.ndarray:
+        on_diag = self.col_idx == self.row_ids
         d = np.zeros(self.dim)
-        for i in range(self.dim):
-            lo, hi = self.row_ptr[i], self.row_ptr[i + 1]
-            cols = self.col_idx[lo:hi]
-            hit = np.searchsorted(cols, i)
-            if hit < cols.size and cols[hit] == i:
-                d[i] = self.vals[lo + hit]
+        d[self.col_idx[on_diag]] = self.vals[on_diag]
         return d
 
     def to_dense(self) -> np.ndarray:
         a = np.zeros((self.dim, self.dim))
-        for i in range(self.dim):
-            lo, hi = self.row_ptr[i], self.row_ptr[i + 1]
-            a[i, self.col_idx[lo:hi]] = self.vals[lo:hi]
+        a[self.row_ids, self.col_idx] = self.vals
         return a
 
     @property
@@ -107,47 +122,46 @@ def identity(n: int) -> SparseMatrix:
     return from_diagonal(np.ones(n))
 
 
-class OperatorSum:
-    """Lazy linear combination sum_i c_i A_i, enough interface for CG."""
-
-    def __init__(self, terms):
-        self.terms = [(float(c), a) for c, a in terms if c != 0.0]
-        self.dim = self.terms[0][1].dim
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        y = self.terms[0][0] * self.terms[0][1].matvec(x)
-        for c, a in self.terms[1:]:
-            y += c * a.matvec(x)
-        return y
-
-    __matmul__ = matvec
-
-    def diagonal(self) -> np.ndarray:
-        d = np.zeros(self.dim)
-        for c, a in self.terms:
-            d += c * a.diagonal()
-        return d
+def on_common_pattern(mats: list[SparseMatrix]) -> list[SparseMatrix]:
+    """The matrices stored on the union of their sparsity patterns, so that a
+    linear combination of them is the same combination of value arrays."""
+    dim = mats[0].dim
+    rows = np.concatenate([m.row_ids for m in mats])
+    cols = np.concatenate([m.col_idx for m in mats])
+    union = from_coo(rows, cols, np.ones(rows.size), dim)
+    # entries are sorted by (row, col), so row * dim + col increases along them
+    keys = union.row_ids * dim + union.col_idx
+    out = []
+    for m in mats:
+        vals = np.zeros(union.nnz)
+        vals[np.searchsorted(keys, m.row_ids * dim + m.col_idx)] = m.vals
+        out.append(SparseMatrix(union.row_ptr, union.col_idx, vals, dim))
+    return out
 
 
 def cg_solve(a, b: np.ndarray, rtol: float = 1e-10, max_iter: int = 10_000,
              x0: np.ndarray | None = None) -> tuple[np.ndarray, SolveReport]:
-    """Jacobi-preconditioned conjugate gradients for SPD ``a``.
+    """Jacobi-preconditioned conjugate gradients for an SPD SparseMatrix ``a``.
 
-    ``a`` may be a SparseMatrix or any object with matvec/diagonal/dim.
-    Raises CgError when the iteration cap is hit.
+    Raises CgError on a non-finite right-hand side or residual, and when the
+    iteration cap is hit.
     """
     if rtol <= 0:
         raise ValueError("rtol must be positive")
     n = b.shape[0]
     bnorm = np.linalg.norm(b)
+    if not math.isfinite(bnorm):
+        raise CgError(0, bnorm)
     if bnorm == 0.0:
         return np.zeros(n), SolveReport(0, 0.0)
-    inv_diag = 1.0 / a.diagonal()
+    inv_diag = a.inv_diagonal
     x = np.zeros(n) if x0 is None else x0.astype(np.float64, copy=True)
     r = b - a.matvec(x)
     res = np.linalg.norm(r) / bnorm
     if res <= rtol:
         return x, SolveReport(0, res)
+    if not math.isfinite(res):
+        raise CgError(0, res)
     z = inv_diag * r
     p = z.copy()
     rz = r @ z
@@ -159,6 +173,8 @@ def cg_solve(a, b: np.ndarray, rtol: float = 1e-10, max_iter: int = 10_000,
         res = np.linalg.norm(r) / bnorm
         if res <= rtol:
             return x, SolveReport(it, res)
+        if not math.isfinite(res):
+            raise CgError(it, res)
         z = inv_diag * r
         rz_new = r @ z
         p = z + (rz_new / rz) * p
@@ -188,8 +204,3 @@ def smallest_generalized_eigenpair(k: SparseMatrix, m, tol: float = 1e-10,
         if converged:
             return lam, v, it
     raise EigError(f"inverse power iteration did not converge in {max_iter} steps")
-
-
-def smallest_generalized_eigenvalue(k: SparseMatrix, m, tol: float = 1e-10) -> float:
-    lam, _, _ = smallest_generalized_eigenpair(k, m, tol=tol)
-    return lam

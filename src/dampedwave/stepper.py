@@ -6,12 +6,14 @@ Scheme: (d2 U^n, chi) + beta a(dt U^n, chi) + alpha (dt U^n, chi)
         + a(U^{n+1}, chi) = (f, chi), where d2 is the centered second
 difference and dt the forward difference, leading to the SPD system
     [(1/k^2 + alpha/k) M + (beta/k + 1) K] U^{n+1} = rhs.
+Every operator sits on one CSR pattern, so the system matrix for a given
+step and coefficient value is one sum of value arrays, built once and reused.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -21,7 +23,8 @@ from .fdm import FdOperator
 from .fem import FemSpace, ScalarField, assemble_mass, assemble_stiffness, \
     interpolate as fem_interpolate, load_vector
 from .mesh import FdGrid, Rectangle
-from .sparse import CgError, OperatorSum, SparseMatrix, cg_solve
+from .sparse import CgError, SparseMatrix, cg_solve, from_diagonal, \
+    on_common_pattern
 
 STEP_RTOL = 1e-10
 
@@ -52,11 +55,17 @@ class StepError(RuntimeError):
 
 
 def _coeff_range(c: Coefficient) -> tuple[float, float]:
-    if isinstance(c, TimeSchedule):
-        return c.lo, c.hi
-    if isinstance(c, SpatialField):
+    if isinstance(c, TimeSchedule | SpatialField):
         return c.lo, c.hi
     return float(c), float(c)
+
+
+def _value_at(c: Coefficient, t: float) -> float | SpatialField:
+    """The coefficient at time t; a spatial field is its own value, since the
+    backend assembles its weighted operator once."""
+    if isinstance(c, TimeSchedule):
+        return float(c.fn(t))
+    return c if isinstance(c, SpatialField) else float(c)
 
 
 @dataclass(frozen=True)
@@ -71,31 +80,30 @@ class ModelParams:
     forcing: ScalarField | None = None
 
     def __post_init__(self):
-        a_lo, _ = _coeff_range(self.alpha)
-        b_lo, _ = _coeff_range(self.beta)
         if isinstance(self.alpha, float | int) and self.alpha < 0:
             raise ValueError("constant alpha must be nonnegative")
         if isinstance(self.beta, float | int) and self.beta < 0:
             raise ValueError("constant beta must be nonnegative")
         # undamped alpha = beta = 0 is permitted for conservative sanity runs;
         # decay_bounds rejects it where a positive rate is required
-        del a_lo, b_lo
+        self.check_schedules(np.linspace(0.0, 20.0, 201))
         for c in (self.alpha, self.beta):
-            if isinstance(c, TimeSchedule):
-                self._check_schedule(c)
-            elif isinstance(c, SpatialField):
+            if isinstance(c, SpatialField):
                 self._check_field(c)
 
-    @staticmethod
-    def _check_schedule(c: TimeSchedule, horizon: float = 20.0, samples: int = 201):
-        if not (0 < c.lo <= c.hi):
-            raise ValueError("schedule bounds must satisfy 0 < lo <= hi")
-        ts = np.linspace(0.0, horizon, samples)
-        vals = np.array([c.fn(t) for t in ts])
-        if np.any(vals < c.lo - 1e-12) or np.any(vals > c.hi + 1e-12):
-            raise ValueError("schedule leaves its stated [lo, hi] range")
-        if np.any(np.diff(vals) < -1e-12):
-            raise ValueError("schedule must be nondecreasing")
+    def check_schedules(self, times: np.ndarray) -> None:
+        """Reject a time schedule that leaves [lo, hi] or decreases at the
+        given sample times."""
+        for c in (self.alpha, self.beta):
+            if not isinstance(c, TimeSchedule):
+                continue
+            if not (0 < c.lo <= c.hi):
+                raise ValueError("schedule bounds must satisfy 0 < lo <= hi")
+            vals = np.array([c.fn(t) for t in times])
+            if np.any(vals < c.lo - 1e-12) or np.any(vals > c.hi + 1e-12):
+                raise ValueError("schedule leaves its stated [lo, hi] range")
+            if np.any(np.diff(vals) < -1e-12):
+                raise ValueError("schedule must be nondecreasing")
 
     def _check_field(self, c: SpatialField, samples: int = 25):
         if not (0 < c.lo <= c.hi):
@@ -138,14 +146,38 @@ class BackendHandles:
     weak_op: SparseMatrix | None = None   # alpha-weighted mass, spatial alpha only
     strong_op: SparseMatrix | None = None  # beta-weighted stiffness, spatial beta only
     label: str = ""
-    _forcing_cache: np.ndarray | None = field(default=None, repr=False)
+    # one-entry caches: (forcing, load vector) and ((k, alpha, beta) values,
+    # system matrix, damping matrix)
+    _load: tuple = field(default=(None, None), init=False, repr=False)
+    _system: tuple = field(default=(None, None, None), init=False, repr=False)
+
+    def __post_init__(self):
+        ops = (self.M, self.K, self.weak_op, self.strong_op)
+        shared = iter(on_common_pattern([op for op in ops if op is not None]))
+        self._shared = [None if op is None else next(shared) for op in ops]
 
     def forcing_vector(self, params: ModelParams) -> np.ndarray:
         if params.forcing is None:
             return np.zeros(self.ndof)
-        if self._forcing_cache is None:
-            self._forcing_cache = self.load(params.forcing)
-        return self._forcing_cache
+        if self._load[0] is not params.forcing:
+            self._load = (params.forcing, self.load(params.forcing))
+        return self._load[1]
+
+    def system(self, params: ModelParams, k: float,
+               t: float) -> tuple[SparseMatrix, SparseMatrix]:
+        """(1/k^2 M + 1/k D + K, D) with D the damping operator at time t.
+
+        Rebuilt only when k or a coefficient value differs from the last call.
+        """
+        a, b = _value_at(params.alpha, t), _value_at(params.beta, t)
+        key = (k, a, b)
+        if self._system[0] != key:
+            mass, stiff, weak, strong = self._shared
+            damp = (weak.vals if isinstance(a, SpatialField) else a * mass.vals) \
+                + (strong.vals if isinstance(b, SpatialField) else b * stiff.vals)
+            vals = mass.vals / k ** 2 + damp / k + stiff.vals
+            self._system = (key, replace(mass, vals=vals), replace(mass, vals=damp))
+        return self._system[1], self._system[2]
 
 
 def make_fem_backend(space: FemSpace, params: ModelParams) -> BackendHandles:
@@ -176,7 +208,6 @@ def make_fd_backend(grid: FdGrid, params: ModelParams) -> BackendHandles:
 
     weak = None
     if isinstance(params.alpha, SpatialField):
-        from .sparse import from_diagonal
         weak = from_diagonal(grid.h ** 2 * interp(params.alpha.field))
     strong = None
     if isinstance(params.beta, SpatialField):
@@ -188,24 +219,6 @@ def make_fd_backend(grid: FdGrid, params: ModelParams) -> BackendHandles:
         weak_op=weak, strong_op=strong,
         label=f"fd-M{grid.n_per_side}",
     )
-
-
-def _damping_terms(params: ModelParams, backend: BackendHandles, t: float):
-    """(a, weak matrix, b, strong matrix) such that the damping operators are
-    a * weak and b * strong."""
-    if isinstance(params.alpha, SpatialField):
-        a, weak = 1.0, backend.weak_op
-    elif isinstance(params.alpha, TimeSchedule):
-        a, weak = float(params.alpha.fn(t)), backend.M
-    else:
-        a, weak = float(params.alpha), backend.M
-    if isinstance(params.beta, SpatialField):
-        b, strong = 1.0, backend.strong_op
-    elif isinstance(params.beta, TimeSchedule):
-        b, strong = float(params.beta.fn(t)), backend.K
-    else:
-        b, strong = float(params.beta), backend.K
-    return a, weak, b, strong
 
 
 def init_state(backend: BackendHandles, params: ModelParams, k: float,
@@ -227,9 +240,8 @@ def init_state(backend: BackendHandles, params: ModelParams, k: float,
     elif mode == "taylor":
         v = backend.interpolate(params.u1) if params.u1 is not None \
             else np.zeros(backend.ndof)
-        a, weak, b, strong = _damping_terms(params, backend, 0.0)
-        rhs = -(a * weak.matvec(v) + b * strong.matvec(v)) \
-            - backend.K.matvec(u0) + backend.forcing_vector(params)
+        _, damping = backend.system(params, k, 0.0)
+        rhs = -damping.matvec(v) - backend.K.matvec(u0) + backend.forcing_vector(params)
         w, _ = cg_solve(backend.M, rhs, rtol=1e-12, max_iter=50 * backend.ndof)
         u1 = u0 + k * v + 0.5 * k * k * w
     else:
@@ -241,27 +253,17 @@ def step(state: StepperState, backend: BackendHandles,
          params: ModelParams) -> StepperState:
     """One implicit step (U^{n-1}, U^n) -> (U^n, U^{n+1}).
 
-    Time-dependent coefficients are evaluated at t_n. The system matrix is an
-    SPD combination of M and K solved by preconditioned CG.
+    Time-dependent coefficients are evaluated at t_n. The backend's cached
+    SPD system matrix is solved by preconditioned CG.
     """
     if state.n < 1:
         raise ValueError("stepping requires n >= 1")
     k = state.k
     t_n = state.n * k
-    a, weak, b, strong = _damping_terms(params, backend, t_n)
-    system = OperatorSum([
-        (1.0 / k ** 2, backend.M),
-        (a / k, weak),
-        (b / k, strong),
-        (1.0, backend.K),
-    ])
-    rhs = backend.M.matvec((2.0 * state.u_curr - state.u_prev) / k ** 2)
-    if a != 0.0:
-        rhs += (a / k) * weak.matvec(state.u_curr)
-    if b != 0.0:
-        rhs += (b / k) * strong.matvec(state.u_curr)
-    rhs += backend.forcing_vector(params)
+    system, damping = backend.system(params, k, t_n)
     guess = 2.0 * state.u_curr - state.u_prev
+    rhs = backend.M.matvec(guess / k ** 2) + damping.matvec(state.u_curr) / k \
+        + backend.forcing_vector(params)
     try:
         u_next, _ = cg_solve(system, rhs, rtol=STEP_RTOL,
                              max_iter=50 * backend.ndof, x0=guess)
@@ -280,9 +282,11 @@ def run(backend: BackendHandles, params: ModelParams, k: float, T: float,
     every state, including the initial one."""
     if T < k:
         raise ValueError("final time must be at least one step")
-    state = init_state(backend, params, k, mode=init_mode, exact_at=exact_at)
     if n_steps is None:
         n_steps = math.ceil(T / k - 1e-9)
+    # step n evaluates the coefficients at t = n k
+    params.check_schedules(k * np.arange(n_steps + 1))
+    state = init_state(backend, params, k, mode=init_mode, exact_at=exact_at)
     times = [0.0]
     energies = [diagnostics.discrete_energy(state, backend)]
     crosses = [diagnostics.energy_cross_term(state, backend)]

@@ -1,5 +1,4 @@
 import csv
-import os
 
 import numpy as np
 import pytest
@@ -76,8 +75,7 @@ def test_backend_builder():
         build_backend(exp, 4, "spectral")
 
 
-def test_convergence_study_is_deterministic(monkeypatch):
-    monkeypatch.setenv("DWL_THREADS", "2")
+def test_convergence_study_is_deterministic():
     exp = builtin_experiments()["ex1"]
     t1 = run_convergence(exp, n_values=(4, 8))
     t2 = run_convergence(exp, n_values=(4, 8))
@@ -194,10 +192,3 @@ def test_load_config_rejects_malformed_lines(tmp_path):
     with pytest.raises(ValueError):
         load_config(path)
 
-
-def test_worker_count_env(monkeypatch):
-    from dampedwave.harness import _worker_count
-    monkeypatch.setenv("DWL_THREADS", "3")
-    assert _worker_count() == 3
-    monkeypatch.delenv("DWL_THREADS")
-    assert _worker_count() >= 1

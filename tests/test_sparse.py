@@ -6,11 +6,12 @@ from dampedwave.fem import FemSpace, assemble_mass, assemble_stiffness
 from dampedwave.mesh import PI_SQUARE, UNIT_SQUARE, build_fd_grid, build_tri_mesh
 from dampedwave.sparse import (
     CgError,
-    OperatorSum,
+    SparseMatrix,
     cg_solve,
     from_coo,
     from_diagonal,
     identity,
+    on_common_pattern,
     smallest_generalized_eigenpair,
 )
 
@@ -127,18 +128,85 @@ def test_cg_warm_start_helps():
     assert rep_warm.iterations < rep_cold.iterations
 
 
-def test_operator_sum_matches_dense():
-    rng = np.random.default_rng(19)
-    b1 = rng.normal(size=(5, 5))
-    b2 = rng.normal(size=(5, 5))
-    a1 = dense_to_csr(b1 + b1.T + 10 * np.eye(5))
-    a2 = dense_to_csr(b2 + b2.T + 10 * np.eye(5))
-    s = OperatorSum([(2.0, a1), (0.5, a2), (0.0, a1)])
-    x = rng.normal(size=5)
-    dense = 2.0 * a1.to_dense() + 0.5 * a2.to_dense()
-    assert np.allclose(s.matvec(x), dense @ x)
-    assert np.allclose(s.diagonal(), np.diag(dense))
-    assert len(s.terms) == 2  # zero-coefficient term dropped
+def test_matvec_with_empty_rows():
+    a = from_coo([0, 2], [0, 2], [1.0, 3.0], 3)
+    assert np.array_equal(a.matvec(np.ones(3)), [1.0, 0.0, 3.0])
+    trailing = from_coo([0], [0], [2.0], 3)
+    assert np.array_equal(trailing.matvec(np.ones(3)), [2.0, 0.0, 0.0])
+
+
+def test_diagonal_and_dense_with_missing_diagonal_and_empty_row():
+    dense = np.array([[2.0, 1.0, 0.0, 0.0],
+                      [1.0, 0.0, 0.0, 3.0],   # no stored diagonal entry
+                      [0.0, 0.0, 0.0, 0.0],   # empty row
+                      [0.0, 3.0, 0.0, 5.0]])
+    a = dense_to_csr(dense)
+    assert a.row_ptr[2] == a.row_ptr[3]
+    assert np.array_equal(a.diagonal(), np.diag(dense))
+    assert np.array_equal(a.to_dense(), dense)
+    x = np.arange(1.0, 5.0)
+    assert np.allclose(a.matvec(x), dense @ x, rtol=1e-15)
+
+
+def test_common_pattern_keeps_values():
+    rng = np.random.default_rng(23)
+    mats = []
+    for density in (0.2, 0.5, 0.0):
+        b = rng.normal(size=(7, 7)) * (rng.uniform(size=(7, 7)) < density)
+        mats.append(dense_to_csr(b + b.T + np.diag(rng.uniform(1.0, 2.0, 7))))
+    shared = on_common_pattern(mats)
+    union = np.zeros((7, 7), dtype=bool)
+    for m in mats:
+        union |= m.to_dense() != 0.0
+    for m, s in zip(mats, shared):
+        assert np.array_equal(s.row_ptr, shared[0].row_ptr)
+        assert np.array_equal(s.col_idx, shared[0].col_idx)
+        assert s.nnz == np.count_nonzero(union)
+        assert np.array_equal(s.to_dense(), m.to_dense())
+
+
+def test_inverse_diagonal_is_computed_once():
+    a = dense_to_csr(np.diag([2.0, 4.0]))
+    calls = []
+
+    class Counting(SparseMatrix):
+        def diagonal(self):
+            calls.append(1)
+            return super().diagonal()
+
+    c = Counting(a.row_ptr, a.col_idx, a.vals, a.dim)
+    for _ in range(3):
+        x, _ = cg_solve(c, np.ones(2))
+    assert np.allclose(x, [0.5, 0.25])
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_cg_fails_fast_on_non_finite_rhs(bad):
+    k = assemble_stiffness(FemSpace(build_tri_mesh(UNIT_SQUARE, 8)))
+    b = np.ones(k.dim)
+    b[3] = bad
+    with pytest.raises(CgError) as err:
+        cg_solve(k, b)
+    assert err.value.iterations <= 1
+    assert "non-finite" in str(err.value)
+
+
+def test_cg_fails_fast_on_non_finite_residual():
+    k = assemble_stiffness(FemSpace(build_tri_mesh(UNIT_SQUARE, 8)))
+    x0 = np.zeros(k.dim)
+    x0[0] = np.inf
+    with pytest.raises(CgError) as err:
+        cg_solve(k, np.ones(k.dim), x0=x0)
+    assert err.value.iterations <= 1
+
+
+def test_cg_fails_fast_when_an_iteration_turns_non_finite():
+    # a zero diagonal entry makes the Jacobi step infinite in iteration 1
+    a = from_coo([0, 1], [0, 1], [1.0, 0.0], 2)
+    with np.errstate(all="ignore"), pytest.raises(CgError) as err:
+        cg_solve(a, np.ones(2))
+    assert err.value.iterations == 1
 
 
 def test_fd_pencil_smallest_eigenvalue():

@@ -10,6 +10,7 @@ from dampedwave.sparse import cg_solve
 from dampedwave.stepper import (
     ModelParams,
     SpatialField,
+    StepError,
     StepperState,
     TimeSchedule,
     init_state,
@@ -146,6 +147,86 @@ def test_schedule_validation():
     with pytest.raises(ValueError):
         ModelParams(domain=UNIT_SQUARE,
                     alpha=TimeSchedule(lambda t: 1.0, lo=2.0, hi=3.0))
+
+
+def test_schedule_validated_over_the_run():
+    # nondecreasing on the construction-time sample window [0, 20], but it
+    # drops at t = 25, inside a run to T = 30
+    sched = TimeSchedule(lambda t: 2.0 if t < 25.0 else 1.0, lo=1.0, hi=2.0)
+    grid = build_fd_grid(UNIT_SQUARE, 4)
+    params = ModelParams(domain=UNIT_SQUARE, alpha=sched, u0=sine_field())
+    backend = make_fd_backend(grid, params)
+    with pytest.raises(ValueError, match="nondecreasing"):
+        run(backend, params, k=0.5, T=30.0)
+    state, _ = run(backend, params, k=0.5, T=20.0)
+    assert state.n == 41
+
+
+def test_non_finite_state_fails_fast_as_step_error():
+    _, params, backend = fd_setup(alpha=1.0, beta=0.5)
+    u = np.ones(backend.ndof)
+    u[2] = np.nan
+    with pytest.raises(StepError, match=r"n=3 .*in [01] iterations"):
+        step(StepperState(n=3, k=0.01, u_prev=u, u_curr=u), backend, params)
+
+
+def _check_system(backend, params, k, t, a, b, w=0.0, s=0.0):
+    """The cached system against the dense (1/k^2 + a/k) M + W/k
+    + (b/k + 1) K + S/k, where a spatial coefficient contributes its
+    weighted operator W or S and a scalar one its value a or b."""
+    m, kk = backend.M.to_dense(), backend.K.to_dense()
+    expected = (1 / k ** 2 + a / k) * m + w / k + (b / k + 1) * kk + s / k
+    tol = 1e-14 * np.max(np.abs(expected))
+    system, damping = backend.system(params, k, t)
+    assert np.allclose(system.to_dense(), expected, rtol=1e-14, atol=tol)
+    assert np.allclose(system.diagonal(), np.diag(expected), rtol=1e-14, atol=tol)
+    assert np.allclose(damping.to_dense(), a * m + w + b * kk + s, rtol=1e-14,
+                       atol=1e-14 * np.max(np.abs(a * m + w + b * kk + s)))
+    assert backend.system(params, k, t)[0] is system
+    return system
+
+
+def test_cached_system_matches_dense_fem_constant():
+    exp = builtin_experiments()["ex1"]
+    backend = make_fem_backend(FemSpace(build_tri_mesh(UNIT_SQUARE, 6)), exp.params)
+    _check_system(backend, exp.params, 0.01, 0.3, exp.params.alpha, exp.params.beta)
+
+
+def test_cached_system_matches_dense_fem_weighted_mass():
+    exp = builtin_experiments()["spacevar"]
+    backend = make_fem_backend(FemSpace(build_tri_mesh(UNIT_SQUARE, 6)), exp.params)
+    w = backend.weak_op.to_dense()
+    assert not np.allclose(w, backend.M.to_dense())
+    _check_system(backend, exp.params, 0.02, 0.0, 0.0, exp.params.beta, w=w)
+
+
+def test_cached_system_matches_dense_fd_schedule():
+    exp = builtin_experiments()["timevar"]
+    backend = make_fd_backend(build_fd_grid(UNIT_SQUARE, 6), exp.params)
+    systems = [_check_system(backend, exp.params, 0.01, t,
+                             exp.params.alpha.fn(t), exp.params.beta)
+               for t in (0.1, 0.7)]
+    assert not np.array_equal(systems[0].vals, systems[1].vals)
+
+
+def test_backend_reuse_matches_fresh_backends():
+    space = FemSpace(build_tri_mesh(UNIT_SQUARE, 6))
+    f1 = ScalarField(lambda x, y: 2 * PI ** 2 * np.sin(PI * x) * np.sin(PI * y))
+    f2 = ScalarField(lambda x, y: 1.0 + x * y)
+    p1 = ModelParams(domain=UNIT_SQUARE, alpha=1.0, beta=0.5, u0=sine_field(),
+                     forcing=f1)
+    p2 = ModelParams(domain=UNIT_SQUARE, alpha=PI, beta=0.1, u1=sine_field(),
+                     forcing=f2)
+    shared = make_fem_backend(space, p1)
+    for params, k in ((p1, 0.02), (p2, 0.02), (p1, 0.05), (p2, 0.05), (p1, 0.02)):
+        fresh = make_fem_backend(space, params)
+        s_shared, tr_shared = run(shared, params, k=k, T=0.2)
+        s_fresh, tr_fresh = run(fresh, params, k=k, T=0.2)
+        assert np.array_equal(s_shared.u_curr, s_fresh.u_curr)
+        assert np.array_equal(tr_shared.energy, tr_fresh.energy)
+        assert np.array_equal(shared.forcing_vector(params),
+                              fresh.forcing_vector(params))
+        assert np.array_equal(steady_state(shared, params), steady_state(fresh, params))
 
 
 def test_constant_coefficient_validation():
