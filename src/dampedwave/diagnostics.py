@@ -42,17 +42,19 @@ def energy_EA(state, backend) -> float:
     return 0.5 * float(d @ kd + w @ backend.M.matvec(w))
 
 
-def decay_bounds(alpha: float, beta: float, lambda1: float) -> tuple[float, float]:
+def decay_bounds(alpha, beta, lambda1: float) -> tuple[float, float]:
     """(continuous, fully discrete) admissible decay exponents.
 
-    Continuous: min((a + b*l)/2, l/(a + b*l)); the fully discrete bound
+    alpha and beta are values or (lo, hi) ranges. Continuous:
+    min((a_lo + b_lo*l)/2, l/(a_hi + b_hi*l)); the fully discrete bound
     halves the second argument.
     """
-    damp = alpha + beta * lambda1
-    if damp <= 0:
+    damp_lo = float(np.min(alpha) + np.min(beta) * lambda1)
+    damp_hi = float(np.max(alpha) + np.max(beta) * lambda1)
+    if damp_lo <= 0:
         raise ValueError("alpha + beta*lambda1 must be positive")
-    delta_cont = min(damp / 2.0, lambda1 / damp)
-    delta_disc = min(damp / 2.0, lambda1 / (2.0 * damp))
+    delta_cont = min(damp_lo / 2.0, lambda1 / damp_hi)
+    delta_disc = min(damp_lo / 2.0, lambda1 / (2.0 * damp_hi))
     return delta_cont, delta_disc
 
 
@@ -63,7 +65,6 @@ class EnergyTrace:
     t: np.ndarray
     energy: np.ndarray
     cross: np.ndarray          # (d, U)_M per step, for extended energies
-    ea: np.ndarray | None = None
     continuous: np.ndarray | None = None  # quadrature energy of the exact solution
     meta: dict = field(default_factory=dict)
 

@@ -55,9 +55,7 @@ class FemSpace:
         """Per-triangle areas, constant shape gradients, and edge midpoints."""
         if self._geom is None:
             p = self.mesh.nodes[self.mesh.triangles]  # (nt, 3, 2)
-            d1 = p[:, 1] - p[:, 0]
-            d2 = p[:, 2] - p[:, 0]
-            area = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+            area = self.mesh.signed_areas()
             if np.any(area <= 0):
                 raise ValueError("degenerate or misoriented triangle in mesh")
             # grad phi_i = rot90(opposite edge) / (2 A)

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import diagnostics
 from .diagnostics import ConvergenceTable, EnergyTrace, convergence_rates, \
-    fit_decay_rate
+    decay_bounds, fit_decay_rate
 from .fem import FemSpace, ScalarField, error_norms, field_h1_seminorm, \
     field_l2_norm
 from .fdm import fd_norms
@@ -45,10 +45,6 @@ class SeparableExact:
             lambda x, y: gt * self.s(x, y),
             grad=lambda x, y: tuple(gt * c for c in self.s.grad(x, y)),
         )
-
-    def velocity_at(self, t: float) -> ScalarField:
-        gpt = self.gp(t)
-        return ScalarField(lambda x, y: gpt * self.s(x, y))
 
     def residual(self, x, y, t, alpha: float, beta: float) -> np.ndarray:
         """Pointwise u'' + beta A u' + alpha u' + A u (A = -Laplacian)."""
@@ -118,8 +114,7 @@ class Experiment:
         return self.T / math.ceil(self.T / k - 1e-9)
 
     def constant_coefficients(self) -> bool:
-        return isinstance(self.params.alpha, float | int) \
-            and isinstance(self.params.beta, float | int)
+        return all(c.weight is None and c.lo == c.hi for c in self.params.damping)
 
 
 def _make_separable(domain: Rectangle, alpha, beta, rate: float) -> tuple[
@@ -187,9 +182,9 @@ def check_residual(exp: Experiment, n_samples: int = 100, tol: float = 1e-10) ->
     x = rng.uniform(r.x0, r.x1, n_samples)
     y = rng.uniform(r.y0, r.y1, n_samples)
     ts = rng.uniform(0.0, exp.T, n_samples)
-    worst = max(float(np.max(np.abs(exp.exact.residual(
-        x, y, t, float(exp.params.alpha), float(exp.params.beta)))))
-        for t in ts)
+    alpha, beta = (c.lo for c in exp.params.damping)
+    worst = max(float(np.max(np.abs(exp.exact.residual(x, y, t, alpha, beta))))
+                for t in ts)
     if worst > tol:
         raise ValueError(f"{exp.name}: PDE residual {worst:.3e} exceeds {tol:g}")
     return worst
@@ -261,8 +256,7 @@ class DecayReport:
 def run_decay(exp: Experiment, n: int, backend: str | None = None,
               k_override: float | None = None,
               lambda_source: str = "discrete",
-              fit_window: tuple[float, float] | None = None,
-              record_ea: bool = False) -> DecayReport:
+              fit_window: tuple[float, float] | None = None) -> DecayReport:
     """Run one level, record energies, and check the decay theory.
 
     lambda_source "discrete" uses inverse power iteration on the (K, M)
@@ -277,16 +271,15 @@ def run_decay(exp: Experiment, n: int, backend: str | None = None,
         lam1 = 2.0 * (np.pi / exp.domain.width) ** 2
     else:
         raise ValueError(f"unknown lambda source {lambda_source!r}")
-    (a_lo, a_hi), (b_lo, b_hi) = exp.params.damping_ranges()
-    delta_cont = min((a_lo + b_lo * lam1) / 2.0, lam1 / (a_hi + b_hi * lam1))
-    delta_disc = min((a_lo + b_lo * lam1) / 2.0, lam1 / (2.0 * (a_hi + b_hi * lam1)))
+    alpha, beta = exp.params.damping
+    delta_cont, delta_disc = decay_bounds((alpha.lo, alpha.hi), (beta.lo, beta.hi),
+                                          lam1)
     init = "exact" if exp.exact is not None else "taylor"
     state, trace = run(handles, exp.params, k, exp.T,
                        init_mode=init,
                        exact_at=exp.exact.field_at if exp.exact else None,
-                       record_ea=record_ea,
-                       meta={"experiment": exp.name, "N": n, "alpha": a_lo,
-                             "beta": b_lo, "lambda1": lam1})
+                       meta={"experiment": exp.name, "N": n, "alpha": alpha.lo,
+                             "beta": beta.lo, "lambda1": lam1})
     if exp.exact is not None and kind == "fem":
         trace.continuous = exp.exact.energy(disc, trace.t)
     t_hi = (state.n - 1) * k

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -50,22 +51,33 @@ class SpatialField:
 Coefficient = float | TimeSchedule | SpatialField
 
 
+@dataclass(frozen=True)
+class Damping:
+    """A coefficient in normal form: scale(t) times the spatial weight (1 when
+    there is none), with values in [lo, hi]."""
+
+    lo: float
+    hi: float
+    scale: Callable[[float], float]
+    weight: ScalarField | None = None
+
+
+def _resolve(c: Coefficient) -> Damping:
+    """The only place that asks which kind a coefficient is."""
+    if isinstance(c, TimeSchedule | SpatialField):
+        if not (0 < c.lo <= c.hi):
+            raise ValueError("schedule and field bounds must satisfy 0 < lo <= hi")
+        if isinstance(c, SpatialField):
+            return Damping(c.lo, c.hi, lambda t: 1.0, c.field)
+        return Damping(c.lo, c.hi, lambda t: float(c.fn(t)))
+    value = float(c)
+    if value < 0:
+        raise ValueError("constant damping must be nonnegative")
+    return Damping(value, value, lambda t: value)
+
+
 class StepError(RuntimeError):
     """Solver failure during time stepping, annotated with the step index."""
-
-
-def _coeff_range(c: Coefficient) -> tuple[float, float]:
-    if isinstance(c, TimeSchedule | SpatialField):
-        return c.lo, c.hi
-    return float(c), float(c)
-
-
-def _value_at(c: Coefficient, t: float) -> float | SpatialField:
-    """The coefficient at time t; a spatial field is its own value, since the
-    backend assembles its weighted operator once."""
-    if isinstance(c, TimeSchedule):
-        return float(c.fn(t))
-    return c if isinstance(c, SpatialField) else float(c)
 
 
 @dataclass(frozen=True)
@@ -80,44 +92,38 @@ class ModelParams:
     forcing: ScalarField | None = None
 
     def __post_init__(self):
-        if isinstance(self.alpha, float | int) and self.alpha < 0:
-            raise ValueError("constant alpha must be nonnegative")
-        if isinstance(self.beta, float | int) and self.beta < 0:
-            raise ValueError("constant beta must be nonnegative")
         # undamped alpha = beta = 0 is permitted for conservative sanity runs;
         # decay_bounds rejects it where a positive rate is required
         self.check_schedules(np.linspace(0.0, 20.0, 201))
-        for c in (self.alpha, self.beta):
-            if isinstance(c, SpatialField):
+        for c in self.damping:
+            if c.weight is not None:
                 self._check_field(c)
 
+    @cached_property
+    def damping(self) -> tuple[Damping, Damping]:
+        """(alpha, beta) in normal form."""
+        return _resolve(self.alpha), _resolve(self.beta)
+
     def check_schedules(self, times: np.ndarray) -> None:
-        """Reject a time schedule that leaves [lo, hi] or decreases at the
+        """Reject a time factor that leaves [lo, hi] or decreases at the
         given sample times."""
-        for c in (self.alpha, self.beta):
-            if not isinstance(c, TimeSchedule):
+        for c in self.damping:
+            if c.weight is not None:
                 continue
-            if not (0 < c.lo <= c.hi):
-                raise ValueError("schedule bounds must satisfy 0 < lo <= hi")
-            vals = np.array([c.fn(t) for t in times])
+            vals = np.array([c.scale(t) for t in times])
             if np.any(vals < c.lo - 1e-12) or np.any(vals > c.hi + 1e-12):
                 raise ValueError("schedule leaves its stated [lo, hi] range")
             if np.any(np.diff(vals) < -1e-12):
                 raise ValueError("schedule must be nondecreasing")
 
-    def _check_field(self, c: SpatialField, samples: int = 25):
-        if not (0 < c.lo <= c.hi):
-            raise ValueError("field bounds must satisfy 0 < lo <= hi")
+    def _check_field(self, c: Damping, samples: int = 25):
         r = self.domain
         xs = np.linspace(r.x0, r.x1, samples)[1:-1]
         ys = np.linspace(r.y0, r.y1, samples)[1:-1]
         xx, yy = np.meshgrid(xs, ys)
-        vals = np.asarray(c.field(xx, yy), dtype=float)
+        vals = np.asarray(c.weight(xx, yy), dtype=float)
         if np.any(vals < c.lo - 1e-12) or np.any(vals > c.hi + 1e-12):
             raise ValueError("damping field leaves its stated [lo, hi] range")
-
-    def damping_ranges(self) -> tuple[tuple[float, float], tuple[float, float]]:
-        return _coeff_range(self.alpha), _coeff_range(self.beta)
 
 
 @dataclass(frozen=True)
@@ -129,10 +135,6 @@ class StepperState:
     u_prev: np.ndarray
     u_curr: np.ndarray
 
-    @property
-    def t(self) -> float:
-        return self.n * self.k
-
 
 @dataclass
 class BackendHandles:
@@ -143,18 +145,20 @@ class BackendHandles:
     ndof: int
     interpolate: Callable[[ScalarField], np.ndarray]
     load: Callable[[ScalarField], np.ndarray]
-    weak_op: SparseMatrix | None = None   # alpha-weighted mass, spatial alpha only
-    strong_op: SparseMatrix | None = None  # beta-weighted stiffness, spatial beta only
+    weak_op: SparseMatrix    # alpha-weighted mass; M itself when alpha has no weight
+    strong_op: SparseMatrix  # beta-weighted stiffness; K itself when beta has no weight
+    weights: tuple = (None, None)  # the (alpha, beta) weights the operators carry
     label: str = ""
-    # one-entry caches: (forcing, load vector) and ((k, alpha, beta) values,
+    # one-entry caches: (forcing, load vector) and ((k, alpha, beta) scales,
     # system matrix, damping matrix)
     _load: tuple = field(default=(None, None), init=False, repr=False)
     _system: tuple = field(default=(None, None, None), init=False, repr=False)
 
     def __post_init__(self):
         ops = (self.M, self.K, self.weak_op, self.strong_op)
-        shared = iter(on_common_pattern([op for op in ops if op is not None]))
-        self._shared = [None if op is None else next(shared) for op in ops]
+        distinct = list({id(op): op for op in ops}.values())
+        shared = dict(zip(map(id, distinct), on_common_pattern(distinct)))
+        self._shared = [shared[id(op)] for op in ops]
 
     def forcing_vector(self, params: ModelParams) -> np.ndarray:
         if params.forcing is None:
@@ -165,39 +169,46 @@ class BackendHandles:
 
     def system(self, params: ModelParams, k: float,
                t: float) -> tuple[SparseMatrix, SparseMatrix]:
-        """(1/k^2 M + 1/k D + K, D) with D the damping operator at time t.
+        """(1/k^2 M + 1/k D + K, D) with D = scale_alpha(t) W + scale_beta(t) S
+        the damping operator at time t.
 
-        Rebuilt only when k or a coefficient value differs from the last call.
+        Rebuilt only when k or a time factor differs from the last call.
         """
-        a, b = _value_at(params.alpha, t), _value_at(params.beta, t)
+        alpha, beta = params.damping
+        if (alpha.weight, beta.weight) != self.weights:
+            raise ValueError("damping weights differ from the ones this "
+                             "backend was built with")
+        a, b = alpha.scale(t), beta.scale(t)
         key = (k, a, b)
         if self._system[0] != key:
             mass, stiff, weak, strong = self._shared
-            damp = (weak.vals if isinstance(a, SpatialField) else a * mass.vals) \
-                + (strong.vals if isinstance(b, SpatialField) else b * stiff.vals)
+            damp = a * weak.vals + b * strong.vals
             vals = mass.vals / k ** 2 + damp / k + stiff.vals
             self._system = (key, replace(mass, vals=vals), replace(mass, vals=damp))
         return self._system[1], self._system[2]
 
 
 def make_fem_backend(space: FemSpace, params: ModelParams) -> BackendHandles:
-    weak = assemble_mass(space, params.alpha.field) \
-        if isinstance(params.alpha, SpatialField) else None
-    strong = assemble_stiffness(space, params.beta.field) \
-        if isinstance(params.beta, SpatialField) else None
+    alpha, beta = params.damping
+    mass, stiff = assemble_mass(space), assemble_stiffness(space)
+    weak = mass if alpha.weight is None else assemble_mass(space, alpha.weight)
+    strong = stiff if beta.weight is None else assemble_stiffness(space, beta.weight)
     return BackendHandles(
-        M=assemble_mass(space),
-        K=assemble_stiffness(space),
+        M=mass,
+        K=stiff,
         ndof=space.n_dofs,
         interpolate=lambda f: fem_interpolate(space, f),
         load=lambda f: load_vector(space, f),
-        weak_op=weak,
-        strong_op=strong,
+        weak_op=weak, strong_op=strong,
+        weights=(alpha.weight, beta.weight),
         label=f"fem-N{space.mesh.n_per_side}",
     )
 
 
 def make_fd_backend(grid: FdGrid, params: ModelParams) -> BackendHandles:
+    alpha, beta = params.damping
+    if beta.weight is not None:
+        raise NotImplementedError("variable-coefficient FD stencils are out of scope")
     op = FdOperator(grid)
     mass = op.mass_matrix()
     stiff = op.gram_matrix()
@@ -206,17 +217,18 @@ def make_fd_backend(grid: FdGrid, params: ModelParams) -> BackendHandles:
     def interp(f: ScalarField) -> np.ndarray:
         return np.asarray(f(x, y), dtype=float)
 
-    weak = None
-    if isinstance(params.alpha, SpatialField):
-        weak = from_diagonal(grid.h ** 2 * interp(params.alpha.field))
-    strong = None
-    if isinstance(params.beta, SpatialField):
-        raise NotImplementedError("variable-coefficient FD stencils are out of scope")
+    weak = mass
+    if alpha.weight is not None:
+        w = interp(alpha.weight)
+        if np.any(w <= 0):
+            raise ValueError("weight field must be strictly positive on the grid")
+        weak = from_diagonal(grid.h ** 2 * w)
     return BackendHandles(
         M=mass, K=stiff, ndof=grid.n_interior,
         interpolate=interp,
         load=lambda f: grid.h ** 2 * interp(f),
-        weak_op=weak, strong_op=strong,
+        weak_op=weak, strong_op=stiff,
+        weights=(alpha.weight, None),
         label=f"fd-M{grid.n_per_side}",
     )
 
@@ -231,8 +243,8 @@ def init_state(backend: BackendHandles, params: ModelParams, k: float,
     """
     if k <= 0:
         raise ValueError("time step must be positive")
-    u0f = params.u0 if params.u0 is not None else None
-    u0 = backend.interpolate(u0f) if u0f is not None else np.zeros(backend.ndof)
+    u0 = backend.interpolate(params.u0) if params.u0 is not None \
+        else np.zeros(backend.ndof)
     if mode == "exact":
         if exact_at is None:
             raise ValueError("exact start requires an exact-solution provider")
@@ -273,8 +285,7 @@ def step(state: StepperState, backend: BackendHandles,
 
 
 def run(backend: BackendHandles, params: ModelParams, k: float, T: float,
-        observers=(), record_ea: bool = False,
-        init_mode: str = "taylor",
+        observers=(), init_mode: str = "taylor",
         exact_at: Callable[[float], ScalarField] | None = None,
         meta: dict | None = None, n_steps: int | None = None):
     """Run ceil(T/k) steps (or exactly ``n_steps``) from a fresh initial
@@ -290,7 +301,6 @@ def run(backend: BackendHandles, params: ModelParams, k: float, T: float,
     times = [0.0]
     energies = [diagnostics.discrete_energy(state, backend)]
     crosses = [diagnostics.energy_cross_term(state, backend)]
-    eas = [diagnostics.energy_EA(state, backend)] if record_ea else None
     for obs in observers:
         obs(state)
     for _ in range(n_steps):
@@ -298,13 +308,10 @@ def run(backend: BackendHandles, params: ModelParams, k: float, T: float,
         times.append((state.n - 1) * k)
         energies.append(diagnostics.discrete_energy(state, backend))
         crosses.append(diagnostics.energy_cross_term(state, backend))
-        if record_ea:
-            eas.append(diagnostics.energy_EA(state, backend))
         for obs in observers:
             obs(state)
     trace = diagnostics.EnergyTrace(
         t=np.array(times), energy=np.array(energies), cross=np.array(crosses),
-        ea=np.array(eas) if record_ea else None,
         meta=dict(meta or {}, k=k, backend=backend.label),
     )
     return state, trace

@@ -113,6 +113,17 @@ def test_decay_bounds_reject_undamped():
         decay_bounds(0.0, 0.0, 2.0)
 
 
+def test_decay_bounds_over_ranges():
+    # the rate limit uses the least damping, the stiffness limit the most
+    lam = 2.0
+    d_cont, d_disc = decay_bounds((1.0, 2.0), (0.5, 0.75), lam)
+    assert d_cont == min((1.0 + 0.5 * lam) / 2, lam / (2.0 + 0.75 * lam))
+    assert d_disc == min((1.0 + 0.5 * lam) / 2, lam / (2 * (2.0 + 0.75 * lam)))
+    assert decay_bounds((PI, PI), 0.25, lam) == decay_bounds(PI, 0.25, lam)
+    with pytest.raises(ValueError):
+        decay_bounds((0.0, 1.0), (0.0, 0.0), lam)
+
+
 def test_fit_decay_rate_on_synthetic_trace():
     t = np.linspace(0.0, 1.0, 101)
     trace = EnergyTrace(t=t, energy=np.exp(-2 * PI * t), cross=np.zeros_like(t))

@@ -116,6 +116,30 @@ def test_decay_of_time_scheduled_damping():
     assert rep.monotone_ok  # growing damping only dissipates faster
 
 
+def test_constant_coefficients_read_the_normal_form():
+    from dampedwave.fem import constant_field
+    from dampedwave.stepper import ModelParams, SpatialField, TimeSchedule
+    exps = builtin_experiments()
+    assert exps["ex1"].constant_coefficients()
+    assert not exps["timevar"].constant_coefficients()
+    assert not exps["spacevar"].constant_coefficients()
+    pinned = TimeSchedule(lambda t: PI, lo=PI, hi=PI)
+    flat = SpatialField(constant_field(1.0), lo=1.0, hi=1.0)
+    for alpha, constant in ((pinned, True), (flat, False)):
+        params = ModelParams(domain=UNIT_SQUARE, alpha=alpha)
+        assert Experiment("e", UNIT_SQUARE, params).constant_coefficients() is constant
+
+
+def test_undamped_decay_is_rejected():
+    from dampedwave.stepper import ModelParams
+    u0 = builtin_experiments()["ex1"].params.u0
+    exp = Experiment("undamped", UNIT_SQUARE, ModelParams(domain=UNIT_SQUARE, u0=u0),
+                     T=0.1, backend="fd")
+    for source in ("discrete", "analytic"):
+        with pytest.raises(ValueError, match="positive"):
+            run_decay(exp, 4, k_override=0.01, lambda_source=source)
+
+
 def test_steady_report_monotone_check():
     down = np.array([1.0, 0.5, 0.25, 1e-9, 5e-9, 2e-9])
     rep = SteadyReport(n=8, k=0.1, times=np.arange(6.0),

@@ -250,6 +250,34 @@ def test_fd_backend_rejects_spatial_beta():
         make_fd_backend(grid, params)
 
 
+def test_backend_rejects_params_with_other_damping_weights():
+    field = SpatialField(
+        ScalarField(lambda x, y: 1.0 + 0.5 * np.sin(PI * x) * np.sin(PI * y)),
+        lo=1.0, hi=1.5)
+    plain = ModelParams(domain=UNIT_SQUARE, alpha=1.0, beta=0.1, u0=sine_field())
+    spatial = ModelParams(domain=UNIT_SQUARE, alpha=field, beta=0.1,
+                          u0=sine_field())
+    space = FemSpace(build_tri_mesh(UNIT_SQUARE, 6))
+    for built, used in ((plain, spatial), (spatial, plain)):
+        backend = make_fem_backend(space, built)
+        with pytest.raises(ValueError, match="weights"):
+            backend.system(used, 0.01, 0.0)
+        with pytest.raises(ValueError, match="weights"):
+            run(backend, used, k=0.01, T=0.05)
+
+
+def test_fd_backend_rejects_nonpositive_alpha_at_its_nodes():
+    # a narrow dip to -9 at (1/48, 1/48): between the construction-time
+    # samples, but on a node of the M = 48 grid
+    dip = ScalarField(lambda x, y: 1.0 - 10.0 * np.exp(
+        -((x - 1 / 48) ** 2 + (y - 1 / 48) ** 2) / 1e-5))
+    params = ModelParams(domain=UNIT_SQUARE,
+                         alpha=SpatialField(dip, lo=1.0, hi=1.5))
+    with pytest.raises(ValueError, match="strictly positive"):
+        make_fd_backend(build_fd_grid(UNIT_SQUARE, 48), params)
+    assert make_fd_backend(build_fd_grid(UNIT_SQUARE, 24), params).ndof == 23 ** 2
+
+
 def test_spatial_alpha_runs_on_fem():
     field = SpatialField(
         ScalarField(lambda x, y: 1.0 + 0.5 * np.sin(PI * x) * np.sin(PI * y)),
