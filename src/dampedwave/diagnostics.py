@@ -9,28 +9,35 @@ import numpy as np
 from .sparse import cg_solve
 
 
-def discrete_energy(state, backend) -> float:
-    """E = 1/2 (||d||_M^2 + |U|_1^2) with d the backward difference velocity.
+def energy_and_cross(state, backend) -> tuple[float, float]:
+    """(E, (d, U^{n+1})_M) from one M d and one K U^{n+1}, with d the
+    backward difference velocity; M is symmetric, so the cross term is
+    U^{n+1} . (M d).
 
     ``state`` holds the pair (U^n, U^{n+1}) as (U_prev, U_curr).
     """
     d = (state.u_curr - state.u_prev) / state.k
     md = backend.M.matvec(d)
     ku = backend.K.matvec(state.u_curr)
-    return 0.5 * float(d @ md + state.u_curr @ ku)
+    return 0.5 * float(d @ md + state.u_curr @ ku), float(state.u_curr @ md)
+
+
+def discrete_energy(state, backend) -> float:
+    """E = 1/2 (||d||_M^2 + |U|_1^2) with d the backward difference velocity."""
+    return energy_and_cross(state, backend)[0]
 
 
 def energy_cross_term(state, backend) -> float:
     """The pairing (d, U^{n+1})_M entering the extended energy."""
-    d = (state.u_curr - state.u_prev) / state.k
-    return float(d @ backend.M.matvec(state.u_curr))
+    return energy_and_cross(state, backend)[1]
 
 
 def extended_energy(state, backend, delta: float) -> float:
     """E plus the delta-weighted velocity/displacement cross term."""
     if delta <= 0:
         raise ValueError("delta must be positive")
-    return discrete_energy(state, backend) + delta * energy_cross_term(state, backend)
+    energy, cross = energy_and_cross(state, backend)
+    return energy + delta * cross
 
 
 def energy_EA(state, backend) -> float:
@@ -67,6 +74,9 @@ class EnergyTrace:
     cross: np.ndarray          # (d, U)_M per step, for extended energies
     continuous: np.ndarray | None = None  # quadrature energy of the exact solution
     meta: dict = field(default_factory=dict)
+    # per step (t[1:]): CG iterations and final relative residual of its solve
+    cg_iterations: np.ndarray | None = None
+    cg_residuals: np.ndarray | None = None
 
     def extended(self, delta: float) -> np.ndarray:
         return self.energy + delta * self.cross

@@ -266,7 +266,8 @@ def run_decay(exp: Experiment, n: int, backend: str | None = None,
     handles, disc = build_backend(exp, n, kind)
     k = exp.time_step(n, k_override)
     if lambda_source == "discrete":
-        lam1, _, _ = smallest_generalized_eigenpair(handles.K, handles.M, tol=1e-10)
+        lam1, _, _ = smallest_generalized_eigenpair(
+            handles.K, handles.M, tol=1e-10, precond=handles.stiffness_precond)
     elif lambda_source == "analytic":
         lam1 = 2.0 * (np.pi / exp.domain.width) ** 2
     else:

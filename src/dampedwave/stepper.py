@@ -8,6 +8,8 @@ difference and dt the forward difference, leading to the SPD system
     [(1/k^2 + alpha/k) M + (beta/k + 1) K] U^{n+1} = rhs.
 Every operator sits on one CSR pattern, so the system matrix for a given
 step and coefficient value is one sum of value arrays, built once and reused.
+Its symbol in the grid's sine basis is the same sum of the operators'
+symbols, and preconditions every CG solve of the stepper.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ from .fdm import FdOperator
 from .fem import FemSpace, ScalarField, assemble_mass, assemble_stiffness, \
     interpolate as fem_interpolate, load_vector
 from .mesh import FdGrid, Rectangle
-from .sparse import CgError, SparseMatrix, cg_solve, from_diagonal, \
-    on_common_pattern
+from .sparse import CgError, Preconditioner, SineBasis, SolveReport, \
+    SparseMatrix, cg_solve, from_diagonal, on_common_pattern
 
 STEP_RTOL = 1e-10
 
@@ -76,6 +78,15 @@ def _resolve(c: Coefficient) -> Damping:
     return Damping(value, value, lambda t: value)
 
 
+def _check_weight(c: Damping, values, where: str) -> None:
+    """Reject a spatial weight that leaves its stated [lo, hi] (so also one
+    that is not strictly positive, since lo > 0) where it is evaluated."""
+    values = np.asarray(values, dtype=float)
+    if np.any(values < c.lo - 1e-12) or np.any(values > c.hi + 1e-12):
+        raise ValueError(f"damping field must be strictly positive and within "
+                         f"its stated [lo, hi] = [{c.lo:g}, {c.hi:g}] {where}")
+
+
 class StepError(RuntimeError):
     """Solver failure during time stepping, annotated with the step index."""
 
@@ -121,19 +132,19 @@ class ModelParams:
         xs = np.linspace(r.x0, r.x1, samples)[1:-1]
         ys = np.linspace(r.y0, r.y1, samples)[1:-1]
         xx, yy = np.meshgrid(xs, ys)
-        vals = np.asarray(c.weight(xx, yy), dtype=float)
-        if np.any(vals < c.lo - 1e-12) or np.any(vals > c.hi + 1e-12):
-            raise ValueError("damping field leaves its stated [lo, hi] range")
+        _check_weight(c, c.weight(xx, yy), "on the sample grid")
 
 
 @dataclass(frozen=True)
 class StepperState:
-    """Two-level state (U^{n-1}, U^n); n indexes u_curr, at time n*k."""
+    """Two-level state (U^{n-1}, U^n); n indexes u_curr, at time n*k.
+    ``solve`` reports the CG solve that produced u_curr in a step."""
 
     n: int
     k: float
     u_prev: np.ndarray
     u_curr: np.ndarray
+    solve: SolveReport | None = None
 
 
 @dataclass
@@ -147,18 +158,31 @@ class BackendHandles:
     load: Callable[[ScalarField], np.ndarray]
     weak_op: SparseMatrix    # alpha-weighted mass; M itself when alpha has no weight
     strong_op: SparseMatrix  # beta-weighted stiffness; K itself when beta has no weight
+    basis: SineBasis         # the unknowns' grid, for the preconditioners
     weights: tuple = (None, None)  # the (alpha, beta) weights the operators carry
     label: str = ""
     # one-entry caches: (forcing, load vector) and ((k, alpha, beta) scales,
-    # system matrix, damping matrix)
+    # (system matrix, damping matrix, system preconditioner))
     _load: tuple = field(default=(None, None), init=False, repr=False)
-    _system: tuple = field(default=(None, None, None), init=False, repr=False)
+    _system: tuple = field(default=(None, None), init=False, repr=False)
 
     def __post_init__(self):
         ops = (self.M, self.K, self.weak_op, self.strong_op)
-        distinct = list({id(op): op for op in ops}.values())
-        shared = dict(zip(map(id, distinct), on_common_pattern(distinct)))
+        distinct = {id(op): op for op in ops}
+        shared = dict(zip(distinct, on_common_pattern(list(distinct.values()))))
+        symbols = {key: self.basis.symbol(op) for key, op in distinct.items()}
         self._shared = [shared[id(op)] for op in ops]
+        self._symbols = [symbols[id(op)] for op in ops]
+
+    @cached_property
+    def mass_precond(self) -> Preconditioner:
+        """Sine-basis preconditioner for solves with M."""
+        return self.basis.solver(self._symbols[0])
+
+    @cached_property
+    def stiffness_precond(self) -> Preconditioner:
+        """Sine-basis preconditioner for solves with K."""
+        return self.basis.solver(self._symbols[1])
 
     def forcing_vector(self, params: ModelParams) -> np.ndarray:
         if params.forcing is None:
@@ -168,9 +192,11 @@ class BackendHandles:
         return self._load[1]
 
     def system(self, params: ModelParams, k: float,
-               t: float) -> tuple[SparseMatrix, SparseMatrix]:
-        """(1/k^2 M + 1/k D + K, D) with D = scale_alpha(t) W + scale_beta(t) S
-        the damping operator at time t.
+               t: float) -> tuple[SparseMatrix, SparseMatrix, Preconditioner]:
+        """(A, D, P^-1) with A = 1/k^2 M + 1/k D + K, D = scale_alpha(t) W
+        + scale_beta(t) S the damping operator at time t, and P^-1 the
+        sine-basis preconditioner of A, whose symbol is the same combination
+        of the operators' symbols.
 
         Rebuilt only when k or a time factor differs from the last call.
         """
@@ -181,15 +207,25 @@ class BackendHandles:
         a, b = alpha.scale(t), beta.scale(t)
         key = (k, a, b)
         if self._system[0] != key:
-            mass, stiff, weak, strong = self._shared
-            damp = a * weak.vals + b * strong.vals
-            vals = mass.vals / k ** 2 + damp / k + stiff.vals
-            self._system = (key, replace(mass, vals=vals), replace(mass, vals=damp))
-        return self._system[1], self._system[2]
+            def combine(mass, stiff, weak, strong):
+                damp = a * weak + b * strong
+                return mass / k ** 2 + damp / k + stiff, damp
+
+            mass = self._shared[0]
+            vals, damp = combine(*(op.vals for op in self._shared))
+            symbol, _ = combine(*self._symbols)
+            self._system = (key, (replace(mass, vals=vals), replace(mass, vals=damp),
+                                  self.basis.solver(symbol)))
+        return self._system[1]
 
 
 def make_fem_backend(space: FemSpace, params: ModelParams) -> BackendHandles:
     alpha, beta = params.damping
+    mids = space.geometry()[2]
+    for c in (alpha, beta):
+        if c.weight is not None:
+            _check_weight(c, c.weight(mids[..., 0], mids[..., 1]),
+                          "at the quadrature points")
     mass, stiff = assemble_mass(space), assemble_stiffness(space)
     weak = mass if alpha.weight is None else assemble_mass(space, alpha.weight)
     strong = stiff if beta.weight is None else assemble_stiffness(space, beta.weight)
@@ -200,6 +236,7 @@ def make_fem_backend(space: FemSpace, params: ModelParams) -> BackendHandles:
         interpolate=lambda f: fem_interpolate(space, f),
         load=lambda f: load_vector(space, f),
         weak_op=weak, strong_op=strong,
+        basis=SineBasis(space.mesh.n_per_side - 1),
         weights=(alpha.weight, beta.weight),
         label=f"fem-N{space.mesh.n_per_side}",
     )
@@ -220,14 +257,14 @@ def make_fd_backend(grid: FdGrid, params: ModelParams) -> BackendHandles:
     weak = mass
     if alpha.weight is not None:
         w = interp(alpha.weight)
-        if np.any(w <= 0):
-            raise ValueError("weight field must be strictly positive on the grid")
+        _check_weight(alpha, w, "at the grid nodes")
         weak = from_diagonal(grid.h ** 2 * w)
     return BackendHandles(
         M=mass, K=stiff, ndof=grid.n_interior,
         interpolate=interp,
         load=lambda f: grid.h ** 2 * interp(f),
         weak_op=weak, strong_op=stiff,
+        basis=SineBasis(grid.n_per_side - 1),
         weights=(alpha.weight, None),
         label=f"fd-M{grid.n_per_side}",
     )
@@ -252,9 +289,10 @@ def init_state(backend: BackendHandles, params: ModelParams, k: float,
     elif mode == "taylor":
         v = backend.interpolate(params.u1) if params.u1 is not None \
             else np.zeros(backend.ndof)
-        _, damping = backend.system(params, k, 0.0)
+        _, damping, _ = backend.system(params, k, 0.0)
         rhs = -damping.matvec(v) - backend.K.matvec(u0) + backend.forcing_vector(params)
-        w, _ = cg_solve(backend.M, rhs, rtol=1e-12, max_iter=50 * backend.ndof)
+        w, _ = cg_solve(backend.M, rhs, rtol=1e-12, max_iter=50 * backend.ndof,
+                        precond=backend.mass_precond)
         u1 = u0 + k * v + 0.5 * k * k * w
     else:
         raise ValueError(f"unknown init mode {mode!r}")
@@ -266,22 +304,24 @@ def step(state: StepperState, backend: BackendHandles,
     """One implicit step (U^{n-1}, U^n) -> (U^n, U^{n+1}).
 
     Time-dependent coefficients are evaluated at t_n. The backend's cached
-    SPD system matrix is solved by preconditioned CG.
+    SPD system matrix is solved by CG with its sine-basis preconditioner.
     """
     if state.n < 1:
         raise ValueError("stepping requires n >= 1")
     k = state.k
     t_n = state.n * k
-    system, damping = backend.system(params, k, t_n)
+    system, damping, precond = backend.system(params, k, t_n)
     guess = 2.0 * state.u_curr - state.u_prev
     rhs = backend.M.matvec(guess / k ** 2) + damping.matvec(state.u_curr) / k \
         + backend.forcing_vector(params)
     try:
-        u_next, _ = cg_solve(system, rhs, rtol=STEP_RTOL,
-                             max_iter=50 * backend.ndof, x0=guess)
+        u_next, report = cg_solve(system, rhs, rtol=STEP_RTOL,
+                                  max_iter=50 * backend.ndof, x0=guess,
+                                  precond=precond)
     except CgError as exc:
         raise StepError(f"CG failed at step n={state.n} (t={t_n:g}): {exc}") from exc
-    return StepperState(n=state.n + 1, k=k, u_prev=state.u_curr, u_curr=u_next)
+    return StepperState(n=state.n + 1, k=k, u_prev=state.u_curr, u_curr=u_next,
+                        solve=report)
 
 
 def run(backend: BackendHandles, params: ModelParams, k: float, T: float,
@@ -289,7 +329,8 @@ def run(backend: BackendHandles, params: ModelParams, k: float, T: float,
         exact_at: Callable[[float], ScalarField] | None = None,
         meta: dict | None = None, n_steps: int | None = None):
     """Run ceil(T/k) steps (or exactly ``n_steps``) from a fresh initial
-    state; returns (final state, EnergyTrace). Observers are called with
+    state; returns (final state, EnergyTrace). The trace also carries each
+    step's CG iterations and final residual. Observers are called with
     every state, including the initial one."""
     if T < k:
         raise ValueError("final time must be at least one step")
@@ -298,21 +339,26 @@ def run(backend: BackendHandles, params: ModelParams, k: float, T: float,
     # step n evaluates the coefficients at t = n k
     params.check_schedules(k * np.arange(n_steps + 1))
     state = init_state(backend, params, k, mode=init_mode, exact_at=exact_at)
-    times = [0.0]
-    energies = [diagnostics.discrete_energy(state, backend)]
-    crosses = [diagnostics.energy_cross_term(state, backend)]
-    for obs in observers:
-        obs(state)
-    for _ in range(n_steps):
-        state = step(state, backend, params)
+    times, energies, crosses, solves = [], [], [], []
+
+    def record(state):
         times.append((state.n - 1) * k)
-        energies.append(diagnostics.discrete_energy(state, backend))
-        crosses.append(diagnostics.energy_cross_term(state, backend))
+        energy, cross = diagnostics.energy_and_cross(state, backend)
+        energies.append(energy)
+        crosses.append(cross)
         for obs in observers:
             obs(state)
+
+    record(state)
+    for _ in range(n_steps):
+        state = step(state, backend, params)
+        solves.append(state.solve)
+        record(state)
     trace = diagnostics.EnergyTrace(
         t=np.array(times), energy=np.array(energies), cross=np.array(crosses),
         meta=dict(meta or {}, k=k, backend=backend.label),
+        cg_iterations=np.array([s.iterations for s in solves], dtype=int),
+        cg_residuals=np.array([s.final_residual for s in solves]),
     )
     return state, trace
 
@@ -322,5 +368,6 @@ def steady_state(backend: BackendHandles, params: ModelParams) -> np.ndarray:
     if params.forcing is None:
         raise ValueError("steady state requires a forcing term")
     f = backend.forcing_vector(params)
-    u, _ = cg_solve(backend.K, f, rtol=1e-12, max_iter=50 * backend.ndof)
+    u, _ = cg_solve(backend.K, f, rtol=1e-12, max_iter=50 * backend.ndof,
+                    precond=backend.stiffness_precond)
     return u

@@ -8,6 +8,7 @@ from dampedwave.mesh import UNIT_SQUARE, build_fd_grid, build_tri_mesh
 from dampedwave.oracle import Mode, modal_recurrence
 from dampedwave.sparse import cg_solve
 from dampedwave.stepper import (
+    STEP_RTOL,
     ModelParams,
     SpatialField,
     StepError,
@@ -173,11 +174,16 @@ def test_non_finite_state_fails_fast_as_step_error():
 def _check_system(backend, params, k, t, a, b, w=0.0, s=0.0):
     """The cached system against the dense (1/k^2 + a/k) M + W/k
     + (b/k + 1) K + S/k, where a spatial coefficient contributes its
-    weighted operator W or S and a scalar one its value a or b."""
+    weighted operator W or S and a scalar one its value a or b; its
+    preconditioner against S2 diag(S2' A S2)^-1 S2' with a dense sine basis."""
     m, kk = backend.M.to_dense(), backend.K.to_dense()
     expected = (1 / k ** 2 + a / k) * m + w / k + (b / k + 1) * kk + s / k
     tol = 1e-14 * np.max(np.abs(expected))
-    system, damping = backend.system(params, k, t)
+    system, damping, precond = backend.system(params, k, t)
+    s2 = np.kron(backend.basis.matrix, backend.basis.matrix)
+    r = np.random.default_rng(5).normal(size=backend.ndof)
+    want = s2 @ ((s2.T @ r) / np.diag(s2.T @ expected @ s2))
+    assert np.allclose(precond(r), want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
     assert np.allclose(system.to_dense(), expected, rtol=1e-14, atol=tol)
     assert np.allclose(system.diagonal(), np.diag(expected), rtol=1e-14, atol=tol)
     assert np.allclose(damping.to_dense(), a * m + w + b * kk + s, rtol=1e-14,
@@ -276,6 +282,43 @@ def test_fd_backend_rejects_nonpositive_alpha_at_its_nodes():
     with pytest.raises(ValueError, match="strictly positive"):
         make_fd_backend(build_fd_grid(UNIT_SQUARE, 48), params)
     assert make_fd_backend(build_fd_grid(UNIT_SQUARE, 24), params).ndof == 23 ** 2
+
+
+# 1 - 0.5 exp(-|(x, y) - (1/48, 1/48)|^2 / 1e-5): a narrow dip to 0.5, below
+# the stated lo = 1 but between the construction-time samples
+HALF_DIP = SpatialField(ScalarField(lambda x, y: 1.0 - 0.5 * np.exp(
+    -((x - 1 / 48) ** 2 + (y - 1 / 48) ** 2) / 1e-5)), lo=1.0, hi=1.5)
+
+
+def test_fd_backend_checks_alpha_range_at_its_nodes():
+    params = ModelParams(domain=UNIT_SQUARE, alpha=HALF_DIP)
+    # (1/48, 1/48) is a node of the M = 48 grid, where the weight is 0.5
+    with pytest.raises(ValueError, match=r"\[lo, hi\] = \[1, 1.5\] at the grid nodes"):
+        make_fd_backend(build_fd_grid(UNIT_SQUARE, 48), params)
+    assert make_fd_backend(build_fd_grid(UNIT_SQUARE, 24), params).ndof == 23 ** 2
+
+
+def test_fem_backend_checks_alpha_range_at_its_quadrature_points():
+    params = ModelParams(domain=UNIT_SQUARE, alpha=HALF_DIP)
+    # an edge midpoint of the N = 96 mesh lies 0.5/96 from the dip
+    with pytest.raises(ValueError, match="at the quadrature points"):
+        make_fem_backend(FemSpace(build_tri_mesh(UNIT_SQUARE, 96)), params)
+    backend = make_fem_backend(FemSpace(build_tri_mesh(UNIT_SQUARE, 8)), params)
+    assert backend.ndof == 7 ** 2
+
+
+def test_run_reports_cg_iterations_and_residuals_per_step():
+    _, params, fd = fd_setup(m=12, alpha=PI, beta=1.0 / PI, u0=sine_field())
+    _, trace = run(fd, params, k=0.01, T=0.2)
+    # the FD step system is diagonal in the sine basis
+    assert np.array_equal(trace.cg_iterations, np.ones(20, dtype=int))
+    assert np.all(trace.cg_residuals <= STEP_RTOL)
+    exp = builtin_experiments()["ex1"]
+    fem = make_fem_backend(FemSpace(build_tri_mesh(UNIT_SQUARE, 12)), exp.params)
+    _, trace = run(fem, exp.params, k=exp.time_step(12), T=0.1)
+    assert trace.cg_iterations.size == trace.t.size - 1
+    assert 1 <= trace.cg_iterations.min() and trace.cg_iterations.max() <= 6
+    assert np.all(trace.cg_residuals <= STEP_RTOL)
 
 
 def test_spatial_alpha_runs_on_fem():
