@@ -16,7 +16,8 @@ from .fdm import FdOperator, fd_eigenvalue
 from .mesh import PI_SQUARE, UNIT_SQUARE, build_fd_grid, build_tri_mesh
 from .fem import FemSpace, assemble_mass, assemble_stiffness
 from .oracle import Mode, modal_continuous, modal_recurrence
-from .sparse import CgError, EigError, smallest_generalized_eigenpair
+from .sparse import CgError, EigError, SineBasis, SparseMatrix, \
+    smallest_generalized_eigenpair
 from .stepper import StepError
 
 DOMAINS = {"unit": UNIT_SQUARE, "pi": PI_SQUARE}
@@ -154,20 +155,26 @@ def _cmd_decay(args) -> int:
     return 0
 
 
+def _eigenpair(stiff: SparseMatrix, mass: SparseMatrix, n: int):
+    """Inverse power iteration with sine-basis preconditioned K-solves."""
+    basis = SineBasis(n - 1)
+    return smallest_generalized_eigenpair(
+        stiff, mass, precond=basis.solver(basis.symbol(stiff)))
+
+
 def _cmd_eig(args) -> int:
     domain = DOMAINS[args.domain]
     if args.backend == "fd":
         grid = build_fd_grid(domain, args.N)
         op = FdOperator(grid)
-        lam, _, its = smallest_generalized_eigenpair(op.gram_matrix(),
-                                                     op.mass_matrix())
+        lam, _, its = _eigenpair(op.gram_matrix(), op.mass_matrix(), args.N)
         closed = fd_eigenvalue(grid, 1, 1)
         print(f"fd   N={args.N}  lambda1_h = {lam:.10f}  "
               f"(closed form {closed:.10f}, {its} iterations)")
     else:
         space = FemSpace(build_tri_mesh(domain, args.N))
-        lam, _, its = smallest_generalized_eigenpair(
-            assemble_stiffness(space), assemble_mass(space))
+        lam, _, its = _eigenpair(assemble_stiffness(space), assemble_mass(space),
+                                 args.N)
         print(f"fem  N={args.N}  lambda1_h = {lam:.10f}  ({its} iterations)")
     analytic = 2.0 * (np.pi / domain.width) ** 2
     print(f"continuous lambda1 = {analytic:.10f}")

@@ -81,6 +81,10 @@ class EnergyTrace:
     def extended(self, delta: float) -> np.ndarray:
         return self.energy + delta * self.cross
 
+    def decay_bound(self, delta: float) -> np.ndarray:
+        """3 e^{-delta t/15} E^0 at the trace times."""
+        return 3.0 * np.exp(-delta * self.t / 15.0) * self.energy[0]
+
     def monotone(self, slack: float = 1e-10) -> bool:
         e = self.energy
         return bool(np.all(e[1:] <= e[:-1] * (1.0 + slack)))
@@ -91,8 +95,26 @@ class EnergyTrace:
                     and np.all(ext <= 1.5 * self.energy + 1e-14))
 
     def decay_bound_ok(self, delta: float) -> bool:
-        bound = 3.0 * np.exp(-delta * self.t / 15.0) * self.energy[0]
-        return bool(np.all(self.energy <= bound * (1.0 + 1e-12) + 1e-300))
+        return bool(np.all(self.energy <= self.decay_bound(delta) * (1.0 + 1e-12)
+                           + 1e-300))
+
+    def worst_growth(self) -> tuple[float, int]:
+        """(max of E_i / E_{i-1} - 1, the sample i where it occurs); at
+        most 0 exactly when the energy never grows."""
+        growth = self.energy[1:] / self.energy[:-1] - 1.0
+        i = int(np.argmax(growth))
+        return float(growth[i]), i + 1
+
+    def sandwich_slack(self, delta: float) -> float:
+        """min over the samples of 1/2 - |E_ext - E| / E: the distance of the
+        extended energy from the nearer edge of [E/2, 3E/2], relative to E;
+        negative where it leaves the interval."""
+        return float(np.min(0.5 - np.abs(delta * self.cross) / self.energy))
+
+    def decay_bound_slack(self, delta: float) -> float:
+        """min over the samples of 1 - E / (3 e^{-delta t/15} E^0); negative
+        where the energy exceeds the bound."""
+        return float(np.min(1.0 - self.energy / self.decay_bound(delta)))
 
 
 def fit_decay_rate(trace: EnergyTrace, t0: float, t1: float) -> float:

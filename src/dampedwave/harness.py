@@ -247,10 +247,15 @@ class DecayReport:
     bound_ok: bool
     dk_admissible: bool
     constant_coeffs: bool
+    # margins of the three verdicts (EnergyTrace.worst_growth, sandwich_slack
+    # and decay_bound_slack at delta_disc)
+    worst_growth: float
+    worst_growth_step: int
+    sandwich_slack: float
+    bound_slack: float
 
     def bound_curve(self) -> np.ndarray:
-        return 3.0 * np.exp(-self.delta_disc * self.trace.t / 15.0) \
-            * self.trace.energy[0]
+        return self.trace.decay_bound(self.delta_disc)
 
 
 def run_decay(exp: Experiment, n: int, backend: str | None = None,
@@ -286,6 +291,7 @@ def run_decay(exp: Experiment, n: int, backend: str | None = None,
     t_hi = (state.n - 1) * k
     window = fit_window or (0.2 * t_hi, 0.8 * t_hi)
     delta_fit = fit_decay_rate(trace, *window)
+    worst_growth, worst_growth_step = trace.worst_growth()
     return DecayReport(
         experiment=exp.name, n=n, backend=kind, k=k, lambda1=lam1,
         delta_cont=delta_cont, delta_disc=delta_disc,
@@ -295,6 +301,9 @@ def run_decay(exp: Experiment, n: int, backend: str | None = None,
         bound_ok=trace.decay_bound_ok(delta_disc),
         dk_admissible=delta_disc * k <= DK_CAP,
         constant_coeffs=exp.constant_coefficients(),
+        worst_growth=worst_growth, worst_growth_step=worst_growth_step,
+        sandwich_slack=trace.sandwich_slack(delta_disc),
+        bound_slack=trace.decay_bound_slack(delta_disc),
     )
 
 

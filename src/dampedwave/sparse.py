@@ -213,8 +213,11 @@ def cg_solve(a, b: np.ndarray, rtol: float = 1e-10, max_iter: int = 10_000,
     """Preconditioned conjugate gradients for an SPD SparseMatrix ``a``.
 
     ``precond`` maps a residual r to P^-1 r for an SPD P; without it CG uses
-    Jacobi (P = diag(a)). Raises CgError on a non-finite right-hand side or
-    residual, and when the iteration cap is hit.
+    Jacobi (P = diag(a)). A warm start ``x0`` is refined by at least one
+    iteration even when it already meets ``rtol`` (an extrapolated guess
+    left as it is would carry its error into the next step), unless its
+    residual is exactly zero. Raises CgError on a non-finite right-hand side
+    or residual, and when the iteration cap is hit.
     """
     if rtol <= 0:
         raise ValueError("rtol must be positive")
@@ -232,7 +235,7 @@ def cg_solve(a, b: np.ndarray, rtol: float = 1e-10, max_iter: int = 10_000,
     x = np.zeros(n) if x0 is None else x0.astype(np.float64, copy=True)
     r = b - a.matvec(x)
     res = math.sqrt(r @ r) / bnorm
-    if res <= rtol:
+    if res == 0.0 or (x0 is None and res <= rtol):
         return x, SolveReport(0, res)
     if not math.isfinite(res):
         raise CgError(0, res)

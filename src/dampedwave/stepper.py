@@ -30,6 +30,9 @@ from .sparse import CgError, Preconditioner, SineBasis, SolveReport, \
     SparseMatrix, cg_solve, from_diagonal, on_common_pattern
 
 STEP_RTOL = 1e-10
+# CG starting point of a step from the last 2, 3 or 4 levels, newest first:
+# the linear, quadratic and cubic extrapolants
+EXTRAPOLANTS = {2: (2.0, -1.0), 3: (3.0, -3.0, 1.0), 4: (4.0, -6.0, 4.0, -1.0)}
 
 
 @dataclass(frozen=True)
@@ -138,6 +141,8 @@ class ModelParams:
 @dataclass(frozen=True)
 class StepperState:
     """Two-level state (U^{n-1}, U^n); n indexes u_curr, at time n*k.
+    ``older`` holds up to two earlier levels (U^{n-2}, U^{n-3}), newest
+    first, which only improve the CG starting point of the next step.
     ``solve`` reports the CG solve that produced u_curr in a step."""
 
     n: int
@@ -145,6 +150,7 @@ class StepperState:
     u_prev: np.ndarray
     u_curr: np.ndarray
     solve: SolveReport | None = None
+    older: tuple = ()
 
 
 @dataclass
@@ -304,16 +310,20 @@ def step(state: StepperState, backend: BackendHandles,
     """One implicit step (U^{n-1}, U^n) -> (U^n, U^{n+1}).
 
     Time-dependent coefficients are evaluated at t_n. The backend's cached
-    SPD system matrix is solved by CG with its sine-basis preconditioner.
+    SPD system matrix is solved by CG with its sine-basis preconditioner,
+    starting from the highest-order extrapolant the state's levels allow.
     """
     if state.n < 1:
         raise ValueError("stepping requires n >= 1")
     k = state.k
     t_n = state.n * k
     system, damping, precond = backend.system(params, k, t_n)
-    guess = 2.0 * state.u_curr - state.u_prev
-    rhs = backend.M.matvec(guess / k ** 2) + damping.matvec(state.u_curr) / k \
-        + backend.forcing_vector(params)
+    linear = 2.0 * state.u_curr - state.u_prev
+    levels = (state.u_curr, state.u_prev, *state.older)
+    guess = np.dot(EXTRAPOLANTS[len(levels)], levels) if state.older else linear
+    rhs = backend.M.matvec(linear / k ** 2) + damping.matvec(state.u_curr) / k
+    if params.forcing is not None:
+        rhs += backend.forcing_vector(params)
     try:
         u_next, report = cg_solve(system, rhs, rtol=STEP_RTOL,
                                   max_iter=50 * backend.ndof, x0=guess,
@@ -321,7 +331,7 @@ def step(state: StepperState, backend: BackendHandles,
     except CgError as exc:
         raise StepError(f"CG failed at step n={state.n} (t={t_n:g}): {exc}") from exc
     return StepperState(n=state.n + 1, k=k, u_prev=state.u_curr, u_curr=u_next,
-                        solve=report)
+                        solve=report, older=levels[1:3])
 
 
 def run(backend: BackendHandles, params: ModelParams, k: float, T: float,

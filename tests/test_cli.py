@@ -52,6 +52,16 @@ def test_eig_fem_pi_square(capsys):
     assert lam == pytest.approx(2.0, rel=0.05)
 
 
+@pytest.mark.parametrize("backend, lam", [("fem", 19.9297898423),
+                                          ("fd", 19.6758728671)])
+def test_eig_lambda1_does_not_depend_on_the_preconditioner(backend, lam, capsys):
+    # lambda1_h as printed with Jacobi-CG inner solves
+    assert main(["eig", "--backend", backend, "--N", "16"]) == 0
+    out = capsys.readouterr().out
+    printed = float(out.splitlines()[0].split("lambda1_h =")[1].split("(")[0])
+    assert printed == pytest.approx(lam, abs=1e-10)
+
+
 def test_modal_command(capsys):
     assert main(["modal", "--p", "1", "--q", "1", "--k", "1e-3",
                  "--steps", "100"]) == 0

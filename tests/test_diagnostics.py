@@ -163,6 +163,28 @@ def test_monotone_and_sandwich_helpers():
     assert not rising.monotone()
 
 
+def test_invariant_margins_on_a_hand_built_trace():
+    t = np.array([0.0, 1.0, 2.0, 3.0])
+    energy = np.array([1.0, 0.5, 2.9, 0.3])
+    cross = np.array([0.1, -0.2, 0.0, 0.4])
+    trace = EnergyTrace(t=t, energy=energy, cross=cross)
+    delta = 0.5
+    # E_2 / E_1 - 1 = 4.8; the sandwich is tightest at E_3, where
+    # |delta * cross| / E = 2/3 > 1/2; the bound 3 e^{-t/30} is exceeded at t = 2
+    assert trace.worst_growth() == (pytest.approx(4.8), 2)
+    assert trace.sandwich_slack(delta) == pytest.approx(0.5 - 0.2 / 0.3)
+    assert trace.decay_bound_slack(delta) == pytest.approx(1 - 2.9 / (3 * np.exp(-1 / 15)))
+    assert not (trace.monotone() or trace.sandwich_ok(delta)
+                or trace.decay_bound_ok(delta))
+    decaying = EnergyTrace(t=t, energy=np.array([1.0, 0.5, 0.25, 0.2]),
+                           cross=np.array([0.1, -0.2, 0.0, 0.1]))
+    assert decaying.worst_growth() == (pytest.approx(-0.2), 3)
+    assert decaying.sandwich_slack(delta) == pytest.approx(0.5 - 0.05 / 0.2)
+    assert decaying.decay_bound_slack(delta) == pytest.approx(2 / 3)
+    assert decaying.monotone() and decaying.sandwich_ok(delta)
+    assert decaying.decay_bound_ok(delta)
+
+
 def test_rates_reproduce_reference_values():
     table = convergence_rates([(5, (8.8349e-3, 1.0, 1.0)),
                                (10, (2.1124e-3, 1.0, 1.0))])

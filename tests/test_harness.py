@@ -101,6 +101,17 @@ def test_decay_report_fields():
     assert rep.trace.continuous[0] == pytest.approx(3 * PI ** 2 / 8, rel=0.05)
 
 
+def test_decay_report_margins_agree_with_its_verdicts():
+    rep = run_decay(builtin_experiments()["ex1"], 8)
+    assert rep.monotone_ok and rep.sandwich_ok and rep.bound_ok
+    assert rep.worst_growth < 0
+    growth = rep.trace.energy[1:] / rep.trace.energy[:-1] - 1
+    assert rep.worst_growth == growth[rep.worst_growth_step - 1] == growth.max()
+    assert 0 < rep.sandwich_slack <= 0.5
+    assert rep.bound_slack == pytest.approx(2 / 3)  # tightest at t = 0
+    assert rep.sandwich_slack == rep.trace.sandwich_slack(rep.delta_disc)
+
+
 def test_decay_with_analytic_lambda():
     exp = builtin_experiments()["ex1"]
     rep = run_decay(exp, 8, lambda_source="analytic")

@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -126,6 +129,68 @@ def test_cg_warm_start_helps():
     x_cold, rep_cold = cg_solve(k, b, rtol=1e-10)
     _, rep_warm = cg_solve(k, b, rtol=1e-10, x0=x_cold)
     assert rep_warm.iterations < rep_cold.iterations
+
+
+def test_cg_warm_start_meeting_rtol_is_refined_once():
+    mesh = build_tri_mesh(UNIT_SQUARE, 8)
+    k = assemble_stiffness(FemSpace(mesh))
+    b = np.ones(k.dim)
+    guess, _ = cg_solve(k, b, rtol=1e-12)
+    start = np.linalg.norm(b - k.matvec(guess)) / np.linalg.norm(b)
+    assert 0.0 < start <= 1e-10
+    x, rep = cg_solve(k, b, rtol=1e-10, x0=guess)
+    assert rep.iterations == 1
+    assert rep.final_residual <= start
+    assert np.linalg.norm(b - k.matvec(x)) / np.linalg.norm(b) <= start
+
+
+def test_cg_exact_warm_start_returns_the_guess():
+    a = from_diagonal([2.0, 3.0])
+    guess = np.ones(2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x, rep = cg_solve(a, np.array([2.0, 3.0]), x0=guess)
+    assert rep.iterations == 0 and rep.final_residual == 0.0
+    assert np.array_equal(x, guess) and x is not guess
+
+
+def _reference_cg(a, b, rtol, max_iter, precond):
+    """Jacobi CG from x = 0, written out as the reference for the cold path."""
+    bnorm = math.sqrt(b @ b)
+    x = np.zeros(b.shape[0])
+    r = b - a.matvec(x)
+    res = math.sqrt(r @ r) / bnorm
+    if res <= rtol:
+        return x, 0, res
+    z = precond(r)
+    p = z.copy()
+    rz = r @ z
+    for it in range(1, max_iter + 1):
+        ap = a.matvec(p)
+        alpha = rz / (p @ ap)
+        x += alpha * p
+        r -= alpha * ap
+        res = math.sqrt(r @ r) / bnorm
+        if res <= rtol:
+            return x, it, res
+        z = precond(r)
+        rz_new = r @ z
+        p = z + (rz_new / rz) * p
+        rz = rz_new
+    raise AssertionError("reference CG did not converge")
+
+
+@pytest.mark.parametrize("rtol", [1e-10, 2.0])
+def test_cg_cold_start_is_bit_identical_to_the_reference_loop(rtol):
+    space = FemSpace(build_tri_mesh(UNIT_SQUARE, 8))
+    k, m = assemble_stiffness(space), assemble_mass(space)
+    b = np.random.default_rng(3).normal(size=k.dim)
+    for a in (k, m):
+        x, rep = cg_solve(a, b, rtol=rtol)
+        want, its, res = _reference_cg(a, b, rtol, 10_000,
+                                       lambda r: a.inv_diagonal * r)
+        assert np.array_equal(x, want)
+        assert (rep.iterations, rep.final_residual) == (its, res)
 
 
 def test_matvec_with_empty_rows():

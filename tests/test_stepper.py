@@ -1,13 +1,16 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from dampedwave.fdm import fd_eigenvalue, fd_sine_mode
 from dampedwave.fem import FemSpace, ScalarField, interpolate
-from dampedwave.harness import builtin_experiments
+from dampedwave.harness import builtin_experiments, run_decay
 from dampedwave.mesh import UNIT_SQUARE, build_fd_grid, build_tri_mesh
 from dampedwave.oracle import Mode, modal_recurrence
 from dampedwave.sparse import cg_solve
 from dampedwave.stepper import (
+    EXTRAPOLANTS,
     STEP_RTOL,
     ModelParams,
     SpatialField,
@@ -319,6 +322,92 @@ def test_run_reports_cg_iterations_and_residuals_per_step():
     assert trace.cg_iterations.size == trace.t.size - 1
     assert 1 <= trace.cg_iterations.min() and trace.cg_iterations.max() <= 6
     assert np.all(trace.cg_residuals <= STEP_RTOL)
+
+
+def _history(backend, params, k, steps=3):
+    """A state three steps past the start, so it carries two older levels."""
+    state = init_state(backend, params, k)
+    for _ in range(steps):
+        state = step(state, backend, params)
+    return state
+
+
+def _dense_system(backend, params, state):
+    """A and the right-hand side of the step from ``state``, built densely."""
+    k, t = state.k, state.n * state.k
+    alpha, beta = params.damping
+    m = backend.M.to_dense()
+    damp = alpha.scale(t) * backend.weak_op.to_dense() \
+        + beta.scale(t) * backend.strong_op.to_dense()
+    a = m / k ** 2 + damp / k + backend.K.to_dense()
+    rhs = m @ (2.0 * state.u_curr - state.u_prev) / k ** 2 \
+        + damp @ state.u_curr / k + backend.forcing_vector(params)
+    return a, rhs
+
+
+def test_extrapolants_reproduce_polynomials_of_their_degree():
+    times = np.array([0.0, -1.0, -2.0, -3.0])  # newest first, next level at 1
+    for levels, weights in EXTRAPOLANTS.items():
+        for degree in range(levels):
+            assert sum(w * t ** degree for w, t in zip(weights, times)) == 1.0
+
+
+def test_two_level_state_steps_from_the_linear_guess():
+    exp = builtin_experiments()["ex1"]
+    backend = make_fem_backend(FemSpace(build_tri_mesh(UNIT_SQUARE, 12)), exp.params)
+    k = exp.time_step(12)
+    state = init_state(backend, exp.params, k, mode="exact",
+                       exact_at=exp.exact.field_at)
+    new = step(state, backend, exp.params)
+    system, damping, precond = backend.system(exp.params, k, k)
+    rhs = backend.M.matvec((2.0 * state.u_curr - state.u_prev) / k ** 2) \
+        + damping.matvec(state.u_curr) / k
+    want, rep = cg_solve(system, rhs, rtol=STEP_RTOL, max_iter=50 * backend.ndof,
+                         x0=2.0 * state.u_curr - state.u_prev, precond=precond)
+    assert np.array_equal(new.u_curr, want) and new.solve == rep
+    assert new.older == (state.u_prev,)
+    assert len(step(new, backend, exp.params).older) == 2
+
+
+def test_state_with_older_levels_steps_within_tolerance_of_linear_guess():
+    exp = builtin_experiments()["ex1"]
+    backend = make_fem_backend(FemSpace(build_tri_mesh(UNIT_SQUARE, 12)), exp.params)
+    k = exp.time_step(12)
+    state = _history(backend, exp.params, k)
+    assert len(state.older) == 2
+    a, _ = _dense_system(backend, exp.params, state)
+    cubic = step(state, backend, exp.params)
+    linear = step(replace(state, older=()), backend, exp.params)
+    bound = 2.0 * STEP_RTOL * np.linalg.cond(a)
+    assert np.linalg.norm(cubic.u_curr - linear.u_curr) \
+        <= bound * np.linalg.norm(linear.u_curr)
+    assert cubic.solve.iterations < linear.solve.iterations
+
+
+def test_warm_started_decay_takes_one_cg_iteration_per_step():
+    rep = run_decay(builtin_experiments()["ex3ii"], 16)
+    its = rep.trace.cg_iterations
+    assert its.size == 1024
+    assert its.mean() <= 1.1 and its.max() <= 3
+
+
+@pytest.mark.parametrize("case", ["fem-ex1", "fd-timevar"])
+def test_step_matches_scipy_spsolve(case):
+    sp = pytest.importorskip("scipy.sparse")
+    linalg = pytest.importorskip("scipy.sparse.linalg")
+    kind, name = case.split("-")
+    exp = builtin_experiments()[name]
+    if kind == "fem":
+        backend = make_fem_backend(FemSpace(build_tri_mesh(exp.domain, 16)), exp.params)
+    else:
+        backend = make_fd_backend(build_fd_grid(exp.domain, 16), exp.params)
+    state = _history(backend, exp.params, exp.time_step(16))
+    assert len(state.older) == 2
+    a, rhs = _dense_system(backend, exp.params, state)
+    bound = STEP_RTOL * np.linalg.cond(a)
+    want = linalg.spsolve(sp.csc_matrix(a), rhs)
+    got = step(state, backend, exp.params).u_curr
+    assert np.linalg.norm(got - want) <= bound * np.linalg.norm(want)
 
 
 def test_spatial_alpha_runs_on_fem():
