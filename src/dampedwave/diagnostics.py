@@ -74,7 +74,8 @@ class EnergyTrace:
     cross: np.ndarray          # (d, U)_M per step, for extended energies
     continuous: np.ndarray | None = None  # quadrature energy of the exact solution
     meta: dict = field(default_factory=dict)
-    # per step (t[1:]): CG iterations and final relative residual of its solve
+    # per step (t[1:]): CG iterations and final relative residual of its
+    # solve; 0 and 0.0 for a step taken in the sine basis, which solves nothing
     cg_iterations: np.ndarray | None = None
     cg_residuals: np.ndarray | None = None
 

@@ -1,6 +1,6 @@
 """Symmetric CSR matrices, a preconditioned CG solver, the sine basis that
-preconditions grid operators, and inverse power iteration for the generalized
-eigenproblem K v = lambda M v."""
+preconditions grid operators (and diagonalises the finite difference ones),
+and inverse power iteration for the generalized eigenproblem K v = lambda M v."""
 
 from __future__ import annotations
 
@@ -196,13 +196,23 @@ class SineBasis:
         sx = s[xs // n] * s[xs % n]
         return np.einsum("aq,ap->qp", sy, np.einsum("ab,bp->ap", pairs, sx))
 
+    def forward(self, u: np.ndarray) -> np.ndarray:
+        """S2' u as an n x n array of mode coefficients indexed like a
+        symbol: the product S U S of the grid values U (two n x n products)."""
+        s = self.matrix
+        return s @ u.reshape(self.n, self.n) @ s
+
+    def inverse(self, coeffs: np.ndarray) -> np.ndarray:
+        """S2 coeffs as grid values stored like u; S2 is its own inverse."""
+        s = self.matrix
+        return (s @ coeffs.reshape(self.n, self.n) @ s).ravel()
+
     def solver(self, symbol: np.ndarray) -> Preconditioner:
         """r -> S2 (S2' r / symbol): four n x n products per call."""
-        n, s = self.n, self.matrix
         inv = 1.0 / symbol
 
         def apply(r: np.ndarray) -> np.ndarray:
-            return (s @ ((s @ r.reshape(n, n) @ s) * inv) @ s).ravel()
+            return self.inverse(self.forward(r) * inv)
 
         return apply
 

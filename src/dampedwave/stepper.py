@@ -10,6 +10,10 @@ Every operator sits on one CSR pattern, so the system matrix for a given
 step and coefficient value is one sum of value arrays, built once and reused.
 Its symbol in the grid's sine basis is the same sum of the operators'
 symbols, and preconditions every CG solve of the stepper.
+
+Where every operator is diagonal in the sine basis (finite differences
+without a spatial weight), the symbols are the operators themselves: run()
+then steps all modes at once by the scalar recurrence, with no CG solve.
 """
 
 from __future__ import annotations
@@ -143,7 +147,8 @@ class StepperState:
     """Two-level state (U^{n-1}, U^n); n indexes u_curr, at time n*k.
     ``older`` holds up to two earlier levels (U^{n-2}, U^{n-3}), newest
     first, which only improve the CG starting point of the next step.
-    ``solve`` reports the CG solve that produced u_curr in a step."""
+    ``solve`` reports the CG solve that produced u_curr in a step; it is
+    None for an initial state and for states stepped in the sine basis."""
 
     n: int
     k: float
@@ -167,6 +172,10 @@ class BackendHandles:
     basis: SineBasis         # the unknowns' grid, for the preconditioners
     weights: tuple = (None, None)  # the (alpha, beta) weights the operators carry
     label: str = ""
+    # every operator is diagonal in ``basis``, so its symbol is exact and
+    # run() steps in the sine basis; make_fd_backend sets it when alpha has
+    # no spatial weight
+    diagonal_in_basis: bool = False
     # one-entry caches: (forcing, load vector) and ((k, alpha, beta) scales,
     # (system matrix, damping matrix, system preconditioner))
     _load: tuple = field(default=(None, None), init=False, repr=False)
@@ -197,6 +206,15 @@ class BackendHandles:
             self._load = (params.forcing, self.load(params.forcing))
         return self._load[1]
 
+    def damping(self, params: ModelParams) -> tuple[Damping, Damping]:
+        """params.damping, after checking that its weights are the ones the
+        operators were built with."""
+        alpha, beta = params.damping
+        if (alpha.weight, beta.weight) != self.weights:
+            raise ValueError("damping weights differ from the ones this "
+                             "backend was built with")
+        return alpha, beta
+
     def system(self, params: ModelParams, k: float,
                t: float) -> tuple[SparseMatrix, SparseMatrix, Preconditioner]:
         """(A, D, P^-1) with A = 1/k^2 M + 1/k D + K, D = scale_alpha(t) W
@@ -206,23 +224,23 @@ class BackendHandles:
 
         Rebuilt only when k or a time factor differs from the last call.
         """
-        alpha, beta = params.damping
-        if (alpha.weight, beta.weight) != self.weights:
-            raise ValueError("damping weights differ from the ones this "
-                             "backend was built with")
+        alpha, beta = self.damping(params)
         a, b = alpha.scale(t), beta.scale(t)
         key = (k, a, b)
         if self._system[0] != key:
-            def combine(mass, stiff, weak, strong):
-                damp = a * weak + b * strong
-                return mass / k ** 2 + damp / k + stiff, damp
-
             mass = self._shared[0]
-            vals, damp = combine(*(op.vals for op in self._shared))
-            symbol, _ = combine(*self._symbols)
+            vals, damp = _combine(k, a, b, *(op.vals for op in self._shared))
+            symbol, _ = _combine(k, a, b, *self._symbols)
             self._system = (key, (replace(mass, vals=vals), replace(mass, vals=damp),
                                   self.basis.solver(symbol)))
         return self._system[1]
+
+
+def _combine(k, a, b, mass, stiff, weak, strong):
+    """(A, D) = (mass/k^2 + D/k + stiff, a weak + b strong), over the
+    operators' value arrays or over their symbols."""
+    damp = a * weak + b * strong
+    return mass / k ** 2 + damp / k + stiff, damp
 
 
 def make_fem_backend(space: FemSpace, params: ModelParams) -> BackendHandles:
@@ -273,6 +291,9 @@ def make_fd_backend(grid: FdGrid, params: ModelParams) -> BackendHandles:
         basis=SineBasis(grid.n_per_side - 1),
         weights=(alpha.weight, None),
         label=f"fd-M{grid.n_per_side}",
+        # h^2 I and the 5-point h^2 A_h are diagonal in the sine basis; a
+        # weighted mass h^2 diag(w) is not
+        diagonal_in_basis=alpha.weight is None,
     )
 
 
@@ -341,7 +362,11 @@ def run(backend: BackendHandles, params: ModelParams, k: float, T: float,
     """Run ceil(T/k) steps (or exactly ``n_steps``) from a fresh initial
     state; returns (final state, EnergyTrace). The trace also carries each
     step's CG iterations and final residual. Observers are called with
-    every state, including the initial one."""
+    every state, including the initial one.
+
+    On a backend that is diagonal in its sine basis the steps are taken in
+    that basis (see _run_modal) and report 0 iterations and residual 0;
+    otherwise each is a CG ``step``."""
     if T < k:
         raise ValueError("final time must be at least one step")
     if n_steps is None:
@@ -349,28 +374,83 @@ def run(backend: BackendHandles, params: ModelParams, k: float, T: float,
     # step n evaluates the coefficients at t = n k
     params.check_schedules(k * np.arange(n_steps + 1))
     state = init_state(backend, params, k, mode=init_mode, exact_at=exact_at)
-    times, energies, crosses, solves = [], [], [], []
+    if backend.diagonal_in_basis:
+        state, energies, crosses = _run_modal(backend, params, state, n_steps,
+                                              observers)
+        iterations, residuals = np.zeros(n_steps, dtype=int), np.zeros(n_steps)
+    else:
+        energies, crosses, solves = [], [], []
 
-    def record(state):
-        times.append((state.n - 1) * k)
-        energy, cross = diagnostics.energy_and_cross(state, backend)
-        energies.append(energy)
-        crosses.append(cross)
-        for obs in observers:
-            obs(state)
+        def record(state):
+            energy, cross = diagnostics.energy_and_cross(state, backend)
+            energies.append(energy)
+            crosses.append(cross)
+            for obs in observers:
+                obs(state)
 
-    record(state)
-    for _ in range(n_steps):
-        state = step(state, backend, params)
-        solves.append(state.solve)
         record(state)
+        for _ in range(n_steps):
+            state = step(state, backend, params)
+            solves.append(state.solve)
+            record(state)
+        iterations = np.array([s.iterations for s in solves], dtype=int)
+        residuals = np.array([s.final_residual for s in solves])
     trace = diagnostics.EnergyTrace(
-        t=np.array(times), energy=np.array(energies), cross=np.array(crosses),
-        meta=dict(meta or {}, k=k, backend=backend.label),
-        cg_iterations=np.array([s.iterations for s in solves], dtype=int),
-        cg_residuals=np.array([s.final_residual for s in solves]),
+        t=k * np.arange(n_steps + 1), energy=np.array(energies),
+        cross=np.array(crosses), meta=dict(meta or {}, k=k, backend=backend.label),
+        cg_iterations=iterations, cg_residuals=residuals,
     )
     return state, trace
+
+
+def _run_modal(backend: BackendHandles, params: ModelParams, state: StepperState,
+               n_steps: int, observers) -> tuple[StepperState, np.ndarray, np.ndarray]:
+    """``n_steps`` steps from ``state`` in the sine basis, in which M, K and
+    the damping operator are the diagonal matrices of their symbols: every
+    mode follows the scalar recurrence of oracle.modal_recurrence, and
+    E = 1/2 (d'M d + U'K U) and (d, U)_M follow by Parseval. Grid values
+    are formed only for observers and for the returned final state.
+
+    Returns (final state, energies, cross terms) for the initial state and
+    each step. Raises StepError at the first step whose energy is not finite.
+    """
+    basis, k = backend.basis, state.k
+    alpha, beta = backend.damping(params)
+    symbols = [sym.ravel() for sym in backend._symbols]
+    mass, stiff = symbols[:2]
+    force = basis.forward(backend.forcing_vector(params)).ravel()
+    prev, curr = basis.forward(state.u_prev).ravel(), basis.forward(state.u_curr).ravel()
+    energies, crosses = np.empty(n_steps + 1), np.empty(n_steps + 1)
+
+    def record(i):
+        d = (curr - prev) / k
+        md = mass * d
+        energies[i] = 0.5 * (d @ md + curr @ (stiff * curr))
+        crosses[i] = curr @ md
+
+    record(0)
+    for obs in observers:
+        obs(state)
+    key = None
+    u_curr = state.u_curr
+    for n in range(1, n_steps + 1):
+        t_n = n * k
+        scales = (alpha.scale(t_n), beta.scale(t_n))
+        if scales != key:
+            key = scales
+            system, damping = _combine(k, *scales, *symbols)
+        prev, curr = curr, (mass * (2.0 * curr - prev) / k ** 2
+                            + damping * curr / k + force) / system
+        record(n)
+        if not math.isfinite(energies[n]):
+            raise StepError(f"non-finite energy at step n={n} (t={t_n:g})")
+        if observers:
+            u_prev, u_curr = u_curr, basis.inverse(curr)
+            for obs in observers:
+                obs(StepperState(n=n + 1, k=k, u_prev=u_prev, u_curr=u_curr))
+    final = StepperState(n=n_steps + 1, k=k, u_prev=basis.inverse(prev),
+                         u_curr=basis.inverse(curr))
+    return final, energies, crosses
 
 
 def steady_state(backend: BackendHandles, params: ModelParams) -> np.ndarray:

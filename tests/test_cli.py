@@ -3,7 +3,11 @@ import csv
 import numpy as np
 import pytest
 
+from dataclasses import replace
+
+from dampedwave import harness
 from dampedwave.cli import main
+from dampedwave.fem import ScalarField
 
 
 def test_converge_writes_table(tmp_path, capsys):
@@ -119,3 +123,24 @@ def test_config_unknown_key_exits_one(tmp_path, capsys):
 
 def test_missing_config_file_exits_one(tmp_path):
     assert main(["--config", str(tmp_path / "nope.cfg"), "converge"]) == 1
+
+
+NAN_FIELD = ScalarField(lambda x, y: np.full_like(np.asarray(x, dtype=float), np.nan))
+
+
+@pytest.mark.parametrize("command, experiment", [("decay", "timevar"),
+                                                 ("steady", "forcing")])
+@pytest.mark.parametrize("data", ["forcing", "u0"])
+def test_nan_data_on_fd_exits_two(command, experiment, data, monkeypatch, capsys):
+    builtin = harness.builtin_experiments
+
+    def with_nan_data():
+        exps = builtin()
+        exp = exps[experiment]
+        exps[experiment] = replace(exp, params=replace(exp.params, **{data: NAN_FIELD}))
+        return exps
+
+    monkeypatch.setattr(harness, "builtin_experiments", with_nan_data)
+    code = main([command, "--experiment", experiment, "--backend", "fd", "--N", "8"])
+    assert code == 2
+    assert "numerical failure: CG" in capsys.readouterr().err

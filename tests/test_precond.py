@@ -32,6 +32,20 @@ def test_basis_is_symmetric_and_orthonormal():
     assert np.allclose(s @ s, np.eye(9), atol=1e-14)
 
 
+def test_forward_and_inverse_are_the_dense_basis_products():
+    basis = SineBasis(6)
+    s2 = np.kron(basis.matrix, basis.matrix)
+    u = np.random.default_rng(3).normal(size=36)
+    coeffs = basis.forward(u)
+    assert coeffs.shape == (6, 6)
+    assert np.allclose(coeffs.ravel(), s2.T @ u, atol=1e-14)
+    assert np.allclose(basis.inverse(coeffs), u, atol=1e-14)
+    # the preconditioner is the symbol division between the two
+    symbol = np.arange(1.0, 37.0).reshape(6, 6)
+    assert np.allclose(basis.solver(symbol)(u), basis.inverse(coeffs / symbol),
+                       rtol=1e-14, atol=1e-15)
+
+
 def test_fd_symbols_are_the_closed_form_eigenvalues():
     grid = build_fd_grid(UNIT_SQUARE, 10)
     op = FdOperator(grid)

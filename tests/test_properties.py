@@ -1,11 +1,15 @@
 """Property tests over random damping pairs, step sizes, modes and sizes."""
 
+import math
+
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from dampedwave.diagnostics import decay_bounds
+from dampedwave.diagnostics import decay_bounds, energy_and_cross
 from dampedwave.fdm import fd_eigenvalue, fd_sine_mode
 from dampedwave.fem import FemSpace, ScalarField
+from dampedwave.harness import builtin_experiments, build_backend
 from dampedwave.mesh import UNIT_SQUARE, build_fd_grid, build_tri_mesh
 from dampedwave.oracle import Mode, modal_recurrence
 from dampedwave.sparse import cg_solve
@@ -13,6 +17,7 @@ from dampedwave.stepper import (
     ModelParams,
     StepperState,
     TimeSchedule,
+    init_state,
     make_fd_backend,
     make_fem_backend,
     run,
@@ -100,3 +105,90 @@ def test_energy_is_monotone_and_sandwiched(alpha, beta, k, p, q):
     _, delta = decay_bounds(alpha, beta, fd_eigenvalue(GRID, 1, 1))
     assert trace.monotone()
     assert trace.sandwich_ok(delta)
+
+
+# a damping coefficient of the paper's range, down to the undamped limit
+damping_value = st.one_of(st.just(0.0), st.floats(1e-4, 20.0))
+
+
+def cg_reference(backend, params, k, n_steps, init_mode="taylor", exact_at=None):
+    """The run as a loop of CG ``step`` calls from the same ``init_state``:
+    (final state, energies, cross terms, max |u| over all levels)."""
+    state = init_state(backend, params, k, mode=init_mode, exact_at=exact_at)
+    pairs = [energy_and_cross(state, backend)]
+    peak = max(np.max(np.abs(state.u_prev)), np.max(np.abs(state.u_curr)))
+    for _ in range(n_steps):
+        state = step(state, backend, params)
+        pairs.append(energy_and_cross(state, backend))
+        peak = max(peak, np.max(np.abs(state.u_curr)))
+    energies, crosses = np.array(pairs).T
+    return state, energies, crosses, peak
+
+
+def assert_runs_agree(modal, trace, reference):
+    """Final levels to 1e-9 of the run's max |u|, and energies and cross
+    terms to 1e-10 of its largest energy (the cross term is bounded by the
+    energy): a damped run can end many orders below where it started."""
+    state, energies, crosses, scale = reference
+    for got, want in ((modal.u_prev, state.u_prev), (modal.u_curr, state.u_curr)):
+        assert np.max(np.abs(got - want)) <= 1e-9 * scale
+    e_scale = np.max(energies)
+    assert np.max(np.abs(trace.energy - energies)) <= 1e-10 * e_scale
+    assert np.max(np.abs(trace.cross - crosses)) <= 1e-10 * e_scale
+
+
+@PROPERTY
+@given(n=st.integers(2, 12), alpha=damping_value, beta=damping_value,
+       k=st.floats(1e-3, 0.5), scheduled=st.booleans(), forced=st.booleans(),
+       p=mode_index, q=mode_index)
+def test_modal_run_matches_cg_steps(n, alpha, beta, k, scheduled, forced, p, q):
+    coeff = TimeSchedule(lambda t: alpha * (2.0 - math.exp(-t)), alpha, 2.0 * alpha) \
+        if scheduled and alpha > 0 else alpha
+    forcing = ScalarField(lambda x, y: 1.0 + x * y) if forced else None
+    params = ModelParams(domain=UNIT_SQUARE, alpha=coeff, beta=beta,
+                         u0=mode_field(p, q), u1=mode_field(q, 1), forcing=forcing)
+    grid = build_fd_grid(UNIT_SQUARE, n)
+    backend = make_fd_backend(grid, params)
+    assert backend.diagonal_in_basis
+    modal, trace = run(backend, params, k=k, T=30 * k)
+    assert np.array_equal(trace.cg_iterations, np.zeros(30, dtype=int))
+    assert_runs_agree(modal, trace, cg_reference(backend, params, k, 30))
+    if alpha + beta > 0 and not forced:
+        alpha_range = (coeff.lo, coeff.hi) if scheduled and alpha > 0 else alpha
+        _, delta = decay_bounds(alpha_range, beta, fd_eigenvalue(grid, 1, 1))
+        assert trace.monotone()
+        assert trace.sandwich_ok(delta)
+        assert trace.decay_bound_ok(delta)
+
+
+@PROPERTY
+@given(alpha=st.floats(0.0, 5.0), beta=st.floats(0.0, 1.0),
+       k=st.floats(1e-3, 0.1), p=mode_index, q=mode_index)
+def test_modal_run_follows_modal_recurrence(alpha, beta, k, p, q):
+    params = ModelParams(domain=UNIT_SQUARE, alpha=alpha, beta=beta,
+                         u0=mode_field(p, q))
+    backend = make_fd_backend(GRID, params)
+    v = fd_sine_mode(GRID, p, q)
+    seq = modal_recurrence(Mode(p, q, fd_eigenvalue(GRID, p, q)), alpha, beta,
+                           k, 20, u0=1.0, u1=1.0)
+    scale = np.max(np.abs(v))
+    states = []
+    # U^0 = U^1 = the mode, as in modal_recurrence(u0=1, u1=1)
+    run(backend, params, k=k, T=20 * k, init_mode="exact",
+        exact_at=lambda t: mode_field(p, q), observers=[states.append], n_steps=20)
+    assert [s.n for s in states] == list(range(1, 22))
+    for s in states:
+        peak = np.max(np.abs(seq[:s.n + 1]))
+        assert np.max(np.abs(s.u_curr - seq[s.n] * v)) <= 1e-8 * peak * scale
+
+
+@pytest.mark.parametrize("name,n", [("timevar", 24), ("timevar", 64), ("ex1", 32),
+                                    ("forcing", 16)])
+def test_modal_run_matches_cg_steps_on_the_experiments(name, n):
+    exp = builtin_experiments()[name]
+    backend, _ = build_backend(exp, n, "fd")
+    k = exp.time_step(n)
+    init = dict(init_mode="exact", exact_at=exp.exact.field_at) if exp.exact else {}
+    modal, trace = run(backend, exp.params, k, exp.T, **init)
+    n_steps = trace.t.size - 1
+    assert_runs_agree(modal, trace, cg_reference(backend, exp.params, k, n_steps, **init))

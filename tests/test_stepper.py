@@ -5,10 +5,11 @@ import pytest
 
 from dampedwave.fdm import fd_eigenvalue, fd_sine_mode
 from dampedwave.fem import FemSpace, ScalarField, interpolate
-from dampedwave.harness import builtin_experiments, run_decay
+from dampedwave.harness import build_backend, builtin_experiments, run_decay, \
+    run_steady
 from dampedwave.mesh import UNIT_SQUARE, build_fd_grid, build_tri_mesh
 from dampedwave.oracle import Mode, modal_recurrence
-from dampedwave.sparse import cg_solve
+from dampedwave.sparse import CgError, cg_solve
 from dampedwave.stepper import (
     EXTRAPOLANTS,
     STEP_RTOL,
@@ -313,8 +314,16 @@ def test_fem_backend_checks_alpha_range_at_its_quadrature_points():
 def test_run_reports_cg_iterations_and_residuals_per_step():
     _, params, fd = fd_setup(m=12, alpha=PI, beta=1.0 / PI, u0=sine_field())
     _, trace = run(fd, params, k=0.01, T=0.2)
-    # the FD step system is diagonal in the sine basis
-    assert np.array_equal(trace.cg_iterations, np.ones(20, dtype=int))
+    # the FD operators are diagonal in the sine basis: the run divides by
+    # the symbols and solves nothing
+    assert np.array_equal(trace.cg_iterations, np.zeros(20, dtype=int))
+    assert np.array_equal(trace.cg_residuals, np.zeros(20))
+    # a spatial alpha weights the mass, which the sine basis does not
+    # diagonalise, so those steps stay CG solves
+    exp = builtin_experiments()["spacevar"]
+    fd = make_fd_backend(build_fd_grid(UNIT_SQUARE, 12), exp.params)
+    _, trace = run(fd, exp.params, k=0.01, T=0.2)
+    assert trace.cg_iterations.size == 20 and trace.cg_iterations.min() >= 1
     assert np.all(trace.cg_residuals <= STEP_RTOL)
     exp = builtin_experiments()["ex1"]
     fem = make_fem_backend(FemSpace(build_tri_mesh(UNIT_SQUARE, 12)), exp.params)
@@ -322,6 +331,44 @@ def test_run_reports_cg_iterations_and_residuals_per_step():
     assert trace.cg_iterations.size == trace.t.size - 1
     assert 1 <= trace.cg_iterations.min() and trace.cg_iterations.max() <= 6
     assert np.all(trace.cg_residuals <= STEP_RTOL)
+
+
+def test_fd_steady_run_gives_observers_the_cg_states():
+    exp = builtin_experiments()["forcing"]
+    rep = run_steady(exp, 16, backend="fd")
+    backend, _ = build_backend(exp, 16, "fd")
+    assert backend.diagonal_in_basis
+    state = init_state(backend, exp.params, rep.k)
+    dists = []
+    for _ in range(rep.distances.size):
+        d = state.u_curr - rep.u_inf
+        dists.append(np.sqrt(d @ backend.M.matvec(d)))
+        state = step(state, backend, exp.params)
+    assert np.max(np.abs(rep.distances - dists)) <= 1e-12 * rep.distances[0]
+
+
+NAN_FIELD = ScalarField(lambda x, y: np.full_like(np.asarray(x, dtype=float), np.nan))
+
+
+@pytest.mark.parametrize("data", ["forcing", "u0"])
+def test_nan_data_on_a_sine_diagonal_backend_fails_in_init_state(data):
+    fields = {"u0": sine_field(), "forcing": sine_field(), data: NAN_FIELD}
+    _, params, backend = fd_setup(alpha=1.0, beta=0.5, **fields)
+    assert backend.diagonal_in_basis
+    with pytest.raises(CgError):
+        init_state(backend, params, k=0.01)
+    with pytest.raises(CgError):
+        run(backend, params, k=0.01, T=0.1)
+
+
+def test_energy_turning_non_finite_mid_run_names_the_step():
+    # the schedule passes the [lo, hi] and monotonicity checks (NaN compares
+    # false) but is NaN from t = 0.05 on: step n = 5 is the first to use it
+    sched = TimeSchedule(lambda t: 1.0 if t < 0.045 else np.nan, lo=1.0, hi=1.0)
+    _, params, backend = fd_setup(alpha=sched, beta=0.5, u0=sine_field())
+    assert backend.diagonal_in_basis
+    with pytest.raises(StepError, match=r"n=5 \(t=0.05\)"):
+        run(backend, params, k=0.01, T=0.1)
 
 
 def _history(backend, params, k, steps=3):
