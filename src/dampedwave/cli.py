@@ -12,13 +12,11 @@ import sys
 import numpy as np
 
 from . import harness
-from .fdm import FdOperator, fd_eigenvalue
-from .mesh import PI_SQUARE, UNIT_SQUARE, build_fd_grid, build_tri_mesh
-from .fem import FemSpace, assemble_mass, assemble_stiffness
-from .oracle import Mode, modal_continuous, modal_recurrence
-from .sparse import CgError, EigError, SineBasis, SparseMatrix, \
-    smallest_generalized_eigenpair
-from .stepper import StepError
+from .fdm import fd_eigenvalue
+from .mesh import PI_SQUARE, UNIT_SQUARE, build_fd_grid
+from .oracle import Mode, continuous_eigenvalue, modal_continuous, modal_recurrence
+from .sparse import CgError, EigError
+from .stepper import ModelParams, StepError
 
 DOMAINS = {"unit": UNIT_SQUARE, "pi": PI_SQUARE}
 
@@ -33,8 +31,16 @@ def _parse_n_list(text: str) -> tuple[int, ...]:
     return values
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is bad input (exit 1), not argparse's exit 2, which is
+    kept for numerical failures; subparsers are built from this class too."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dampedwave",
         description="Numerical studies of the strongly damped wave equation.")
     parser.add_argument("--config", help="key = value config file; flags win")
@@ -155,28 +161,17 @@ def _cmd_decay(args) -> int:
     return 0
 
 
-def _eigenpair(stiff: SparseMatrix, mass: SparseMatrix, n: int):
-    """Inverse power iteration with sine-basis preconditioned K-solves."""
-    basis = SineBasis(n - 1)
-    return smallest_generalized_eigenpair(
-        stiff, mass, precond=basis.solver(basis.symbol(stiff)))
-
-
 def _cmd_eig(args) -> int:
     domain = DOMAINS[args.domain]
+    exp = harness.Experiment("eig", domain, ModelParams(domain=domain))
+    backend, disc = harness.build_backend(exp, args.N, args.backend)
+    lam, _, its = harness.discrete_lambda1(backend)
     if args.backend == "fd":
-        grid = build_fd_grid(domain, args.N)
-        op = FdOperator(grid)
-        lam, _, its = _eigenpair(op.gram_matrix(), op.mass_matrix(), args.N)
-        closed = fd_eigenvalue(grid, 1, 1)
         print(f"fd   N={args.N}  lambda1_h = {lam:.10f}  "
-              f"(closed form {closed:.10f}, {its} iterations)")
+              f"(closed form {fd_eigenvalue(disc, 1, 1):.10f}, {its} iterations)")
     else:
-        space = FemSpace(build_tri_mesh(domain, args.N))
-        lam, _, its = _eigenpair(assemble_stiffness(space), assemble_mass(space),
-                                 args.N)
         print(f"fem  N={args.N}  lambda1_h = {lam:.10f}  ({its} iterations)")
-    analytic = 2.0 * (np.pi / domain.width) ** 2
+    analytic = continuous_eigenvalue(1, 1, domain.width, domain.height)
     print(f"continuous lambda1 = {analytic:.10f}")
     return 0
 
@@ -216,15 +211,10 @@ def _cmd_steady(args) -> int:
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = _build_parser()
-    try:
-        argv = _apply_config(parser, argv)
-        args = parser.parse_args(argv)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     handlers = {"converge": _cmd_converge, "decay": _cmd_decay,
                 "eig": _cmd_eig, "modal": _cmd_modal, "steady": _cmd_steady}
     try:
+        args = parser.parse_args(_apply_config(parser, argv))
         return handlers[args.command](args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,7 +73,6 @@ class EnergyTrace:
     energy: np.ndarray
     cross: np.ndarray          # (d, U)_M per step, for extended energies
     continuous: np.ndarray | None = None  # quadrature energy of the exact solution
-    meta: dict = field(default_factory=dict)
     # per step (t[1:]): CG iterations and final relative residual of its
     # solve; 0 and 0.0 for a step taken in the sine basis, which solves nothing
     cg_iterations: np.ndarray | None = None

@@ -90,8 +90,9 @@ def _weight_at_mids(space: FemSpace, weight: ScalarField | None) -> np.ndarray:
     if weight is None:
         return np.ones((area.size, 3))
     w = np.asarray(weight(mids[:, :, 0], mids[:, :, 1]), dtype=float)
-    if np.any(w <= 0):
-        raise ValueError("weight field must be strictly positive on the domain")
+    if not np.all(np.isfinite(w) & (w > 0)):
+        raise ValueError("weight field must be finite and strictly positive "
+                         "on the domain")
     return w
 
 

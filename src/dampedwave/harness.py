@@ -5,19 +5,19 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
-from . import diagnostics
 from .diagnostics import ConvergenceTable, EnergyTrace, convergence_rates, \
     decay_bounds, fit_decay_rate
 from .fem import FemSpace, ScalarField, error_norms, field_h1_seminorm, \
     field_l2_norm
 from .fdm import fd_norms
 from .mesh import PI_SQUARE, Rectangle, UNIT_SQUARE, build_fd_grid, build_tri_mesh
+from .oracle import continuous_eigenvalue
 from .sparse import smallest_generalized_eigenpair
 from .stepper import BackendHandles, ModelParams, SpatialField, TimeSchedule, \
     make_fd_backend, make_fem_backend, run, steady_state
@@ -207,8 +207,7 @@ def _converge_level(exp: Experiment, n: int, backend: str,
     handles, disc = build_backend(exp, n, backend)
     k = exp.time_step(n, k_override)
     m = round(exp.T / k)
-    state, _ = run(handles, exp.params, k, exp.T, init_mode="exact",
-                   exact_at=exp.exact.field_at, n_steps=m - 1)
+    state, _ = run(handles, k, exp.T, exact_at=exp.exact.field_at, n_steps=m - 1)
     t_final = state.n * k  # equals T by construction of the snapped step
     if backend == "fem":
         return error_norms(disc, state.u_curr, exp.exact.field_at(t_final))
@@ -258,6 +257,13 @@ class DecayReport:
         return self.trace.decay_bound(self.delta_disc)
 
 
+def discrete_lambda1(backend: BackendHandles) -> tuple[float, np.ndarray, int]:
+    """(lambda1, eigenvector, iterations) of the backend's (K, M) pencil, by
+    inverse power iteration with sine-basis preconditioned K-solves."""
+    return smallest_generalized_eigenpair(backend.K, backend.M, tol=1e-10,
+                                          precond=backend.stiffness_precond)
+
+
 def run_decay(exp: Experiment, n: int, backend: str | None = None,
               k_override: float | None = None,
               lambda_source: str = "discrete",
@@ -265,27 +271,22 @@ def run_decay(exp: Experiment, n: int, backend: str | None = None,
     """Run one level, record energies, and check the decay theory.
 
     lambda_source "discrete" uses inverse power iteration on the (K, M)
-    pencil; "analytic" uses the continuous 2*(pi/side)^2.
+    pencil; "analytic" uses the continuous (pi/width)^2 + (pi/height)^2.
     """
     kind = backend or exp.backend
     handles, disc = build_backend(exp, n, kind)
     k = exp.time_step(n, k_override)
     if lambda_source == "discrete":
-        lam1, _, _ = smallest_generalized_eigenpair(
-            handles.K, handles.M, tol=1e-10, precond=handles.stiffness_precond)
+        lam1, _, _ = discrete_lambda1(handles)
     elif lambda_source == "analytic":
-        lam1 = 2.0 * (np.pi / exp.domain.width) ** 2
+        lam1 = continuous_eigenvalue(1, 1, exp.domain.width, exp.domain.height)
     else:
         raise ValueError(f"unknown lambda source {lambda_source!r}")
     alpha, beta = exp.params.damping
     delta_cont, delta_disc = decay_bounds((alpha.lo, alpha.hi), (beta.lo, beta.hi),
                                           lam1)
-    init = "exact" if exp.exact is not None else "taylor"
-    state, trace = run(handles, exp.params, k, exp.T,
-                       init_mode=init,
-                       exact_at=exp.exact.field_at if exp.exact else None,
-                       meta={"experiment": exp.name, "N": n, "alpha": alpha.lo,
-                             "beta": beta.lo, "lambda1": lam1})
+    state, trace = run(handles, k, exp.T,
+                       exact_at=exp.exact.field_at if exp.exact else None)
     if exp.exact is not None and kind == "fem":
         trace.continuous = exp.exact.energy(disc, trace.t)
     t_hi = (state.n - 1) * k
@@ -329,7 +330,7 @@ def run_steady(exp: Experiment, n: int, backend: str | None = None,
                k_override: float | None = None) -> SteadyReport:
     """Track the M-norm distance to the discrete steady state over time."""
     handles, _ = build_backend(exp, n, backend)
-    u_inf = steady_state(handles, exp.params)
+    u_inf = steady_state(handles)
     k = exp.time_step(n, k_override)
     times, dists = [], []
 
@@ -338,7 +339,7 @@ def run_steady(exp: Experiment, n: int, backend: str | None = None,
         times.append(state.n * state.k)
         dists.append(math.sqrt(float(d @ handles.M.matvec(d))))
 
-    run(handles, exp.params, k, exp.T, observers=[observer])
+    run(handles, k, exp.T, observers=[observer])
     return SteadyReport(n=n, k=k, times=np.array(times),
                         distances=np.array(dists), u_inf=u_inf)
 

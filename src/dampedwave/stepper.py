@@ -86,12 +86,13 @@ def _resolve(c: Coefficient) -> Damping:
 
 
 def _check_weight(c: Damping, values, where: str) -> None:
-    """Reject a spatial weight that leaves its stated [lo, hi] (so also one
-    that is not strictly positive, since lo > 0) where it is evaluated."""
+    """Reject a spatial weight that is not finite or leaves its stated
+    [lo, hi] (so also one that is not strictly positive, since lo > 0) where
+    it is evaluated. The test is negated because NaN compares false."""
     values = np.asarray(values, dtype=float)
-    if np.any(values < c.lo - 1e-12) or np.any(values > c.hi + 1e-12):
-        raise ValueError(f"damping field must be strictly positive and within "
-                         f"its stated [lo, hi] = [{c.lo:g}, {c.hi:g}] {where}")
+    if not np.all((values >= c.lo - 1e-12) & (values <= c.hi + 1e-12)):
+        raise ValueError(f"damping field must be finite, strictly positive and "
+                         f"within its stated [lo, hi] = [{c.lo:g}, {c.hi:g}] {where}")
 
 
 class StepError(RuntimeError):
@@ -123,14 +124,15 @@ class ModelParams:
         return _resolve(self.alpha), _resolve(self.beta)
 
     def check_schedules(self, times: np.ndarray) -> None:
-        """Reject a time factor that leaves [lo, hi] or decreases at the
-        given sample times."""
+        """Reject a time factor that is not finite, leaves [lo, hi] or
+        decreases at the given sample times."""
         for c in self.damping:
             if c.weight is not None:
                 continue
             vals = np.array([c.scale(t) for t in times])
-            if np.any(vals < c.lo - 1e-12) or np.any(vals > c.hi + 1e-12):
-                raise ValueError("schedule leaves its stated [lo, hi] range")
+            if not np.all((vals >= c.lo - 1e-12) & (vals <= c.hi + 1e-12)):
+                raise ValueError("schedule is not finite or leaves its stated "
+                                 "[lo, hi] range")
             if np.any(np.diff(vals) < -1e-12):
                 raise ValueError("schedule must be nondecreasing")
 
@@ -160,8 +162,10 @@ class StepperState:
 
 @dataclass
 class BackendHandles:
-    """Everything the stepper needs from a spatial discretization."""
+    """Everything the stepper needs from a spatial discretization of one
+    problem: its operators are built for ``params``, which every step reads."""
 
+    params: ModelParams
     M: SparseMatrix
     K: SparseMatrix
     ndof: int
@@ -170,15 +174,12 @@ class BackendHandles:
     weak_op: SparseMatrix    # alpha-weighted mass; M itself when alpha has no weight
     strong_op: SparseMatrix  # beta-weighted stiffness; K itself when beta has no weight
     basis: SineBasis         # the unknowns' grid, for the preconditioners
-    weights: tuple = (None, None)  # the (alpha, beta) weights the operators carry
-    label: str = ""
     # every operator is diagonal in ``basis``, so its symbol is exact and
     # run() steps in the sine basis; make_fd_backend sets it when alpha has
     # no spatial weight
     diagonal_in_basis: bool = False
-    # one-entry caches: (forcing, load vector) and ((k, alpha, beta) scales,
-    # (system matrix, damping matrix, system preconditioner))
-    _load: tuple = field(default=(None, None), init=False, repr=False)
+    # one-entry cache: ((k, alpha, beta) scales, (system matrix, damping
+    # matrix, system preconditioner))
     _system: tuple = field(default=(None, None), init=False, repr=False)
 
     def __post_init__(self):
@@ -199,23 +200,13 @@ class BackendHandles:
         """Sine-basis preconditioner for solves with K."""
         return self.basis.solver(self._symbols[1])
 
-    def forcing_vector(self, params: ModelParams) -> np.ndarray:
-        if params.forcing is None:
-            return np.zeros(self.ndof)
-        if self._load[0] is not params.forcing:
-            self._load = (params.forcing, self.load(params.forcing))
-        return self._load[1]
+    @cached_property
+    def forcing(self) -> np.ndarray:
+        """Load vector of the forcing; zeros when there is none."""
+        f = self.params.forcing
+        return np.zeros(self.ndof) if f is None else self.load(f)
 
-    def damping(self, params: ModelParams) -> tuple[Damping, Damping]:
-        """params.damping, after checking that its weights are the ones the
-        operators were built with."""
-        alpha, beta = params.damping
-        if (alpha.weight, beta.weight) != self.weights:
-            raise ValueError("damping weights differ from the ones this "
-                             "backend was built with")
-        return alpha, beta
-
-    def system(self, params: ModelParams, k: float,
+    def system(self, k: float,
                t: float) -> tuple[SparseMatrix, SparseMatrix, Preconditioner]:
         """(A, D, P^-1) with A = 1/k^2 M + 1/k D + K, D = scale_alpha(t) W
         + scale_beta(t) S the damping operator at time t, and P^-1 the
@@ -224,7 +215,7 @@ class BackendHandles:
 
         Rebuilt only when k or a time factor differs from the last call.
         """
-        alpha, beta = self.damping(params)
+        alpha, beta = self.params.damping
         a, b = alpha.scale(t), beta.scale(t)
         key = (k, a, b)
         if self._system[0] != key:
@@ -254,6 +245,7 @@ def make_fem_backend(space: FemSpace, params: ModelParams) -> BackendHandles:
     weak = mass if alpha.weight is None else assemble_mass(space, alpha.weight)
     strong = stiff if beta.weight is None else assemble_stiffness(space, beta.weight)
     return BackendHandles(
+        params=params,
         M=mass,
         K=stiff,
         ndof=space.n_dofs,
@@ -261,8 +253,6 @@ def make_fem_backend(space: FemSpace, params: ModelParams) -> BackendHandles:
         load=lambda f: load_vector(space, f),
         weak_op=weak, strong_op=strong,
         basis=SineBasis(space.mesh.n_per_side - 1),
-        weights=(alpha.weight, beta.weight),
-        label=f"fem-N{space.mesh.n_per_side}",
     )
 
 
@@ -284,50 +274,44 @@ def make_fd_backend(grid: FdGrid, params: ModelParams) -> BackendHandles:
         _check_weight(alpha, w, "at the grid nodes")
         weak = from_diagonal(grid.h ** 2 * w)
     return BackendHandles(
-        M=mass, K=stiff, ndof=grid.n_interior,
+        params=params, M=mass, K=stiff, ndof=grid.n_interior,
         interpolate=interp,
         load=lambda f: grid.h ** 2 * interp(f),
         weak_op=weak, strong_op=stiff,
         basis=SineBasis(grid.n_per_side - 1),
-        weights=(alpha.weight, None),
-        label=f"fd-M{grid.n_per_side}",
         # h^2 I and the 5-point h^2 A_h are diagonal in the sine basis; a
         # weighted mass h^2 diag(w) is not
         diagonal_in_basis=alpha.weight is None,
     )
 
 
-def init_state(backend: BackendHandles, params: ModelParams, k: float,
-               mode: str = "taylor",
+def init_state(backend: BackendHandles, k: float,
                exact_at: Callable[[float], ScalarField] | None = None) -> StepperState:
     """Build (U^0, U^1).
 
-    mode="exact" interpolates the manufactured solution at t = k; the Taylor
-    start expands around t = 0 using u''(0) = -beta A u1 - alpha u1 - A u0.
+    Given ``exact_at``, U^1 interpolates the exact solution at t = k;
+    otherwise the Taylor start expands around t = 0 using
+    u''(0) = -beta A u1 - alpha u1 - A u0.
     """
     if k <= 0:
         raise ValueError("time step must be positive")
+    params = backend.params
     u0 = backend.interpolate(params.u0) if params.u0 is not None \
         else np.zeros(backend.ndof)
-    if mode == "exact":
-        if exact_at is None:
-            raise ValueError("exact start requires an exact-solution provider")
+    if exact_at is not None:
         u1 = backend.interpolate(exact_at(k))
-    elif mode == "taylor":
+    else:
         v = backend.interpolate(params.u1) if params.u1 is not None \
             else np.zeros(backend.ndof)
-        _, damping, _ = backend.system(params, k, 0.0)
-        rhs = -damping.matvec(v) - backend.K.matvec(u0) + backend.forcing_vector(params)
+        _, damping, _ = backend.system(k, 0.0)
+        rhs = -damping.matvec(v) - backend.K.matvec(u0) + backend.forcing
         w, _ = cg_solve(backend.M, rhs, rtol=1e-12, max_iter=50 * backend.ndof,
                         precond=backend.mass_precond)
         u1 = u0 + k * v + 0.5 * k * k * w
-    else:
-        raise ValueError(f"unknown init mode {mode!r}")
     return StepperState(n=1, k=k, u_prev=u0, u_curr=u1)
 
 
-def step(state: StepperState, backend: BackendHandles,
-         params: ModelParams) -> StepperState:
+def step(state: StepperState, backend: BackendHandles) -> StepperState:
     """One implicit step (U^{n-1}, U^n) -> (U^n, U^{n+1}).
 
     Time-dependent coefficients are evaluated at t_n. The backend's cached
@@ -338,13 +322,13 @@ def step(state: StepperState, backend: BackendHandles,
         raise ValueError("stepping requires n >= 1")
     k = state.k
     t_n = state.n * k
-    system, damping, precond = backend.system(params, k, t_n)
+    system, damping, precond = backend.system(k, t_n)
     linear = 2.0 * state.u_curr - state.u_prev
     levels = (state.u_curr, state.u_prev, *state.older)
     guess = np.dot(EXTRAPOLANTS[len(levels)], levels) if state.older else linear
     rhs = backend.M.matvec(linear / k ** 2) + damping.matvec(state.u_curr) / k
-    if params.forcing is not None:
-        rhs += backend.forcing_vector(params)
+    if backend.params.forcing is not None:
+        rhs += backend.forcing
     try:
         u_next, report = cg_solve(system, rhs, rtol=STEP_RTOL,
                                   max_iter=50 * backend.ndof, x0=guess,
@@ -355,14 +339,14 @@ def step(state: StepperState, backend: BackendHandles,
                         solve=report, older=levels[1:3])
 
 
-def run(backend: BackendHandles, params: ModelParams, k: float, T: float,
-        observers=(), init_mode: str = "taylor",
+def run(backend: BackendHandles, k: float, T: float, observers=(),
         exact_at: Callable[[float], ScalarField] | None = None,
-        meta: dict | None = None, n_steps: int | None = None):
+        n_steps: int | None = None):
     """Run ceil(T/k) steps (or exactly ``n_steps``) from a fresh initial
-    state; returns (final state, EnergyTrace). The trace also carries each
-    step's CG iterations and final residual. Observers are called with
-    every state, including the initial one.
+    state, exact when ``exact_at`` is given (see init_state); returns
+    (final state, EnergyTrace). The trace also carries each step's CG
+    iterations and final residual. Observers are called with every state,
+    including the initial one.
 
     On a backend that is diagonal in its sine basis the steps are taken in
     that basis (see _run_modal) and report 0 iterations and residual 0;
@@ -372,11 +356,10 @@ def run(backend: BackendHandles, params: ModelParams, k: float, T: float,
     if n_steps is None:
         n_steps = math.ceil(T / k - 1e-9)
     # step n evaluates the coefficients at t = n k
-    params.check_schedules(k * np.arange(n_steps + 1))
-    state = init_state(backend, params, k, mode=init_mode, exact_at=exact_at)
+    backend.params.check_schedules(k * np.arange(n_steps + 1))
+    state = init_state(backend, k, exact_at=exact_at)
     if backend.diagonal_in_basis:
-        state, energies, crosses = _run_modal(backend, params, state, n_steps,
-                                              observers)
+        state, energies, crosses = _run_modal(backend, state, n_steps, observers)
         iterations, residuals = np.zeros(n_steps, dtype=int), np.zeros(n_steps)
     else:
         energies, crosses, solves = [], [], []
@@ -390,21 +373,21 @@ def run(backend: BackendHandles, params: ModelParams, k: float, T: float,
 
         record(state)
         for _ in range(n_steps):
-            state = step(state, backend, params)
+            state = step(state, backend)
             solves.append(state.solve)
             record(state)
         iterations = np.array([s.iterations for s in solves], dtype=int)
         residuals = np.array([s.final_residual for s in solves])
     trace = diagnostics.EnergyTrace(
         t=k * np.arange(n_steps + 1), energy=np.array(energies),
-        cross=np.array(crosses), meta=dict(meta or {}, k=k, backend=backend.label),
+        cross=np.array(crosses),
         cg_iterations=iterations, cg_residuals=residuals,
     )
     return state, trace
 
 
-def _run_modal(backend: BackendHandles, params: ModelParams, state: StepperState,
-               n_steps: int, observers) -> tuple[StepperState, np.ndarray, np.ndarray]:
+def _run_modal(backend: BackendHandles, state: StepperState, n_steps: int,
+               observers) -> tuple[StepperState, np.ndarray, np.ndarray]:
     """``n_steps`` steps from ``state`` in the sine basis, in which M, K and
     the damping operator are the diagonal matrices of their symbols: every
     mode follows the scalar recurrence of oracle.modal_recurrence, and
@@ -415,10 +398,10 @@ def _run_modal(backend: BackendHandles, params: ModelParams, state: StepperState
     each step. Raises StepError at the first step whose energy is not finite.
     """
     basis, k = backend.basis, state.k
-    alpha, beta = backend.damping(params)
+    alpha, beta = backend.params.damping
     symbols = [sym.ravel() for sym in backend._symbols]
     mass, stiff = symbols[:2]
-    force = basis.forward(backend.forcing_vector(params)).ravel()
+    force = basis.forward(backend.forcing).ravel()
     prev, curr = basis.forward(state.u_prev).ravel(), basis.forward(state.u_curr).ravel()
     energies, crosses = np.empty(n_steps + 1), np.empty(n_steps + 1)
 
@@ -453,11 +436,11 @@ def _run_modal(backend: BackendHandles, params: ModelParams, state: StepperState
     return final, energies, crosses
 
 
-def steady_state(backend: BackendHandles, params: ModelParams) -> np.ndarray:
-    """Solve K u_inf = F for the time-independent forcing in params."""
-    if params.forcing is None:
+def steady_state(backend: BackendHandles) -> np.ndarray:
+    """Solve K u_inf = F for the backend's time-independent forcing."""
+    if backend.params.forcing is None:
         raise ValueError("steady state requires a forcing term")
-    f = backend.forcing_vector(params)
-    u, _ = cg_solve(backend.K, f, rtol=1e-12, max_iter=50 * backend.ndof,
+    u, _ = cg_solve(backend.K, backend.forcing, rtol=1e-12,
+                    max_iter=50 * backend.ndof,
                     precond=backend.stiffness_precond)
     return u

@@ -169,7 +169,7 @@ def test_stepper_agrees_with_modal_recurrence():
         state = StepperState(n=1, k=k, u_prev=1.0 * v, u_curr=0.9 * v)
         worst = 0.0
         for _ in range(500):
-            state = step(state, backend, params)
+            state = step(state, backend)
             ref = seq[state.n] * v
             scale = max(np.max(np.abs(ref)), 1e-300)
             worst = max(worst, np.max(np.abs(state.u_curr - ref)) / scale)
@@ -191,8 +191,7 @@ def test_initial_energy(experiments):
     exp = experiments["ex1"]
     space = FemSpace(build_tri_mesh(exp.domain, 32))
     backend = make_fem_backend(space, exp.params)
-    state = init_state(backend, exp.params, exp.time_step(32), mode="exact",
-                       exact_at=exp.exact.field_at)
+    state = init_state(backend, exp.time_step(32), exact_at=exp.exact.field_at)
     e0 = discrete_energy(state, backend)
     target = 3 * PI ** 2 / 8
     assert abs(e0 - target) / target <= 0.02

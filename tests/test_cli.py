@@ -38,8 +38,21 @@ def test_unknown_experiment_exits_one(capsys):
 
 
 def test_bad_n_list_rejected():
-    with pytest.raises(SystemExit):
-        main(["converge", "--N", "abc"])
+    assert main(["converge", "--N", "abc"]) == 1
+
+
+def test_usage_errors_exit_one(capsys):
+    assert main(["decay", "--N", "x"]) == 1
+    assert main(["converge", "--backend", "spectral"]) == 1
+    assert main([]) == 1
+    assert "invalid int value" in capsys.readouterr().err
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["decay", "--help"])
+    assert exc.value.code == 0
+    assert "--lambda-source" in capsys.readouterr().out
 
 
 def test_eig_fd_prints_closed_form(capsys):
@@ -119,6 +132,13 @@ def test_config_unknown_key_exits_one(tmp_path, capsys):
     cfg.write_text("colour = blue\n")
     assert main(["--config", str(cfg), "converge"]) == 1
     assert "unknown config key" in capsys.readouterr().err
+
+
+def test_config_key_of_another_subcommand_exits_one(tmp_path, capsys):
+    cfg = tmp_path / "decay.cfg"
+    cfg.write_text("lambda_source = discrete\n")
+    assert main(["--config", str(cfg), "converge"]) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_missing_config_file_exits_one(tmp_path):

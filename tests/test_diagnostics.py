@@ -35,7 +35,7 @@ def make_backend(n=32, exp_name="ex1"):
 def test_zero_state_has_zero_energy():
     params = ModelParams(domain=UNIT_SQUARE)
     backend = make_fd_backend(build_fd_grid(UNIT_SQUARE, 8), params)
-    state = init_state(backend, params, 0.01)
+    state = init_state(backend, 0.01)
     assert discrete_energy(state, backend) == 0.0
     assert energy_EA(state, backend) == 0.0
 
@@ -44,8 +44,7 @@ def test_initial_energy_example1():
     # ||u'(0)||^2 = pi^2/4 and |u(0)|_1^2 = pi^2/2, so E = 3 pi^2 / 8
     exp, backend = make_backend(32, "ex1")
     k = 1e-4
-    state = init_state(backend, exp.params, k, mode="exact",
-                       exact_at=exp.exact.field_at)
+    state = init_state(backend, k, exact_at=exp.exact.field_at)
     e0 = discrete_energy(state, backend)
     assert e0 == pytest.approx(3 * PI ** 2 / 8, rel=0.02)
 
@@ -53,8 +52,7 @@ def test_initial_energy_example1():
 def test_initial_energy_example2():
     # on (0, pi)^2: ||u'(0)||^2 = pi^2 pi^2/4, |u(0)|_1^2 = 2 pi^2/4
     exp, backend = make_backend(32, "ex2")
-    state = init_state(backend, exp.params, 1e-4, mode="exact",
-                       exact_at=exp.exact.field_at)
+    state = init_state(backend, 1e-4, exact_at=exp.exact.field_at)
     e0 = discrete_energy(state, backend)
     assert e0 == pytest.approx((PI ** 4 + 2 * PI ** 2) / 8, rel=0.02)
 
@@ -62,15 +60,13 @@ def test_initial_energy_example2():
 def test_higher_energy_example1():
     # E_A(0) = (pi^2 |u0|_1^2 + ||A u0||^2) / 2 = (pi^4/2 + pi^4) / 2
     exp, backend = make_backend(48, "ex1")
-    state = init_state(backend, exp.params, 1e-4, mode="exact",
-                       exact_at=exp.exact.field_at)
+    state = init_state(backend, 1e-4, exact_at=exp.exact.field_at)
     assert energy_EA(state, backend) == pytest.approx(0.75 * PI ** 4, rel=0.03)
 
 
 def test_extended_energy_limits():
     exp, backend = make_backend(8, "ex1")
-    state = init_state(backend, exp.params, 0.01, mode="exact",
-                       exact_at=exp.exact.field_at)
+    state = init_state(backend, 0.01, exact_at=exp.exact.field_at)
     e = discrete_energy(state, backend)
     cross = energy_cross_term(state, backend)
     tiny = 1e-12
@@ -147,7 +143,7 @@ def test_fit_decay_rate_undamped_fd_run():
     params = ModelParams(domain=UNIT_SQUARE, u0=sine)
     backend = make_fd_backend(build_fd_grid(UNIT_SQUARE, 16), params)
     k = 2e-5
-    _, trace = run(backend, params, k=k, T=0.2)
+    _, trace = run(backend, k=k, T=0.2)
     fitted = fit_decay_rate(trace, 0.05, 0.15)
     assert abs(fitted) <= 1e-3
 

@@ -90,6 +90,14 @@ def test_weight_must_be_positive():
         assemble_mass(space, constant_field(-1.0))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_weight_must_be_finite(bad):
+    space = FemSpace(build_tri_mesh(UNIT_SQUARE, 4))
+    for assemble in (assemble_mass, assemble_stiffness):
+        with pytest.raises(ValueError, match="finite"):
+            assemble(space, constant_field(bad))
+
+
 def test_assembled_matrices_are_symmetric():
     space = FemSpace(build_tri_mesh(UNIT_SQUARE, 8))
     for a in (assemble_mass(space), assemble_stiffness(space)):

@@ -120,6 +120,22 @@ def test_decay_with_analytic_lambda():
         run_decay(exp, 8, lambda_source="guess")
 
 
+def test_analytic_lambda_on_a_rectangle_uses_both_sides():
+    from dampedwave.fem import ScalarField
+    from dampedwave.mesh import Rectangle
+    from dampedwave.oracle import continuous_eigenvalue
+    from dampedwave.stepper import ModelParams
+    rect = Rectangle(0.0, 2.0, 0.0, 0.5)
+    u0 = ScalarField(lambda x, y: np.sin(PI * x / 2) * np.sin(2 * PI * y))
+    exp = Experiment("rect", rect, ModelParams(domain=rect, alpha=1.0, beta=0.1, u0=u0))
+    analytic = run_decay(exp, 16, lambda_source="analytic")
+    discrete = run_decay(exp, 16)
+    # (pi/2)^2 + (pi/0.5)^2 = 41.95, against a discrete 42.35
+    assert analytic.lambda1 == continuous_eigenvalue(1, 1, 2.0, 0.5)
+    assert analytic.lambda1 == pytest.approx(discrete.lambda1, rel=0.01)
+    assert analytic.delta_disc == pytest.approx(discrete.delta_disc, rel=0.01)
+
+
 def test_decay_of_time_scheduled_damping():
     exp = builtin_experiments()["timevar"]
     rep = run_decay(exp, 8, k_override=0.01)

@@ -46,7 +46,7 @@ def test_fd_stepper_follows_modal_recurrence(alpha, beta, k, p, q):
     state = StepperState(n=1, k=k, u_prev=v.copy(), u_curr=v.copy())
     scale = np.max(np.abs(v))
     for _ in range(20):
-        state = step(state, backend, params)
+        state = step(state, backend)
         # relative to the peak amplitude so far, since an oscillating mode
         # passes through zero
         peak = np.max(np.abs(seq[:state.n + 1]))
@@ -60,7 +60,7 @@ def test_pinned_schedule_is_bit_identical_to_constant(c):
     runs = []
     for alpha in (c, TimeSchedule(lambda t: c, c, c)):
         params = ModelParams(domain=UNIT_SQUARE, alpha=alpha, beta=0.1, u0=u0)
-        runs.append(run(make_fd_backend(GRID, params), params, k=0.02, T=0.1))
+        runs.append(run(make_fd_backend(GRID, params), k=0.02, T=0.1))
     (s1, tr1), (s2, tr2) = runs
     assert np.array_equal(s1.u_curr, s2.u_curr)
     assert np.array_equal(tr1.energy, tr2.energy)
@@ -75,7 +75,7 @@ def test_cg_matches_a_dense_solve_with_either_preconditioner(kind, n, alpha, bet
     params = ModelParams(domain=UNIT_SQUARE, alpha=alpha, beta=beta)
     backend = make_fd_backend(build_fd_grid(UNIT_SQUARE, n), params) if kind == "fd" \
         else make_fem_backend(FemSpace(build_tri_mesh(UNIT_SQUARE, n)), params)
-    system, _, precond = backend.system(params, k, 0.0)
+    system, _, precond = backend.system(k, 0.0)
     b = np.random.default_rng(seed).normal(size=backend.ndof)
     want = np.linalg.solve(system.to_dense(), b)
     for pre in (None, precond):
@@ -90,7 +90,7 @@ def test_fd_step_systems_converge_in_one_iteration(alpha, beta, k, seed):
     params = ModelParams(domain=UNIT_SQUARE, alpha=alpha, beta=beta)
     backend = make_fd_backend(GRID, params)
     u = np.random.default_rng(seed).normal(size=(2, backend.ndof))
-    state = step(StepperState(n=1, k=k, u_prev=u[0], u_curr=u[1]), backend, params)
+    state = step(StepperState(n=1, k=k, u_prev=u[0], u_curr=u[1]), backend)
     assert state.solve.iterations == 1
 
 
@@ -101,7 +101,7 @@ def test_energy_is_monotone_and_sandwiched(alpha, beta, k, p, q):
     assume(alpha + beta > 1e-3)
     params = ModelParams(domain=UNIT_SQUARE, alpha=alpha, beta=beta,
                          u0=mode_field(p, q), u1=mode_field(q, 1))
-    _, trace = run(make_fd_backend(GRID, params), params, k=k, T=30 * k)
+    _, trace = run(make_fd_backend(GRID, params), k=k, T=30 * k)
     _, delta = decay_bounds(alpha, beta, fd_eigenvalue(GRID, 1, 1))
     assert trace.monotone()
     assert trace.sandwich_ok(delta)
@@ -111,14 +111,14 @@ def test_energy_is_monotone_and_sandwiched(alpha, beta, k, p, q):
 damping_value = st.one_of(st.just(0.0), st.floats(1e-4, 20.0))
 
 
-def cg_reference(backend, params, k, n_steps, init_mode="taylor", exact_at=None):
+def cg_reference(backend, k, n_steps, exact_at=None):
     """The run as a loop of CG ``step`` calls from the same ``init_state``:
     (final state, energies, cross terms, max |u| over all levels)."""
-    state = init_state(backend, params, k, mode=init_mode, exact_at=exact_at)
+    state = init_state(backend, k, exact_at=exact_at)
     pairs = [energy_and_cross(state, backend)]
     peak = max(np.max(np.abs(state.u_prev)), np.max(np.abs(state.u_curr)))
     for _ in range(n_steps):
-        state = step(state, backend, params)
+        state = step(state, backend)
         pairs.append(energy_and_cross(state, backend))
         peak = max(peak, np.max(np.abs(state.u_curr)))
     energies, crosses = np.array(pairs).T
@@ -150,9 +150,9 @@ def test_modal_run_matches_cg_steps(n, alpha, beta, k, scheduled, forced, p, q):
     grid = build_fd_grid(UNIT_SQUARE, n)
     backend = make_fd_backend(grid, params)
     assert backend.diagonal_in_basis
-    modal, trace = run(backend, params, k=k, T=30 * k)
+    modal, trace = run(backend, k=k, T=30 * k)
     assert np.array_equal(trace.cg_iterations, np.zeros(30, dtype=int))
-    assert_runs_agree(modal, trace, cg_reference(backend, params, k, 30))
+    assert_runs_agree(modal, trace, cg_reference(backend, k, 30))
     if alpha + beta > 0 and not forced:
         alpha_range = (coeff.lo, coeff.hi) if scheduled and alpha > 0 else alpha
         _, delta = decay_bounds(alpha_range, beta, fd_eigenvalue(grid, 1, 1))
@@ -174,8 +174,8 @@ def test_modal_run_follows_modal_recurrence(alpha, beta, k, p, q):
     scale = np.max(np.abs(v))
     states = []
     # U^0 = U^1 = the mode, as in modal_recurrence(u0=1, u1=1)
-    run(backend, params, k=k, T=20 * k, init_mode="exact",
-        exact_at=lambda t: mode_field(p, q), observers=[states.append], n_steps=20)
+    run(backend, k=k, T=20 * k, exact_at=lambda t: mode_field(p, q),
+        observers=[states.append], n_steps=20)
     assert [s.n for s in states] == list(range(1, 22))
     for s in states:
         peak = np.max(np.abs(seq[:s.n + 1]))
@@ -188,7 +188,7 @@ def test_modal_run_matches_cg_steps_on_the_experiments(name, n):
     exp = builtin_experiments()[name]
     backend, _ = build_backend(exp, n, "fd")
     k = exp.time_step(n)
-    init = dict(init_mode="exact", exact_at=exp.exact.field_at) if exp.exact else {}
-    modal, trace = run(backend, exp.params, k, exp.T, **init)
+    init = dict(exact_at=exp.exact.field_at) if exp.exact else {}
+    modal, trace = run(backend, k, exp.T, **init)
     n_steps = trace.t.size - 1
-    assert_runs_agree(modal, trace, cg_reference(backend, exp.params, k, n_steps, **init))
+    assert_runs_agree(modal, trace, cg_reference(backend, k, n_steps, **init))

@@ -45,7 +45,7 @@ def fd_setup(m=8, alpha=0.0, beta=0.0, **kw):
 
 def test_zero_data_inits_to_zero():
     _, params, backend = fd_setup()
-    state = init_state(backend, params, k=0.01)
+    state = init_state(backend, k=0.01)
     assert np.array_equal(state.u_prev, np.zeros(backend.ndof))
     assert np.array_equal(state.u_curr, np.zeros(backend.ndof))
     assert state.n == 1
@@ -53,9 +53,9 @@ def test_zero_data_inits_to_zero():
 
 def test_zero_state_stays_zero():
     _, params, backend = fd_setup(alpha=1.0, beta=0.5)
-    state = init_state(backend, params, k=0.01)
+    state = init_state(backend, k=0.01)
     for _ in range(5):
-        state = step(state, backend, params)
+        state = step(state, backend)
     assert np.array_equal(state.u_curr, np.zeros(backend.ndof))
 
 
@@ -64,7 +64,7 @@ def test_taylor_start_with_zero_velocity():
     # U^1 = U^0 - (k^2/2) M^{-1} K U^0
     grid, params, backend = fd_setup(m=8, u0=sine_field())
     k = 0.02
-    state = init_state(backend, params, k, mode="taylor")
+    state = init_state(backend, k)
     u0 = backend.interpolate(params.u0)
     w, _ = cg_solve(backend.M, -backend.K.matvec(u0), rtol=1e-12)
     assert np.allclose(state.u_curr, u0 + 0.5 * k * k * w, atol=1e-10)
@@ -75,28 +75,19 @@ def test_exact_start_on_decaying_mode():
     space = FemSpace(build_tri_mesh(UNIT_SQUARE, 8))
     backend = make_fem_backend(space, exp.params)
     k = 0.01
-    state = init_state(backend, exp.params, k, mode="exact",
-                       exact_at=exp.exact.field_at)
+    state = init_state(backend, k, exact_at=exp.exact.field_at)
     assert np.allclose(state.u_curr, np.exp(-PI * k) * state.u_prev, rtol=1e-12)
-
-
-def test_exact_start_requires_provider():
-    _, params, backend = fd_setup()
-    with pytest.raises(ValueError):
-        init_state(backend, params, 0.01, mode="exact")
 
 
 def test_init_rejects_bad_step_and_mode():
     _, params, backend = fd_setup()
     with pytest.raises(ValueError):
-        init_state(backend, params, 0.0)
-    with pytest.raises(ValueError):
-        init_state(backend, params, 0.01, mode="midpoint")
+        init_state(backend, 0.0)
 
 
 def test_run_takes_one_step_when_T_equals_k():
     _, params, backend = fd_setup(u0=sine_field())
-    state, trace = run(backend, params, k=0.05, T=0.05)
+    state, trace = run(backend, k=0.05, T=0.05)
     assert state.n == 2
     assert trace.t.size == 2
 
@@ -109,7 +100,7 @@ def test_single_mode_follows_scalar_recurrence():
     seq = modal_recurrence(Mode(1, 1, lam), 0.0, 0.0, k, 200, u0=1.0, u1=1.0)
     state = StepperState(n=1, k=k, u_prev=v.copy(), u_curr=v.copy())
     for i in range(200):
-        state = step(state, backend, params)
+        state = step(state, backend)
         ref = seq[state.n] * v
         scale = np.max(np.abs(ref))
         assert np.max(np.abs(state.u_curr - ref)) <= 1e-8 * scale
@@ -128,7 +119,7 @@ def test_example1_error_magnitude_and_rate():
 
 def test_energy_trace_monotone_for_damped_run():
     _, params, backend = fd_setup(m=12, alpha=PI, beta=1.0 / PI, u0=sine_field())
-    _, trace = run(backend, params, k=0.005, T=0.5)
+    _, trace = run(backend, k=0.005, T=0.5)
     assert trace.monotone()
     assert trace.energy[-1] < trace.energy[0]
 
@@ -140,8 +131,8 @@ def test_constant_schedule_matches_plain_constant():
     p_sched = ModelParams(domain=UNIT_SQUARE, alpha=sched, beta=0.1, u0=sine_field())
     b1 = make_fd_backend(grid, p_const)
     b2 = make_fd_backend(grid, p_sched)
-    s1, _ = run(b1, p_const, k=0.01, T=0.1)
-    s2, _ = run(b2, p_sched, k=0.01, T=0.1)
+    s1, _ = run(b1, k=0.01, T=0.1)
+    s2, _ = run(b2, k=0.01, T=0.1)
     assert np.array_equal(s1.u_curr, s2.u_curr)
 
 
@@ -162,8 +153,8 @@ def test_schedule_validated_over_the_run():
     params = ModelParams(domain=UNIT_SQUARE, alpha=sched, u0=sine_field())
     backend = make_fd_backend(grid, params)
     with pytest.raises(ValueError, match="nondecreasing"):
-        run(backend, params, k=0.5, T=30.0)
-    state, _ = run(backend, params, k=0.5, T=20.0)
+        run(backend, k=0.5, T=30.0)
+    state, _ = run(backend, k=0.5, T=20.0)
     assert state.n == 41
 
 
@@ -172,10 +163,10 @@ def test_non_finite_state_fails_fast_as_step_error():
     u = np.ones(backend.ndof)
     u[2] = np.nan
     with pytest.raises(StepError, match=r"n=3 .*in [01] iterations"):
-        step(StepperState(n=3, k=0.01, u_prev=u, u_curr=u), backend, params)
+        step(StepperState(n=3, k=0.01, u_prev=u, u_curr=u), backend)
 
 
-def _check_system(backend, params, k, t, a, b, w=0.0, s=0.0):
+def _check_system(backend, k, t, a, b, w=0.0, s=0.0):
     """The cached system against the dense (1/k^2 + a/k) M + W/k
     + (b/k + 1) K + S/k, where a spatial coefficient contributes its
     weighted operator W or S and a scalar one its value a or b; its
@@ -183,7 +174,7 @@ def _check_system(backend, params, k, t, a, b, w=0.0, s=0.0):
     m, kk = backend.M.to_dense(), backend.K.to_dense()
     expected = (1 / k ** 2 + a / k) * m + w / k + (b / k + 1) * kk + s / k
     tol = 1e-14 * np.max(np.abs(expected))
-    system, damping, precond = backend.system(params, k, t)
+    system, damping, precond = backend.system(k, t)
     s2 = np.kron(backend.basis.matrix, backend.basis.matrix)
     r = np.random.default_rng(5).normal(size=backend.ndof)
     want = s2 @ ((s2.T @ r) / np.diag(s2.T @ expected @ s2))
@@ -192,14 +183,14 @@ def _check_system(backend, params, k, t, a, b, w=0.0, s=0.0):
     assert np.allclose(system.diagonal(), np.diag(expected), rtol=1e-14, atol=tol)
     assert np.allclose(damping.to_dense(), a * m + w + b * kk + s, rtol=1e-14,
                        atol=1e-14 * np.max(np.abs(a * m + w + b * kk + s)))
-    assert backend.system(params, k, t)[0] is system
+    assert backend.system(k, t)[0] is system
     return system
 
 
 def test_cached_system_matches_dense_fem_constant():
     exp = builtin_experiments()["ex1"]
     backend = make_fem_backend(FemSpace(build_tri_mesh(UNIT_SQUARE, 6)), exp.params)
-    _check_system(backend, exp.params, 0.01, 0.3, exp.params.alpha, exp.params.beta)
+    _check_system(backend, 0.01, 0.3, exp.params.alpha, exp.params.beta)
 
 
 def test_cached_system_matches_dense_fem_weighted_mass():
@@ -207,13 +198,13 @@ def test_cached_system_matches_dense_fem_weighted_mass():
     backend = make_fem_backend(FemSpace(build_tri_mesh(UNIT_SQUARE, 6)), exp.params)
     w = backend.weak_op.to_dense()
     assert not np.allclose(w, backend.M.to_dense())
-    _check_system(backend, exp.params, 0.02, 0.0, 0.0, exp.params.beta, w=w)
+    _check_system(backend, 0.02, 0.0, 0.0, exp.params.beta, w=w)
 
 
 def test_cached_system_matches_dense_fd_schedule():
     exp = builtin_experiments()["timevar"]
     backend = make_fd_backend(build_fd_grid(UNIT_SQUARE, 6), exp.params)
-    systems = [_check_system(backend, exp.params, 0.01, t,
+    systems = [_check_system(backend, 0.01, t,
                              exp.params.alpha.fn(t), exp.params.beta)
                for t in (0.1, 0.7)]
     assert not np.array_equal(systems[0].vals, systems[1].vals)
@@ -222,21 +213,17 @@ def test_cached_system_matches_dense_fd_schedule():
 def test_backend_reuse_matches_fresh_backends():
     space = FemSpace(build_tri_mesh(UNIT_SQUARE, 6))
     f1 = ScalarField(lambda x, y: 2 * PI ** 2 * np.sin(PI * x) * np.sin(PI * y))
-    f2 = ScalarField(lambda x, y: 1.0 + x * y)
-    p1 = ModelParams(domain=UNIT_SQUARE, alpha=1.0, beta=0.5, u0=sine_field(),
-                     forcing=f1)
-    p2 = ModelParams(domain=UNIT_SQUARE, alpha=PI, beta=0.1, u1=sine_field(),
-                     forcing=f2)
-    shared = make_fem_backend(space, p1)
-    for params, k in ((p1, 0.02), (p2, 0.02), (p1, 0.05), (p2, 0.05), (p1, 0.02)):
+    params = ModelParams(domain=UNIT_SQUARE, alpha=1.0, beta=0.5, u0=sine_field(),
+                         forcing=f1)
+    shared = make_fem_backend(space, params)
+    for k in (0.02, 0.05, 0.02):
         fresh = make_fem_backend(space, params)
-        s_shared, tr_shared = run(shared, params, k=k, T=0.2)
-        s_fresh, tr_fresh = run(fresh, params, k=k, T=0.2)
+        s_shared, tr_shared = run(shared, k=k, T=0.2)
+        s_fresh, tr_fresh = run(fresh, k=k, T=0.2)
         assert np.array_equal(s_shared.u_curr, s_fresh.u_curr)
         assert np.array_equal(tr_shared.energy, tr_fresh.energy)
-        assert np.array_equal(shared.forcing_vector(params),
-                              fresh.forcing_vector(params))
-        assert np.array_equal(steady_state(shared, params), steady_state(fresh, params))
+        assert np.array_equal(shared.forcing, fresh.forcing)
+        assert np.array_equal(steady_state(shared), steady_state(fresh))
 
 
 def test_constant_coefficient_validation():
@@ -258,22 +245,6 @@ def test_fd_backend_rejects_spatial_beta():
     grid = build_fd_grid(UNIT_SQUARE, 8)
     with pytest.raises(NotImplementedError):
         make_fd_backend(grid, params)
-
-
-def test_backend_rejects_params_with_other_damping_weights():
-    field = SpatialField(
-        ScalarField(lambda x, y: 1.0 + 0.5 * np.sin(PI * x) * np.sin(PI * y)),
-        lo=1.0, hi=1.5)
-    plain = ModelParams(domain=UNIT_SQUARE, alpha=1.0, beta=0.1, u0=sine_field())
-    spatial = ModelParams(domain=UNIT_SQUARE, alpha=field, beta=0.1,
-                          u0=sine_field())
-    space = FemSpace(build_tri_mesh(UNIT_SQUARE, 6))
-    for built, used in ((plain, spatial), (spatial, plain)):
-        backend = make_fem_backend(space, built)
-        with pytest.raises(ValueError, match="weights"):
-            backend.system(used, 0.01, 0.0)
-        with pytest.raises(ValueError, match="weights"):
-            run(backend, used, k=0.01, T=0.05)
 
 
 def test_fd_backend_rejects_nonpositive_alpha_at_its_nodes():
@@ -313,7 +284,7 @@ def test_fem_backend_checks_alpha_range_at_its_quadrature_points():
 
 def test_run_reports_cg_iterations_and_residuals_per_step():
     _, params, fd = fd_setup(m=12, alpha=PI, beta=1.0 / PI, u0=sine_field())
-    _, trace = run(fd, params, k=0.01, T=0.2)
+    _, trace = run(fd, k=0.01, T=0.2)
     # the FD operators are diagonal in the sine basis: the run divides by
     # the symbols and solves nothing
     assert np.array_equal(trace.cg_iterations, np.zeros(20, dtype=int))
@@ -322,12 +293,12 @@ def test_run_reports_cg_iterations_and_residuals_per_step():
     # diagonalise, so those steps stay CG solves
     exp = builtin_experiments()["spacevar"]
     fd = make_fd_backend(build_fd_grid(UNIT_SQUARE, 12), exp.params)
-    _, trace = run(fd, exp.params, k=0.01, T=0.2)
+    _, trace = run(fd, k=0.01, T=0.2)
     assert trace.cg_iterations.size == 20 and trace.cg_iterations.min() >= 1
     assert np.all(trace.cg_residuals <= STEP_RTOL)
     exp = builtin_experiments()["ex1"]
     fem = make_fem_backend(FemSpace(build_tri_mesh(UNIT_SQUARE, 12)), exp.params)
-    _, trace = run(fem, exp.params, k=exp.time_step(12), T=0.1)
+    _, trace = run(fem, k=exp.time_step(12), T=0.1)
     assert trace.cg_iterations.size == trace.t.size - 1
     assert 1 <= trace.cg_iterations.min() and trace.cg_iterations.max() <= 6
     assert np.all(trace.cg_residuals <= STEP_RTOL)
@@ -338,12 +309,12 @@ def test_fd_steady_run_gives_observers_the_cg_states():
     rep = run_steady(exp, 16, backend="fd")
     backend, _ = build_backend(exp, 16, "fd")
     assert backend.diagonal_in_basis
-    state = init_state(backend, exp.params, rep.k)
+    state = init_state(backend, rep.k)
     dists = []
     for _ in range(rep.distances.size):
         d = state.u_curr - rep.u_inf
         dists.append(np.sqrt(d @ backend.M.matvec(d)))
-        state = step(state, backend, exp.params)
+        state = step(state, backend)
     assert np.max(np.abs(rep.distances - dists)) <= 1e-12 * rep.distances[0]
 
 
@@ -356,39 +327,72 @@ def test_nan_data_on_a_sine_diagonal_backend_fails_in_init_state(data):
     _, params, backend = fd_setup(alpha=1.0, beta=0.5, **fields)
     assert backend.diagonal_in_basis
     with pytest.raises(CgError):
-        init_state(backend, params, k=0.01)
+        init_state(backend, k=0.01)
     with pytest.raises(CgError):
-        run(backend, params, k=0.01, T=0.1)
+        run(backend, k=0.01, T=0.1)
+
+
+ZERO_FIELD = ScalarField(lambda x, y: np.zeros_like(np.asarray(x, dtype=float)))
 
 
 def test_energy_turning_non_finite_mid_run_names_the_step():
-    # the schedule passes the [lo, hi] and monotonicity checks (NaN compares
-    # false) but is NaN from t = 0.05 on: step n = 5 is the first to use it
-    sched = TimeSchedule(lambda t: 1.0 if t < 0.045 else np.nan, lo=1.0, hi=1.0)
-    _, params, backend = fd_setup(alpha=sched, beta=0.5, u0=sine_field())
+    # a forcing of 1e156 drives the energy past the float range: it is
+    # finite through step 3 and overflows at step 4
+    force = ScalarField(lambda x, y: 1e156 * np.sin(PI * x) * np.sin(PI * y))
+    _, params, backend = fd_setup(alpha=1.0, beta=0.5, forcing=force)
     assert backend.diagonal_in_basis
-    with pytest.raises(StepError, match=r"n=5 \(t=0.05\)"):
-        run(backend, params, k=0.01, T=0.1)
+    with np.errstate(over="ignore"), pytest.raises(StepError, match=r"n=4 \(t=0.04\)"):
+        run(backend, k=0.01, T=0.5, exact_at=lambda t: ZERO_FIELD)
 
 
-def _history(backend, params, k, steps=3):
+def test_nan_schedule_is_rejected_at_construction():
+    with pytest.raises(ValueError, match="not finite"):
+        ModelParams(domain=UNIT_SQUARE,
+                    alpha=TimeSchedule(lambda t: np.nan, lo=1.0, hi=1.0))
+
+
+def test_schedule_turning_nan_within_a_run_is_rejected():
+    # finite on the construction-time sample window [0, 20], NaN from t = 25
+    sched = TimeSchedule(lambda t: 1.0 if t < 25.0 else np.nan, lo=1.0, hi=1.0)
+    _, params, backend = fd_setup(m=4, alpha=sched, u0=sine_field())
+    with pytest.raises(ValueError, match="not finite"):
+        run(backend, k=0.5, T=30.0)
+
+
+# NaN only at x > 0.97: past the construction-time samples (x <= 23/24), but
+# on nodes of the M = 48 grid and quadrature points of the N = 48 mesh
+NAN_EDGE = SpatialField(ScalarField(
+    lambda x, y: np.where(np.asarray(x) > 0.97, np.nan, 1.0 + 0.0 * y)), lo=1.0, hi=1.5)
+
+
+@pytest.mark.parametrize("kind", ["fd", "fem"])
+def test_nan_damping_weight_is_rejected(kind):
+    params = ModelParams(domain=UNIT_SQUARE, alpha=NAN_EDGE)
+    with pytest.raises(ValueError, match="finite"):
+        if kind == "fd":
+            make_fd_backend(build_fd_grid(UNIT_SQUARE, 48), params)
+        else:
+            make_fem_backend(FemSpace(build_tri_mesh(UNIT_SQUARE, 48)), params)
+
+
+def _history(backend, k, steps=3):
     """A state three steps past the start, so it carries two older levels."""
-    state = init_state(backend, params, k)
+    state = init_state(backend, k)
     for _ in range(steps):
-        state = step(state, backend, params)
+        state = step(state, backend)
     return state
 
 
-def _dense_system(backend, params, state):
+def _dense_system(backend, state):
     """A and the right-hand side of the step from ``state``, built densely."""
     k, t = state.k, state.n * state.k
-    alpha, beta = params.damping
+    alpha, beta = backend.params.damping
     m = backend.M.to_dense()
     damp = alpha.scale(t) * backend.weak_op.to_dense() \
         + beta.scale(t) * backend.strong_op.to_dense()
     a = m / k ** 2 + damp / k + backend.K.to_dense()
     rhs = m @ (2.0 * state.u_curr - state.u_prev) / k ** 2 \
-        + damp @ state.u_curr / k + backend.forcing_vector(params)
+        + damp @ state.u_curr / k + backend.forcing
     return a, rhs
 
 
@@ -403,28 +407,27 @@ def test_two_level_state_steps_from_the_linear_guess():
     exp = builtin_experiments()["ex1"]
     backend = make_fem_backend(FemSpace(build_tri_mesh(UNIT_SQUARE, 12)), exp.params)
     k = exp.time_step(12)
-    state = init_state(backend, exp.params, k, mode="exact",
-                       exact_at=exp.exact.field_at)
-    new = step(state, backend, exp.params)
-    system, damping, precond = backend.system(exp.params, k, k)
+    state = init_state(backend, k, exact_at=exp.exact.field_at)
+    new = step(state, backend)
+    system, damping, precond = backend.system(k, k)
     rhs = backend.M.matvec((2.0 * state.u_curr - state.u_prev) / k ** 2) \
         + damping.matvec(state.u_curr) / k
     want, rep = cg_solve(system, rhs, rtol=STEP_RTOL, max_iter=50 * backend.ndof,
                          x0=2.0 * state.u_curr - state.u_prev, precond=precond)
     assert np.array_equal(new.u_curr, want) and new.solve == rep
     assert new.older == (state.u_prev,)
-    assert len(step(new, backend, exp.params).older) == 2
+    assert len(step(new, backend).older) == 2
 
 
 def test_state_with_older_levels_steps_within_tolerance_of_linear_guess():
     exp = builtin_experiments()["ex1"]
     backend = make_fem_backend(FemSpace(build_tri_mesh(UNIT_SQUARE, 12)), exp.params)
     k = exp.time_step(12)
-    state = _history(backend, exp.params, k)
+    state = _history(backend, k)
     assert len(state.older) == 2
-    a, _ = _dense_system(backend, exp.params, state)
-    cubic = step(state, backend, exp.params)
-    linear = step(replace(state, older=()), backend, exp.params)
+    a, _ = _dense_system(backend, state)
+    cubic = step(state, backend)
+    linear = step(replace(state, older=()), backend)
     bound = 2.0 * STEP_RTOL * np.linalg.cond(a)
     assert np.linalg.norm(cubic.u_curr - linear.u_curr) \
         <= bound * np.linalg.norm(linear.u_curr)
@@ -448,12 +451,12 @@ def test_step_matches_scipy_spsolve(case):
         backend = make_fem_backend(FemSpace(build_tri_mesh(exp.domain, 16)), exp.params)
     else:
         backend = make_fd_backend(build_fd_grid(exp.domain, 16), exp.params)
-    state = _history(backend, exp.params, exp.time_step(16))
+    state = _history(backend, exp.time_step(16))
     assert len(state.older) == 2
-    a, rhs = _dense_system(backend, exp.params, state)
+    a, rhs = _dense_system(backend, state)
     bound = STEP_RTOL * np.linalg.cond(a)
     want = linalg.spsolve(sp.csc_matrix(a), rhs)
-    got = step(state, backend, exp.params).u_curr
+    got = step(state, backend).u_curr
     assert np.linalg.norm(got - want) <= bound * np.linalg.norm(want)
 
 
@@ -465,7 +468,7 @@ def test_spatial_alpha_runs_on_fem():
                          u0=sine_field())
     space = FemSpace(build_tri_mesh(UNIT_SQUARE, 8))
     backend = make_fem_backend(space, params)
-    _, trace = run(backend, params, k=0.01, T=0.2)
+    _, trace = run(backend, k=0.01, T=0.2)
     assert trace.monotone()
 
 
@@ -476,7 +479,7 @@ def test_steady_state_of_eigenmode_forcing():
         space = FemSpace(build_tri_mesh(UNIT_SQUARE, n))
         params = ModelParams(domain=UNIT_SQUARE, alpha=1.0, beta=1.0, forcing=f)
         backend = make_fem_backend(space, params)
-        u_inf = steady_state(backend, params)
+        u_inf = steady_state(backend)
         diff = u_inf - interpolate(space, sine_field())
         dists.append(np.sqrt(diff @ backend.M.matvec(diff)))
     slopes = np.log2(np.array(dists[:-1]) / np.array(dists[1:]))
@@ -490,7 +493,7 @@ def test_steady_state_center_value_against_series():
     space = FemSpace(build_tri_mesh(UNIT_SQUARE, 32))
     params = ModelParams(domain=UNIT_SQUARE, alpha=1.0, forcing=f)
     backend = make_fem_backend(space, params)
-    u_inf = steady_state(backend, params)
+    u_inf = steady_state(backend)
     nodes = space.mesh.nodes[space.free_dofs]
     center = np.flatnonzero((nodes[:, 0] == 0.5) & (nodes[:, 1] == 0.5))[0]
     assert u_inf[center] == pytest.approx(0.0736713513, abs=5e-4)
@@ -499,4 +502,4 @@ def test_steady_state_center_value_against_series():
 def test_steady_state_requires_forcing():
     _, params, backend = fd_setup()
     with pytest.raises(ValueError):
-        steady_state(backend, params)
+        steady_state(backend)
