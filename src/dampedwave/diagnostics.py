@@ -10,16 +10,21 @@ from .sparse import cg_solve
 
 
 def energy_and_cross(state, backend) -> tuple[float, float]:
-    """(E, (d, U^{n+1})_M) from one M d and one K U^{n+1}, with d the
-    backward difference velocity; M is symmetric, so the cross term is
-    U^{n+1} . (M d).
+    """(E, (d, U^{n+1})_M) from M d and K U^{n+1}, with d the backward
+    difference velocity; M is symmetric, so the cross term is U^{n+1} . (M d).
 
-    ``state`` holds the pair (U^n, U^{n+1}) as (U_prev, U_curr).
+    ``state`` holds the pair (U^n, U^{n+1}) as (U_prev, U_curr). A state
+    that carries its levels' products (see stepper.StepperState) gives
+    M d = (M U^{n+1} - M U^n)/k and K U^{n+1} without a matvec; otherwise
+    both are computed here.
     """
-    d = (state.u_curr - state.u_prev) / state.k
-    md = backend.M.matvec(d)
-    ku = backend.K.matvec(state.u_curr)
-    return 0.5 * float(d @ md + state.u_curr @ ku), float(state.u_curr @ md)
+    u, p = state.u_curr, state.products
+    d = (u - state.u_prev) / state.k
+    if p is None:
+        md, ku = backend.M.matvec(d), backend.K.matvec(u)
+    else:
+        md, ku = (p[0, 0] - p[1, 0]) / state.k, p[0, 1]
+    return 0.5 * float(d @ md + u @ ku), float(u @ md)
 
 
 def discrete_energy(state, backend) -> float:
@@ -115,6 +120,14 @@ class EnergyTrace:
         """min over the samples of 1 - E / (3 e^{-delta t/15} E^0); negative
         where the energy exceeds the bound."""
         return float(np.min(1.0 - self.energy / self.decay_bound(delta)))
+
+    def decay_bound_rate_margin(self, delta: float) -> float:
+        """min over the samples at t > 0 of log(bound / E) / t: the largest m
+        with E <= 3 e^{-(delta/15 + m) t} E^0 at all of them, so the rate by
+        which the energy decays faster than the bound requires; negative
+        where the energy exceeds the bound."""
+        bound = self.decay_bound(delta)[1:]
+        return float(np.min(np.log(bound / self.energy[1:]) / self.t[1:]))
 
 
 def fit_decay_rate(trace: EnergyTrace, t0: float, t1: float) -> float:

@@ -246,12 +246,13 @@ class DecayReport:
     bound_ok: bool
     dk_admissible: bool
     constant_coeffs: bool
-    # margins of the three verdicts (EnergyTrace.worst_growth, sandwich_slack
-    # and decay_bound_slack at delta_disc)
+    # margins of the three verdicts (EnergyTrace.worst_growth, sandwich_slack,
+    # decay_bound_slack and decay_bound_rate_margin at delta_disc)
     worst_growth: float
     worst_growth_step: int
     sandwich_slack: float
     bound_slack: float
+    bound_rate_margin: float
 
     def bound_curve(self) -> np.ndarray:
         return self.trace.decay_bound(self.delta_disc)
@@ -305,6 +306,7 @@ def run_decay(exp: Experiment, n: int, backend: str | None = None,
         worst_growth=worst_growth, worst_growth_step=worst_growth_step,
         sandwich_slack=trace.sandwich_slack(delta_disc),
         bound_slack=trace.decay_bound_slack(delta_disc),
+        bound_rate_margin=trace.decay_bound_rate_margin(delta_disc),
     )
 
 

@@ -219,18 +219,23 @@ class SineBasis:
 
 def cg_solve(a, b: np.ndarray, rtol: float = 1e-10, max_iter: int = 10_000,
              x0: np.ndarray | None = None,
-             precond: Preconditioner | None = None) -> tuple[np.ndarray, SolveReport]:
+             precond: Preconditioner | None = None,
+             r0: np.ndarray | None = None) -> tuple[np.ndarray, SolveReport]:
     """Preconditioned conjugate gradients for an SPD SparseMatrix ``a``.
 
     ``precond`` maps a residual r to P^-1 r for an SPD P; without it CG uses
     Jacobi (P = diag(a)). A warm start ``x0`` is refined by at least one
     iteration even when it already meets ``rtol`` (an extrapolated guess
     left as it is would carry its error into the next step), unless its
-    residual is exactly zero. Raises CgError on a non-finite right-hand side
-    or residual, and when the iteration cap is hit.
+    residual is exactly zero. ``r0`` is the residual b - a x0 of the warm
+    start when the caller already has it; CG then starts without a product.
+    Raises CgError on a non-finite right-hand side or residual, and when the
+    iteration cap is hit.
     """
     if rtol <= 0:
         raise ValueError("rtol must be positive")
+    if r0 is not None and x0 is None:
+        raise ValueError("a starting residual needs its starting point x0")
     n = b.shape[0]
     bnorm = math.sqrt(b @ b)
     if not math.isfinite(bnorm):
@@ -243,7 +248,7 @@ def cg_solve(a, b: np.ndarray, rtol: float = 1e-10, max_iter: int = 10_000,
         def precond(r):
             return inv_diag * r
     x = np.zeros(n) if x0 is None else x0.astype(np.float64, copy=True)
-    r = b - a.matvec(x)
+    r = b - a.matvec(x) if r0 is None else r0.astype(np.float64, copy=True)
     res = math.sqrt(r @ r) / bnorm
     if res == 0.0 or (x0 is None and res <= rtol):
         return x, SolveReport(0, res)

@@ -123,18 +123,22 @@ class ModelParams:
         """(alpha, beta) in normal form."""
         return _resolve(self.alpha), _resolve(self.beta)
 
-    def check_schedules(self, times: np.ndarray) -> None:
-        """Reject a time factor that is not finite, leaves [lo, hi] or
-        decreases at the given sample times."""
+    def check_schedules(self, times: np.ndarray) -> list[tuple[float, float]]:
+        """The time factors (alpha, beta) at the given sample times, each
+        evaluated once. Rejects a time factor that is not finite, leaves
+        [lo, hi] or decreases there."""
+        columns = []
         for c in self.damping:
+            vals = np.array([c.scale(t) for t in times])
+            columns.append(vals.tolist())
             if c.weight is not None:
                 continue
-            vals = np.array([c.scale(t) for t in times])
             if not np.all((vals >= c.lo - 1e-12) & (vals <= c.hi + 1e-12)):
                 raise ValueError("schedule is not finite or leaves its stated "
                                  "[lo, hi] range")
             if np.any(np.diff(vals) < -1e-12):
                 raise ValueError("schedule must be nondecreasing")
+        return list(zip(*columns))
 
     def _check_field(self, c: Damping, samples: int = 25):
         r = self.domain
@@ -147,17 +151,22 @@ class ModelParams:
 @dataclass(frozen=True)
 class StepperState:
     """Two-level state (U^{n-1}, U^n); n indexes u_curr, at time n*k.
-    ``older`` holds up to two earlier levels (U^{n-2}, U^{n-3}), newest
-    first, which only improve the CG starting point of the next step.
-    ``solve`` reports the CG solve that produced u_curr in a step; it is
-    None for an initial state and for states stepped in the sine basis."""
+
+    After a CG step, ``levels`` stacks up to four levels U^n ... U^{n-3},
+    newest first (rows 0 and 1 are u_curr and u_prev), and ``products[j, i]``
+    is level j times ``BackendHandles.operators[i]`` (M, K, then W and S
+    where distinct) of the backend that stepped it. The next step and the
+    energies read them; a state built from u_prev and u_curr alone gets both
+    on its first step. ``solve`` reports the CG solve that produced u_curr
+    in a step; None for an initial state and for sine-basis steps."""
 
     n: int
     k: float
     u_prev: np.ndarray
     u_curr: np.ndarray
     solve: SolveReport | None = None
-    older: tuple = ()
+    levels: np.ndarray | None = None
+    products: np.ndarray | None = None
 
 
 @dataclass
@@ -178,8 +187,8 @@ class BackendHandles:
     # run() steps in the sine basis; make_fd_backend sets it when alpha has
     # no spatial weight
     diagonal_in_basis: bool = False
-    # one-entry cache: ((k, alpha, beta) scales, (system matrix, damping
-    # matrix, system preconditioner))
+    # one-entry cache: ((k, alpha, beta) scales, (system matrix, system
+    # preconditioner, level weights))
     _system: tuple = field(default=(None, None), init=False, repr=False)
 
     def __post_init__(self):
@@ -189,6 +198,12 @@ class BackendHandles:
         symbols = {key: self.basis.symbol(op) for key, op in distinct.items()}
         self._shared = [shared[id(op)] for op in ops]
         self._symbols = [symbols[id(op)] for op in ops]
+        # the distinct operators, M and K first; row i of _roles picks role
+        # i of (M, K, W, S) among them, so a combination of the roles is a
+        # combination of the distinct operators
+        self.operators = list(distinct.values())
+        self._roles = np.eye(len(distinct))[[list(distinct).index(id(op))
+                                             for op in ops]]
 
     @cached_property
     def mass_precond(self) -> Preconditioner:
@@ -206,24 +221,49 @@ class BackendHandles:
         f = self.params.forcing
         return np.zeros(self.ndof) if f is None else self.load(f)
 
-    def system(self, k: float,
-               t: float) -> tuple[SparseMatrix, SparseMatrix, Preconditioner]:
-        """(A, D, P^-1) with A = 1/k^2 M + 1/k D + K, D = scale_alpha(t) W
+    def scales(self, t: float) -> tuple[float, float]:
+        """The damping time factors (alpha, beta) at time t."""
+        alpha, beta = self.params.damping
+        return alpha.scale(t), beta.scale(t)
+
+    def products(self, levels: np.ndarray) -> np.ndarray:
+        """Each level's product with each distinct operator, by explicit
+        matvecs: an array of shape (levels, operators, ndof)."""
+        return np.array([[op.matvec(u) for op in self.operators] for u in levels])
+
+    def system(self, k: float, t: float) -> tuple[SparseMatrix, Preconditioner]:
+        """(A, P^-1) with A = 1/k^2 M + 1/k D + K, D = scale_alpha(t) W
         + scale_beta(t) S the damping operator at time t, and P^-1 the
         sine-basis preconditioner of A, whose symbol is the same combination
-        of the operators' symbols.
+        of the operators' symbols."""
+        return self._step_system(k, *self.scales(t))[:2]
+
+    def _step_system(self, k: float, a: float, b: float):
+        """(A, P^-1, weights) for step size k and time factors (a, b).
+
+        weights[L] has two rows over the (level, operator) pairs of a state
+        with L levels (see StepperState.products): the right-hand side
+        (2 M U^n - M U^{n-1})/k^2 + D U^n/k without the forcing, and the
+        residual of the step's CG starting point, that right-hand side minus
+        A times the extrapolant of the L levels.
 
         Rebuilt only when k or a time factor differs from the last call.
         """
-        alpha, beta = self.params.damping
-        a, b = alpha.scale(t), beta.scale(t)
         key = (k, a, b)
         if self._system[0] != key:
             mass = self._shared[0]
-            vals, damp = _combine(k, a, b, *(op.vals for op in self._shared))
+            vals, _ = _combine(k, a, b, *(op.vals for op in self._shared))
             symbol, _ = _combine(k, a, b, *self._symbols)
-            self._system = (key, (replace(mass, vals=vals), replace(mass, vals=damp),
-                                  self.basis.solver(symbol)))
+            op_a, op_d = _combine(k, a, b, *self._roles)
+            rhs = np.concatenate((2.0 * self._roles[0] / k ** 2 + op_d / k,
+                                  -self._roles[0] / k ** 2))
+            weights = {}
+            for n_levels, ext in EXTRAPOLANTS.items():
+                row = np.zeros(n_levels * len(self.operators))
+                row[:rhs.size] = rhs
+                weights[n_levels] = np.stack((row, row - np.kron(ext, op_a)))
+            self._system = (key, (replace(mass, vals=vals), self.basis.solver(symbol),
+                                  weights))
         return self._system[1]
 
 
@@ -286,12 +326,14 @@ def make_fd_backend(grid: FdGrid, params: ModelParams) -> BackendHandles:
 
 
 def init_state(backend: BackendHandles, k: float,
-               exact_at: Callable[[float], ScalarField] | None = None) -> StepperState:
+               exact_at: Callable[[float], ScalarField] | None = None,
+               scales: tuple[float, float] | None = None) -> StepperState:
     """Build (U^0, U^1).
 
     Given ``exact_at``, U^1 interpolates the exact solution at t = k;
     otherwise the Taylor start expands around t = 0 using
-    u''(0) = -beta A u1 - alpha u1 - A u0.
+    u''(0) = -beta A u1 - alpha u1 - A u0, with the damping time factors
+    ``scales`` at t = 0 when the caller has them (evaluated otherwise).
     """
     if k <= 0:
         raise ValueError("time step must be positive")
@@ -303,40 +345,63 @@ def init_state(backend: BackendHandles, k: float,
     else:
         v = backend.interpolate(params.u1) if params.u1 is not None \
             else np.zeros(backend.ndof)
-        _, damping, _ = backend.system(k, 0.0)
-        rhs = -damping.matvec(v) - backend.K.matvec(u0) + backend.forcing
+        a, b = backend.scales(0.0) if scales is None else scales
+        damped = a * backend.weak_op.matvec(v) + b * backend.strong_op.matvec(v)
+        rhs = -damped - backend.K.matvec(u0) + backend.forcing
         w, _ = cg_solve(backend.M, rhs, rtol=1e-12, max_iter=50 * backend.ndof,
                         precond=backend.mass_precond)
         u1 = u0 + k * v + 0.5 * k * k * w
     return StepperState(n=1, k=k, u_prev=u0, u_curr=u1)
 
 
-def step(state: StepperState, backend: BackendHandles) -> StepperState:
+def _with_products(state: StepperState, backend: BackendHandles) -> StepperState:
+    """``state`` with the levels and products of a CG step; a state built
+    without them gets its two levels' products by explicit matvecs."""
+    if state.products is not None:
+        return state
+    levels = np.stack((state.u_curr, state.u_prev))
+    return replace(state, levels=levels, products=backend.products(levels))
+
+
+def step(state: StepperState, backend: BackendHandles,
+         scales: tuple[float, float] | None = None) -> StepperState:
     """One implicit step (U^{n-1}, U^n) -> (U^n, U^{n+1}).
 
-    Time-dependent coefficients are evaluated at t_n. The backend's cached
-    SPD system matrix is solved by CG with its sine-basis preconditioner,
-    starting from the highest-order extrapolant the state's levels allow.
+    Time-dependent coefficients are evaluated at t_n, or taken from
+    ``scales`` when the caller has them. The backend's cached SPD system
+    matrix is solved by CG with its sine-basis preconditioner, starting from
+    the highest-order extrapolant the state's levels allow. The right-hand
+    side and the starting residual are combinations of the state's
+    products; the new level's products are explicit matvecs, so a step
+    costs one matvec per CG iteration and one per distinct operator.
     """
     if state.n < 1:
         raise ValueError("stepping requires n >= 1")
     k = state.k
     t_n = state.n * k
-    system, damping, precond = backend.system(k, t_n)
-    linear = 2.0 * state.u_curr - state.u_prev
-    levels = (state.u_curr, state.u_prev, *state.older)
-    guess = np.dot(EXTRAPOLANTS[len(levels)], levels) if state.older else linear
-    rhs = backend.M.matvec(linear / k ** 2) + damping.matvec(state.u_curr) / k
+    state = _with_products(state, backend)
+    system, precond, weights = backend._step_system(
+        k, *(backend.scales(t_n) if scales is None else scales))
+    levels, products = state.levels, state.products
+    rhs = weights[len(levels)] @ products.reshape(-1, backend.ndof)
     if backend.params.forcing is not None:
         rhs += backend.forcing
+    guess = np.dot(EXTRAPOLANTS[len(levels)], levels)
     try:
-        u_next, report = cg_solve(system, rhs, rtol=STEP_RTOL,
+        u_next, report = cg_solve(system, rhs[0], rtol=STEP_RTOL,
                                   max_iter=50 * backend.ndof, x0=guess,
-                                  precond=precond)
+                                  precond=precond, r0=rhs[1])
     except CgError as exc:
         raise StepError(f"CG failed at step n={state.n} (t={t_n:g}): {exc}") from exc
-    return StepperState(n=state.n + 1, k=k, u_prev=state.u_curr, u_curr=u_next,
-                        solve=report, older=levels[1:3])
+    kept = min(len(levels) + 1, max(EXTRAPOLANTS))
+    new_levels = np.concatenate((u_next[None], levels[:kept - 1]))
+    new_products = np.empty((kept, *products.shape[1:]))
+    new_products[1:] = products[:kept - 1]
+    for row, op in zip(new_products[0], backend.operators):
+        row[:] = op.matvec(u_next)
+    return StepperState(n=state.n + 1, k=k, u_prev=new_levels[1],
+                        u_curr=new_levels[0], solve=report, levels=new_levels,
+                        products=new_products)
 
 
 def run(backend: BackendHandles, k: float, T: float, observers=(),
@@ -356,10 +421,10 @@ def run(backend: BackendHandles, k: float, T: float, observers=(),
     if n_steps is None:
         n_steps = math.ceil(T / k - 1e-9)
     # step n evaluates the coefficients at t = n k
-    backend.params.check_schedules(k * np.arange(n_steps + 1))
-    state = init_state(backend, k, exact_at=exact_at)
+    scales = backend.params.check_schedules(k * np.arange(n_steps + 1))
+    state = init_state(backend, k, exact_at=exact_at, scales=scales[0])
     if backend.diagonal_in_basis:
-        state, energies, crosses = _run_modal(backend, state, n_steps, observers)
+        state, energies, crosses = _run_modal(backend, state, scales, observers)
         iterations, residuals = np.zeros(n_steps, dtype=int), np.zeros(n_steps)
     else:
         energies, crosses, solves = [], [], []
@@ -371,9 +436,10 @@ def run(backend: BackendHandles, k: float, T: float, observers=(),
             for obs in observers:
                 obs(state)
 
+        state = _with_products(state, backend)
         record(state)
-        for _ in range(n_steps):
-            state = step(state, backend)
+        for step_scales in scales[1:]:
+            state = step(state, backend, step_scales)
             solves.append(state.solve)
             record(state)
         iterations = np.array([s.iterations for s in solves], dtype=int)
@@ -386,19 +452,21 @@ def run(backend: BackendHandles, k: float, T: float, observers=(),
     return state, trace
 
 
-def _run_modal(backend: BackendHandles, state: StepperState, n_steps: int,
+def _run_modal(backend: BackendHandles, state: StepperState, scales,
                observers) -> tuple[StepperState, np.ndarray, np.ndarray]:
-    """``n_steps`` steps from ``state`` in the sine basis, in which M, K and
-    the damping operator are the diagonal matrices of their symbols: every
-    mode follows the scalar recurrence of oracle.modal_recurrence, and
+    """One step from ``state`` per entry of ``scales`` after the first (the
+    damping time factors at each step time), in the sine basis, in which M,
+    K and the damping operator are the diagonal matrices of their symbols:
+    every mode follows the scalar recurrence of oracle.modal_recurrence, and
     E = 1/2 (d'M d + U'K U) and (d, U)_M follow by Parseval. Grid values
     are formed only for observers and for the returned final state.
 
     Returns (final state, energies, cross terms) for the initial state and
-    each step. Raises StepError at the first step whose energy is not finite.
+    each step. Raises StepError at the first step whose energy is not
+    finite, without a numpy warning for the overflow that made it so.
     """
     basis, k = backend.basis, state.k
-    alpha, beta = backend.params.damping
+    n_steps = len(scales) - 1
     symbols = [sym.ravel() for sym in backend._symbols]
     mass, stiff = symbols[:2]
     force = basis.forward(backend.forcing).ravel()
@@ -416,21 +484,24 @@ def _run_modal(backend: BackendHandles, state: StepperState, n_steps: int,
         obs(state)
     key = None
     u_curr = state.u_curr
-    for n in range(1, n_steps + 1):
-        t_n = n * k
-        scales = (alpha.scale(t_n), beta.scale(t_n))
-        if scales != key:
-            key = scales
-            system, damping = _combine(k, *scales, *symbols)
-        prev, curr = curr, (mass * (2.0 * curr - prev) / k ** 2
-                            + damping * curr / k + force) / system
-        record(n)
-        if not math.isfinite(energies[n]):
-            raise StepError(f"non-finite energy at step n={n} (t={t_n:g})")
-        if observers:
-            u_prev, u_curr = u_curr, basis.inverse(curr)
-            for obs in observers:
-                obs(StepperState(n=n + 1, k=k, u_prev=u_prev, u_curr=u_curr))
+    caller_err = np.geterr()
+    # a diverging run overflows here first and ends in the StepError below;
+    # observers run under the caller's error handling
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(1, n_steps + 1):
+            if scales[n] != key:
+                key = scales[n]
+                system, damping = _combine(k, *key, *symbols)
+            prev, curr = curr, (mass * (2.0 * curr - prev) / k ** 2
+                                + damping * curr / k + force) / system
+            record(n)
+            if not math.isfinite(energies[n]):
+                raise StepError(f"non-finite energy at step n={n} (t={n * k:g})")
+            if observers:
+                u_prev, u_curr = u_curr, basis.inverse(curr)
+                with np.errstate(**caller_err):
+                    for obs in observers:
+                        obs(StepperState(n=n + 1, k=k, u_prev=u_prev, u_curr=u_curr))
     final = StepperState(n=n_steps + 1, k=k, u_prev=basis.inverse(prev),
                          u_curr=basis.inverse(curr))
     return final, energies, crosses

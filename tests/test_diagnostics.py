@@ -181,6 +181,21 @@ def test_invariant_margins_on_a_hand_built_trace():
     assert decaying.decay_bound_ok(delta)
 
 
+def test_decay_bound_rate_margin_on_a_hand_built_trace():
+    # delta = 15 makes the bound 3 e^{-t} E^0; E at t = 1, 2, 3 sits below it
+    # by the factors e^{-1.5}, e^{-2 * 1.0} and e^{-3 * 1.2}
+    t = np.array([0.0, 1.0, 2.0, 3.0])
+    margins = np.array([1.5, 1.0, 1.2])
+    energy = np.concatenate(([2.0], 6.0 * np.exp(-t[1:] * (1.0 + margins))))
+    trace = EnergyTrace(t=t, energy=energy, cross=np.zeros_like(t))
+    assert trace.decay_bound_rate_margin(15.0) == pytest.approx(1.0, rel=1e-12)
+    # the slack only sees the t = 0 sample, where E = bound / 3
+    assert trace.decay_bound_slack(15.0) == pytest.approx(2 / 3)
+    # above the bound at t = 1 by the factor e^{0.1}: the margin is -0.1
+    energy[1] = 6.0 * np.exp(-1.0 + 0.1)
+    assert trace.decay_bound_rate_margin(15.0) == pytest.approx(-0.1, rel=1e-12)
+
+
 def test_rates_reproduce_reference_values():
     table = convergence_rates([(5, (8.8349e-3, 1.0, 1.0)),
                                (10, (2.1124e-3, 1.0, 1.0))])

@@ -110,6 +110,8 @@ def test_decay_report_margins_agree_with_its_verdicts():
     assert 0 < rep.sandwich_slack <= 0.5
     assert rep.bound_slack == pytest.approx(2 / 3)  # tightest at t = 0
     assert rep.sandwich_slack == rep.trace.sandwich_slack(rep.delta_disc)
+    assert rep.bound_rate_margin == rep.trace.decay_bound_rate_margin(rep.delta_disc)
+    assert rep.bound_rate_margin > 0
 
 
 def test_decay_with_analytic_lambda():

@@ -110,7 +110,7 @@ def test_preconditioned_fem_step_systems_are_well_conditioned(name):
     for n in (8, 16):
         backend = make_fem_backend(FemSpace(build_tri_mesh(params.domain, n)), params)
         for k in (1e-5, 1e-2, 1.0):
-            system, _, precond = backend.system(k, 0.0)
+            system, precond = backend.system(k, 0.0)
             assert _kappa(system, precond) <= 2.2
         assert _kappa(backend.M, backend.mass_precond) <= 2.2
         assert _kappa(backend.K, backend.stiffness_precond) == pytest.approx(1.0)

@@ -9,12 +9,13 @@ from hypothesis import assume, given, settings, strategies as st
 from dampedwave.diagnostics import decay_bounds, energy_and_cross
 from dampedwave.fdm import fd_eigenvalue, fd_sine_mode
 from dampedwave.fem import FemSpace, ScalarField
-from dampedwave.harness import builtin_experiments, build_backend
+from dampedwave.harness import DK_CAP, builtin_experiments, build_backend
 from dampedwave.mesh import UNIT_SQUARE, build_fd_grid, build_tri_mesh
 from dampedwave.oracle import Mode, modal_recurrence
 from dampedwave.sparse import cg_solve
 from dampedwave.stepper import (
     ModelParams,
+    SpatialField,
     StepperState,
     TimeSchedule,
     init_state,
@@ -75,7 +76,7 @@ def test_cg_matches_a_dense_solve_with_either_preconditioner(kind, n, alpha, bet
     params = ModelParams(domain=UNIT_SQUARE, alpha=alpha, beta=beta)
     backend = make_fd_backend(build_fd_grid(UNIT_SQUARE, n), params) if kind == "fd" \
         else make_fem_backend(FemSpace(build_tri_mesh(UNIT_SQUARE, n)), params)
-    system, _, precond = backend.system(k, 0.0)
+    system, precond = backend.system(k, 0.0)
     b = np.random.default_rng(seed).normal(size=backend.ndof)
     want = np.linalg.solve(system.to_dense(), b)
     for pre in (None, precond):
@@ -125,12 +126,12 @@ def cg_reference(backend, k, n_steps, exact_at=None):
     return state, energies, crosses, peak
 
 
-def assert_runs_agree(modal, trace, reference):
+def assert_runs_agree(final, trace, reference):
     """Final levels to 1e-9 of the run's max |u|, and energies and cross
     terms to 1e-10 of its largest energy (the cross term is bounded by the
     energy): a damped run can end many orders below where it started."""
     state, energies, crosses, scale = reference
-    for got, want in ((modal.u_prev, state.u_prev), (modal.u_curr, state.u_curr)):
+    for got, want in ((final.u_prev, state.u_prev), (final.u_curr, state.u_curr)):
         assert np.max(np.abs(got - want)) <= 1e-9 * scale
     e_scale = np.max(energies)
     assert np.max(np.abs(trace.energy - energies)) <= 1e-10 * e_scale
@@ -192,3 +193,65 @@ def test_modal_run_matches_cg_steps_on_the_experiments(name, n):
     modal, trace = run(backend, k, exp.T, **init)
     n_steps = trace.t.size - 1
     assert_runs_agree(modal, trace, cg_reference(backend, k, n_steps, **init))
+
+
+def dense_reference(backend, k, n_steps):
+    """The run as a loop of dense solves of each step's system with
+    np.linalg.solve, from the same ``init_state``: (final state, energies,
+    cross terms, max |u| over all levels)."""
+    alpha, beta = backend.params.damping
+    m, kk = backend.M.to_dense(), backend.K.to_dense()
+    weak, strong = backend.weak_op.to_dense(), backend.strong_op.to_dense()
+
+    def pair(prev, curr):
+        md = m @ (curr - prev) / k
+        return 0.5 * ((curr - prev) / k @ md + curr @ kk @ curr), curr @ md
+
+    state = init_state(backend, k)
+    prev, curr = state.u_prev, state.u_curr
+    pairs = [pair(prev, curr)]
+    peak = max(np.max(np.abs(prev)), np.max(np.abs(curr)))
+    for n in range(1, n_steps + 1):
+        damp = alpha.scale(n * k) * weak + beta.scale(n * k) * strong
+        a = m / k ** 2 + damp / k + kk
+        rhs = m @ (2.0 * curr - prev) / k ** 2 + damp @ curr / k + backend.forcing
+        prev, curr = curr, np.linalg.solve(a, rhs)
+        pairs.append(pair(prev, curr))
+        peak = max(peak, np.max(np.abs(curr)))
+    energies, crosses = np.array(pairs).T
+    final = StepperState(n=n_steps + 1, k=k, u_prev=prev, u_curr=curr)
+    return final, energies, crosses, peak
+
+
+def dense_lambda1(backend):
+    """Smallest eigenvalue of the (K, M) pencil, densely."""
+    chol_inv = np.linalg.inv(np.linalg.cholesky(backend.M.to_dense()))
+    return np.linalg.eigvalsh(chol_inv @ backend.K.to_dense() @ chol_inv.T)[0]
+
+
+@PROPERTY
+@given(n=st.integers(2, 10), alpha=damping_value, beta=damping_value,
+       kind=st.sampled_from(["constant", "scheduled", "spatial"]),
+       dk=st.floats(0.01, 1.0), forced=st.booleans(), p=mode_index, q=mode_index)
+def test_fem_run_matches_dense_solves(n, alpha, beta, kind, dk, forced, p, q):
+    assume(alpha + beta > 0)
+    coeff = alpha
+    if kind == "scheduled" and alpha > 0:
+        coeff = TimeSchedule(lambda t: alpha * (2.0 - math.exp(-t)), alpha, 2.0 * alpha)
+    elif kind == "spatial" and alpha > 0:
+        coeff = SpatialField(ScalarField(lambda x, y: alpha * (
+            1.0 + 0.5 * np.sin(np.pi * x) * np.sin(np.pi * y))), alpha, 1.5 * alpha)
+    forcing = ScalarField(lambda x, y: 1.0 + x * y) if forced else None
+    params = ModelParams(domain=UNIT_SQUARE, alpha=coeff, beta=beta,
+                         u0=mode_field(p, q), u1=mode_field(q, 1), forcing=forcing)
+    backend = make_fem_backend(FemSpace(build_tri_mesh(UNIT_SQUARE, n)), params)
+    a = params.damping[0]
+    _, delta = decay_bounds((a.lo, a.hi), beta, dense_lambda1(backend))
+    # up to the edge delta k <= 34/205 of the discrete decay theorem
+    k = dk * DK_CAP / delta
+    final, trace = run(backend, k=k, T=30 * k, n_steps=30)
+    assert_runs_agree(final, trace, dense_reference(backend, k, 30))
+    if not forced:
+        assert trace.monotone()
+        assert trace.sandwich_ok(delta)
+        assert trace.decay_bound_ok(delta)

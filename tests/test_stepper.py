@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +10,7 @@ from dampedwave.harness import build_backend, builtin_experiments, run_decay, \
     run_steady
 from dampedwave.mesh import UNIT_SQUARE, build_fd_grid, build_tri_mesh
 from dampedwave.oracle import Mode, modal_recurrence
-from dampedwave.sparse import CgError, cg_solve
+from dampedwave.sparse import CgError, SparseMatrix, cg_solve
 from dampedwave.stepper import (
     EXTRAPOLANTS,
     STEP_RTOL,
@@ -170,20 +171,29 @@ def _check_system(backend, k, t, a, b, w=0.0, s=0.0):
     """The cached system against the dense (1/k^2 + a/k) M + W/k
     + (b/k + 1) K + S/k, where a spatial coefficient contributes its
     weighted operator W or S and a scalar one its value a or b; its
-    preconditioner against S2 diag(S2' A S2)^-1 S2' with a dense sine basis."""
+    preconditioner against S2 diag(S2' A S2)^-1 S2' with a dense sine basis;
+    and the right-hand side and starting residual that a step forms from
+    the products of four levels against the dense D = a M + W + b K + S."""
     m, kk = backend.M.to_dense(), backend.K.to_dense()
     expected = (1 / k ** 2 + a / k) * m + w / k + (b / k + 1) * kk + s / k
     tol = 1e-14 * np.max(np.abs(expected))
-    system, damping, precond = backend.system(k, t)
+    system, precond = backend.system(k, t)
     s2 = np.kron(backend.basis.matrix, backend.basis.matrix)
-    r = np.random.default_rng(5).normal(size=backend.ndof)
+    rng = np.random.default_rng(5)
+    r = rng.normal(size=backend.ndof)
     want = s2 @ ((s2.T @ r) / np.diag(s2.T @ expected @ s2))
     assert np.allclose(precond(r), want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
     assert np.allclose(system.to_dense(), expected, rtol=1e-14, atol=tol)
     assert np.allclose(system.diagonal(), np.diag(expected), rtol=1e-14, atol=tol)
-    assert np.allclose(damping.to_dense(), a * m + w + b * kk + s, rtol=1e-14,
-                       atol=1e-14 * np.max(np.abs(a * m + w + b * kk + s)))
     assert backend.system(k, t)[0] is system
+    levels = rng.normal(size=(4, backend.ndof))
+    weights = backend._step_system(k, *backend.scales(t))[2][4]
+    rhs, r0 = weights @ backend.products(levels).reshape(4 * len(backend.operators), -1)
+    damping = a * m + w + b * kk + s
+    want_rhs = m @ (2.0 * levels[0] - levels[1]) / k ** 2 + damping @ levels[0] / k
+    want_r0 = want_rhs - expected @ np.dot(EXTRAPOLANTS[4], levels)
+    for got, want in ((rhs, want_rhs), (r0, want_r0)):
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want_rhs))
     return system
 
 
@@ -341,8 +351,57 @@ def test_energy_turning_non_finite_mid_run_names_the_step():
     force = ScalarField(lambda x, y: 1e156 * np.sin(PI * x) * np.sin(PI * y))
     _, params, backend = fd_setup(alpha=1.0, beta=0.5, forcing=force)
     assert backend.diagonal_in_basis
-    with np.errstate(over="ignore"), pytest.raises(StepError, match=r"n=4 \(t=0.04\)"):
-        run(backend, k=0.01, T=0.5, exact_at=lambda t: ZERO_FIELD)
+    # the StepError is all the caller sees: no numpy overflow warning first
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(StepError, match=r"n=4 \(t=0.04\)"):
+            run(backend, k=0.01, T=0.5, exact_at=lambda t: ZERO_FIELD)
+
+
+@pytest.mark.parametrize("kind", ["fd", "fem"])
+def test_run_evaluates_each_schedule_once_per_step_time(kind):
+    calls = []
+
+    def fn(t):
+        calls.append(t)
+        return 2.0 - np.exp(-t)
+
+    params = ModelParams(domain=UNIT_SQUARE, alpha=TimeSchedule(fn, lo=1.0, hi=2.0),
+                         beta=0.1, u0=sine_field(), u1=sine_field())
+    backend = make_fd_backend(build_fd_grid(UNIT_SQUARE, 8), params) if kind == "fd" \
+        else make_fem_backend(FemSpace(build_tri_mesh(UNIT_SQUARE, 8)), params)
+    assert backend.diagonal_in_basis == (kind == "fd")
+    calls.clear()
+    _, trace = run(backend, k=0.01, T=0.2)  # with the Taylor start at t = 0
+    n_steps = trace.t.size - 1
+    assert n_steps == 20
+    assert calls == pytest.approx(list(trace.t))
+
+
+@pytest.mark.parametrize("name,operators", [("ex3ii", 2), ("spacevar", 3)])
+def test_cg_run_makes_one_matvec_per_iteration_and_per_operator(name, operators,
+                                                                monkeypatch):
+    exp = builtin_experiments()[name]
+    backend = make_fem_backend(FemSpace(build_tri_mesh(exp.domain, 8)), exp.params)
+    assert len(backend.operators) == operators
+    k = exp.time_step(8)
+    calls = []
+    matvec = SparseMatrix.matvec
+
+    def counted(self, x):
+        calls.append(self)
+        return matvec(self, x)
+
+    monkeypatch.setattr(SparseMatrix, "matvec", counted)
+    init_state(backend, k)
+    start = len(calls)
+    calls.clear()
+    _, trace = run(backend, k, exp.T)
+    n_steps = trace.t.size - 1
+    # start-up: the Taylor start, then each operator with U^0 and U^1; then
+    # per step one A p per CG iteration and each operator with U^{n+1}
+    assert len(calls) == start + 2 * operators + trace.cg_iterations.sum() \
+        + operators * n_steps
 
 
 def test_nan_schedule_is_rejected_at_construction():
@@ -376,7 +435,7 @@ def test_nan_damping_weight_is_rejected(kind):
 
 
 def _history(backend, k, steps=3):
-    """A state three steps past the start, so it carries two older levels."""
+    """A state three steps past the start, so it carries four levels."""
     state = init_state(backend, k)
     for _ in range(steps):
         state = step(state, backend)
@@ -409,14 +468,17 @@ def test_two_level_state_steps_from_the_linear_guess():
     k = exp.time_step(12)
     state = init_state(backend, k, exact_at=exp.exact.field_at)
     new = step(state, backend)
-    system, damping, precond = backend.system(k, k)
-    rhs = backend.M.matvec((2.0 * state.u_curr - state.u_prev) / k ** 2) \
-        + damping.matvec(state.u_curr) / k
+    system, precond = backend.system(k, k)
+    a, rhs = _dense_system(backend, state)
     want, rep = cg_solve(system, rhs, rtol=STEP_RTOL, max_iter=50 * backend.ndof,
                          x0=2.0 * state.u_curr - state.u_prev, precond=precond)
-    assert np.array_equal(new.u_curr, want) and new.solve == rep
-    assert new.older == (state.u_prev,)
-    assert len(step(new, backend).older) == 2
+    # the starting residual comes from the state's products instead of a
+    # product with the guess: the same CG up to rounding
+    bound = 2.0 * STEP_RTOL * np.linalg.cond(a)
+    assert np.linalg.norm(new.u_curr - want) <= bound * np.linalg.norm(want)
+    assert new.solve.iterations == rep.iterations
+    assert np.array_equal(new.levels, [new.u_curr, state.u_curr, state.u_prev])
+    assert len(step(new, backend).levels) == 4
 
 
 def test_state_with_older_levels_steps_within_tolerance_of_linear_guess():
@@ -424,10 +486,11 @@ def test_state_with_older_levels_steps_within_tolerance_of_linear_guess():
     backend = make_fem_backend(FemSpace(build_tri_mesh(UNIT_SQUARE, 12)), exp.params)
     k = exp.time_step(12)
     state = _history(backend, k)
-    assert len(state.older) == 2
+    assert len(state.levels) == 4
     a, _ = _dense_system(backend, state)
     cubic = step(state, backend)
-    linear = step(replace(state, older=()), backend)
+    linear = step(replace(state, levels=state.levels[:2],
+                          products=state.products[:2]), backend)
     bound = 2.0 * STEP_RTOL * np.linalg.cond(a)
     assert np.linalg.norm(cubic.u_curr - linear.u_curr) \
         <= bound * np.linalg.norm(linear.u_curr)
@@ -452,7 +515,7 @@ def test_step_matches_scipy_spsolve(case):
     else:
         backend = make_fd_backend(build_fd_grid(exp.domain, 16), exp.params)
     state = _history(backend, exp.time_step(16))
-    assert len(state.older) == 2
+    assert len(state.levels) == 4
     a, rhs = _dense_system(backend, state)
     bound = STEP_RTOL * np.linalg.cond(a)
     want = linalg.spsolve(sp.csc_matrix(a), rhs)
