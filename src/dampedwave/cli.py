@@ -47,6 +47,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     conv = sub.add_parser("converge", help="refinement study with rates")
+    conv.set_defaults(handler=_cmd_converge)
     conv.add_argument("--experiment", default="ex1")
     conv.add_argument("--backend", choices=["fem", "fd"], default="fem")
     conv.add_argument("--N", type=_parse_n_list, default=None,
@@ -55,6 +56,7 @@ def _build_parser() -> argparse.ArgumentParser:
     conv.add_argument("--out", default=None, help="CSV output path")
 
     dec = sub.add_parser("decay", help="energy decay study with bound checks")
+    dec.set_defaults(handler=_cmd_decay)
     dec.add_argument("--experiment", default="ex1")
     dec.add_argument("--backend", choices=["fem", "fd"], default="fem")
     dec.add_argument("--N", type=int, default=32)
@@ -66,11 +68,13 @@ def _build_parser() -> argparse.ArgumentParser:
     dec.add_argument("--out", default=None)
 
     eig = sub.add_parser("eig", help="smallest eigenvalue of the (K, M) pencil")
+    eig.set_defaults(handler=_cmd_eig)
     eig.add_argument("--backend", choices=["fem", "fd"], default="fd")
     eig.add_argument("--N", type=int, default=32)
     eig.add_argument("--domain", choices=sorted(DOMAINS), default="unit")
 
     mod = sub.add_parser("modal", help="scalar mode: recurrence vs closed form")
+    mod.set_defaults(handler=_cmd_modal)
     mod.add_argument("--p", type=int, default=1)
     mod.add_argument("--q", type=int, default=1)
     mod.add_argument("--M", type=int, default=16, dest="grid_m")
@@ -80,6 +84,7 @@ def _build_parser() -> argparse.ArgumentParser:
     mod.add_argument("--steps", type=int, default=500)
 
     st = sub.add_parser("steady", help="decay toward the forced steady state")
+    st.set_defaults(handler=_cmd_steady)
     st.add_argument("--experiment", default="forcing")
     st.add_argument("--backend", choices=["fem", "fd"], default="fem")
     st.add_argument("--N", type=int, default=16)
@@ -103,10 +108,8 @@ def _apply_config(parser, argv):
         if not any(a == flag or a.startswith(flag + "=") for a in argv):
             injected.extend([flag, val])
     # insert after the subcommand token
-    for i, tok in enumerate(argv):
-        if tok in {"converge", "decay", "eig", "modal", "steady"}:
-            return argv[: i + 1] + injected + argv[i + 1:]
-    return argv + injected
+    i = argv.index(args.command)
+    return argv[: i + 1] + injected + argv[i + 1:]
 
 
 def _get_experiment(name: str):
@@ -163,8 +166,8 @@ def _cmd_decay(args) -> int:
 
 def _cmd_eig(args) -> int:
     domain = DOMAINS[args.domain]
-    exp = harness.Experiment("eig", domain, ModelParams(domain=domain))
-    backend, disc = harness.build_backend(exp, args.N, args.backend)
+    backend, disc = harness.build_backend(ModelParams(domain=domain), args.N,
+                                          args.backend)
     lam, _, its = harness.discrete_lambda1(backend)
     if args.backend == "fd":
         print(f"fd   N={args.N}  lambda1_h = {lam:.10f}  "
@@ -211,11 +214,9 @@ def _cmd_steady(args) -> int:
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = _build_parser()
-    handlers = {"converge": _cmd_converge, "decay": _cmd_decay,
-                "eig": _cmd_eig, "modal": _cmd_modal, "steady": _cmd_steady}
     try:
         args = parser.parse_args(_apply_config(parser, argv))
-        return handlers[args.command](args)
+        return args.handler(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -14,13 +14,13 @@ def energy_and_cross(state, backend) -> tuple[float, float]:
     difference velocity; M is symmetric, so the cross term is U^{n+1} . (M d).
 
     ``state`` holds the pair (U^n, U^{n+1}) as (U_prev, U_curr). A state
-    that carries its levels' products (see stepper.StepperState) gives
-    M d = (M U^{n+1} - M U^n)/k and K U^{n+1} without a matvec; otherwise
-    both are computed here.
+    that carries its levels' products with this backend's operators (see
+    stepper.StepperState) gives M d = (M U^{n+1} - M U^n)/k and K U^{n+1}
+    without a matvec; otherwise both are computed here.
     """
     u, p = state.u_curr, state.products
     d = (u - state.u_prev) / state.k
-    if p is None:
+    if p is None or state.products_of is not backend:
         md, ku = backend.M.matvec(d), backend.K.matvec(u)
     else:
         md, ku = (p[0, 0] - p[1, 0]) / state.k, p[0, 1]
@@ -90,9 +90,10 @@ class EnergyTrace:
         """3 e^{-delta t/15} E^0 at the trace times."""
         return 3.0 * np.exp(-delta * self.t / 15.0) * self.energy[0]
 
-    def monotone(self, slack: float = 1e-10) -> bool:
+    def monotone(self) -> bool:
+        """E_i <= E_{i-1} at every step, up to a relative 1e-10."""
         e = self.energy
-        return bool(np.all(e[1:] <= e[:-1] * (1.0 + slack)))
+        return bool(np.all(e[1:] <= e[:-1] * (1.0 + 1e-10)))
 
     def sandwich_ok(self, delta: float) -> bool:
         ext = self.extended(delta)

@@ -143,21 +143,17 @@ def interpolate(space: FemSpace, f: ScalarField) -> np.ndarray:
     return np.asarray(f(nodes[:, 0], nodes[:, 1]), dtype=float)
 
 
-def l2_project(space: FemSpace, f: ScalarField,
-               mass: SparseMatrix | None = None) -> np.ndarray:
+def l2_project(space: FemSpace, f: ScalarField) -> np.ndarray:
     """Solve M p = (f, phi_i) for the L2 projection of f."""
-    m = assemble_mass(space) if mass is None else mass
     b = load_vector(space, f)
-    p, _ = cg_solve(m, b, rtol=1e-12, max_iter=50 * space.n_dofs)
+    p, _ = cg_solve(assemble_mass(space), b, rtol=1e-12, max_iter=50 * space.n_dofs)
     return p
 
 
-def elliptic_project(space: FemSpace, u: ScalarField,
-                     stiffness: SparseMatrix | None = None) -> np.ndarray:
+def elliptic_project(space: FemSpace, u: ScalarField) -> np.ndarray:
     """Solve K p = (grad u, grad phi_i); requires an analytic gradient."""
     if u.grad is None:
         raise ValueError("elliptic projection needs an analytic gradient")
-    k = assemble_stiffness(space) if stiffness is None else stiffness
     area, grads, mids = space.geometry()
     ux, uy = u.grad(mids[:, :, 0], mids[:, :, 1])
     ux = np.asarray(ux, dtype=float)
@@ -170,7 +166,8 @@ def elliptic_project(space: FemSpace, u: ScalarField,
     full = np.zeros(space.mesh.n_nodes)
     np.add.at(full, space.mesh.triangles.ravel(), contrib.ravel())
     b = space.restrict(full)
-    p, _ = cg_solve(k, b, rtol=1e-12, max_iter=50 * space.n_dofs)
+    p, _ = cg_solve(assemble_stiffness(space), b, rtol=1e-12,
+                    max_iter=50 * space.n_dofs)
     return p
 
 

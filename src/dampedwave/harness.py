@@ -27,20 +27,15 @@ DK_CAP = 34.0 / 205.0  # delta*k admissibility for the discrete decay bound
 
 @dataclass(frozen=True)
 class SeparableExact:
-    """Exact solution u(x, y, t) = g(t) s(x, y) with A s = lam * s.
-
-    g, gp, gpp are the time factor and its derivatives; s carries an
-    analytic gradient for H1 errors and elliptic projections.
-    """
+    """Exact solution u(x, y, t) = e^{-rate t} s(x, y) with A s = lam * s;
+    s carries an analytic gradient for H1 errors and elliptic projections."""
 
     s: ScalarField
     lam: float
-    g: Callable[[float], float]
-    gp: Callable[[float], float]
-    gpp: Callable[[float], float]
+    rate: float
 
     def field_at(self, t: float) -> ScalarField:
-        gt = self.g(t)
+        gt = math.exp(-self.rate * t)
         return ScalarField(
             lambda x, y: gt * self.s(x, y),
             grad=lambda x, y: tuple(gt * c for c in self.s.grad(x, y)),
@@ -48,8 +43,8 @@ class SeparableExact:
 
     def residual(self, x, y, t, alpha: float, beta: float) -> np.ndarray:
         """Pointwise u'' + beta A u' + alpha u' + A u (A = -Laplacian)."""
-        factor = self.gpp(t) + (beta * self.lam + alpha) * self.gp(t) \
-            + self.lam * self.g(t)
+        r = self.rate
+        factor = (r * r - (beta * self.lam + alpha) * r + self.lam) * math.exp(-r * t)
         return factor * np.asarray(self.s(x, y), dtype=float)
 
     def energy(self, space: FemSpace, t) -> np.ndarray:
@@ -57,15 +52,8 @@ class SeparableExact:
         analytic u' and grad u; the two quadratures run once per call."""
         s_l2 = field_l2_norm(space, self.s)
         s_h1 = field_h1_seminorm(space, self.s)
-        g = np.vectorize(self.g, otypes=[float])(t)
-        gp = np.vectorize(self.gp, otypes=[float])(t)
-        return 0.5 * (gp ** 2 * s_l2 ** 2 + g ** 2 * s_h1 ** 2)
-
-
-def _exp_decay(rate: float):
-    return (lambda t: math.exp(-rate * t),
-            lambda t: -rate * math.exp(-rate * t),
-            lambda t: rate * rate * math.exp(-rate * t))
+        g = np.exp(-self.rate * np.asarray(t, dtype=float))
+        return 0.5 * ((self.rate * g) ** 2 * s_l2 ** 2 + g ** 2 * s_h1 ** 2)
 
 
 def _sine_product(freq: float) -> ScalarField:
@@ -83,32 +71,26 @@ def _sine_product(freq: float) -> ScalarField:
 
 @dataclass(frozen=True)
 class Experiment:
+    """A named problem; its domain is ``params.domain``."""
+
     name: str
-    domain: Rectangle
     params: ModelParams
     exact: SeparableExact | None = None
     n_values: tuple[int, ...] = (5, 10, 15, 20, 25, 30)
-    k_rule: str = "2h2"
+    # step size from the reference mesh width h = 1/n (the domain scaled to
+    # the unit square), so the step does not blow up on large domains where
+    # the first-order-in-time error would swamp the spatial one
+    k_rule: Callable[[float], float] = lambda h: 2.0 * h * h
     T: float = 1.0
-    backend: str = "fem"
+
+    @property
+    def domain(self) -> Rectangle:
+        return self.params.domain
 
     def time_step(self, n: int, override: float | None = None) -> float:
         if override is not None:
             return override
-        # rules use the reference mesh width 1/n (domain scaled to the unit
-        # square), so the step does not blow up on large domains where the
-        # first-order-in-time error would swamp the spatial one
-        h = 1.0 / n
-        if self.k_rule == "2h2":
-            k = 2.0 * h * h
-        elif self.k_rule == "h2/4":
-            k = 0.25 * h * h
-        elif self.k_rule == "h2/8":
-            k = 0.125 * h * h
-        elif self.k_rule == "h":
-            k = h
-        else:
-            k = float(self.k_rule)
+        k = self.k_rule(1.0 / n)
         # snap so an integer number of steps lands exactly on T; errors at
         # the final time are then comparable across refinement levels
         return self.T / math.ceil(self.T / k - 1e-9)
@@ -117,94 +99,88 @@ class Experiment:
         return all(c.weight is None and c.lo == c.hi for c in self.params.damping)
 
 
-def _make_separable(domain: Rectangle, alpha, beta, rate: float) -> tuple[
-        ModelParams, SeparableExact]:
+def _separable(name: str, domain: Rectangle, alpha, beta, **kw) -> Experiment:
+    """The experiment u = e^{-pi t} sin(pi x/L) sin(pi y/L) on the square
+    domain of side L."""
     freq = np.pi / domain.width
     s = _sine_product(freq)
-    lam = 2.0 * freq * freq
-    g, gp, gpp = _exp_decay(rate)
-    exact = SeparableExact(s, lam, g, gp, gpp)
-    u1 = ScalarField(lambda x, y: gp(0.0) * s(x, y),
-                     grad=lambda x, y: tuple(gp(0.0) * c for c in s.grad(x, y)))
+    exact = SeparableExact(s, 2.0 * freq * freq, np.pi)
+    u1 = ScalarField(lambda x, y: -np.pi * s(x, y))
     params = ModelParams(domain=domain, alpha=alpha, beta=beta, u0=s, u1=u1)
-    return params, exact
+    return Experiment(name, params, exact, **kw)
 
 
 def builtin_experiments() -> dict[str, Experiment]:
     """The four manufactured-solution experiments plus schedule/field/forcing extras."""
     pi = np.pi
-    out: dict[str, Experiment] = {}
-
-    p, e = _make_separable(UNIT_SQUARE, pi, 1.0 / pi, pi)
-    out["ex1"] = Experiment("ex1", UNIT_SQUARE, p, e)
-
-    # on (0, pi)^2 the lowest eigenvalue is 2, not 2*pi^2; the O(k) time
-    # error is relatively much larger there, so these use a smaller step
-    p, e = _make_separable(PI_SQUARE, (pi * pi + 4.0) / (2.0 * pi), pi / 4.0, pi)
-    out["ex2"] = Experiment("ex2", PI_SQUARE, p, e, k_rule="h2/4")
-
-    p, e = _make_separable(PI_SQUARE, (pi * pi + 2.0) / pi, 0.0, pi)
-    out["ex3i"] = Experiment("ex3i", PI_SQUARE, p, e, k_rule="h2/8")
-
-    p, e = _make_separable(PI_SQUARE, 0.0, (pi * pi + 2.0) / (2.0 * pi), pi)
-    out["ex3ii"] = Experiment("ex3ii", PI_SQUARE, p, e, k_rule="h2/4")
+    out = {e.name: e for e in (
+        _separable("ex1", UNIT_SQUARE, pi, 1.0 / pi),
+        # on (0, pi)^2 the lowest eigenvalue is 2, not 2*pi^2; the O(k) time
+        # error is relatively much larger there, so these use a smaller step
+        _separable("ex2", PI_SQUARE, (pi * pi + 4.0) / (2.0 * pi), pi / 4.0,
+                   k_rule=lambda h: 0.25 * h * h),
+        _separable("ex3i", PI_SQUARE, (pi * pi + 2.0) / pi, 0.0,
+                   k_rule=lambda h: 0.125 * h * h),
+        _separable("ex3ii", PI_SQUARE, 0.0, (pi * pi + 2.0) / (2.0 * pi),
+                   k_rule=lambda h: 0.25 * h * h),
+    )}
 
     s = _sine_product(pi)
     u1 = ScalarField(lambda x, y: -pi * s(x, y))
     sched = TimeSchedule(lambda t: 2.0 - math.exp(-t), lo=1.0, hi=2.0)
     out["timevar"] = Experiment(
-        "timevar", UNIT_SQUARE,
+        "timevar",
         ModelParams(domain=UNIT_SQUARE, alpha=sched, beta=1.0 / pi, u0=s, u1=u1))
 
     alpha_field = ScalarField(lambda x, y: 1.0 + 0.5 * np.sin(pi * x) * np.sin(pi * y))
     out["spacevar"] = Experiment(
-        "spacevar", UNIT_SQUARE,
+        "spacevar",
         ModelParams(domain=UNIT_SQUARE,
                     alpha=SpatialField(alpha_field, lo=1.0, hi=1.5),
                     beta=1.0 / pi, u0=s, u1=u1))
 
     forcing = ScalarField(lambda x, y: 2.0 * pi * pi * np.sin(pi * x) * np.sin(pi * y))
     out["forcing"] = Experiment(
-        "forcing", UNIT_SQUARE,
+        "forcing",
         ModelParams(domain=UNIT_SQUARE, alpha=1.0, beta=1.0, forcing=forcing),
-        T=30.0, k_rule="h", n_values=(16,))
+        T=30.0, k_rule=lambda h: h, n_values=(16,))
     return out
 
 
-def check_residual(exp: Experiment, n_samples: int = 100, tol: float = 1e-10) -> float:
-    """Max |PDE residual| of the manufactured solution at random samples."""
+def check_residual(exp: Experiment) -> float:
+    """Max |PDE residual| of the manufactured solution at 100 random samples;
+    raises ValueError above 1e-10."""
     if exp.exact is None:
         raise ValueError(f"experiment {exp.name} has no exact solution")
     if not exp.constant_coefficients():
         raise ValueError("residual guard applies to constant coefficients")
     rng = np.random.default_rng(2718)
     r = exp.domain
-    x = rng.uniform(r.x0, r.x1, n_samples)
-    y = rng.uniform(r.y0, r.y1, n_samples)
-    ts = rng.uniform(0.0, exp.T, n_samples)
+    x = rng.uniform(r.x0, r.x1, 100)
+    y = rng.uniform(r.y0, r.y1, 100)
+    ts = rng.uniform(0.0, exp.T, 100)
     alpha, beta = (c.lo for c in exp.params.damping)
     worst = max(float(np.max(np.abs(exp.exact.residual(x, y, t, alpha, beta))))
                 for t in ts)
-    if worst > tol:
-        raise ValueError(f"{exp.name}: PDE residual {worst:.3e} exceeds {tol:g}")
+    if worst > 1e-10:
+        raise ValueError(f"{exp.name}: PDE residual {worst:.3e} exceeds 1e-10")
     return worst
 
 
-def build_backend(exp: Experiment, n: int, backend: str | None = None):
+def build_backend(params: ModelParams, n: int, backend: str):
     """Returns (backend handles, space-or-grid) for one refinement level."""
-    kind = backend or exp.backend
-    if kind == "fem":
-        space = FemSpace(build_tri_mesh(exp.domain, n))
-        return make_fem_backend(space, exp.params), space
-    if kind == "fd":
-        grid = build_fd_grid(exp.domain, n)
-        return make_fd_backend(grid, exp.params), grid
-    raise ValueError(f"unknown backend {kind!r}")
+    if backend == "fem":
+        space = FemSpace(build_tri_mesh(params.domain, n))
+        return make_fem_backend(space, params), space
+    if backend == "fd":
+        grid = build_fd_grid(params.domain, n)
+        return make_fd_backend(grid, params), grid
+    raise ValueError(f"unknown backend {backend!r}")
 
 
 def _converge_level(exp: Experiment, n: int, backend: str,
                     k_override: float | None):
-    handles, disc = build_backend(exp, n, backend)
+    handles, disc = build_backend(exp.params, n, backend)
     k = exp.time_step(n, k_override)
     m = round(exp.T / k)
     state, _ = run(handles, k, exp.T, exact_at=exp.exact.field_at, n_steps=m - 1)
@@ -217,15 +193,14 @@ def _converge_level(exp: Experiment, n: int, backend: str,
     return l2h, float(np.max(np.abs(e))), h1h
 
 
-def run_convergence(exp: Experiment, backend: str | None = None,
+def run_convergence(exp: Experiment, backend: str = "fem",
                     n_values=None, k_override: float | None = None) -> ConvergenceTable:
     """Refinement study at the experiment's k rule; exact-start initialization."""
     if exp.exact is None:
         raise ValueError("convergence study needs an exact solution")
     check_residual(exp)
-    kind = backend or exp.backend
     ns = tuple(n_values or exp.n_values)
-    errs = [_converge_level(exp, n, kind, k_override) for n in ns]
+    errs = [_converge_level(exp, n, backend, k_override) for n in ns]
     return convergence_rates(list(zip(ns, errs)))
 
 
@@ -265,17 +240,17 @@ def discrete_lambda1(backend: BackendHandles) -> tuple[float, np.ndarray, int]:
                                           precond=backend.stiffness_precond)
 
 
-def run_decay(exp: Experiment, n: int, backend: str | None = None,
+def run_decay(exp: Experiment, n: int, backend: str = "fem",
               k_override: float | None = None,
-              lambda_source: str = "discrete",
-              fit_window: tuple[float, float] | None = None) -> DecayReport:
+              lambda_source: str = "discrete") -> DecayReport:
     """Run one level, record energies, and check the decay theory.
 
     lambda_source "discrete" uses inverse power iteration on the (K, M)
     pencil; "analytic" uses the continuous (pi/width)^2 + (pi/height)^2.
+    The decay rate is fitted over the middle 60% of the run, [0.2, 0.8] of
+    its last step time.
     """
-    kind = backend or exp.backend
-    handles, disc = build_backend(exp, n, kind)
+    handles, disc = build_backend(exp.params, n, backend)
     k = exp.time_step(n, k_override)
     if lambda_source == "discrete":
         lam1, _, _ = discrete_lambda1(handles)
@@ -288,14 +263,13 @@ def run_decay(exp: Experiment, n: int, backend: str | None = None,
                                           lam1)
     state, trace = run(handles, k, exp.T,
                        exact_at=exp.exact.field_at if exp.exact else None)
-    if exp.exact is not None and kind == "fem":
+    if exp.exact is not None and backend == "fem":
         trace.continuous = exp.exact.energy(disc, trace.t)
     t_hi = (state.n - 1) * k
-    window = fit_window or (0.2 * t_hi, 0.8 * t_hi)
-    delta_fit = fit_decay_rate(trace, *window)
+    delta_fit = fit_decay_rate(trace, 0.2 * t_hi, 0.8 * t_hi)
     worst_growth, worst_growth_step = trace.worst_growth()
     return DecayReport(
-        experiment=exp.name, n=n, backend=kind, k=k, lambda1=lam1,
+        experiment=exp.name, n=n, backend=backend, k=k, lambda1=lam1,
         delta_cont=delta_cont, delta_disc=delta_disc,
         delta_fit=delta_fit, log_slope=-2.0 * delta_fit, trace=trace,
         monotone_ok=trace.monotone(),
@@ -318,20 +292,20 @@ class SteadyReport:
     distances: np.ndarray  # ||U^n - u_inf||_M
     u_inf: np.ndarray
 
-    def monotone_ok(self, floor: float = 1e-8) -> bool:
-        """Strict decrease until the distance first drops below
-        floor * initial; past that point the linear solves leave only
+    def monotone_ok(self) -> bool:
+        """Strict decrease until the distance first drops below 1e-8 of
+        the initial one; past that point the linear solves leave only
         noise and the sequence is allowed to wander."""
         d = self.distances
-        cut = np.nonzero(d <= floor * d[0])[0]
+        cut = np.nonzero(d <= 1e-8 * d[0])[0]
         stop = int(cut[0]) + 1 if cut.size else d.size
         return bool(np.all(np.diff(d[:stop]) <= 1e-14 * d[0]))
 
 
-def run_steady(exp: Experiment, n: int, backend: str | None = None,
+def run_steady(exp: Experiment, n: int, backend: str = "fem",
                k_override: float | None = None) -> SteadyReport:
     """Track the M-norm distance to the discrete steady state over time."""
-    handles, _ = build_backend(exp, n, backend)
+    handles, _ = build_backend(exp.params, n, backend)
     u_inf = steady_state(handles)
     k = exp.time_step(n, k_override)
     times, dists = [], []

@@ -228,15 +228,17 @@ def cg_solve(a, b: np.ndarray, rtol: float = 1e-10, max_iter: int = 10_000,
     iteration even when it already meets ``rtol`` (an extrapolated guess
     left as it is would carry its error into the next step), unless its
     residual is exactly zero. ``r0`` is the residual b - a x0 of the warm
-    start when the caller already has it; CG then starts without a product.
-    Raises CgError on a non-finite right-hand side or residual, and when the
-    iteration cap is hit.
+    start when the caller already has it; CG then starts without a product,
+    as it does from a cold start, whose residual is b. Raises CgError on a
+    non-finite right-hand side or residual, and when the iteration cap is hit.
     """
     if rtol <= 0:
         raise ValueError("rtol must be positive")
     if r0 is not None and x0 is None:
         raise ValueError("a starting residual needs its starting point x0")
     n = b.shape[0]
+    if n != a.dim:
+        raise ValueError(f"dimension mismatch: {n} != {a.dim}")
     bnorm = math.sqrt(b @ b)
     if not math.isfinite(bnorm):
         raise CgError(0, bnorm)
@@ -247,8 +249,11 @@ def cg_solve(a, b: np.ndarray, rtol: float = 1e-10, max_iter: int = 10_000,
 
         def precond(r):
             return inv_diag * r
-    x = np.zeros(n) if x0 is None else x0.astype(np.float64, copy=True)
-    r = b - a.matvec(x) if r0 is None else r0.astype(np.float64, copy=True)
+    if x0 is None:
+        x, r = np.zeros(n), b.astype(np.float64, copy=True)
+    else:
+        x = x0.astype(np.float64, copy=True)
+        r = b - a.matvec(x) if r0 is None else r0.astype(np.float64, copy=True)
     res = math.sqrt(r @ r) / bnorm
     if res == 0.0 or (x0 is None and res <= rtol):
         return x, SolveReport(0, res)
@@ -284,18 +289,23 @@ def smallest_generalized_eigenpair(k: SparseMatrix, m, tol: float = 1e-10,
     v' M v = 1.
     """
     n = k.dim
-    v = np.ones(n)
-    mv = m.matvec(v)
-    v /= np.sqrt(v @ mv)
-    lam = (v @ k.matvec(v)) / (v @ m.matvec(v))
+
+    def normalised(w):
+        """w and M w scaled to w' M w = 1, and the Rayleigh quotient; the
+        one product with M also gives the next right-hand side."""
+        mw = m.matvec(w)
+        norm = np.sqrt(w @ mw)
+        w, mw = w / norm, mw / norm
+        return w, mw, (w @ k.matvec(w)) / (w @ mw)
+
+    v, mv, lam = normalised(np.ones(n))
     inner_rtol = min(1e-12, tol * 1e-2)
     for it in range(1, max_iter + 1):
-        w, _ = cg_solve(k, m.matvec(v), rtol=inner_rtol, max_iter=50 * n, x0=v / lam,
+        w, _ = cg_solve(k, mv, rtol=inner_rtol, max_iter=50 * n, x0=v / lam,
                         precond=precond)
-        w /= np.sqrt(w @ m.matvec(w))
-        lam_new = (w @ k.matvec(w)) / (w @ m.matvec(w))
+        v, mv, lam_new = normalised(w)
         converged = abs(lam_new - lam) <= tol * abs(lam_new)
-        v, lam = w, lam_new
+        lam = lam_new
         if converged:
             return lam, v, it
     raise EigError(f"inverse power iteration did not converge in {max_iter} steps")

@@ -140,10 +140,11 @@ class ModelParams:
                 raise ValueError("schedule must be nondecreasing")
         return list(zip(*columns))
 
-    def _check_field(self, c: Damping, samples: int = 25):
+    def _check_field(self, c: Damping):
+        """Check the weight at the interior points of a 25 x 25 grid."""
         r = self.domain
-        xs = np.linspace(r.x0, r.x1, samples)[1:-1]
-        ys = np.linspace(r.y0, r.y1, samples)[1:-1]
+        xs = np.linspace(r.x0, r.x1, 25)[1:-1]
+        ys = np.linspace(r.y0, r.y1, 25)[1:-1]
         xx, yy = np.meshgrid(xs, ys)
         _check_weight(c, c.weight(xx, yy), "on the sample grid")
 
@@ -155,10 +156,12 @@ class StepperState:
     After a CG step, ``levels`` stacks up to four levels U^n ... U^{n-3},
     newest first (rows 0 and 1 are u_curr and u_prev), and ``products[j, i]``
     is level j times ``BackendHandles.operators[i]`` (M, K, then W and S
-    where distinct) of the backend that stepped it. The next step and the
-    energies read them; a state built from u_prev and u_curr alone gets both
-    on its first step. ``solve`` reports the CG solve that produced u_curr
-    in a step; None for an initial state and for sine-basis steps."""
+    where distinct) of ``products_of``, the backend that stepped it. The
+    next step and the energies read them when they are of the same backend;
+    a state built from u_prev and u_curr alone, or stepped or measured by
+    another backend, gets them by explicit matvecs. ``solve`` reports the CG
+    solve that produced u_curr in a step; None for an initial state and for
+    sine-basis steps."""
 
     n: int
     k: float
@@ -167,6 +170,7 @@ class StepperState:
     solve: SolveReport | None = None
     levels: np.ndarray | None = None
     products: np.ndarray | None = None
+    products_of: BackendHandles | None = field(default=None, repr=False)
 
 
 @dataclass
@@ -355,12 +359,15 @@ def init_state(backend: BackendHandles, k: float,
 
 
 def _with_products(state: StepperState, backend: BackendHandles) -> StepperState:
-    """``state`` with the levels and products of a CG step; a state built
-    without them gets its two levels' products by explicit matvecs."""
-    if state.products is not None:
+    """``state`` with the levels and products of a CG step by ``backend``;
+    a state without levels gets its two, and products that are missing or
+    of another backend are computed by explicit matvecs."""
+    if state.products is not None and state.products_of is backend:
         return state
-    levels = np.stack((state.u_curr, state.u_prev))
-    return replace(state, levels=levels, products=backend.products(levels))
+    levels = np.stack((state.u_curr, state.u_prev)) if state.levels is None \
+        else state.levels
+    return replace(state, levels=levels, products=backend.products(levels),
+                   products_of=backend)
 
 
 def step(state: StepperState, backend: BackendHandles,
@@ -401,7 +408,7 @@ def step(state: StepperState, backend: BackendHandles,
         row[:] = op.matvec(u_next)
     return StepperState(n=state.n + 1, k=k, u_prev=new_levels[1],
                         u_curr=new_levels[0], solve=report, levels=new_levels,
-                        products=new_products)
+                        products=new_products, products_of=backend)
 
 
 def run(backend: BackendHandles, k: float, T: float, observers=(),

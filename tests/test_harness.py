@@ -49,7 +49,7 @@ def test_residual_guard_rejects_mismatched_coefficients():
     good = builtin_experiments()["ex1"]
     from dampedwave.stepper import ModelParams
     broken = Experiment(
-        "broken", UNIT_SQUARE,
+        "broken",
         ModelParams(domain=UNIT_SQUARE, alpha=1.0, beta=1.0 / PI,
                     u0=good.params.u0, u1=good.params.u1),
         exact=good.exact)
@@ -67,12 +67,12 @@ def test_separable_exact_residual_is_algebraically_zero():
 
 def test_backend_builder():
     exp = builtin_experiments()["ex1"]
-    handles, space = build_backend(exp, 4, "fem")
+    handles, space = build_backend(exp.params, 4, "fem")
     assert handles.ndof == 9
-    handles, grid = build_backend(exp, 4, "fd")
+    handles, grid = build_backend(exp.params, 4, "fd")
     assert handles.ndof == 9
     with pytest.raises(ValueError):
-        build_backend(exp, 4, "spectral")
+        build_backend(exp.params, 4, "spectral")
 
 
 def test_convergence_study_is_deterministic():
@@ -129,7 +129,7 @@ def test_analytic_lambda_on_a_rectangle_uses_both_sides():
     from dampedwave.stepper import ModelParams
     rect = Rectangle(0.0, 2.0, 0.0, 0.5)
     u0 = ScalarField(lambda x, y: np.sin(PI * x / 2) * np.sin(2 * PI * y))
-    exp = Experiment("rect", rect, ModelParams(domain=rect, alpha=1.0, beta=0.1, u0=u0))
+    exp = Experiment("rect", ModelParams(domain=rect, alpha=1.0, beta=0.1, u0=u0))
     analytic = run_decay(exp, 16, lambda_source="analytic")
     discrete = run_decay(exp, 16)
     # (pi/2)^2 + (pi/0.5)^2 = 41.95, against a discrete 42.35
@@ -156,17 +156,16 @@ def test_constant_coefficients_read_the_normal_form():
     flat = SpatialField(constant_field(1.0), lo=1.0, hi=1.0)
     for alpha, constant in ((pinned, True), (flat, False)):
         params = ModelParams(domain=UNIT_SQUARE, alpha=alpha)
-        assert Experiment("e", UNIT_SQUARE, params).constant_coefficients() is constant
+        assert Experiment("e", params).constant_coefficients() is constant
 
 
 def test_undamped_decay_is_rejected():
     from dampedwave.stepper import ModelParams
     u0 = builtin_experiments()["ex1"].params.u0
-    exp = Experiment("undamped", UNIT_SQUARE, ModelParams(domain=UNIT_SQUARE, u0=u0),
-                     T=0.1, backend="fd")
+    exp = Experiment("undamped", ModelParams(domain=UNIT_SQUARE, u0=u0), T=0.1)
     for source in ("discrete", "analytic"):
         with pytest.raises(ValueError, match="positive"):
-            run_decay(exp, 4, k_override=0.01, lambda_source=source)
+            run_decay(exp, 4, backend="fd", k_override=0.01, lambda_source=source)
 
 
 def test_steady_report_monotone_check():

@@ -187,7 +187,7 @@ def test_modal_run_follows_modal_recurrence(alpha, beta, k, p, q):
                                     ("forcing", 16)])
 def test_modal_run_matches_cg_steps_on_the_experiments(name, n):
     exp = builtin_experiments()[name]
-    backend, _ = build_backend(exp, n, "fd")
+    backend, _ = build_backend(exp.params, n, "fd")
     k = exp.time_step(n)
     init = dict(exact_at=exp.exact.field_at) if exp.exact else {}
     modal, trace = run(backend, k, exp.T, **init)

@@ -193,6 +193,23 @@ def test_cg_cold_start_is_bit_identical_to_the_reference_loop(rtol):
         assert (rep.iterations, rep.final_residual) == (its, res)
 
 
+def test_cg_cold_start_makes_one_matvec_per_iteration(monkeypatch):
+    k = assemble_stiffness(FemSpace(build_tri_mesh(UNIT_SQUARE, 8)))
+    calls = []
+    matvec = SparseMatrix.matvec
+
+    def counted(self, x):
+        calls.append(1)
+        return matvec(self, x)
+
+    monkeypatch.setattr(SparseMatrix, "matvec", counted)
+    _, rep = cg_solve(k, np.ones(k.dim), rtol=1e-10)
+    assert rep.iterations > 0
+    assert len(calls) == rep.iterations
+    with pytest.raises(ValueError, match="dimension"):
+        cg_solve(k, np.ones(k.dim + 1))
+
+
 def test_matvec_with_empty_rows():
     a = from_coo([0, 2], [0, 2], [1.0, 3.0], 3)
     assert np.array_equal(a.matvec(np.ones(3)), [1.0, 0.0, 3.0])
@@ -283,6 +300,26 @@ def test_fd_pencil_smallest_eigenvalue():
     assert lam == pytest.approx(19.49, abs=0.01)
     # M-normalized eigenvector
     assert v @ op.mass_matrix().matvec(v) == pytest.approx(1.0, rel=1e-10)
+
+
+def test_inverse_iteration_multiplies_by_m_once_per_iterate(monkeypatch):
+    space = FemSpace(build_tri_mesh(PI_SQUARE, 16))
+    k, m = assemble_stiffness(space), assemble_mass(space)
+    calls = []
+    matvec = SparseMatrix.matvec
+
+    def counted(self, x):
+        calls.append(self)
+        return matvec(self, x)
+
+    monkeypatch.setattr(SparseMatrix, "matvec", counted)
+    lam, v, its = smallest_generalized_eigenpair(k, m)
+    # the starting vector and each iterate: one product with M, which
+    # normalises it, enters its Rayleigh quotient and is the next right-hand side
+    assert sum(a is m for a in calls) == its + 1
+    monkeypatch.undo()
+    assert v @ m.matvec(v) == pytest.approx(1.0, rel=1e-12)
+    assert lam == pytest.approx((v @ k.matvec(v)) / (v @ m.matvec(v)), rel=1e-14)
 
 
 def test_fem_pencil_unit_square():

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from dampedwave.diagnostics import energy_and_cross
 from dampedwave.fdm import fd_eigenvalue, fd_sine_mode
 from dampedwave.fem import FemSpace, ScalarField, interpolate
 from dampedwave.harness import build_backend, builtin_experiments, run_decay, \
@@ -317,7 +318,7 @@ def test_run_reports_cg_iterations_and_residuals_per_step():
 def test_fd_steady_run_gives_observers_the_cg_states():
     exp = builtin_experiments()["forcing"]
     rep = run_steady(exp, 16, backend="fd")
-    backend, _ = build_backend(exp, 16, "fd")
+    backend, _ = build_backend(exp.params, 16, "fd")
     assert backend.diagonal_in_basis
     state = init_state(backend, rep.k)
     dists = []
@@ -495,6 +496,28 @@ def test_state_with_older_levels_steps_within_tolerance_of_linear_guess():
     assert np.linalg.norm(cubic.u_curr - linear.u_curr) \
         <= bound * np.linalg.norm(linear.u_curr)
     assert cubic.solve.iterations < linear.solve.iterations
+
+
+def test_products_of_another_backend_are_recomputed():
+    space = FemSpace(build_tri_mesh(UNIT_SQUARE, 8))
+
+    def weighted(amp):
+        weight = ScalarField(lambda x, y: 1.0 + amp * np.sin(PI * x) * np.sin(PI * y))
+        params = ModelParams(domain=UNIT_SQUARE, beta=0.1, u0=sine_field(),
+                             alpha=SpatialField(weight, lo=1.0, hi=1.0 + amp))
+        return make_fem_backend(space, params)
+
+    first, second = weighted(0.5), weighted(9.0)
+    state = _history(first, 0.05)
+    bare = StepperState(n=state.n, k=state.k, u_prev=state.u_prev, u_curr=state.u_curr)
+    got, want = step(state, second), step(bare, second)
+    a, _ = _dense_system(second, state)
+    bound = 2.0 * STEP_RTOL * np.linalg.cond(a)
+    assert np.linalg.norm(got.u_curr - want.u_curr) <= bound * np.linalg.norm(want.u_curr)
+    assert got.products_of is second
+    # M and K differ between the FEM and FD backends of one grid
+    fd = make_fd_backend(build_fd_grid(UNIT_SQUARE, 8), second.params)
+    assert energy_and_cross(state, fd) == energy_and_cross(bare, fd)
 
 
 def test_warm_started_decay_takes_one_cg_iteration_per_step():
