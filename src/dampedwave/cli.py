@@ -107,9 +107,8 @@ def _apply_config(parser, argv):
         flag = "--" + key.replace("_", "-")
         if not any(a == flag or a.startswith(flag + "=") for a in argv):
             injected.extend([flag, val])
-    # insert after the subcommand token
-    i = argv.index(args.command)
-    return argv[: i + 1] + injected + argv[i + 1:]
+    # subcommands take no positional argument: flags appended reach theirs
+    return argv + injected
 
 
 def _get_experiment(name: str):

@@ -50,7 +50,7 @@ def energy_EA(state, backend) -> float:
     d = (state.u_curr - state.u_prev) / state.k
     kd = backend.K.matvec(d)
     ku = backend.K.matvec(state.u_curr)
-    w, _ = cg_solve(backend.M, ku, rtol=1e-12, max_iter=50 * ku.size)
+    w, _ = cg_solve(backend.M, ku)
     return 0.5 * float(d @ kd + w @ backend.M.matvec(w))
 
 

@@ -22,7 +22,15 @@ class FdOperator:
     grid: FdGrid
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        return fd_apply(self, v)
+        """Matrix-free stencil action (4v - sum of neighbors)/h^2, zero extension."""
+        n1 = self.grid.n_per_side - 1
+        if v.shape[0] != n1 * n1:
+            raise ValueError(f"dimension mismatch: {v.shape[0]} != {n1 * n1}")
+        w = np.zeros((n1 + 2, n1 + 2))
+        w[1:-1, 1:-1] = v.reshape(n1, n1)
+        out = (4.0 * w[1:-1, 1:-1] - w[:-2, 1:-1] - w[2:, 1:-1]
+               - w[1:-1, :-2] - w[1:-1, 2:]) / self.grid.h ** 2
+        return out.ravel()
 
     def assemble(self) -> SparseMatrix:
         m = self.grid.n_per_side
@@ -54,19 +62,6 @@ class FdOperator:
 
     def mass_matrix(self) -> SparseMatrix:
         return from_diagonal(np.full(self.grid.n_interior, self.grid.h ** 2))
-
-
-def fd_apply(op: FdOperator, v: np.ndarray) -> np.ndarray:
-    """Matrix-free stencil action (4v - sum of neighbors)/h^2, zero extension."""
-    grid = op.grid
-    n1 = grid.n_per_side - 1
-    if v.shape[0] != n1 * n1:
-        raise ValueError(f"dimension mismatch: {v.shape[0]} != {n1 * n1}")
-    w = np.zeros((n1 + 2, n1 + 2))
-    w[1:-1, 1:-1] = v.reshape(n1, n1)
-    out = (4.0 * w[1:-1, 1:-1] - w[:-2, 1:-1] - w[2:, 1:-1]
-           - w[1:-1, :-2] - w[1:-1, 2:]) / grid.h ** 2
-    return out.ravel()
 
 
 def fd_norms(grid: FdGrid, v: np.ndarray) -> tuple[float, float]:

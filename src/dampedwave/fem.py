@@ -9,6 +9,7 @@ coefficients.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -47,29 +48,29 @@ class FemSpace:
         self.mesh = mesh
         self.free_dofs = np.flatnonzero(~mesh.boundary_mask)
         self.n_dofs = self.free_dofs.size
+        if not self.n_dofs:
+            raise ValueError("mesh has no interior node, so no unknowns")
         self._node_to_free = np.full(mesh.n_nodes, -1, dtype=np.int64)
         self._node_to_free[self.free_dofs] = np.arange(self.n_dofs)
-        self._geom = None
 
+    @cached_property
     def geometry(self):
         """Per-triangle areas, constant shape gradients, and edge midpoints."""
-        if self._geom is None:
-            p = self.mesh.nodes[self.mesh.triangles]  # (nt, 3, 2)
-            area = self.mesh.signed_areas()
-            if np.any(area <= 0):
-                raise ValueError("degenerate or misoriented triangle in mesh")
-            # grad phi_i = rot90(opposite edge) / (2 A)
-            e0 = p[:, 2] - p[:, 1]
-            e1 = p[:, 0] - p[:, 2]
-            e2 = p[:, 1] - p[:, 0]
-            grads = np.stack([
-                np.stack([-e0[:, 1], e0[:, 0]], axis=1),
-                np.stack([-e1[:, 1], e1[:, 0]], axis=1),
-                np.stack([-e2[:, 1], e2[:, 0]], axis=1),
-            ], axis=1) / (2.0 * area)[:, None, None]
-            mids = 0.5 * (p[:, [1, 2, 0]] + p[:, [2, 0, 1]])  # midpoint opposite vertex q
-            self._geom = (area, grads, mids)
-        return self._geom
+        p = self.mesh.nodes[self.mesh.triangles]  # (nt, 3, 2)
+        area = self.mesh.signed_areas()
+        if np.any(area <= 0):
+            raise ValueError("degenerate or misoriented triangle in mesh")
+        # grad phi_i = rot90(opposite edge) / (2 A)
+        e0 = p[:, 2] - p[:, 1]
+        e1 = p[:, 0] - p[:, 2]
+        e2 = p[:, 1] - p[:, 0]
+        grads = np.stack([
+            np.stack([-e0[:, 1], e0[:, 0]], axis=1),
+            np.stack([-e1[:, 1], e1[:, 0]], axis=1),
+            np.stack([-e2[:, 1], e2[:, 0]], axis=1),
+        ], axis=1) / (2.0 * area)[:, None, None]
+        mids = 0.5 * (p[:, [1, 2, 0]] + p[:, [2, 0, 1]])  # midpoint opposite vertex q
+        return area, grads, mids
 
     def restrict(self, full: np.ndarray) -> np.ndarray:
         return full[self.free_dofs]
@@ -85,11 +86,30 @@ class FemSpace:
 _PHI_AT_MID = 0.5 * (1.0 - np.eye(3))
 
 
+def at_midpoints(space: FemSpace, f: ScalarField) -> np.ndarray:
+    """f at (e, q): the midpoint of triangle e's edge opposite vertex q."""
+    mids = space.geometry[2]
+    return np.asarray(f(mids[:, :, 0], mids[:, :, 1]), dtype=float)
+
+
+def grad_at_midpoints(space: FemSpace, f: ScalarField) -> tuple[np.ndarray, np.ndarray]:
+    """The analytic gradient (f_x, f_y) of f at the quadrature points."""
+    if f.grad is None:
+        raise ValueError("field has no analytic gradient")
+    mids = space.geometry[2]
+    gx, gy = f.grad(mids[:, :, 0], mids[:, :, 1])
+    return np.asarray(gx, dtype=float), np.asarray(gy, dtype=float)
+
+
+def midpoint_sum(space: FemSpace, values: np.ndarray) -> float:
+    """The integral of a function given at the midpoints: sum (A_e/3) values[e, q]."""
+    return np.einsum("e,eq->", space.geometry[0] / 3.0, values)
+
+
 def _weight_at_mids(space: FemSpace, weight: ScalarField | None) -> np.ndarray:
-    area, _, mids = space.geometry()
     if weight is None:
-        return np.ones((area.size, 3))
-    w = np.asarray(weight(mids[:, :, 0], mids[:, :, 1]), dtype=float)
+        return np.ones((space.mesh.n_triangles, 3))
+    w = at_midpoints(space, weight)
     if not np.all(np.isfinite(w) & (w > 0)):
         raise ValueError("weight field must be finite and strictly positive "
                          "on the domain")
@@ -104,13 +124,12 @@ def _assemble(space: FemSpace, element: np.ndarray) -> SparseMatrix:
     cols = np.tile(fmap[tris], (1, 3)).ravel()
     vals = element.reshape(element.shape[0], 9).ravel()
     keep = (rows >= 0) & (cols >= 0)
-    return from_coo(rows[keep], cols[keep], vals[keep], space.n_dofs,
-                    drop_tol=1e-300)
+    return from_coo(rows[keep], cols[keep], vals[keep], space.n_dofs)
 
 
 def assemble_mass(space: FemSpace, weight: ScalarField | None = None) -> SparseMatrix:
     """Weighted mass matrix M_ij = int w phi_i phi_j over the free dofs."""
-    area, _, _ = space.geometry()
+    area = space.geometry[0]
     w = _weight_at_mids(space, weight)
     phi = _PHI_AT_MID
     # element[e, i, j] = sum_q (A_e / 3) w(m_q) phi_i(m_q) phi_j(m_q)
@@ -120,7 +139,7 @@ def assemble_mass(space: FemSpace, weight: ScalarField | None = None) -> SparseM
 
 def assemble_stiffness(space: FemSpace, weight: ScalarField | None = None) -> SparseMatrix:
     """Weighted stiffness K_ij = int w grad phi_i . grad phi_j over free dofs."""
-    area, grads, _ = space.geometry()
+    area, grads, _ = space.geometry
     w = _weight_at_mids(space, weight)
     gg = np.einsum("eid,ejd->eij", grads, grads)
     element = (area / 3.0 * w.sum(axis=1))[:, None, None] * gg
@@ -129,9 +148,8 @@ def assemble_stiffness(space: FemSpace, weight: ScalarField | None = None) -> Sp
 
 def load_vector(space: FemSpace, f: ScalarField) -> np.ndarray:
     """b_i = int f phi_i by edge-midpoint quadrature, restricted to free dofs."""
-    area, _, mids = space.geometry()
-    fv = np.asarray(f(mids[:, :, 0], mids[:, :, 1]), dtype=float)
-    contrib = np.einsum("e,eq,qi->ei", area / 3.0, fv, _PHI_AT_MID)
+    contrib = np.einsum("e,eq,qi->ei", space.geometry[0] / 3.0,
+                        at_midpoints(space, f), _PHI_AT_MID)
     full = np.zeros(space.mesh.n_nodes)
     np.add.at(full, space.mesh.triangles.ravel(), contrib.ravel())
     return space.restrict(full)
@@ -146,18 +164,14 @@ def interpolate(space: FemSpace, f: ScalarField) -> np.ndarray:
 def l2_project(space: FemSpace, f: ScalarField) -> np.ndarray:
     """Solve M p = (f, phi_i) for the L2 projection of f."""
     b = load_vector(space, f)
-    p, _ = cg_solve(assemble_mass(space), b, rtol=1e-12, max_iter=50 * space.n_dofs)
+    p, _ = cg_solve(assemble_mass(space), b)
     return p
 
 
 def elliptic_project(space: FemSpace, u: ScalarField) -> np.ndarray:
     """Solve K p = (grad u, grad phi_i); requires an analytic gradient."""
-    if u.grad is None:
-        raise ValueError("elliptic projection needs an analytic gradient")
-    area, grads, mids = space.geometry()
-    ux, uy = u.grad(mids[:, :, 0], mids[:, :, 1])
-    ux = np.asarray(ux, dtype=float)
-    uy = np.asarray(uy, dtype=float)
+    ux, uy = grad_at_midpoints(space, u)
+    area, grads, _ = space.geometry
     # grad phi_i is constant per element: b_i += (A/3) sum_q grad u(m_q) . g_i
     contrib = (area / 3.0)[:, None] * (
         ux.sum(axis=1)[:, None] * grads[:, :, 0]
@@ -166,8 +180,7 @@ def elliptic_project(space: FemSpace, u: ScalarField) -> np.ndarray:
     full = np.zeros(space.mesh.n_nodes)
     np.add.at(full, space.mesh.triangles.ravel(), contrib.ravel())
     b = space.restrict(full)
-    p, _ = cg_solve(assemble_stiffness(space), b, rtol=1e-12,
-                    max_iter=50 * space.n_dofs)
+    p, _ = cg_solve(assemble_stiffness(space), b)
     return p
 
 
@@ -178,42 +191,32 @@ def error_norms(space: FemSpace, u_h: np.ndarray,
     L2 and the H1 gradient part use edge-midpoint quadrature; Linf is the
     nodal maximum over all mesh nodes (boundary included, where u_h = 0).
     """
-    area, grads, mids = space.geometry()
     full = space.extend(u_h)
     tri_vals = full[space.mesh.triangles]  # (nt, 3)
     uh_mid = tri_vals @ _PHI_AT_MID.T  # value at midpoint q
-    ex_mid = np.asarray(exact(mids[:, :, 0], mids[:, :, 1]), dtype=float)
-    e = ex_mid - uh_mid
-    l2 = np.sqrt(np.einsum("e,eq->", area / 3.0, e * e))
+    e = at_midpoints(space, exact) - uh_mid
+    l2 = np.sqrt(midpoint_sum(space, e * e))
 
     nodes = space.mesh.nodes
     linf = float(np.max(np.abs(np.asarray(exact(nodes[:, 0], nodes[:, 1]), dtype=float)
                                - full)))
 
-    if exact.grad is None:
-        raise ValueError("H1 error needs an analytic gradient")
-    ex_gx, ex_gy = exact.grad(mids[:, :, 0], mids[:, :, 1])
-    uh_gx = np.einsum("ei,ei->e", tri_vals, grads[:, :, 0])[:, None]
-    uh_gy = np.einsum("ei,ei->e", tri_vals, grads[:, :, 1])[:, None]
-    gx = np.asarray(ex_gx, dtype=float) - uh_gx
-    gy = np.asarray(ex_gy, dtype=float) - uh_gy
-    semi_sq = np.einsum("e,eq->", area / 3.0, gx * gx + gy * gy)
+    ex_gx, ex_gy = grad_at_midpoints(space, exact)
+    grads = space.geometry[1]
+    gx = ex_gx - np.einsum("ei,ei->e", tri_vals, grads[:, :, 0])[:, None]
+    gy = ex_gy - np.einsum("ei,ei->e", tri_vals, grads[:, :, 1])[:, None]
+    semi_sq = midpoint_sum(space, gx * gx + gy * gy)
     h1 = np.sqrt(l2 * l2 + semi_sq)
     return float(l2), linf, float(h1)
 
 
 def field_l2_norm(space: FemSpace, f: ScalarField) -> float:
     """Quadrature L2 norm of an analytic field over the mesh."""
-    area, _, mids = space.geometry()
-    fv = np.asarray(f(mids[:, :, 0], mids[:, :, 1]), dtype=float)
-    return float(np.sqrt(np.einsum("e,eq->", area / 3.0, fv * fv)))
+    fv = at_midpoints(space, f)
+    return float(np.sqrt(midpoint_sum(space, fv * fv)))
 
 
 def field_h1_seminorm(space: FemSpace, f: ScalarField) -> float:
-    if f.grad is None:
-        raise ValueError("H1 seminorm needs an analytic gradient")
-    area, _, mids = space.geometry()
-    gx, gy = f.grad(mids[:, :, 0], mids[:, :, 1])
-    gx = np.asarray(gx, dtype=float)
-    gy = np.asarray(gy, dtype=float)
-    return float(np.sqrt(np.einsum("e,eq->", area / 3.0, gx * gx + gy * gy)))
+    """Quadrature H1 seminorm of a field with an analytic gradient."""
+    gx, gy = grad_at_midpoints(space, f)
+    return float(np.sqrt(midpoint_sum(space, gx * gx + gy * gy)))

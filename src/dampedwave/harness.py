@@ -20,7 +20,7 @@ from .mesh import PI_SQUARE, Rectangle, UNIT_SQUARE, build_fd_grid, build_tri_me
 from .oracle import continuous_eigenvalue
 from .sparse import smallest_generalized_eigenpair
 from .stepper import BackendHandles, ModelParams, SpatialField, TimeSchedule, \
-    make_fd_backend, make_fem_backend, run, steady_state
+    check_time_step, make_fd_backend, make_fem_backend, run, steady_state
 
 DK_CAP = 34.0 / 205.0  # delta*k admissibility for the discrete decay bound
 
@@ -89,7 +89,7 @@ class Experiment:
 
     def time_step(self, n: int, override: float | None = None) -> float:
         if override is not None:
-            return override
+            return check_time_step(override)
         k = self.k_rule(1.0 / n)
         # snap so an integer number of steps lands exactly on T; errors at
         # the final time are then comparable across refinement levels
@@ -236,7 +236,7 @@ class DecayReport:
 def discrete_lambda1(backend: BackendHandles) -> tuple[float, np.ndarray, int]:
     """(lambda1, eigenvector, iterations) of the backend's (K, M) pencil, by
     inverse power iteration with sine-basis preconditioned K-solves."""
-    return smallest_generalized_eigenpair(backend.K, backend.M, tol=1e-10,
+    return smallest_generalized_eigenpair(backend.K, backend.M,
                                           precond=backend.stiffness_precond)
 
 

@@ -28,12 +28,8 @@ class Rectangle:
     def height(self) -> float:
         return self.y1 - self.y0
 
-    @property
-    def area(self) -> float:
-        return self.width * self.height
-
-    def is_square(self, tol: float = 1e-12) -> bool:
-        return abs(self.width - self.height) <= tol * max(self.width, self.height)
+    def is_square(self) -> bool:
+        return abs(self.width - self.height) <= 1e-12 * max(self.width, self.height)
 
 
 UNIT_SQUARE = Rectangle(0.0, 1.0, 0.0, 1.0)
@@ -58,10 +54,6 @@ class TriMesh:
     @property
     def h(self) -> float:
         return self.rect.width / self.n_per_side
-
-    @property
-    def hy(self) -> float:
-        return self.rect.height / self.n_per_side
 
     @property
     def n_nodes(self) -> int:

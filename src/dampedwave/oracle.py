@@ -85,6 +85,8 @@ def modal_recurrence(mode: Mode, alpha: float, beta: float, k: float,
     """
     if n_steps < 1:
         raise ValueError("need at least one step")
+    if not 0.0 < k < np.inf:
+        raise ValueError(f"time step must be positive and finite, not {k!r}")
     lam = mode.lam
     lhs = (1.0 / k ** 2 + alpha / k) + (beta / k + 1.0) * lam
     c_cur = 2.0 / k ** 2 + alpha / k + (beta / k) * lam

@@ -13,6 +13,10 @@ import numpy as np
 
 Preconditioner = Callable[[np.ndarray], np.ndarray]  # r -> P^-1 r
 
+CG_ITERATIONS_PER_UNKNOWN = 50  # cg_solve's iteration cap, per unknown
+# inverse iteration: relative change of lambda that ends it, and its cap
+EIG_TOL, EIG_MAX_ITER = 1e-10, 500
+
 
 class CgError(RuntimeError):
     """CG hit a non-finite residual or the iteration cap before the tolerance."""
@@ -40,12 +44,17 @@ class SolveReport:
 
 @dataclass(frozen=True)
 class SparseMatrix:
-    """Compressed-row sparse matrix; assembled matrices here are symmetric."""
+    """Compressed-row sparse matrix with an entry in every row (the matvec's
+    np.add.reduceat cannot sum an empty one); assembled ones are symmetric."""
 
     row_ptr: np.ndarray
     col_idx: np.ndarray
     vals: np.ndarray
     dim: int
+
+    def __post_init__(self):
+        if np.any(self.row_ptr[1:] == self.row_ptr[:-1]):
+            raise ValueError("sparse matrix has an empty row")
 
     @cached_property
     def row_ids(self) -> np.ndarray:
@@ -57,22 +66,10 @@ class SparseMatrix:
         """1 / diagonal(), computed once per matrix for the Jacobi preconditioner."""
         return 1.0 / self.diagonal()
 
-    @cached_property
-    def empty_rows(self) -> np.ndarray:
-        """Indices of the rows without a stored entry."""
-        return np.flatnonzero(self.row_ptr[1:] == self.row_ptr[:-1])
-
     def matvec(self, x: np.ndarray) -> np.ndarray:
         if x.shape[0] != self.dim:
             raise ValueError(f"dimension mismatch: {x.shape[0]} != {self.dim}")
-        prod = self.vals * x[self.col_idx]
-        if not self.empty_rows.size:
-            return np.add.reduceat(prod, self.row_ptr[:-1])
-        # reduceat returns the entry at an empty row's start instead of 0, and
-        # needs every start inside the array: pad with a zero, then clear them
-        y = np.add.reduceat(np.append(prod, 0.0), self.row_ptr[:-1])
-        y[self.empty_rows] = 0.0
-        return y
+        return np.add.reduceat(self.vals * x[self.col_idx], self.row_ptr[:-1])
 
     __matmul__ = matvec
 
@@ -92,8 +89,8 @@ class SparseMatrix:
         return self.vals.size
 
 
-def from_coo(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, dim: int,
-             drop_tol: float = 0.0) -> SparseMatrix:
+def from_coo(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
+             dim: int) -> SparseMatrix:
     """Build CSR from triplets, summing duplicates and dropping explicit zeros."""
     rows = np.asarray(rows, dtype=np.int64)
     cols = np.asarray(cols, dtype=np.int64)
@@ -107,9 +104,8 @@ def from_coo(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, dim: int,
         idx = np.flatnonzero(new)
         vals = np.add.reduceat(vals, idx)
         rows, cols = rows[idx], cols[idx]
-        keep = np.abs(vals) > drop_tol
         # always keep the diagonal so matvec/diagonal see full rows
-        keep |= rows == cols
+        keep = (np.abs(vals) > 0.0) | (rows == cols)
         rows, cols, vals = rows[keep], cols[keep], vals[keep]
     row_ptr = np.zeros(dim + 1, dtype=np.int64)
     np.add.at(row_ptr, rows + 1, 1)
@@ -217,7 +213,7 @@ class SineBasis:
         return apply
 
 
-def cg_solve(a, b: np.ndarray, rtol: float = 1e-10, max_iter: int = 10_000,
+def cg_solve(a, b: np.ndarray, rtol: float = 1e-12,
              x0: np.ndarray | None = None,
              precond: Preconditioner | None = None,
              r0: np.ndarray | None = None) -> tuple[np.ndarray, SolveReport]:
@@ -230,7 +226,8 @@ def cg_solve(a, b: np.ndarray, rtol: float = 1e-10, max_iter: int = 10_000,
     residual is exactly zero. ``r0`` is the residual b - a x0 of the warm
     start when the caller already has it; CG then starts without a product,
     as it does from a cold start, whose residual is b. Raises CgError on a
-    non-finite right-hand side or residual, and when the iteration cap is hit.
+    non-finite right-hand side or residual, and when CG_ITERATIONS_PER_UNKNOWN
+    iterations per unknown do not reach ``rtol``.
     """
     if rtol <= 0:
         raise ValueError("rtol must be positive")
@@ -262,6 +259,7 @@ def cg_solve(a, b: np.ndarray, rtol: float = 1e-10, max_iter: int = 10_000,
     z = precond(r)
     p = z.copy()
     rz = r @ z
+    max_iter = CG_ITERATIONS_PER_UNKNOWN * n
     for it in range(1, max_iter + 1):
         ap = a.matvec(p)
         alpha = rz / (p @ ap)
@@ -279,17 +277,14 @@ def cg_solve(a, b: np.ndarray, rtol: float = 1e-10, max_iter: int = 10_000,
     raise CgError(max_iter, res)
 
 
-def smallest_generalized_eigenpair(k: SparseMatrix, m, tol: float = 1e-10,
-                                   max_iter: int = 500,
+def smallest_generalized_eigenpair(k: SparseMatrix, m,
                                    precond: Preconditioner | None = None):
-    """Inverse power iteration on the pencil (K, M) with M-normalization;
-    ``precond`` is passed to the inner K-solves.
+    """Inverse power iteration on the pencil (K, M) with M-normalization, to
+    EIG_TOL in EIG_MAX_ITER iterations; ``precond`` is passed to the K-solves.
 
     Returns (lambda1, eigenvector, iterations); the eigenvector satisfies
     v' M v = 1.
     """
-    n = k.dim
-
     def normalised(w):
         """w and M w scaled to w' M w = 1, and the Rayleigh quotient; the
         one product with M also gives the next right-hand side."""
@@ -298,14 +293,12 @@ def smallest_generalized_eigenpair(k: SparseMatrix, m, tol: float = 1e-10,
         w, mw = w / norm, mw / norm
         return w, mw, (w @ k.matvec(w)) / (w @ mw)
 
-    v, mv, lam = normalised(np.ones(n))
-    inner_rtol = min(1e-12, tol * 1e-2)
-    for it in range(1, max_iter + 1):
-        w, _ = cg_solve(k, mv, rtol=inner_rtol, max_iter=50 * n, x0=v / lam,
-                        precond=precond)
+    v, mv, lam = normalised(np.ones(k.dim))
+    for it in range(1, EIG_MAX_ITER + 1):
+        w, _ = cg_solve(k, mv, x0=v / lam, precond=precond)
         v, mv, lam_new = normalised(w)
-        converged = abs(lam_new - lam) <= tol * abs(lam_new)
+        converged = abs(lam_new - lam) <= EIG_TOL * abs(lam_new)
         lam = lam_new
         if converged:
             return lam, v, it
-    raise EigError(f"inverse power iteration did not converge in {max_iter} steps")
+    raise EigError(f"inverse power iteration did not converge in {EIG_MAX_ITER} steps")

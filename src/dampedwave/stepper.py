@@ -28,7 +28,7 @@ import numpy as np
 from . import diagnostics
 from .fdm import FdOperator
 from .fem import FemSpace, ScalarField, assemble_mass, assemble_stiffness, \
-    interpolate as fem_interpolate, load_vector
+    at_midpoints, interpolate as fem_interpolate, load_vector
 from .mesh import FdGrid, Rectangle
 from .sparse import CgError, Preconditioner, SineBasis, SolveReport, \
     SparseMatrix, cg_solve, from_diagonal, on_common_pattern
@@ -97,6 +97,13 @@ def _check_weight(c: Damping, values, where: str) -> None:
 
 class StepError(RuntimeError):
     """Solver failure during time stepping, annotated with the step index."""
+
+
+def check_time_step(k: float) -> float:
+    """k itself; raises ValueError unless it is positive and finite."""
+    if not 0.0 < k < math.inf:
+        raise ValueError(f"time step must be positive and finite, not {k!r}")
+    return k
 
 
 @dataclass(frozen=True)
@@ -181,7 +188,6 @@ class BackendHandles:
     params: ModelParams
     M: SparseMatrix
     K: SparseMatrix
-    ndof: int
     interpolate: Callable[[ScalarField], np.ndarray]
     load: Callable[[ScalarField], np.ndarray]
     weak_op: SparseMatrix    # alpha-weighted mass; M itself when alpha has no weight
@@ -208,6 +214,10 @@ class BackendHandles:
         self.operators = list(distinct.values())
         self._roles = np.eye(len(distinct))[[list(distinct).index(id(op))
                                              for op in ops]]
+
+    @property
+    def ndof(self) -> int:
+        return self.M.dim
 
     @cached_property
     def mass_precond(self) -> Preconditioner:
@@ -280,11 +290,9 @@ def _combine(k, a, b, mass, stiff, weak, strong):
 
 def make_fem_backend(space: FemSpace, params: ModelParams) -> BackendHandles:
     alpha, beta = params.damping
-    mids = space.geometry()[2]
     for c in (alpha, beta):
         if c.weight is not None:
-            _check_weight(c, c.weight(mids[..., 0], mids[..., 1]),
-                          "at the quadrature points")
+            _check_weight(c, at_midpoints(space, c.weight), "at the quadrature points")
     mass, stiff = assemble_mass(space), assemble_stiffness(space)
     weak = mass if alpha.weight is None else assemble_mass(space, alpha.weight)
     strong = stiff if beta.weight is None else assemble_stiffness(space, beta.weight)
@@ -292,7 +300,6 @@ def make_fem_backend(space: FemSpace, params: ModelParams) -> BackendHandles:
         params=params,
         M=mass,
         K=stiff,
-        ndof=space.n_dofs,
         interpolate=lambda f: fem_interpolate(space, f),
         load=lambda f: load_vector(space, f),
         weak_op=weak, strong_op=strong,
@@ -318,8 +325,7 @@ def make_fd_backend(grid: FdGrid, params: ModelParams) -> BackendHandles:
         _check_weight(alpha, w, "at the grid nodes")
         weak = from_diagonal(grid.h ** 2 * w)
     return BackendHandles(
-        params=params, M=mass, K=stiff, ndof=grid.n_interior,
-        interpolate=interp,
+        params=params, M=mass, K=stiff, interpolate=interp,
         load=lambda f: grid.h ** 2 * interp(f),
         weak_op=weak, strong_op=stiff,
         basis=SineBasis(grid.n_per_side - 1),
@@ -339,8 +345,7 @@ def init_state(backend: BackendHandles, k: float,
     u''(0) = -beta A u1 - alpha u1 - A u0, with the damping time factors
     ``scales`` at t = 0 when the caller has them (evaluated otherwise).
     """
-    if k <= 0:
-        raise ValueError("time step must be positive")
+    check_time_step(k)
     params = backend.params
     u0 = backend.interpolate(params.u0) if params.u0 is not None \
         else np.zeros(backend.ndof)
@@ -352,8 +357,7 @@ def init_state(backend: BackendHandles, k: float,
         a, b = backend.scales(0.0) if scales is None else scales
         damped = a * backend.weak_op.matvec(v) + b * backend.strong_op.matvec(v)
         rhs = -damped - backend.K.matvec(u0) + backend.forcing
-        w, _ = cg_solve(backend.M, rhs, rtol=1e-12, max_iter=50 * backend.ndof,
-                        precond=backend.mass_precond)
+        w, _ = cg_solve(backend.M, rhs, precond=backend.mass_precond)
         u1 = u0 + k * v + 0.5 * k * k * w
     return StepperState(n=1, k=k, u_prev=u0, u_curr=u1)
 
@@ -395,8 +399,7 @@ def step(state: StepperState, backend: BackendHandles,
         rhs += backend.forcing
     guess = np.dot(EXTRAPOLANTS[len(levels)], levels)
     try:
-        u_next, report = cg_solve(system, rhs[0], rtol=STEP_RTOL,
-                                  max_iter=50 * backend.ndof, x0=guess,
+        u_next, report = cg_solve(system, rhs[0], rtol=STEP_RTOL, x0=guess,
                                   precond=precond, r0=rhs[1])
     except CgError as exc:
         raise StepError(f"CG failed at step n={state.n} (t={t_n:g}): {exc}") from exc
@@ -423,7 +426,7 @@ def run(backend: BackendHandles, k: float, T: float, observers=(),
     On a backend that is diagonal in its sine basis the steps are taken in
     that basis (see _run_modal) and report 0 iterations and residual 0;
     otherwise each is a CG ``step``."""
-    if T < k:
+    if T < check_time_step(k):
         raise ValueError("final time must be at least one step")
     if n_steps is None:
         n_steps = math.ceil(T / k - 1e-9)
@@ -518,7 +521,5 @@ def steady_state(backend: BackendHandles) -> np.ndarray:
     """Solve K u_inf = F for the backend's time-independent forcing."""
     if backend.params.forcing is None:
         raise ValueError("steady state requires a forcing term")
-    u, _ = cg_solve(backend.K, backend.forcing, rtol=1e-12,
-                    max_iter=50 * backend.ndof,
-                    precond=backend.stiffness_precond)
+    u, _ = cg_solve(backend.K, backend.forcing, precond=backend.stiffness_precond)
     return u

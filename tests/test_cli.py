@@ -145,6 +145,31 @@ def test_missing_config_file_exits_one(tmp_path):
     assert main(["--config", str(tmp_path / "nope.cfg"), "converge"]) == 1
 
 
+def test_config_file_named_like_its_subcommand(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "eig").write_text("N = 6\n")
+    assert main(["--config", "eig", "eig"]) == 0
+    assert "N=6" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv, why", [
+    (["decay", "--k-override", "0"], "time step"),
+    (["steady", "--k-override", "0"], "time step"),
+    (["converge", "--k-override", "0"], "time step"),
+    (["converge", "--k-override", "-0.01"], "time step"),
+    (["decay", "--k-override", "nan"], "time step"),
+    (["modal", "--k", "0"], "time step"),
+    (["modal", "--k", "-0.001"], "time step"),
+    (["decay", "--N", "1"], "no unknowns"),
+    (["eig", "--N", "1", "--backend", "fem"], "no unknowns"),
+    (["steady", "--N", "1"], "no unknowns"),
+])
+def test_bad_step_or_mesh_without_unknowns_exits_one(argv, why, capsys):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and why in err
+
+
 NAN_FIELD = ScalarField(lambda x, y: np.full_like(np.asarray(x, dtype=float), np.nan))
 
 

@@ -3,7 +3,6 @@ import pytest
 
 from dampedwave.fdm import (
     FdOperator,
-    fd_apply,
     fd_eigenvalue,
     fd_norms,
     fd_sine_mode,
@@ -42,7 +41,7 @@ def test_matrix_free_equals_assembled():
 def test_apply_rejects_wrong_size():
     grid = build_fd_grid(UNIT_SQUARE, 4)
     with pytest.raises(ValueError):
-        fd_apply(FdOperator(grid), np.zeros(4))
+        FdOperator(grid).apply(np.zeros(4))
 
 
 def test_gram_matrix_is_scaled_laplacian():

@@ -135,7 +135,7 @@ def test_preconditioned_lambda1_matches_scipy_eigsh(backend):
     else:
         handles = make_fd_backend(build_fd_grid(PI_SQUARE, 16), exp.params)
     lam, _, _ = smallest_generalized_eigenpair(
-        handles.K, handles.M, tol=1e-10, precond=handles.stiffness_precond)
+        handles.K, handles.M, precond=handles.stiffness_precond)
 
     def csr(a):
         return sp.csr_matrix((a.vals, a.col_idx, a.row_ptr), shape=(a.dim, a.dim))

@@ -1,6 +1,7 @@
 """Property tests over random damping pairs, step sizes, modes and sizes."""
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from dampedwave.mesh import UNIT_SQUARE, build_fd_grid, build_tri_mesh
 from dampedwave.oracle import Mode, modal_recurrence
 from dampedwave.sparse import cg_solve
 from dampedwave.stepper import (
+    STEP_RTOL,
     ModelParams,
     SpatialField,
     StepperState,
@@ -112,30 +114,83 @@ def test_energy_is_monotone_and_sandwiched(alpha, beta, k, p, q):
 damping_value = st.one_of(st.just(0.0), st.floats(1e-4, 20.0))
 
 
+class Reference(NamedTuple):
+    """A run recomputed step by step: its final state, the energy and cross
+    term of every sample, and what assert_runs_agree bounds the other run's
+    deviation with: per step, |b|_2 / sqrt(2 lambda_min(A)) of the step's
+    system A U^{n+1} = b; lambda_min(K); and lambda_1 of the (K, M) pencil."""
+
+    final: StepperState
+    energies: np.ndarray
+    crosses: np.ndarray
+    injections: np.ndarray
+    lam_k: float
+    lam1: float
+
+
 def cg_reference(backend, k, n_steps, exact_at=None):
-    """The run as a loop of CG ``step`` calls from the same ``init_state``:
-    (final state, energies, cross terms, max |u| over all levels)."""
+    """The run as a loop of CG ``step`` calls from the same ``init_state``,
+    on a finite difference backend without a spatial weight: M, K and so
+    every step's A are diagonal in the sine basis, where their symbols are
+    their eigenvalues."""
+    assert backend.diagonal_in_basis
+    sm, sk = (backend.basis.symbol(op) for op in (backend.M, backend.K))
     state = init_state(backend, k, exact_at=exact_at)
     pairs = [energy_and_cross(state, backend)]
-    peak = max(np.max(np.abs(state.u_prev)), np.max(np.abs(state.u_curr)))
+    injections = []
     for _ in range(n_steps):
+        a, b = backend.scales(state.n * k)
+        u = state.u_curr
+        rhs = backend.M.matvec(2.0 * u - state.u_prev) / k ** 2 + backend.forcing \
+            + (a * backend.weak_op.matvec(u) + b * backend.strong_op.matvec(u)) / k
+        lam_a = np.min(sm / k ** 2 + (a * sm + b * sk) / k + sk)
+        injections.append(np.linalg.norm(rhs) / np.sqrt(2.0 * lam_a))
         state = step(state, backend)
         pairs.append(energy_and_cross(state, backend))
-        peak = max(peak, np.max(np.abs(state.u_curr)))
     energies, crosses = np.array(pairs).T
-    return state, energies, crosses, peak
+    return Reference(state, energies, crosses, np.array(injections),
+                     np.min(sk), np.min(sk / sm))
 
 
-def assert_runs_agree(final, trace, reference):
-    """Final levels to 1e-9 of the run's max |u|, and energies and cross
-    terms to 1e-10 of its largest energy (the cross term is bounded by the
-    energy): a damped run can end many orders below where it started."""
-    state, energies, crosses, scale = reference
-    for got, want in ((final.u_prev, state.u_prev), (final.u_curr, state.u_curr)):
-        assert np.max(np.abs(got - want)) <= 1e-9 * scale
-    e_scale = np.max(energies)
-    assert np.max(np.abs(trace.energy - energies)) <= 1e-10 * e_scale
-    assert np.max(np.abs(trace.cross - crosses)) <= 1e-10 * e_scale
+# Two evaluations of one energy in different orders differ by rounding: a
+# few hundred ulps of E, times 1/(k omega_1) from the cancellation in
+# d = (U^{n+1} - U^n)/k.
+ROUNDING = 1e3 * np.finfo(float).eps
+
+
+def assert_runs_agree(final, trace, ref):
+    """The run and the reference differ only by the CG solves of one of
+    them, each stopped at a relative residual rho = STEP_RTOL.
+
+    Such a solve leaves U^{n+1} off by eta with A eta = r, |r|_2 <= rho |b|_2.
+    In the energy norm of a state pair, ||S||_E^2 = E = 1/2 (d'M d + U'K U)
+    with d = (U^{n+1} - U^n)/k, the pair (0, eta) has
+    ||.||_E^2 = 1/2 eta'(M/k^2 + K) eta <= 1/2 eta'A eta = 1/2 r'A^-1 r
+    <= (rho |b|_2)^2 / (2 lambda_min(A)), as the damping in A is positive
+    semidefinite. (|b|_2 / lambda_min(A) is what kappa_2(A) |U^{n+1}|_2
+    bounds; as lambda_min(A) >= lambda_min(M)/k^2, a residual rho shows in
+    E amplified by about 1/(k omega).) Without forcing a step never raises
+    E, so the error pair after step n is at most eps_n in ||.||_E, the sum
+    of these over steps 1..n. With S the reference pair:
+    - |E~ - E| <= eps (2 ||S||_E + eps), as sqrt(E) is a norm;
+    - the cross term U'M d is bilinear with |U1'M d2| <= |U1|_M |d2|_M
+      <= 2 ||S1||_E ||S2||_E / sqrt(lambda_1), so it moves by at most
+      2 / sqrt(lambda_1) times the energy's bound;
+    - a level moves by |e|_inf <= |e|_K / sqrt(lambda_min(K))
+      <= sqrt(2 / lambda_min(K)) eps.
+    rho is doubled: CG stops on its recursively updated residual, and |b|_2
+    is read from the reference. The energies also get ROUNDING.
+    """
+    eps = np.concatenate(([0.0], np.cumsum(2.0 * STEP_RTOL * ref.injections)))
+    level_bound = np.sqrt(2.0 / ref.lam_k) * eps[-1]
+    for got, want in ((final.u_prev, ref.final.u_prev),
+                      (final.u_curr, ref.final.u_curr)):
+        assert np.max(np.abs(got - want)) <= level_bound
+    omega = np.sqrt(ref.lam1)
+    rounding = ROUNDING * (1.0 + 1.0 / (final.k * omega)) * np.max(ref.energies)
+    bound = eps * (2.0 * np.sqrt(ref.energies) + eps) + rounding
+    assert np.all(np.abs(trace.energy - ref.energies) <= bound)
+    assert np.all(np.abs(trace.cross - ref.crosses) <= 2.0 / omega * bound)
 
 
 @PROPERTY
@@ -197,8 +252,7 @@ def test_modal_run_matches_cg_steps_on_the_experiments(name, n):
 
 def dense_reference(backend, k, n_steps):
     """The run as a loop of dense solves of each step's system with
-    np.linalg.solve, from the same ``init_state``: (final state, energies,
-    cross terms, max |u| over all levels)."""
+    np.linalg.solve, from the same ``init_state``: a Reference."""
     alpha, beta = backend.params.damping
     m, kk = backend.M.to_dense(), backend.K.to_dense()
     weak, strong = backend.weak_op.to_dense(), backend.strong_op.to_dense()
@@ -210,17 +264,18 @@ def dense_reference(backend, k, n_steps):
     state = init_state(backend, k)
     prev, curr = state.u_prev, state.u_curr
     pairs = [pair(prev, curr)]
-    peak = max(np.max(np.abs(prev)), np.max(np.abs(curr)))
+    injections = []
     for n in range(1, n_steps + 1):
         damp = alpha.scale(n * k) * weak + beta.scale(n * k) * strong
         a = m / k ** 2 + damp / k + kk
         rhs = m @ (2.0 * curr - prev) / k ** 2 + damp @ curr / k + backend.forcing
+        injections.append(np.linalg.norm(rhs) / np.sqrt(2.0 * np.linalg.eigvalsh(a)[0]))
         prev, curr = curr, np.linalg.solve(a, rhs)
         pairs.append(pair(prev, curr))
-        peak = max(peak, np.max(np.abs(curr)))
     energies, crosses = np.array(pairs).T
     final = StepperState(n=n_steps + 1, k=k, u_prev=prev, u_curr=curr)
-    return final, energies, crosses, peak
+    return Reference(final, energies, crosses, np.array(injections),
+                     np.linalg.eigvalsh(kk)[0], dense_lambda1(backend))
 
 
 def dense_lambda1(backend):

@@ -6,6 +6,7 @@ import pytest
 
 from dampedwave.fdm import FdOperator, fd_eigenvalue
 from dampedwave.fem import FemSpace, assemble_mass, assemble_stiffness
+from dampedwave import sparse
 from dampedwave.mesh import PI_SQUARE, UNIT_SQUARE, build_fd_grid, build_tri_mesh
 from dampedwave.sparse import (
     CgError,
@@ -115,11 +116,18 @@ def test_cg_random_spd():
     assert rep.final_residual <= 1e-10
 
 
-def test_cg_raises_on_iteration_cap():
-    mesh = build_tri_mesh(UNIT_SQUARE, 8)
-    k = assemble_stiffness(FemSpace(mesh))
-    with pytest.raises(CgError):
-        cg_solve(k, np.ones(k.dim), rtol=1e-14, max_iter=2)
+def test_cg_raises_on_iteration_cap(monkeypatch):
+    # unpreconditioned CG on eigenvalues 1 ... 1e8 loses orthogonality and
+    # needs 92 iterations for 20 unknowns, within the cap of 50 per unknown;
+    # a cap of 1 per unknown stops it
+    a = from_diagonal(np.logspace(0.0, 8.0, 20))
+    b = np.ones(20)
+    _, rep = cg_solve(a, b, rtol=1e-14, precond=lambda r: r)
+    assert 20 < rep.iterations <= 50 * 20
+    monkeypatch.setattr(sparse, "CG_ITERATIONS_PER_UNKNOWN", 1)
+    with pytest.raises(CgError, match="did not converge") as err:
+        cg_solve(a, b, rtol=1e-14, precond=lambda r: r)
+    assert err.value.iterations == 20
 
 
 def test_cg_warm_start_helps():
@@ -211,10 +219,14 @@ def test_cg_cold_start_makes_one_matvec_per_iteration(monkeypatch):
 
 
 def test_matvec_with_empty_rows():
-    a = from_coo([0, 2], [0, 2], [1.0, 3.0], 3)
-    assert np.array_equal(a.matvec(np.ones(3)), [1.0, 0.0, 3.0])
-    trailing = from_coo([0], [0], [2.0], 3)
-    assert np.array_equal(trailing.matvec(np.ones(3)), [2.0, 0.0, 0.0])
+    # an empty row is bad input: np.add.reduceat would give it the next
+    # row's first entry, or fail on a trailing one
+    with pytest.raises(ValueError, match="empty row"):
+        from_coo([0, 2], [0, 2], [1.0, 3.0], 3)
+    with pytest.raises(ValueError, match="empty row"):
+        from_coo([0], [0], [2.0], 3)
+    with pytest.raises(ValueError, match="empty row"):
+        SparseMatrix(np.array([0, 1, 1]), np.array([0]), np.array([1.0]), 2)
 
 
 def test_diagonal_and_dense_with_missing_diagonal_and_empty_row():
@@ -222,8 +234,10 @@ def test_diagonal_and_dense_with_missing_diagonal_and_empty_row():
                       [1.0, 0.0, 0.0, 3.0],   # no stored diagonal entry
                       [0.0, 0.0, 0.0, 0.0],   # empty row
                       [0.0, 3.0, 0.0, 5.0]])
+    with pytest.raises(ValueError, match="empty row"):
+        dense_to_csr(dense)
+    dense[2, 2] = 4.0
     a = dense_to_csr(dense)
-    assert a.row_ptr[2] == a.row_ptr[3]
     assert np.array_equal(a.diagonal(), np.diag(dense))
     assert np.array_equal(a.to_dense(), dense)
     x = np.arange(1.0, 5.0)
