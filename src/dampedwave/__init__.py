@@ -9,7 +9,7 @@ from .fem import FemSpace, ScalarField
 from .stepper import BackendHandles, ModelParams, SpatialField, StepperState, \
     TimeSchedule, init_state, run, steady_state, step
 from .diagnostics import ConvergenceTable, EnergyTrace, convergence_rates, \
-    decay_bounds, discrete_energy, energy_EA, extended_energy, fit_decay_rate
+    decay_bounds, discrete_energy, energy_EA, fit_decay_rate
 from .oracle import Mode, modal_continuous, modal_recurrence
 from .harness import Experiment, builtin_experiments, run_convergence, \
     run_decay, write_csv
@@ -20,8 +20,8 @@ __all__ = [
     "FemSpace", "ScalarField",
     "ModelParams", "TimeSchedule", "SpatialField", "StepperState",
     "BackendHandles", "init_state", "step", "run", "steady_state",
-    "EnergyTrace", "ConvergenceTable", "discrete_energy", "extended_energy",
-    "energy_EA", "decay_bounds", "fit_decay_rate", "convergence_rates",
+    "EnergyTrace", "ConvergenceTable", "discrete_energy", "energy_EA",
+    "decay_bounds", "fit_decay_rate", "convergence_rates",
     "Mode", "modal_continuous", "modal_recurrence",
     "Experiment", "builtin_experiments", "run_convergence", "run_decay",
     "write_csv",

@@ -37,20 +37,13 @@ def energy_cross_term(state, backend) -> float:
     return energy_and_cross(state, backend)[1]
 
 
-def extended_energy(state, backend, delta: float) -> float:
-    """E plus the delta-weighted velocity/displacement cross term."""
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    energy, cross = energy_and_cross(state, backend)
-    return energy + delta * cross
-
-
 def energy_EA(state, backend) -> float:
-    """Higher energy 1/2 (|d|_1^2 + ||A_h U||^2), via the M-solve M w = K U."""
+    """Higher energy 1/2 (|d|_1^2 + ||A_h U||^2), via the M-solve M w = K U
+    preconditioned by the backend's sine-basis mass preconditioner."""
     d = (state.u_curr - state.u_prev) / state.k
     kd = backend.K.matvec(d)
     ku = backend.K.matvec(state.u_curr)
-    w, _ = cg_solve(backend.M, ku)
+    w, _ = cg_solve(backend.M, ku, backend.mass_precond)
     return 0.5 * float(d @ kd + w @ backend.M.matvec(w))
 
 

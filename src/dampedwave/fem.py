@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .mesh import TriMesh
-from .sparse import SparseMatrix, cg_solve, from_coo
+from .sparse import SineBasis, SparseMatrix, cg_solve, from_coo
 
 
 @dataclass(frozen=True)
@@ -52,6 +52,12 @@ class FemSpace:
             raise ValueError("mesh has no interior node, so no unknowns")
         self._node_to_free = np.full(mesh.n_nodes, -1, dtype=np.int64)
         self._node_to_free[self.free_dofs] = np.arange(self.n_dofs)
+
+    @cached_property
+    def basis(self) -> SineBasis:
+        """The sine basis of the unknowns: the interior nodes of the mesh form
+        an (N-1) x (N-1) grid, stored row by row with x fastest."""
+        return SineBasis(self.mesh.n_per_side - 1)
 
     @cached_property
     def geometry(self):
@@ -162,14 +168,16 @@ def interpolate(space: FemSpace, f: ScalarField) -> np.ndarray:
 
 
 def l2_project(space: FemSpace, f: ScalarField) -> np.ndarray:
-    """Solve M p = (f, phi_i) for the L2 projection of f."""
-    b = load_vector(space, f)
-    p, _ = cg_solve(assemble_mass(space), b)
+    """Solve M p = (f, phi_i) for the L2 projection of f, by CG
+    preconditioned in the sine basis."""
+    mass, basis = assemble_mass(space), space.basis
+    p, _ = cg_solve(mass, load_vector(space, f), basis.solver(basis.symbol(mass)))
     return p
 
 
 def elliptic_project(space: FemSpace, u: ScalarField) -> np.ndarray:
-    """Solve K p = (grad u, grad phi_i); requires an analytic gradient."""
+    """Solve K p = (grad u, grad phi_i) by CG preconditioned in the sine
+    basis, which is exact for K; requires an analytic gradient."""
     ux, uy = grad_at_midpoints(space, u)
     area, grads, _ = space.geometry
     # grad phi_i is constant per element: b_i += (A/3) sum_q grad u(m_q) . g_i
@@ -179,8 +187,8 @@ def elliptic_project(space: FemSpace, u: ScalarField) -> np.ndarray:
     )
     full = np.zeros(space.mesh.n_nodes)
     np.add.at(full, space.mesh.triangles.ravel(), contrib.ravel())
-    b = space.restrict(full)
-    p, _ = cg_solve(assemble_stiffness(space), b)
+    stiff, basis = assemble_stiffness(space), space.basis
+    p, _ = cg_solve(stiff, space.restrict(full), basis.solver(basis.symbol(stiff)))
     return p
 
 

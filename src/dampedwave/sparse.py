@@ -61,17 +61,10 @@ class SparseMatrix:
         """Row index of every stored entry."""
         return np.repeat(np.arange(self.dim), np.diff(self.row_ptr))
 
-    @cached_property
-    def inv_diagonal(self) -> np.ndarray:
-        """1 / diagonal(), computed once per matrix for the Jacobi preconditioner."""
-        return 1.0 / self.diagonal()
-
     def matvec(self, x: np.ndarray) -> np.ndarray:
         if x.shape[0] != self.dim:
             raise ValueError(f"dimension mismatch: {x.shape[0]} != {self.dim}")
         return np.add.reduceat(self.vals * x[self.col_idx], self.row_ptr[:-1])
-
-    __matmul__ = matvec
 
     def diagonal(self) -> np.ndarray:
         on_diag = self.col_idx == self.row_ids
@@ -91,7 +84,8 @@ class SparseMatrix:
 
 def from_coo(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
              dim: int) -> SparseMatrix:
-    """Build CSR from triplets, summing duplicates and dropping explicit zeros."""
+    """Build CSR from triplets, summing duplicates and dropping explicit zeros
+    off the diagonal; raises ValueError when a summed entry is not finite."""
     rows = np.asarray(rows, dtype=np.int64)
     cols = np.asarray(cols, dtype=np.int64)
     vals = np.asarray(vals, dtype=np.float64)
@@ -103,9 +97,11 @@ def from_coo(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
         new[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
         idx = np.flatnonzero(new)
         vals = np.add.reduceat(vals, idx)
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("sparse matrix entries must be finite")
         rows, cols = rows[idx], cols[idx]
         # always keep the diagonal so matvec/diagonal see full rows
-        keep = (np.abs(vals) > 0.0) | (rows == cols)
+        keep = (vals != 0.0) | (rows == cols)
         rows, cols, vals = rows[keep], cols[keep], vals[keep]
     row_ptr = np.zeros(dim + 1, dtype=np.int64)
     np.add.at(row_ptr, rows + 1, 1)
@@ -118,10 +114,6 @@ def from_diagonal(d: np.ndarray) -> SparseMatrix:
     n = d.size
     idx = np.arange(n, dtype=np.int64)
     return SparseMatrix(np.arange(n + 1, dtype=np.int64), idx, d.copy(), n)
-
-
-def identity(n: int) -> SparseMatrix:
-    return from_diagonal(np.ones(n))
 
 
 def on_common_pattern(mats: list[SparseMatrix]) -> list[SparseMatrix]:
@@ -213,14 +205,14 @@ class SineBasis:
         return apply
 
 
-def cg_solve(a, b: np.ndarray, rtol: float = 1e-12,
+def cg_solve(a, b: np.ndarray, precond: Preconditioner, rtol: float = 1e-12,
              x0: np.ndarray | None = None,
-             precond: Preconditioner | None = None,
              r0: np.ndarray | None = None) -> tuple[np.ndarray, SolveReport]:
     """Preconditioned conjugate gradients for an SPD SparseMatrix ``a``.
 
-    ``precond`` maps a residual r to P^-1 r for an SPD P; without it CG uses
-    Jacobi (P = diag(a)). A warm start ``x0`` is refined by at least one
+    ``precond`` maps a residual r to P^-1 r for an SPD P: the sine-basis
+    solver of a grid operator's symbol (SineBasis.solver), or the identity
+    for plain CG. A warm start ``x0`` is refined by at least one
     iteration even when it already meets ``rtol`` (an extrapolated guess
     left as it is would carry its error into the next step), unless its
     residual is exactly zero. ``r0`` is the residual b - a x0 of the warm
@@ -241,11 +233,6 @@ def cg_solve(a, b: np.ndarray, rtol: float = 1e-12,
         raise CgError(0, bnorm)
     if bnorm == 0.0:
         return np.zeros(n), SolveReport(0, 0.0)
-    if precond is None:
-        inv_diag = a.inv_diagonal
-
-        def precond(r):
-            return inv_diag * r
     if x0 is None:
         x, r = np.zeros(n), b.astype(np.float64, copy=True)
     else:
@@ -277,8 +264,7 @@ def cg_solve(a, b: np.ndarray, rtol: float = 1e-12,
     raise CgError(max_iter, res)
 
 
-def smallest_generalized_eigenpair(k: SparseMatrix, m,
-                                   precond: Preconditioner | None = None):
+def smallest_generalized_eigenpair(k: SparseMatrix, m, precond: Preconditioner):
     """Inverse power iteration on the pencil (K, M) with M-normalization, to
     EIG_TOL in EIG_MAX_ITER iterations; ``precond`` is passed to the K-solves.
 

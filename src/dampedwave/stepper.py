@@ -303,7 +303,7 @@ def make_fem_backend(space: FemSpace, params: ModelParams) -> BackendHandles:
         interpolate=lambda f: fem_interpolate(space, f),
         load=lambda f: load_vector(space, f),
         weak_op=weak, strong_op=strong,
-        basis=SineBasis(space.mesh.n_per_side - 1),
+        basis=space.basis,
     )
 
 

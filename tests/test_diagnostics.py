@@ -8,7 +8,6 @@ from dampedwave.diagnostics import (
     discrete_energy,
     energy_EA,
     energy_cross_term,
-    extended_energy,
     fit_decay_rate,
 )
 from dampedwave.fem import FemSpace
@@ -64,23 +63,12 @@ def test_higher_energy_example1():
     assert energy_EA(state, backend) == pytest.approx(0.75 * PI ** 4, rel=0.03)
 
 
-def test_extended_energy_limits():
-    exp, backend = make_backend(8, "ex1")
-    state = init_state(backend, 0.01, exact_at=exp.exact.field_at)
-    e = discrete_energy(state, backend)
-    cross = energy_cross_term(state, backend)
-    tiny = 1e-12
-    assert extended_energy(state, backend, tiny) == pytest.approx(e, abs=2e-12 * abs(cross) + 1e-14)
-    with pytest.raises(ValueError):
-        extended_energy(state, backend, 0.0)
-
-
 def test_extended_energy_of_stationary_state():
+    # d = 0, so the cross term (d, U)_M vanishes and E + delta (d, U)_M = E
     exp, backend = make_backend(8, "ex1")
     u = backend.interpolate(exp.params.u0)
     state = StepperState(n=1, k=0.01, u_prev=u, u_curr=u)
-    e = discrete_energy(state, backend)
-    assert extended_energy(state, backend, 0.5) == pytest.approx(e, rel=1e-14)
+    assert energy_cross_term(state, backend) == 0.0
 
 
 def test_decay_bounds_example1():

@@ -170,7 +170,7 @@ def test_l2_projection_reproduces_members():
     coeffs = rng.normal(size=space.n_dofs)
     m = assemble_mass(space)
     b = m.matvec(coeffs)
-    p, _ = cg_solve(m, b, rtol=1e-13)
+    p, _ = cg_solve(m, b, space.basis.solver(space.basis.symbol(m)), rtol=1e-13)
     assert np.allclose(p, coeffs, atol=1e-9)
 
 

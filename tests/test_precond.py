@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dampedwave import diagnostics, fem
 from dampedwave.fdm import FdOperator, fd_eigenvalue
 from dampedwave.fem import FemSpace, ScalarField, assemble_mass, assemble_stiffness
 from dampedwave.harness import builtin_experiments
@@ -16,7 +17,8 @@ from dampedwave.mesh import PI_SQUARE, Rectangle, UNIT_SQUARE, build_fd_grid, \
     build_tri_mesh
 from dampedwave.sparse import SineBasis, cg_solve, from_diagonal, \
     smallest_generalized_eigenpair
-from dampedwave.stepper import ModelParams, make_fd_backend, make_fem_backend
+from dampedwave.stepper import ModelParams, init_state, make_fd_backend, \
+    make_fem_backend
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -85,13 +87,34 @@ def test_p1_stiffness_is_diagonal_in_the_sine_basis():
     assert np.allclose(k.matvec(x), b, atol=1e-11 * np.linalg.norm(b))
 
 
-def test_cg_without_precond_is_the_jacobi_path():
-    space = FemSpace(build_tri_mesh(UNIT_SQUARE, 9))
-    a = assemble_mass(space)
-    b = np.random.default_rng(4).normal(size=a.dim)
-    x1, r1 = cg_solve(a, b)
-    x2, r2 = cg_solve(a, b, precond=lambda r: a.inv_diagonal * r)
-    assert np.array_equal(x1, x2) and r1 == r2
+@pytest.mark.parametrize("n", [8, 16, 32])
+def test_projections_and_higher_energy_solve_in_the_sine_basis(n, monkeypatch):
+    # each solve against Jacobi CG (P = diag(A)) on the same system: the
+    # sine basis solves the elliptic projection's K in one iteration, and the
+    # M-solves of the L2 projection and energy_EA in fewer (on ex1, 11-13
+    # against 14-19 at N = 8, 16, 32; Jacobi takes 6-56 for K)
+    exp = builtin_experiments()["ex1"]
+    space = FemSpace(build_tri_mesh(exp.domain, n))
+    backend = make_fem_backend(space, exp.params)
+    state = init_state(backend, exp.time_step(n), exact_at=exp.exact.field_at)
+    solves = []
+
+    def recorded(a, b, precond, **kwargs):
+        x, rep = cg_solve(a, b, precond, **kwargs)
+        solves.append((a, b, rep.iterations))
+        return x, rep
+
+    monkeypatch.setattr(fem, "cg_solve", recorded)
+    monkeypatch.setattr(diagnostics, "cg_solve", recorded)
+    u = exp.exact.field_at(0.0)
+    fem.elliptic_project(space, u)
+    fem.l2_project(space, u)
+    diagnostics.energy_EA(state, backend)
+    assert len(solves) == 3
+    assert solves[0][2] == 1
+    for a, b, its in solves:
+        _, jacobi = cg_solve(a, b, lambda r: r / a.diagonal())
+        assert its < jacobi.iterations
 
 
 def _kappa(a, precond):

@@ -10,11 +10,11 @@ from dampedwave import sparse
 from dampedwave.mesh import PI_SQUARE, UNIT_SQUARE, build_fd_grid, build_tri_mesh
 from dampedwave.sparse import (
     CgError,
+    SineBasis,
     SparseMatrix,
     cg_solve,
     from_coo,
     from_diagonal,
-    identity,
     on_common_pattern,
     smallest_generalized_eigenpair,
 )
@@ -25,8 +25,13 @@ def dense_to_csr(a):
     return from_coo(rows, cols, a[rows, cols], a.shape[0])
 
 
+def sine_precond(space, a):
+    """The sine-basis preconditioner of a grid operator of ``space``."""
+    return space.basis.solver(space.basis.symbol(a))
+
+
 def test_identity_matvec():
-    a = identity(5)
+    a = from_diagonal(np.ones(5))
     x = np.arange(5.0)
     assert np.array_equal(a.matvec(x), x)
 
@@ -52,6 +57,17 @@ def test_from_coo_sums_duplicates():
     assert d[1, 0] == 4.0
 
 
+@pytest.mark.parametrize("rows, cols, vals", [
+    # NaN compares false with everything, so a test |v| > 0 would drop it
+    ([0, 0, 1, 1], [0, 1, 0, 1], [2.0, np.nan, np.nan, 2.0]),
+    ([0, 0, 1, 1], [0, 1, 0, 1], [np.inf, 0.0, 0.0, 2.0]),
+    ([0, 0, 1], [0, 0, 1], [1e308, 1e308, 1.0]),  # overflows when summed
+])
+def test_from_coo_rejects_non_finite_entries(rows, cols, vals):
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
+        from_coo(rows, cols, vals, 2)
+
+
 def test_diagonal_extraction():
     rng = np.random.default_rng(3)
     b = rng.normal(size=(6, 6))
@@ -62,13 +78,13 @@ def test_diagonal_extraction():
 
 def test_cg_identity_converges_immediately():
     b = np.array([3.0, -1.0, 2.0])
-    x, rep = cg_solve(identity(3), b)
+    x, rep = cg_solve(from_diagonal(np.ones(3)), b, lambda r: r)
     assert np.allclose(x, b)
     assert rep.iterations <= 1
 
 
 def test_cg_zero_rhs():
-    x, rep = cg_solve(identity(4), np.zeros(4))
+    x, rep = cg_solve(from_diagonal(np.ones(4)), np.zeros(4), lambda r: r)
     assert np.array_equal(x, np.zeros(4))
     assert rep.iterations == 0
 
@@ -100,7 +116,7 @@ def test_cg_matches_tridiagonal_elimination():
     vals = np.concatenate([main, off, off])
     a = from_coo(rows, cols, vals, n)
     b = h * np.ones(n)  # lumped load for f = 1
-    x, _ = cg_solve(a, b, rtol=1e-12)
+    x, _ = cg_solve(a, b, lambda r: r, rtol=1e-12)
     ref = thomas_solve(off, main, off, b)
     assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
 
@@ -111,7 +127,7 @@ def test_cg_random_spd():
     spd = b.T @ b + np.eye(10)
     a = dense_to_csr(spd)
     rhs = rng.normal(size=10)
-    x, rep = cg_solve(a, rhs, rtol=1e-10)
+    x, rep = cg_solve(a, rhs, lambda r: r, rtol=1e-10)
     assert np.linalg.norm(rhs - spd @ x) <= 1e-10 * np.linalg.norm(rhs)
     assert rep.final_residual <= 1e-10
 
@@ -130,26 +146,31 @@ def test_cg_raises_on_iteration_cap(monkeypatch):
     assert err.value.iterations == 20
 
 
+# the warm-start tests solve with the mass matrix: the sine basis solves the
+# stiffness exactly in one iteration, so no start could save one there
+
 def test_cg_warm_start_helps():
-    mesh = build_tri_mesh(UNIT_SQUARE, 8)
-    k = assemble_stiffness(FemSpace(mesh))
-    b = np.ones(k.dim)
-    x_cold, rep_cold = cg_solve(k, b, rtol=1e-10)
-    _, rep_warm = cg_solve(k, b, rtol=1e-10, x0=x_cold)
+    space = FemSpace(build_tri_mesh(UNIT_SQUARE, 8))
+    m = assemble_mass(space)
+    pre = sine_precond(space, m)
+    b = np.ones(m.dim)
+    x_cold, rep_cold = cg_solve(m, b, pre, rtol=1e-10)
+    _, rep_warm = cg_solve(m, b, pre, rtol=1e-10, x0=x_cold)
     assert rep_warm.iterations < rep_cold.iterations
 
 
 def test_cg_warm_start_meeting_rtol_is_refined_once():
-    mesh = build_tri_mesh(UNIT_SQUARE, 8)
-    k = assemble_stiffness(FemSpace(mesh))
-    b = np.ones(k.dim)
-    guess, _ = cg_solve(k, b, rtol=1e-12)
-    start = np.linalg.norm(b - k.matvec(guess)) / np.linalg.norm(b)
+    space = FemSpace(build_tri_mesh(UNIT_SQUARE, 8))
+    m = assemble_mass(space)
+    pre = sine_precond(space, m)
+    b = np.ones(m.dim)
+    guess, _ = cg_solve(m, b, pre, rtol=1e-12)
+    start = np.linalg.norm(b - m.matvec(guess)) / np.linalg.norm(b)
     assert 0.0 < start <= 1e-10
-    x, rep = cg_solve(k, b, rtol=1e-10, x0=guess)
+    x, rep = cg_solve(m, b, pre, rtol=1e-10, x0=guess)
     assert rep.iterations == 1
     assert rep.final_residual <= start
-    assert np.linalg.norm(b - k.matvec(x)) / np.linalg.norm(b) <= start
+    assert np.linalg.norm(b - m.matvec(x)) / np.linalg.norm(b) <= start
 
 
 def test_cg_exact_warm_start_returns_the_guess():
@@ -157,13 +178,14 @@ def test_cg_exact_warm_start_returns_the_guess():
     guess = np.ones(2)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        x, rep = cg_solve(a, np.array([2.0, 3.0]), x0=guess)
+        x, rep = cg_solve(a, np.array([2.0, 3.0]), lambda r: r, x0=guess)
     assert rep.iterations == 0 and rep.final_residual == 0.0
     assert np.array_equal(x, guess) and x is not guess
 
 
 def _reference_cg(a, b, rtol, max_iter, precond):
-    """Jacobi CG from x = 0, written out as the reference for the cold path."""
+    """Preconditioned CG from x = 0, written out as the reference for the
+    cold path."""
     bnorm = math.sqrt(b @ b)
     x = np.zeros(b.shape[0])
     r = b - a.matvec(x)
@@ -194,15 +216,17 @@ def test_cg_cold_start_is_bit_identical_to_the_reference_loop(rtol):
     k, m = assemble_stiffness(space), assemble_mass(space)
     b = np.random.default_rng(3).normal(size=k.dim)
     for a in (k, m):
-        x, rep = cg_solve(a, b, rtol=rtol)
-        want, its, res = _reference_cg(a, b, rtol, 10_000,
-                                       lambda r: a.inv_diagonal * r)
+        pre = sine_precond(space, a)
+        x, rep = cg_solve(a, b, pre, rtol=rtol)
+        want, its, res = _reference_cg(a, b, rtol, 10_000, pre)
         assert np.array_equal(x, want)
         assert (rep.iterations, rep.final_residual) == (its, res)
 
 
 def test_cg_cold_start_makes_one_matvec_per_iteration(monkeypatch):
-    k = assemble_stiffness(FemSpace(build_tri_mesh(UNIT_SQUARE, 8)))
+    space = FemSpace(build_tri_mesh(UNIT_SQUARE, 8))
+    k = assemble_stiffness(space)
+    pre = sine_precond(space, k)
     calls = []
     matvec = SparseMatrix.matvec
 
@@ -211,11 +235,11 @@ def test_cg_cold_start_makes_one_matvec_per_iteration(monkeypatch):
         return matvec(self, x)
 
     monkeypatch.setattr(SparseMatrix, "matvec", counted)
-    _, rep = cg_solve(k, np.ones(k.dim), rtol=1e-10)
+    _, rep = cg_solve(k, np.ones(k.dim), pre, rtol=1e-10)
     assert rep.iterations > 0
     assert len(calls) == rep.iterations
     with pytest.raises(ValueError, match="dimension"):
-        cg_solve(k, np.ones(k.dim + 1))
+        cg_solve(k, np.ones(k.dim + 1), pre)
 
 
 def test_matvec_with_empty_rows():
@@ -261,54 +285,43 @@ def test_common_pattern_keeps_values():
         assert np.array_equal(s.to_dense(), m.to_dense())
 
 
-def test_inverse_diagonal_is_computed_once():
-    a = dense_to_csr(np.diag([2.0, 4.0]))
-    calls = []
-
-    class Counting(SparseMatrix):
-        def diagonal(self):
-            calls.append(1)
-            return super().diagonal()
-
-    c = Counting(a.row_ptr, a.col_idx, a.vals, a.dim)
-    for _ in range(3):
-        x, _ = cg_solve(c, np.ones(2))
-    assert np.allclose(x, [0.5, 0.25])
-    assert len(calls) == 1
-
-
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_cg_fails_fast_on_non_finite_rhs(bad):
-    k = assemble_stiffness(FemSpace(build_tri_mesh(UNIT_SQUARE, 8)))
+    space = FemSpace(build_tri_mesh(UNIT_SQUARE, 8))
+    k = assemble_stiffness(space)
     b = np.ones(k.dim)
     b[3] = bad
     with pytest.raises(CgError) as err:
-        cg_solve(k, b)
+        cg_solve(k, b, sine_precond(space, k))
     assert err.value.iterations <= 1
     assert "non-finite" in str(err.value)
 
 
 def test_cg_fails_fast_on_non_finite_residual():
-    k = assemble_stiffness(FemSpace(build_tri_mesh(UNIT_SQUARE, 8)))
+    space = FemSpace(build_tri_mesh(UNIT_SQUARE, 8))
+    k = assemble_stiffness(space)
     x0 = np.zeros(k.dim)
     x0[0] = np.inf
     with pytest.raises(CgError) as err:
-        cg_solve(k, np.ones(k.dim), x0=x0)
+        cg_solve(k, np.ones(k.dim), sine_precond(space, k), x0=x0)
     assert err.value.iterations <= 1
 
 
 def test_cg_fails_fast_when_an_iteration_turns_non_finite():
-    # a zero diagonal entry makes the Jacobi step infinite in iteration 1
-    a = from_coo([0, 1], [0, 1], [1.0, 0.0], 2)
+    # a zero in the preconditioner's divisor makes the first search
+    # direction infinite, and so the residual of iteration 1 non-finite
+    a = from_diagonal([1.0, 2.0])
     with np.errstate(all="ignore"), pytest.raises(CgError) as err:
-        cg_solve(a, np.ones(2))
+        cg_solve(a, np.ones(2), lambda r: r / np.array([1.0, 0.0]))
     assert err.value.iterations == 1
 
 
 def test_fd_pencil_smallest_eigenvalue():
     grid = build_fd_grid(UNIT_SQUARE, 8)
     op = FdOperator(grid)
-    lam, v, _ = smallest_generalized_eigenpair(op.gram_matrix(), op.mass_matrix())
+    k, basis = op.gram_matrix(), SineBasis(grid.n_per_side - 1)
+    lam, v, _ = smallest_generalized_eigenpair(k, op.mass_matrix(),
+                                               basis.solver(basis.symbol(k)))
     closed = fd_eigenvalue(grid, 1, 1)
     assert lam == pytest.approx(closed, rel=1e-9)
     assert lam == pytest.approx(19.49, abs=0.01)
@@ -327,7 +340,7 @@ def test_inverse_iteration_multiplies_by_m_once_per_iterate(monkeypatch):
         return matvec(self, x)
 
     monkeypatch.setattr(SparseMatrix, "matvec", counted)
-    lam, v, its = smallest_generalized_eigenpair(k, m)
+    lam, v, its = smallest_generalized_eigenpair(k, m, sine_precond(space, k))
     # the starting vector and each iterate: one product with M, which
     # normalises it, enters its Rayleigh quotient and is the next right-hand side
     assert sum(a is m for a in calls) == its + 1
@@ -338,8 +351,9 @@ def test_inverse_iteration_multiplies_by_m_once_per_iterate(monkeypatch):
 
 def test_fem_pencil_unit_square():
     space = FemSpace(build_tri_mesh(UNIT_SQUARE, 32))
-    lam, _, _ = smallest_generalized_eigenpair(
-        assemble_stiffness(space), assemble_mass(space))
+    k = assemble_stiffness(space)
+    lam, _, _ = smallest_generalized_eigenpair(k, assemble_mass(space),
+                                               sine_precond(space, k))
     exact = 2.0 * np.pi ** 2
     assert abs(lam - exact) / exact < 0.01
     assert lam > exact  # discrete eigenvalues approach from above
@@ -347,6 +361,7 @@ def test_fem_pencil_unit_square():
 
 def test_fem_pencil_pi_square():
     space = FemSpace(build_tri_mesh(PI_SQUARE, 32))
-    lam, _, _ = smallest_generalized_eigenpair(
-        assemble_stiffness(space), assemble_mass(space))
+    k = assemble_stiffness(space)
+    lam, _, _ = smallest_generalized_eigenpair(k, assemble_mass(space),
+                                               sine_precond(space, k))
     assert abs(lam - 2.0) / 2.0 < 0.01

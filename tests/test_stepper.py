@@ -68,7 +68,8 @@ def test_taylor_start_with_zero_velocity():
     k = 0.02
     state = init_state(backend, k)
     u0 = backend.interpolate(params.u0)
-    w, _ = cg_solve(backend.M, -backend.K.matvec(u0), rtol=1e-12)
+    w, _ = cg_solve(backend.M, -backend.K.matvec(u0), backend.mass_precond,
+                    rtol=1e-12)
     assert np.allclose(state.u_curr, u0 + 0.5 * k * k * w, atol=1e-10)
 
 
