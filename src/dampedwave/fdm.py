@@ -3,7 +3,7 @@ Dirichlet data: discrete Laplacian, lumped h^2 mass, and discrete norms."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -15,7 +15,7 @@ from .sparse import SparseMatrix, from_coo, from_diagonal
 class FdOperator:
     """Discrete Laplacian on the interior unknowns of a square grid.
 
-    Supports both a matrix-free stencil action and an assembled CSR form;
+    Supports both a matrix-free stencil action and an assembled sparse form;
     the two agree to rounding. The companion mass matrix is h^2 * I.
     """
 
@@ -58,7 +58,7 @@ class FdOperator:
         discrete L2 inner product. Pairs with mass_matrix() as an SPD pencil
         whose generalized eigenvalues are those of A_h itself."""
         a = self.assemble()
-        return SparseMatrix(a.row_ptr, a.col_idx, a.vals * self.grid.h ** 2, a.dim)
+        return replace(a, vals=a.vals * self.grid.h ** 2)
 
     def mass_matrix(self) -> SparseMatrix:
         return from_diagonal(np.full(self.grid.n_interior, self.grid.h ** 2))

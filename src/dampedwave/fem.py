@@ -123,7 +123,7 @@ def _weight_at_mids(space: FemSpace, weight: ScalarField | None) -> np.ndarray:
 
 
 def _assemble(space: FemSpace, element: np.ndarray) -> SparseMatrix:
-    """Scatter per-element 3x3 blocks into a free-dof CSR matrix."""
+    """Scatter per-element 3x3 blocks into a free-dof sparse matrix."""
     tris = space.mesh.triangles
     fmap = space._node_to_free
     rows = np.repeat(fmap[tris], 3, axis=1).ravel()

@@ -1,6 +1,7 @@
-"""Symmetric CSR matrices, a preconditioned CG solver, the sine basis that
-preconditions grid operators (and diagonalises the finite difference ones),
-and inverse power iteration for the generalized eigenproblem K v = lambda M v."""
+"""Symmetric sparse matrices in fixed-width rows, a preconditioned CG solver,
+the sine basis that preconditions grid operators (and diagonalises the finite
+difference ones), and inverse power iteration for the generalized
+eigenproblem K v = lambda M v."""
 
 from __future__ import annotations
 
@@ -44,92 +45,90 @@ class SolveReport:
 
 @dataclass(frozen=True)
 class SparseMatrix:
-    """Compressed-row sparse matrix with an entry in every row (the matvec's
-    np.add.reduceat cannot sum an empty one); assembled ones are symmetric."""
+    """Sparse matrix in fixed-width rows: row i holds vals[i] in the columns
+    cols[i], padded with its own index and the value 0, so a row with no
+    entries is an exact zero row. Assembled ones are symmetric."""
 
-    row_ptr: np.ndarray
-    col_idx: np.ndarray
-    vals: np.ndarray
-    dim: int
+    cols: np.ndarray  # (dim, width) column indices
+    vals: np.ndarray  # (dim, width) values
 
-    def __post_init__(self):
-        if np.any(self.row_ptr[1:] == self.row_ptr[:-1]):
-            raise ValueError("sparse matrix has an empty row")
+    @property
+    def dim(self) -> int:
+        return self.cols.shape[0]
 
-    @cached_property
-    def row_ids(self) -> np.ndarray:
-        """Row index of every stored entry."""
-        return np.repeat(np.arange(self.dim), np.diff(self.row_ptr))
+    @property
+    def rows(self) -> np.ndarray:
+        """Row index of every slot, a broadcast view shaped like cols."""
+        return np.broadcast_to(np.arange(self.dim)[:, None], self.cols.shape)
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         if x.shape[0] != self.dim:
             raise ValueError(f"dimension mismatch: {x.shape[0]} != {self.dim}")
-        return np.add.reduceat(self.vals * x[self.col_idx], self.row_ptr[:-1])
+        return np.einsum("nw,nw->n", self.vals, x[self.cols])
 
     def diagonal(self) -> np.ndarray:
-        on_diag = self.col_idx == self.row_ids
-        d = np.zeros(self.dim)
-        d[self.col_idx[on_diag]] = self.vals[on_diag]
-        return d
+        return np.where(self.cols == self.rows, self.vals, 0.0).sum(axis=1)
 
     def to_dense(self) -> np.ndarray:
         a = np.zeros((self.dim, self.dim))
-        a[self.row_ids, self.col_idx] = self.vals
+        np.add.at(a, (self.rows, self.cols), self.vals)
         return a
 
     @property
     def nnz(self) -> int:
+        """Stored slots, padding included: what matvec multiplies."""
         return self.vals.size
 
 
 def from_coo(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
              dim: int) -> SparseMatrix:
-    """Build CSR from triplets, summing duplicates and dropping explicit zeros
-    off the diagonal; raises ValueError when a summed entry is not finite."""
-    rows = np.asarray(rows, dtype=np.int64)
-    cols = np.asarray(cols, dtype=np.int64)
-    vals = np.asarray(vals, dtype=np.float64)
-    order = np.lexsort((cols, rows))
-    rows, cols, vals = rows[order], cols[order], vals[order]
-    if rows.size:
-        new = np.empty(rows.size, dtype=bool)
-        new[0] = True
-        new[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
-        idx = np.flatnonzero(new)
-        vals = np.add.reduceat(vals, idx)
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("sparse matrix entries must be finite")
-        rows, cols = rows[idx], cols[idx]
-        # always keep the diagonal so matvec/diagonal see full rows
-        keep = (vals != 0.0) | (rows == cols)
-        rows, cols, vals = rows[keep], cols[keep], vals[keep]
-    row_ptr = np.zeros(dim + 1, dtype=np.int64)
-    np.add.at(row_ptr, rows + 1, 1)
-    np.cumsum(row_ptr, out=row_ptr)
-    return SparseMatrix(row_ptr, cols, vals, dim)
+    """Build the matrix from triplets, summing duplicates and keeping the
+    nonzero sums; raises ValueError for an index outside it or a non-finite sum."""
+    keys = np.ravel_multi_index((np.asarray(rows, dtype=np.int64),
+                                 np.asarray(cols, dtype=np.int64)), (dim, dim))
+    order = np.argsort(keys, kind="stable")  # duplicates stay in input order
+    keys, vals = keys[order], np.asarray(vals, dtype=np.float64)[order]
+    first = np.flatnonzero(keys != np.concatenate(([-1], keys[:-1])))  # run starts
+    with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+        vals = np.add.reduceat(vals, first)
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("sparse matrix entries must be finite")
+    keep = vals != 0.0
+    return _fixed_width(keys[first[keep]], dim, [vals[keep]])[0]
 
 
 def from_diagonal(d: np.ndarray) -> SparseMatrix:
-    d = np.asarray(d, dtype=np.float64)
-    n = d.size
-    idx = np.arange(n, dtype=np.int64)
-    return SparseMatrix(np.arange(n + 1, dtype=np.int64), idx, d.copy(), n)
+    d = np.array(d, dtype=np.float64)
+    return SparseMatrix(np.arange(d.size)[:, None], d[:, None])
 
 
 def on_common_pattern(mats: list[SparseMatrix]) -> list[SparseMatrix]:
-    """The matrices stored on the union of their sparsity patterns, so that a
-    linear combination of them is the same combination of value arrays."""
+    """The matrices on the union of their sparsity patterns, sharing one cols
+    array, so that a linear combination of them is that of their vals."""
     dim = mats[0].dim
-    rows = np.concatenate([m.row_ids for m in mats])
-    cols = np.concatenate([m.col_idx for m in mats])
-    union = from_coo(rows, cols, np.ones(rows.size), dim)
-    # entries are sorted by (row, col), so row * dim + col increases along them
-    keys = union.row_ids * dim + union.col_idx
+    # each matrix's nonzero slots (padding holds 0) as keys row * dim + col
+    keys = [(m.rows * dim + m.cols)[m.vals != 0.0] for m in mats]
+    union = np.sort(np.concatenate(keys))
+    union = union[union != np.concatenate(([-1], union[:-1]))]
+    return _fixed_width(union, dim, [
+        np.bincount(np.searchsorted(union, k), m.vals[m.vals != 0.0], union.size)
+        for m, k in zip(mats, keys)])
+
+
+def _fixed_width(keys: np.ndarray, dim: int, values) -> list[SparseMatrix]:
+    """Matrices with the entries of each array of ``values`` at the
+    increasing keys row * dim + col, all on one cols array."""
+    rows = keys // dim
+    counts = np.bincount(rows, minlength=dim)
+    # the slots that hold an entry; a boolean index fills them row by row
+    filled = np.arange(counts.max(initial=0)) < counts[:, None]
+    cols = np.repeat(np.arange(dim)[:, None], filled.shape[1], axis=1)
+    cols[filled] = keys - rows * dim
     out = []
-    for m in mats:
-        vals = np.zeros(union.nnz)
-        vals[np.searchsorted(keys, m.row_ids * dim + m.col_idx)] = m.vals
-        out.append(SparseMatrix(union.row_ptr, union.col_idx, vals, dim))
+    for v in values:
+        vals = np.zeros(filled.shape)
+        vals[filled] = v
+        out.append(SparseMatrix(cols, vals))
     return out
 
 
@@ -174,11 +173,11 @@ class SineBasis:
         n, s = self.n, self.matrix
         if a.dim != n * n:
             raise ValueError(f"operator of dimension {a.dim} is not on a {n}x{n} grid")
-        ry, rx = np.divmod(a.row_ids, n)
-        cy, cx = np.divmod(a.col_idx, n)
+        ry, rx = np.divmod(a.rows.ravel(), n)
+        cy, cx = np.divmod(a.cols.ravel(), n)
         ys, yi = _distinct_pairs(ry, cy, n)
         xs, xi = _distinct_pairs(rx, cx, n)
-        pairs = np.bincount(yi * xs.size + xi, weights=a.vals,
+        pairs = np.bincount(yi * xs.size + xi, weights=a.vals.ravel(),
                             minlength=ys.size * xs.size).reshape(ys.size, xs.size)
         sy = s[ys // n] * s[ys % n]
         sx = s[xs // n] * s[xs % n]

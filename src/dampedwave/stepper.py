@@ -6,7 +6,7 @@ Scheme: (d2 U^n, chi) + beta a(dt U^n, chi) + alpha (dt U^n, chi)
         + a(U^{n+1}, chi) = (f, chi), where d2 is the centered second
 difference and dt the forward difference, leading to the SPD system
     [(1/k^2 + alpha/k) M + (beta/k + 1) K] U^{n+1} = rhs.
-Every operator sits on one CSR pattern, so the system matrix for a given
+Every operator sits on one sparsity pattern, so the system matrix for a given
 step and coefficient value is one sum of value arrays, built once and reused.
 Its symbol in the grid's sine basis is the same sum of the operators'
 symbols, and preconditions every CG solve of the stepper.

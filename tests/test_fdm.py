@@ -42,7 +42,7 @@ def test_matrix_free_equals_assembled():
     # stored entry (4/h^2, -1/h^2), once in each product and 4 times in the
     # sum, so it is within 6u. The difference is within 11u = 5.5 eps to
     # first order, and 6 eps also covers the O(u^2) terms.
-    abs_a = SparseMatrix(a.row_ptr, a.col_idx, np.abs(a.vals), a.dim)
+    abs_a = SparseMatrix(a.cols, np.abs(a.vals))
     bound = 6.0 * np.finfo(float).eps * abs_a.matvec(np.abs(v))
     assert np.all(np.abs(op.apply(v) - a.matvec(v)) <= bound)
 

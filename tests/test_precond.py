@@ -161,7 +161,8 @@ def test_preconditioned_lambda1_matches_scipy_eigsh(backend):
         handles.K, handles.M, precond=handles.stiffness_precond)
 
     def csr(a):
-        return sp.csr_matrix((a.vals, a.col_idx, a.row_ptr), shape=(a.dim, a.dim))
+        return sp.csr_matrix((a.vals.ravel(), (a.rows.ravel(), a.cols.ravel())),
+                             shape=(a.dim, a.dim))
 
     want = linalg.eigsh(csr(handles.K), k=1, M=csr(handles.M), sigma=0.0,
                         which="LM", return_eigenvectors=False)[0]

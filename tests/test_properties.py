@@ -287,8 +287,10 @@ def dense_lambda1(backend):
 @PROPERTY
 @given(n=st.integers(2, 10), alpha=damping_value, beta=damping_value,
        kind=st.sampled_from(["constant", "scheduled", "spatial"]),
-       dk=st.floats(0.01, 1.0), forced=st.booleans(), p=mode_index, q=mode_index)
-def test_fem_run_matches_dense_solves(n, alpha, beta, kind, dk, forced, p, q):
+       dk=st.floats(0.01, 1.0), forced=st.booleans(), p=mode_index, q=mode_index,
+       fd=st.booleans())
+def test_fem_run_matches_dense_solves(n, alpha, beta, kind, dk, forced, p, q, fd):
+    # on FD a spatial alpha takes CG steps, and any other alpha the modal path
     assume(alpha + beta > 0)
     coeff = alpha
     if kind == "scheduled" and alpha > 0:
@@ -299,7 +301,8 @@ def test_fem_run_matches_dense_solves(n, alpha, beta, kind, dk, forced, p, q):
     forcing = ScalarField(lambda x, y: 1.0 + x * y) if forced else None
     params = ModelParams(domain=UNIT_SQUARE, alpha=coeff, beta=beta,
                          u0=mode_field(p, q), u1=mode_field(q, 1), forcing=forcing)
-    backend = make_fem_backend(FemSpace(build_tri_mesh(UNIT_SQUARE, n)), params)
+    backend = make_fd_backend(build_fd_grid(UNIT_SQUARE, n), params) if fd \
+        else make_fem_backend(FemSpace(build_tri_mesh(UNIT_SQUARE, n)), params)
     a = params.damping[0]
     _, delta = decay_bounds((a.lo, a.hi), beta, dense_lambda1(backend))
     # up to the edge delta k <= 34/205 of the discrete decay theorem

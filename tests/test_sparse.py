@@ -20,7 +20,7 @@ from dampedwave.sparse import (
 )
 
 
-def dense_to_csr(a):
+def from_dense(a):
     rows, cols = np.nonzero(a)
     return from_coo(rows, cols, a[rows, cols], a.shape[0])
 
@@ -37,14 +37,14 @@ def test_identity_matvec():
 
 
 def test_small_symmetric_matvec():
-    a = dense_to_csr(np.array([[2.0, -1.0], [-1.0, 2.0]]))
+    a = from_dense(np.array([[2.0, -1.0], [-1.0, 2.0]]))
     assert np.allclose(a.matvec(np.ones(2)), [1.0, 1.0])
 
 
 def test_matvec_symmetry():
     rng = np.random.default_rng(11)
     b = rng.normal(size=(8, 8))
-    a = dense_to_csr(b + b.T)
+    a = from_dense(b + b.T)
     x = rng.normal(size=8)
     y = rng.normal(size=8)
     assert x @ a.matvec(y) == pytest.approx(y @ a.matvec(x))
@@ -62,17 +62,27 @@ def test_from_coo_sums_duplicates():
     ([0, 0, 1, 1], [0, 1, 0, 1], [2.0, np.nan, np.nan, 2.0]),
     ([0, 0, 1, 1], [0, 1, 0, 1], [np.inf, 0.0, 0.0, 2.0]),
     ([0, 0, 1], [0, 0, 1], [1e308, 1e308, 1.0]),  # overflows when summed
+    ([0, 0, 1], [0, 0, 1], [np.inf, -np.inf, 1.0]),  # sums to NaN
 ])
+@pytest.mark.filterwarnings("error")
 def test_from_coo_rejects_non_finite_entries(rows, cols, vals):
-    with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
+    with pytest.raises(ValueError, match="finite"):
         from_coo(rows, cols, vals, 2)
+
+
+@pytest.mark.parametrize("rows, cols", [([0, 1, 3], [0, 1, 2]), ([0, 1, -1], [0, 1, 2]),
+                                        ([0, 1, 2], [0, 1, 3]), ([0, 1, 2], [0, 1, -1])])
+def test_from_coo_rejects_indices_outside_the_matrix(rows, cols):
+    # a column past the last one would otherwise alias an entry of the next row
+    with pytest.raises(ValueError):
+        from_coo(rows, cols, [1.0, 2.0, 3.0], 3)
 
 
 def test_diagonal_extraction():
     rng = np.random.default_rng(3)
     b = rng.normal(size=(6, 6))
     spd = b @ b.T + 6 * np.eye(6)
-    a = dense_to_csr(spd)
+    a = from_dense(spd)
     assert np.allclose(a.diagonal(), np.diag(spd))
 
 
@@ -125,7 +135,7 @@ def test_cg_random_spd():
     rng = np.random.default_rng(7)
     b = rng.normal(size=(10, 10))
     spd = b.T @ b + np.eye(10)
-    a = dense_to_csr(spd)
+    a = from_dense(spd)
     rhs = rng.normal(size=10)
     x, rep = cg_solve(a, rhs, lambda r: r, rtol=1e-10)
     assert np.linalg.norm(rhs - spd @ x) <= 1e-10 * np.linalg.norm(rhs)
@@ -243,29 +253,32 @@ def test_cg_cold_start_makes_one_matvec_per_iteration(monkeypatch):
 
 
 def test_matvec_with_empty_rows():
-    # an empty row is bad input: np.add.reduceat would give it the next
-    # row's first entry, or fail on a trailing one
-    with pytest.raises(ValueError, match="empty row"):
-        from_coo([0, 2], [0, 2], [1.0, 3.0], 3)
-    with pytest.raises(ValueError, match="empty row"):
-        from_coo([0], [0], [2.0], 3)
-    with pytest.raises(ValueError, match="empty row"):
-        SparseMatrix(np.array([0, 1, 1]), np.array([0]), np.array([1.0]), 2)
+    # padding slots hold the value 0, so a row with no entries, the last one
+    # too, is an exact zero row
+    for rows, cols, vals, dim in (([0, 2], [0, 2], [1.0, 3.0], 3),
+                                  ([0], [0], [2.0], 3),
+                                  ([1], [0], [5.0], 2),
+                                  ([], [], [], 2)):
+        a = from_coo(rows, cols, vals, dim)
+        dense = np.zeros((dim, dim))
+        dense[np.array(rows, dtype=int), np.array(cols, dtype=int)] = vals
+        x = np.arange(1.0, dim + 1.0)
+        assert np.array_equal(a.matvec(x), dense @ x)
+        assert np.array_equal(a.diagonal(), np.diag(dense))
+        assert np.array_equal(a.to_dense(), dense)
 
 
 def test_diagonal_and_dense_with_missing_diagonal_and_empty_row():
-    dense = np.array([[2.0, 1.0, 0.0, 0.0],
-                      [1.0, 0.0, 0.0, 3.0],   # no stored diagonal entry
-                      [0.0, 0.0, 0.0, 0.0],   # empty row
-                      [0.0, 3.0, 0.0, 5.0]])
-    with pytest.raises(ValueError, match="empty row"):
-        dense_to_csr(dense)
-    dense[2, 2] = 4.0
-    a = dense_to_csr(dense)
+    dense = np.array([[2.0, 1.0, 0.0, 0.0, 0.0],
+                      [1.0, 0.0, 0.0, 3.0, 0.0],   # no stored diagonal entry
+                      [0.0, 0.0, 0.0, 0.0, 0.0],   # empty row
+                      [0.0, 3.0, 0.0, 5.0, 0.0],
+                      [0.0, 0.0, 0.0, 0.0, 0.0]])  # empty last row
+    a = from_dense(dense)
     assert np.array_equal(a.diagonal(), np.diag(dense))
     assert np.array_equal(a.to_dense(), dense)
-    x = np.arange(1.0, 5.0)
-    assert np.allclose(a.matvec(x), dense @ x, rtol=1e-15)
+    x = np.arange(1.0, 6.0)
+    assert np.array_equal(a.matvec(x), dense @ x)
 
 
 def test_common_pattern_keeps_values():
@@ -273,16 +286,51 @@ def test_common_pattern_keeps_values():
     mats = []
     for density in (0.2, 0.5, 0.0):
         b = rng.normal(size=(7, 7)) * (rng.uniform(size=(7, 7)) < density)
-        mats.append(dense_to_csr(b + b.T + np.diag(rng.uniform(1.0, 2.0, 7))))
+        mats.append(from_dense(b + b.T + np.diag(rng.uniform(1.0, 2.0, 7))))
     shared = on_common_pattern(mats)
     union = np.zeros((7, 7), dtype=bool)
     for m in mats:
         union |= m.to_dense() != 0.0
     for m, s in zip(mats, shared):
-        assert np.array_equal(s.row_ptr, shared[0].row_ptr)
-        assert np.array_equal(s.col_idx, shared[0].col_idx)
-        assert s.nnz == np.count_nonzero(union)
+        assert s.cols is shared[0].cols
+        assert s.nnz == 7 * np.count_nonzero(union, axis=1).max()
         assert np.array_equal(s.to_dense(), m.to_dense())
+
+
+def _random_triplets(rng, dim):
+    """Triplets with duplicates (some cancelling), explicit zeros, empty rows
+    (sometimes the last one) and rows of different widths. The values are
+    small integers, so every sum and product below is exact."""
+    occupied = rng.choice(dim, size=rng.integers(1, dim + 1), replace=False)
+    n = int(rng.integers(0, 4 * dim))
+    rows = rng.choice(occupied, size=n)
+    cols = rng.integers(0, dim, size=n)
+    vals = rng.integers(-4, 5, size=n).astype(float)
+    again = rng.uniform(size=n) < 0.3
+    dup = np.where(rng.uniform(size=again.sum()) < 0.5, -vals[again],
+                   rng.integers(-4, 5, size=again.sum()))
+    return (np.concatenate([rows, rows[again]]), np.concatenate([cols, cols[again]]),
+            np.concatenate([vals, dup]))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_layout_matches_scipy_coo(seed):
+    sp = pytest.importorskip("scipy.sparse")
+    rng = np.random.default_rng(seed)
+    dim = int(rng.integers(1, 10))
+    mats, dense = [], []
+    for _ in range(int(rng.integers(1, 4))):
+        rows, cols, vals = _random_triplets(rng, dim)
+        mats.append(from_coo(rows, cols, vals, dim))
+        dense.append(sp.coo_matrix((vals, (rows, cols)), shape=(dim, dim)).toarray())
+    x = rng.integers(-3, 4, size=dim).astype(float)
+    shared = on_common_pattern(mats)
+    for a, s, want in zip(mats, shared, dense):
+        assert s.cols is shared[0].cols
+        for m in (a, s):
+            assert np.array_equal(m.to_dense(), want)
+            assert np.array_equal(m.diagonal(), np.diag(want))
+            assert np.array_equal(m.matvec(x), want @ x)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
