@@ -10,21 +10,22 @@ from .sparse import cg_solve
 
 
 def energy_and_cross(state, backend) -> tuple[float, float]:
-    """(E, (d, U^{n+1})_M) from M d and K U^{n+1}, with d the backward
-    difference velocity; M is symmetric, so the cross term is U^{n+1} . (M d).
+    """(E, (d, U^{n+1})_M) from M e and K U^{n+1}, with e = U^{n+1} - U^n and
+    d = e/k the backward difference velocity: E = 1/2 (e'M e/k^2 + U'K U),
+    and M is symmetric, so the cross term is U^{n+1} . (M e)/k.
 
     ``state`` holds the pair (U^n, U^{n+1}) as (U_prev, U_curr). A state
     that carries its levels' products with this backend's operators (see
-    stepper.StepperState) gives M d = (M U^{n+1} - M U^n)/k and K U^{n+1}
+    stepper.StepperState) gives M e = M U^{n+1} - M U^n and K U^{n+1}
     without a matvec; otherwise both are computed here.
     """
-    u, p = state.u_curr, state.products
-    d = (u - state.u_prev) / state.k
+    u, p, k = state.u_curr, state.products, state.k
+    e = u - state.u_prev
     if p is None or state.products_of is not backend:
-        md, ku = backend.M.matvec(d), backend.K.matvec(u)
+        me, ku = backend.M.matvec(e), backend.K.matvec(u)
     else:
-        md, ku = (p[0, 0] - p[1, 0]) / state.k, p[0, 1]
-    return 0.5 * float(d @ md + u @ ku), float(u @ md)
+        me, ku = p[0, 0] - p[1, 0], p[0, 1]
+    return 0.5 * float((e @ me) / k ** 2 + u @ ku), float((u @ me) / k)
 
 
 def discrete_energy(state, backend) -> float:

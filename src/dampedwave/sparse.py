@@ -47,10 +47,14 @@ class SolveReport:
 class SparseMatrix:
     """Sparse matrix in fixed-width rows: row i holds vals[i] in the columns
     cols[i], padded with its own index and the value 0, so a row with no
-    entries is an exact zero row. Assembled ones are symmetric."""
+    entries is an exact zero row. Assembled ones are symmetric.
+
+    ``vals`` may carry a leading operator axis over the one ``cols`` array (a
+    stack): matvec then returns every operator's product, shaped
+    (operators, dim), from one gather of x."""
 
     cols: np.ndarray  # (dim, width) column indices
-    vals: np.ndarray  # (dim, width) values
+    vals: np.ndarray  # (dim, width) values, or (operators, dim, width) for a stack
 
     @property
     def dim(self) -> int:
@@ -64,7 +68,7 @@ class SparseMatrix:
     def matvec(self, x: np.ndarray) -> np.ndarray:
         if x.shape[0] != self.dim:
             raise ValueError(f"dimension mismatch: {x.shape[0]} != {self.dim}")
-        return np.einsum("nw,nw->n", self.vals, x[self.cols])
+        return np.einsum("...nw,nw->...n", self.vals, x[self.cols])
 
     def diagonal(self) -> np.ndarray:
         return np.where(self.cols == self.rows, self.vals, 0.0).sum(axis=1)
@@ -76,7 +80,8 @@ class SparseMatrix:
 
     @property
     def nnz(self) -> int:
-        """Stored slots, padding included: what matvec multiplies."""
+        """Stored slots, padding included and over every operator of a
+        stack: what matvec multiplies."""
         return self.vals.size
 
 
@@ -243,7 +248,7 @@ def cg_solve(a, b: np.ndarray, precond: Preconditioner, rtol: float = 1e-12,
     if not math.isfinite(res):
         raise CgError(0, res)
     z = precond(r)
-    p = z.copy()
+    p = z.copy()  # a preconditioner may return r itself, which r -= updates
     rz = r @ z
     max_iter = CG_ITERATIONS_PER_UNKNOWN * n
     for it in range(1, max_iter + 1):

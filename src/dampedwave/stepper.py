@@ -36,7 +36,8 @@ from .sparse import CgError, Preconditioner, SineBasis, SolveReport, \
 STEP_RTOL = 1e-10
 # CG starting point of a step from the last 2, 3 or 4 levels, newest first:
 # the linear, quadratic and cubic extrapolants
-EXTRAPOLANTS = {2: (2.0, -1.0), 3: (3.0, -3.0, 1.0), 4: (4.0, -6.0, 4.0, -1.0)}
+EXTRAPOLANTS = {len(w): np.array(w) for w in
+                ((2.0, -1.0), (3.0, -3.0, 1.0), (4.0, -6.0, 4.0, -1.0))}
 
 
 @dataclass(frozen=True)
@@ -163,12 +164,13 @@ class StepperState:
     After a CG step, ``levels`` stacks up to four levels U^n ... U^{n-3},
     newest first (rows 0 and 1 are u_curr and u_prev), and ``products[j, i]``
     is level j times ``BackendHandles.operators[i]`` (M, K, then W and S
-    where distinct) of ``products_of``, the backend that stepped it. The
-    next step and the energies read them when they are of the same backend;
-    a state built from u_prev and u_curr alone, or stepped or measured by
-    another backend, gets them by explicit matvecs. ``solve`` reports the CG
-    solve that produced u_curr in a step; None for an initial state and for
-    sine-basis steps."""
+    where distinct) of ``products_of``, the backend that stepped it; row j
+    is one product of level j with that backend's operator stack. The next
+    step and the energies read them when they are of the same backend; a
+    state built from u_prev and u_curr alone, or stepped or measured by
+    another backend, gets them by one stacked matvec per level. ``solve``
+    reports the CG solve that produced u_curr in a step; None for an
+    initial state and for sine-basis steps."""
 
     n: int
     k: float
@@ -204,16 +206,17 @@ class BackendHandles:
     def __post_init__(self):
         ops = (self.M, self.K, self.weak_op, self.strong_op)
         distinct = {id(op): op for op in ops}
-        shared = dict(zip(distinct, on_common_pattern(list(distinct.values()))))
-        symbols = {key: self.basis.symbol(op) for key, op in distinct.items()}
-        self._shared = [shared[id(op)] for op in ops]
-        self._symbols = [symbols[id(op)] for op in ops]
-        # the distinct operators, M and K first; row i of _roles picks role
-        # i of (M, K, W, S) among them, so a combination of the roles is a
-        # combination of the distinct operators
+        # the distinct operators, M and K first; role i of (M, K, W, S) is
+        # operator _op_of_role[i] among them and row i of _roles picks it, so
+        # a combination of the roles is a combination of the distinct operators
         self.operators = list(distinct.values())
-        self._roles = np.eye(len(distinct))[[list(distinct).index(id(op))
-                                             for op in ops]]
+        self._op_of_role = [list(distinct).index(id(op)) for op in ops]
+        self._roles = np.eye(len(distinct))[self._op_of_role]
+        # the distinct operators on their common pattern, as one stack
+        shared = on_common_pattern(self.operators)
+        self._stack = replace(shared[0], vals=np.stack([m.vals for m in shared]))
+        symbols = [self.basis.symbol(op) for op in self.operators]
+        self._symbols = [symbols[i] for i in self._op_of_role]
 
     @property
     def ndof(self) -> int:
@@ -241,9 +244,9 @@ class BackendHandles:
         return alpha.scale(t), beta.scale(t)
 
     def products(self, levels: np.ndarray) -> np.ndarray:
-        """Each level's product with each distinct operator, by explicit
-        matvecs: an array of shape (levels, operators, ndof)."""
-        return np.array([[op.matvec(u) for op in self.operators] for u in levels])
+        """Each level's product with each distinct operator, by one stacked
+        matvec per level: an array of shape (levels, operators, ndof)."""
+        return np.array([self._stack.matvec(u) for u in levels])
 
     def system(self, k: float, t: float) -> tuple[SparseMatrix, Preconditioner]:
         """(A, P^-1) with A = 1/k^2 M + 1/k D + K, D = scale_alpha(t) W
@@ -265,8 +268,7 @@ class BackendHandles:
         """
         key = (k, a, b)
         if self._system[0] != key:
-            mass = self._shared[0]
-            vals, _ = _combine(k, a, b, *(op.vals for op in self._shared))
+            vals, _ = _combine(k, a, b, *self._stack.vals[self._op_of_role])
             symbol, _ = _combine(k, a, b, *self._symbols)
             op_a, op_d = _combine(k, a, b, *self._roles)
             rhs = np.concatenate((2.0 * self._roles[0] / k ** 2 + op_d / k,
@@ -276,8 +278,8 @@ class BackendHandles:
                 row = np.zeros(n_levels * len(self.operators))
                 row[:rhs.size] = rhs
                 weights[n_levels] = np.stack((row, row - np.kron(ext, op_a)))
-            self._system = (key, (replace(mass, vals=vals), self.basis.solver(symbol),
-                                  weights))
+            self._system = (key, (replace(self._stack, vals=vals),
+                                  self.basis.solver(symbol), weights))
         return self._system[1]
 
 
@@ -383,8 +385,9 @@ def step(state: StepperState, backend: BackendHandles,
     matrix is solved by CG with its sine-basis preconditioner, starting from
     the highest-order extrapolant the state's levels allow. The right-hand
     side and the starting residual are combinations of the state's
-    products; the new level's products are explicit matvecs, so a step
-    costs one matvec per CG iteration and one per distinct operator.
+    products; the new level's products with every distinct operator come
+    from one stacked matvec, so a step costs one matvec per CG iteration
+    and one fused product.
     """
     if state.n < 1:
         raise ValueError("stepping requires n >= 1")
@@ -397,18 +400,18 @@ def step(state: StepperState, backend: BackendHandles,
     rhs = weights[len(levels)] @ products.reshape(-1, backend.ndof)
     if backend.params.forcing is not None:
         rhs += backend.forcing
-    guess = np.dot(EXTRAPOLANTS[len(levels)], levels)
+    guess = EXTRAPOLANTS[len(levels)] @ levels
     try:
         u_next, report = cg_solve(system, rhs[0], rtol=STEP_RTOL, x0=guess,
                                   precond=precond, r0=rhs[1])
     except CgError as exc:
         raise StepError(f"CG failed at step n={state.n} (t={t_n:g}): {exc}") from exc
     kept = min(len(levels) + 1, max(EXTRAPOLANTS))
-    new_levels = np.concatenate((u_next[None], levels[:kept - 1]))
+    new_levels = np.empty((kept, *levels.shape[1:]))
+    new_levels[0], new_levels[1:] = u_next, levels[:kept - 1]
     new_products = np.empty((kept, *products.shape[1:]))
+    new_products[0] = backend._stack.matvec(u_next)
     new_products[1:] = products[:kept - 1]
-    for row, op in zip(new_products[0], backend.operators):
-        row[:] = op.matvec(u_next)
     return StepperState(n=state.n + 1, k=k, u_prev=new_levels[1],
                         u_curr=new_levels[0], solve=report, levels=new_levels,
                         products=new_products, products_of=backend)

@@ -131,6 +131,29 @@ def test_cg_matches_tridiagonal_elimination():
     assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
 
 
+def test_cg_preconditioner_returning_its_argument_matches_a_copy():
+    # cg_solve copies the first P^-1 r into p, so a preconditioner that
+    # hands back r itself (and r's in-place updates) takes the same path
+    rng = np.random.default_rng(4)
+    q = rng.normal(size=(30, 30))
+    a = from_dense(q @ q.T + 30.0 * np.eye(30))
+    b = rng.normal(size=30)
+    runs = []
+    for precond in (lambda r: r, lambda r: r.copy()):
+        seen = []
+
+        def recorded(r, precond=precond):
+            seen.append(r.copy())
+            return precond(r)
+
+        x, rep = cg_solve(a, b, recorded, rtol=1e-12)
+        runs.append((x, rep, seen))
+    (x0, rep0, seen0), (x1, rep1, seen1) = runs
+    assert rep0 == rep1 and rep0.iterations > 1
+    assert np.array_equal(x0, x1)
+    assert all(np.array_equal(r0, r1) for r0, r1 in zip(seen0, seen1, strict=True))
+
+
 def test_cg_random_spd():
     rng = np.random.default_rng(7)
     b = rng.normal(size=(10, 10))

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from dampedwave import stepper
 from dampedwave.diagnostics import energy_and_cross
 from dampedwave.fdm import fd_eigenvalue, fd_sine_mode
 from dampedwave.fem import FemSpace, ScalarField, interpolate
@@ -387,23 +388,71 @@ def test_cg_run_makes_one_matvec_per_iteration_and_per_operator(name, operators,
     backend = make_fem_backend(FemSpace(build_tri_mesh(exp.domain, 8)), exp.params)
     assert len(backend.operators) == operators
     k = exp.time_step(8)
-    calls = []
-    matvec = SparseMatrix.matvec
+    products = []  # per matvec call: the operators of a stack, 1 otherwise
+    per_step = []  # matvec calls within each step
+    matvec, step_ = SparseMatrix.matvec, stepper.step
 
     def counted(self, x):
-        calls.append(self)
+        products.append(self.vals.shape[0] if self.vals.ndim == 3 else 1)
         return matvec(self, x)
 
+    def counted_step(*args):
+        before = len(products)
+        out = step_(*args)
+        per_step.append(len(products) - before)
+        return out
+
     monkeypatch.setattr(SparseMatrix, "matvec", counted)
+    monkeypatch.setattr(stepper, "step", counted_step)
     init_state(backend, k)
-    start = len(calls)
-    calls.clear()
+    start = sum(products)
+    products.clear()
     _, trace = run(backend, k, exp.T)
     n_steps = trace.t.size - 1
+    assert len(per_step) == n_steps
     # start-up: the Taylor start, then each operator with U^0 and U^1; then
     # per step one A p per CG iteration and each operator with U^{n+1}
-    assert len(calls) == start + 2 * operators + trace.cg_iterations.sum() \
+    assert sum(products) == start + 2 * operators + trace.cg_iterations.sum() \
         + operators * n_steps
+    # the products of a level with all operators are one stacked call
+    assert per_step == list(trace.cg_iterations + 1)
+
+
+def _weighted_field(base, amp):
+    return ScalarField(lambda x, y: base * (1.0 + amp * np.sin(PI * x) * np.sin(PI * y)))
+
+
+def _stack_case(case):
+    if case == "fd":
+        params = ModelParams(domain=UNIT_SQUARE, beta=0.1, alpha=SpatialField(
+            _weighted_field(1.0, 0.5), lo=1.0, hi=1.5))
+        return make_fd_backend(build_fd_grid(UNIT_SQUARE, 8), params)
+    if case == "both":
+        params = ModelParams(
+            domain=UNIT_SQUARE,
+            alpha=SpatialField(_weighted_field(1.0, 0.5), lo=1.0, hi=1.5),
+            beta=SpatialField(_weighted_field(0.1, 0.5), lo=0.1, hi=0.15))
+    else:
+        params = builtin_experiments()[case].params
+    return make_fem_backend(FemSpace(build_tri_mesh(UNIT_SQUARE, 8)), params)
+
+
+@pytest.mark.parametrize("case,operators",
+                         [("ex3ii", 2), ("spacevar", 3), ("both", 4), ("fd", 3)])
+def test_stacked_matvec_is_each_operators_own(case, operators):
+    backend = _stack_case(case)
+    stack = backend._stack
+    assert stack.vals.shape == (operators, *stack.cols.shape)
+    x = np.random.default_rng(11).normal(size=backend.ndof)
+    own = [SparseMatrix(stack.cols, vals) for vals in stack.vals]
+    assert np.array_equal(stack.matvec(x), np.stack([m.matvec(x) for m in own]))
+    # the stack holds the backend's distinct operators, in their order
+    for m, op in zip(own, backend.operators, strict=True):
+        assert np.array_equal(m.to_dense(), op.to_dense())
+    levels = np.stack((x, 2.0 * x))
+    assert np.array_equal(backend.products(levels)[1], stack.matvec(2.0 * x))
+    with pytest.raises(ValueError, match="dimension"):
+        stack.matvec(np.ones(backend.ndof + 1))
 
 
 def test_nan_schedule_is_rejected_at_construction():
