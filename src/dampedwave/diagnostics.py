@@ -14,17 +14,14 @@ def energy_and_cross(state, backend) -> tuple[float, float]:
     d = e/k the backward difference velocity: E = 1/2 (e'M e/k^2 + U'K U),
     and M is symmetric, so the cross term is U^{n+1} . (M e)/k.
 
-    ``state`` holds the pair (U^n, U^{n+1}) as (U_prev, U_curr). A state
-    that carries its levels' products with this backend's operators (see
-    stepper.StepperState) gives M e = M U^{n+1} - M U^n and K U^{n+1}
-    without a matvec; otherwise both are computed here.
+    ``state`` holds the pair (U^n, U^{n+1}) as (U_prev, U_curr). M e =
+    M U^{n+1} - M U^n and K U^{n+1} are rows of the levels' products
+    (stepper.BackendHandles.products), with no matvec for a state this
+    backend stepped.
     """
-    u, p, k = state.u_curr, state.products, state.k
+    u, k, p = state.u_curr, state.k, backend.products(state)
     e = u - state.u_prev
-    if p is None or state.products_of is not backend:
-        me, ku = backend.M.matvec(e), backend.K.matvec(u)
-    else:
-        me, ku = p[0, 0] - p[1, 0], p[0, 1]
+    me, ku = p[0, 0] - p[1, 0], p[0, 1]
     return 0.5 * float((e @ me) / k ** 2 + u @ ku), float((u @ me) / k)
 
 

@@ -159,27 +159,32 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class StepperState:
-    """Two-level state (U^{n-1}, U^n); n indexes u_curr, at time n*k.
-
-    After a CG step, ``levels`` stacks up to four levels U^n ... U^{n-3},
-    newest first (rows 0 and 1 are u_curr and u_prev), and ``products[j, i]``
-    is level j times ``BackendHandles.operators[i]`` (M, K, then W and S
-    where distinct) of ``products_of``, the backend that stepped it; row j
-    is one product of level j with that backend's operator stack. The next
-    step and the energies read them when they are of the same backend; a
-    state built from u_prev and u_curr alone, or stepped or measured by
-    another backend, gets them by one stacked matvec per level. ``solve``
-    reports the CG solve that produced u_curr in a step; None for an
-    initial state and for sine-basis steps."""
+    """The last 2 to 4 levels U^n, U^{n-1}, ... of a run, newest first, as
+    the rows of ``levels``; u_curr and u_prev are rows 0 and 1, and n
+    indexes u_curr, at time n*k. ``products[j, i]`` is level j times
+    ``BackendHandles.operators[i]`` of ``products_of``, the backend that
+    stepped the state; only ``BackendHandles.products`` reads them.
+    ``solve`` reports the CG solve that produced u_curr in a step; None for
+    an initial state and for sine-basis steps."""
 
     n: int
     k: float
-    u_prev: np.ndarray
-    u_curr: np.ndarray
+    levels: np.ndarray
     solve: SolveReport | None = None
-    levels: np.ndarray | None = None
     products: np.ndarray | None = None
     products_of: BackendHandles | None = field(default=None, repr=False)
+
+    def __post_init__(self):
+        if np.ndim(self.levels) != 2 or len(self.levels) not in EXTRAPOLANTS:
+            raise ValueError(f"levels must be 2 to 4 rows, not {np.shape(self.levels)}")
+
+    @property
+    def u_curr(self) -> np.ndarray:
+        return self.levels[0]
+
+    @property
+    def u_prev(self) -> np.ndarray:
+        return self.levels[1]
 
 
 @dataclass
@@ -238,22 +243,21 @@ class BackendHandles:
         f = self.params.forcing
         return np.zeros(self.ndof) if f is None else self.load(f)
 
-    def scales(self, t: float) -> tuple[float, float]:
-        """The damping time factors (alpha, beta) at time t."""
-        alpha, beta = self.params.damping
-        return alpha.scale(t), beta.scale(t)
-
-    def products(self, levels: np.ndarray) -> np.ndarray:
-        """Each level's product with each distinct operator, by one stacked
-        matvec per level: an array of shape (levels, operators, ndof)."""
-        return np.array([self._stack.matvec(u) for u in levels])
+    def products(self, state: StepperState) -> np.ndarray:
+        """Each of the state's levels times each distinct operator, an array
+        of shape (levels, operators, ndof): the state's own products when
+        this backend made them, else one stacked matvec per level."""
+        if state.products_of is self:
+            return state.products
+        return np.array([self._stack.matvec(u) for u in state.levels])
 
     def system(self, k: float, t: float) -> tuple[SparseMatrix, Preconditioner]:
         """(A, P^-1) with A = 1/k^2 M + 1/k D + K, D = scale_alpha(t) W
         + scale_beta(t) S the damping operator at time t, and P^-1 the
         sine-basis preconditioner of A, whose symbol is the same combination
-        of the operators' symbols."""
-        return self._step_system(k, *self.scales(t))[:2]
+        of the operators' symbols; ModelParams.check_schedules gives the
+        time factors."""
+        return self._step_system(k, *self.params.check_schedules([t])[0])[:2]
 
     def _step_system(self, k: float, a: float, b: float):
         """(A, P^-1, weights) for step size k and time factors (a, b).
@@ -345,7 +349,7 @@ def init_state(backend: BackendHandles, k: float,
     Given ``exact_at``, U^1 interpolates the exact solution at t = k;
     otherwise the Taylor start expands around t = 0 using
     u''(0) = -beta A u1 - alpha u1 - A u0, with the damping time factors
-    ``scales`` at t = 0 when the caller has them (evaluated otherwise).
+    ``scales`` at t = 0 when the caller has them (check_schedules otherwise).
     """
     check_time_step(k)
     params = backend.params
@@ -356,47 +360,32 @@ def init_state(backend: BackendHandles, k: float,
     else:
         v = backend.interpolate(params.u1) if params.u1 is not None \
             else np.zeros(backend.ndof)
-        a, b = backend.scales(0.0) if scales is None else scales
+        a, b = params.check_schedules([0.0])[0] if scales is None else scales
         damped = a * backend.weak_op.matvec(v) + b * backend.strong_op.matvec(v)
         rhs = -damped - backend.K.matvec(u0) + backend.forcing
         w, _ = cg_solve(backend.M, rhs, precond=backend.mass_precond)
         u1 = u0 + k * v + 0.5 * k * k * w
-    return StepperState(n=1, k=k, u_prev=u0, u_curr=u1)
-
-
-def _with_products(state: StepperState, backend: BackendHandles) -> StepperState:
-    """``state`` with the levels and products of a CG step by ``backend``;
-    a state without levels gets its two, and products that are missing or
-    of another backend are computed by explicit matvecs."""
-    if state.products is not None and state.products_of is backend:
-        return state
-    levels = np.stack((state.u_curr, state.u_prev)) if state.levels is None \
-        else state.levels
-    return replace(state, levels=levels, products=backend.products(levels),
-                   products_of=backend)
+    return StepperState(n=1, k=k, levels=np.stack((u1, u0)))
 
 
 def step(state: StepperState, backend: BackendHandles,
          scales: tuple[float, float] | None = None) -> StepperState:
-    """One implicit step (U^{n-1}, U^n) -> (U^n, U^{n+1}).
-
-    Time-dependent coefficients are evaluated at t_n, or taken from
-    ``scales`` when the caller has them. The backend's cached SPD system
-    matrix is solved by CG with its sine-basis preconditioner, starting from
-    the highest-order extrapolant the state's levels allow. The right-hand
-    side and the starting residual are combinations of the state's
-    products; the new level's products with every distinct operator come
-    from one stacked matvec, so a step costs one matvec per CG iteration
-    and one fused product.
+    """One implicit step (U^{n-1}, U^n) -> (U^n, U^{n+1}), keeping up to
+    four levels. The time factors at t_n come from ``scales`` when the
+    caller has them, else from ModelParams.check_schedules. The cached
+    system is solved by CG with its sine-basis preconditioner, from the
+    highest-order extrapolant of the levels. Its right-hand side and
+    starting residual combine BackendHandles.products(state); the new
+    level's products are one stacked matvec, so a step from a state this
+    backend made costs one matvec per CG iteration and one fused product.
     """
     if state.n < 1:
         raise ValueError("stepping requires n >= 1")
     k = state.k
     t_n = state.n * k
-    state = _with_products(state, backend)
     system, precond, weights = backend._step_system(
-        k, *(backend.scales(t_n) if scales is None else scales))
-    levels, products = state.levels, state.products
+        k, *(backend.params.check_schedules([t_n])[0] if scales is None else scales))
+    levels, products = state.levels, backend.products(state)
     rhs = weights[len(levels)] @ products.reshape(-1, backend.ndof)
     if backend.params.forcing is not None:
         rhs += backend.forcing
@@ -412,8 +401,7 @@ def step(state: StepperState, backend: BackendHandles,
     new_products = np.empty((kept, *products.shape[1:]))
     new_products[0] = backend._stack.matvec(u_next)
     new_products[1:] = products[:kept - 1]
-    return StepperState(n=state.n + 1, k=k, u_prev=new_levels[1],
-                        u_curr=new_levels[0], solve=report, levels=new_levels,
+    return StepperState(n=state.n + 1, k=k, levels=new_levels, solve=report,
                         products=new_products, products_of=backend)
 
 
@@ -449,7 +437,7 @@ def run(backend: BackendHandles, k: float, T: float, observers=(),
             for obs in observers:
                 obs(state)
 
-        state = _with_products(state, backend)
+        state = replace(state, products=backend.products(state), products_of=backend)
         record(state)
         for step_scales in scales[1:]:
             state = step(state, backend, step_scales)
@@ -496,7 +484,7 @@ def _run_modal(backend: BackendHandles, state: StepperState, scales,
     for obs in observers:
         obs(state)
     key = None
-    u_curr = state.u_curr
+    levels = state.levels
     caller_err = np.geterr()
     # a diverging run overflows here first and ends in the StepError below;
     # observers run under the caller's error handling
@@ -511,12 +499,12 @@ def _run_modal(backend: BackendHandles, state: StepperState, scales,
             if not math.isfinite(energies[n]):
                 raise StepError(f"non-finite energy at step n={n} (t={n * k:g})")
             if observers:
-                u_prev, u_curr = u_curr, basis.inverse(curr)
+                levels = np.stack((basis.inverse(curr), levels[0]))
                 with np.errstate(**caller_err):
                     for obs in observers:
-                        obs(StepperState(n=n + 1, k=k, u_prev=u_prev, u_curr=u_curr))
-    final = StepperState(n=n_steps + 1, k=k, u_prev=basis.inverse(prev),
-                         u_curr=basis.inverse(curr))
+                        obs(StepperState(n=n + 1, k=k, levels=levels))
+    final = StepperState(n=n_steps + 1, k=k,
+                         levels=np.stack((basis.inverse(curr), basis.inverse(prev))))
     return final, energies, crosses
 
 

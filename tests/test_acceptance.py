@@ -169,7 +169,7 @@ def test_stepper_agrees_with_modal_recurrence():
         v = fd_sine_mode(grid, p, q)
         seq = modal_recurrence(Mode(p, q, lam), PI, 1.0 / PI, k, 500,
                                u0=1.0, u1=0.9)
-        state = StepperState(n=1, k=k, u_prev=1.0 * v, u_curr=0.9 * v)
+        state = StepperState(n=1, k=k, levels=np.stack((0.9 * v, 1.0 * v)))
         worst = 0.0
         for _ in range(500):
             state = step(state, backend)

@@ -7,11 +7,12 @@ from dampedwave.diagnostics import (
     decay_bounds,
     discrete_energy,
     energy_EA,
+    energy_and_cross,
     energy_cross_term,
     fit_decay_rate,
 )
 from dampedwave.fem import FemSpace
-from dampedwave.harness import builtin_experiments
+from dampedwave.harness import build_backend, builtin_experiments
 from dampedwave.mesh import UNIT_SQUARE, build_fd_grid, build_tri_mesh
 from dampedwave.stepper import (
     ModelParams,
@@ -20,6 +21,7 @@ from dampedwave.stepper import (
     make_fd_backend,
     make_fem_backend,
     run,
+    step,
 )
 
 PI = np.pi
@@ -67,8 +69,31 @@ def test_extended_energy_of_stationary_state():
     # d = 0, so the cross term (d, U)_M vanishes and E + delta (d, U)_M = E
     exp, backend = make_backend(8, "ex1")
     u = backend.interpolate(exp.params.u0)
-    state = StepperState(n=1, k=0.01, u_prev=u, u_curr=u)
+    state = StepperState(n=1, k=0.01, levels=np.stack((u, u)))
     assert energy_cross_term(state, backend) == 0.0
+
+
+@pytest.mark.parametrize("kind,name", [("fem", "ex1"), ("fem", "spacevar"),
+                                       ("fd", "spacevar"), ("fd", "timevar")])
+@pytest.mark.parametrize("k", [1e-2, 1e-4])
+def test_energy_and_cross_match_dense_forms(kind, name, k):
+    # a state without products gets M e as M U^{n+1} - M U^n, a stepped one
+    # reads the products its steps made; both against the dense
+    # E = 1/2 (e'M e/k^2 + U'K U) and (d, U)_M = U'M e/k
+    backend, _ = build_backend(builtin_experiments()[name].params, 12, kind)
+    m, kk = backend.M.to_dense(), backend.K.to_dense()
+    stepped = init_state(backend, k)
+    states = [stepped]
+    for _ in range(3):
+        stepped = step(stepped, backend)
+    states += [stepped, StepperState(n=stepped.n, k=k, levels=stepped.levels[:2])]
+    for state in states:
+        u, e = state.u_curr, state.u_curr - state.u_prev
+        want_e = 0.5 * (e @ m @ e / k ** 2 + u @ kk @ u)
+        want_c = u @ m @ e / k
+        got_e, got_c = energy_and_cross(state, backend)
+        assert abs(got_e - want_e) <= 1e-12 * want_e
+        assert abs(got_c - want_c) <= 1e-12 * want_e
 
 
 def test_decay_bounds_example1():

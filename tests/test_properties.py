@@ -46,7 +46,7 @@ def test_fd_stepper_follows_modal_recurrence(alpha, beta, k, p, q):
     v = fd_sine_mode(GRID, p, q)
     seq = modal_recurrence(Mode(p, q, fd_eigenvalue(GRID, p, q)), alpha, beta,
                            k, 20, u0=1.0, u1=1.0)
-    state = StepperState(n=1, k=k, u_prev=v.copy(), u_curr=v.copy())
+    state = StepperState(n=1, k=k, levels=np.stack((v, v)))
     scale = np.max(np.abs(v))
     for _ in range(20):
         state = step(state, backend)
@@ -93,7 +93,7 @@ def test_fd_step_systems_converge_in_one_iteration(alpha, beta, k, seed):
     params = ModelParams(domain=UNIT_SQUARE, alpha=alpha, beta=beta)
     backend = make_fd_backend(GRID, params)
     u = np.random.default_rng(seed).normal(size=(2, backend.ndof))
-    state = step(StepperState(n=1, k=k, u_prev=u[0], u_curr=u[1]), backend)
+    state = step(StepperState(n=1, k=k, levels=u[::-1]), backend)
     assert state.solve.iterations == 1
 
 
@@ -139,7 +139,7 @@ def cg_reference(backend, k, n_steps, exact_at=None):
     pairs = [energy_and_cross(state, backend)]
     injections = []
     for _ in range(n_steps):
-        a, b = backend.scales(state.n * k)
+        a, b = backend.params.check_schedules([state.n * k])[0]
         u = state.u_curr
         rhs = backend.M.matvec(2.0 * u - state.u_prev) / k ** 2 + backend.forcing \
             + (a * backend.weak_op.matvec(u) + b * backend.strong_op.matvec(u)) / k
@@ -273,7 +273,7 @@ def dense_reference(backend, k, n_steps):
         prev, curr = curr, np.linalg.solve(a, rhs)
         pairs.append(pair(prev, curr))
     energies, crosses = np.array(pairs).T
-    final = StepperState(n=n_steps + 1, k=k, u_prev=prev, u_curr=curr)
+    final = StepperState(n=n_steps + 1, k=k, levels=np.stack((curr, prev)))
     return Reference(final, energies, crosses, np.array(injections),
                      np.linalg.eigvalsh(kk)[0], dense_lambda1(backend))
 

@@ -102,7 +102,7 @@ def test_single_mode_follows_scalar_recurrence():
     lam = fd_eigenvalue(grid, 1, 1)
     v = fd_sine_mode(grid, 1, 1)
     seq = modal_recurrence(Mode(1, 1, lam), 0.0, 0.0, k, 200, u0=1.0, u1=1.0)
-    state = StepperState(n=1, k=k, u_prev=v.copy(), u_curr=v.copy())
+    state = StepperState(n=1, k=k, levels=np.stack((v, v)))
     for i in range(200):
         state = step(state, backend)
         ref = seq[state.n] * v
@@ -167,7 +167,7 @@ def test_non_finite_state_fails_fast_as_step_error():
     u = np.ones(backend.ndof)
     u[2] = np.nan
     with pytest.raises(StepError, match=r"n=3 .*in [01] iterations"):
-        step(StepperState(n=3, k=0.01, u_prev=u, u_curr=u), backend)
+        step(StepperState(n=3, k=0.01, levels=np.stack((u, u))), backend)
 
 
 def _check_system(backend, k, t, a, b, w=0.0, s=0.0):
@@ -190,8 +190,9 @@ def _check_system(backend, k, t, a, b, w=0.0, s=0.0):
     assert np.allclose(system.diagonal(), np.diag(expected), rtol=1e-14, atol=tol)
     assert backend.system(k, t)[0] is system
     levels = rng.normal(size=(4, backend.ndof))
-    weights = backend._step_system(k, *backend.scales(t))[2][4]
-    rhs, r0 = weights @ backend.products(levels).reshape(4 * len(backend.operators), -1)
+    weights = backend._step_system(k, *backend.params.check_schedules([t])[0])[2][4]
+    products = backend.products(StepperState(n=1, k=k, levels=levels))
+    rhs, r0 = weights @ products.reshape(4 * len(backend.operators), -1)
     damping = a * m + w + b * kk + s
     want_rhs = m @ (2.0 * levels[0] - levels[1]) / k ** 2 + damping @ levels[0] / k
     want_r0 = want_rhs - expected @ np.dot(EXTRAPOLANTS[4], levels)
@@ -450,7 +451,8 @@ def test_stacked_matvec_is_each_operators_own(case, operators):
     for m, op in zip(own, backend.operators, strict=True):
         assert np.array_equal(m.to_dense(), op.to_dense())
     levels = np.stack((x, 2.0 * x))
-    assert np.array_equal(backend.products(levels)[1], stack.matvec(2.0 * x))
+    state = StepperState(n=1, k=0.01, levels=levels)
+    assert np.array_equal(backend.products(state)[1], stack.matvec(2.0 * x))
     with pytest.raises(ValueError, match="dimension"):
         stack.matvec(np.ones(backend.ndof + 1))
 
@@ -559,7 +561,7 @@ def test_products_of_another_backend_are_recomputed():
 
     first, second = weighted(0.5), weighted(9.0)
     state = _history(first, 0.05)
-    bare = StepperState(n=state.n, k=state.k, u_prev=state.u_prev, u_curr=state.u_curr)
+    bare = StepperState(n=state.n, k=state.k, levels=state.levels[:2])
     got, want = step(state, second), step(bare, second)
     a, _ = _dense_system(second, state)
     bound = 2.0 * STEP_RTOL * np.linalg.cond(a)
@@ -568,6 +570,37 @@ def test_products_of_another_backend_are_recomputed():
     # M and K differ between the FEM and FD backends of one grid
     fd = make_fd_backend(build_fd_grid(UNIT_SQUARE, 8), second.params)
     assert energy_and_cross(state, fd) == energy_and_cross(bare, fd)
+
+
+def test_a_level_cannot_be_replaced_apart_from_its_products():
+    # u_curr is a view of levels[0], not a field: replacing it alone would
+    # leave the old level's products for the next step and the energy to
+    # read (E = 16.6 for 261.9 here)
+    exp = builtin_experiments()["ex1"]
+    backend = make_fem_backend(FemSpace(build_tri_mesh(UNIT_SQUARE, 8)), exp.params)
+    state = _history(backend, 0.01)
+    with pytest.raises(TypeError):
+        replace(state, u_curr=0.5 * state.u_curr)
+
+
+@pytest.mark.parametrize("shape", [(8,), (1, 8), (5, 8), (2, 2, 8)])
+def test_state_levels_are_two_to_four_rows(shape):
+    with pytest.raises(ValueError, match="2 to 4 rows"):
+        StepperState(n=1, k=0.01, levels=np.zeros(shape))
+
+
+def test_direct_step_checks_the_schedule_it_evaluates():
+    # within [lo, hi] on the construction-time window [0, 20], but 3 > hi
+    # from t = 25: a step at t = 30 checks the value it evaluates
+    sched = TimeSchedule(lambda t: 2.0 if t < 25.0 else 3.0, lo=1.0, hi=2.0)
+    _, params, backend = fd_setup(m=4, alpha=sched, u0=sine_field())
+    state = replace(init_state(backend, 0.5), n=60)
+    with pytest.raises(ValueError, match="leaves"):
+        step(state, backend)
+    with pytest.raises(ValueError, match="leaves"):
+        backend.system(0.5, 30.0)
+    with pytest.raises(ValueError, match="leaves"):
+        run(backend, k=0.5, T=30.0)
 
 
 def test_warm_started_decay_takes_one_cg_iteration_per_step():
