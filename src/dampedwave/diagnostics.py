@@ -9,20 +9,31 @@ import numpy as np
 from .sparse import cg_solve
 
 
-def energy_and_cross(state, backend) -> tuple[float, float]:
-    """(E, (d, U^{n+1})_M) from M e and K U^{n+1}, with e = U^{n+1} - U^n and
-    d = e/k the backward difference velocity: E = 1/2 (e'M e/k^2 + U'K U),
-    and M is symmetric, so the cross term is U^{n+1} . (M e)/k.
+def pair_energies(levels: np.ndarray, products: np.ndarray,
+                  k: float) -> tuple[np.ndarray, np.ndarray]:
+    """(E, (d, U^{n+1})_M) of every pair (U^n, U^{n+1}) = (levels[i + 1],
+    levels[i]) of a newest-first history, entry i for row i, from M e and
+    K U^{n+1}, with e = U^{n+1} - U^n and d = e/k the backward difference
+    velocity: E = 1/2 (e'M e/k^2 + U'K U), and M is symmetric, so the cross
+    term is U^{n+1} . (M e)/k.
 
-    ``state`` holds the pair (U^n, U^{n+1}) as (U_prev, U_curr). M e =
-    M U^{n+1} - M U^n and K U^{n+1} are rows of the levels' products
-    (stepper.BackendHandles.products), with no matvec for a state this
-    backend stepped.
+    ``products`` are the levels' stepper.BackendHandles.products, M first
+    and K second: M e = M U^{n+1} - M U^n and K U^{n+1} are their rows, so
+    no matvec is made. Each dot product is one row of an einsum.
     """
-    u, k, p = state.u_curr, state.k, backend.products(state)
-    e = u - state.u_prev
-    me, ku = p[0, 0] - p[1, 0], p[0, 1]
-    return 0.5 * float((e @ me) / k ** 2 + u @ ku), float((u @ me) / k)
+    u, e = levels[:-1], levels[:-1] - levels[1:]
+    me = products[:-1, 0] - products[1:, 0]
+    energy = 0.5 * (np.einsum("in,in->i", e, me) / k ** 2
+                    + np.einsum("in,in->i", u, products[:-1, 1]))
+    return energy, np.einsum("in,in->i", u, me) / k
+
+
+def energy_and_cross(state, backend) -> tuple[float, float]:
+    """(E, (d, U^{n+1})_M) of the pair (U_prev, U_curr) of ``state``:
+    pair_energies of its two newest levels."""
+    levels = state.levels[:2]
+    energy, cross = pair_energies(levels, backend.products(levels), state.k)
+    return float(energy[0]), float(cross[0])
 
 
 def discrete_energy(state, backend) -> float:

@@ -45,33 +45,35 @@ class SolveReport:
 
 @dataclass(frozen=True)
 class SparseMatrix:
-    """Sparse matrix in fixed-width rows: row i holds vals[i] in the columns
-    cols[i], padded with its own index and the value 0, so a row with no
-    entries is an exact zero row. Assembled ones are symmetric.
+    """Sparse matrix in fixed-width rows, stored width-major: slot w of row i
+    holds vals[w, i] in the column cols[w, i], padded with the row's own index
+    and the value 0, so a row with no entries is an exact zero row. Assembled
+    ones are symmetric. Width-major slots make each slot's gather and product
+    one contiguous run over the rows.
 
     ``vals`` may carry a leading operator axis over the one ``cols`` array (a
     stack): matvec then returns every operator's product, shaped
     (operators, dim), from one gather of x."""
 
-    cols: np.ndarray  # (dim, width) column indices
-    vals: np.ndarray  # (dim, width) values, or (operators, dim, width) for a stack
+    cols: np.ndarray  # (width, dim) column indices
+    vals: np.ndarray  # (width, dim) values, or (operators, width, dim) for a stack
 
     @property
     def dim(self) -> int:
-        return self.cols.shape[0]
+        return self.cols.shape[1]
 
     @property
     def rows(self) -> np.ndarray:
         """Row index of every slot, a broadcast view shaped like cols."""
-        return np.broadcast_to(np.arange(self.dim)[:, None], self.cols.shape)
+        return np.broadcast_to(np.arange(self.dim), self.cols.shape)
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         if x.shape[0] != self.dim:
             raise ValueError(f"dimension mismatch: {x.shape[0]} != {self.dim}")
-        return np.einsum("...nw,nw->...n", self.vals, x[self.cols])
+        return np.einsum("...wn,wn->...n", self.vals, x[self.cols])
 
     def diagonal(self) -> np.ndarray:
-        return np.where(self.cols == self.rows, self.vals, 0.0).sum(axis=1)
+        return np.where(self.cols == self.rows, self.vals, 0.0).sum(axis=0)
 
     def to_dense(self) -> np.ndarray:
         a = np.zeros((self.dim, self.dim))
@@ -104,7 +106,7 @@ def from_coo(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
 
 def from_diagonal(d: np.ndarray) -> SparseMatrix:
     d = np.array(d, dtype=np.float64)
-    return SparseMatrix(np.arange(d.size)[:, None], d[:, None])
+    return SparseMatrix(np.arange(d.size)[None, :], d[None, :])
 
 
 def on_common_pattern(mats: list[SparseMatrix]) -> list[SparseMatrix]:
@@ -125,14 +127,16 @@ def _fixed_width(keys: np.ndarray, dim: int, values) -> list[SparseMatrix]:
     increasing keys row * dim + col, all on one cols array."""
     rows = keys // dim
     counts = np.bincount(rows, minlength=dim)
-    # the slots that hold an entry; a boolean index fills them row by row
+    # the slots that hold an entry, row-major; a boolean index fills them row
+    # by row, also through the transposed view of a width-major array
     filled = np.arange(counts.max(initial=0)) < counts[:, None]
     cols = np.repeat(np.arange(dim)[:, None], filled.shape[1], axis=1)
     cols[filled] = keys - rows * dim
+    cols = np.ascontiguousarray(cols.T)
     out = []
     for v in values:
-        vals = np.zeros(filled.shape)
-        vals[filled] = v
+        vals = np.zeros(cols.shape)
+        vals.T[filled] = v
         out.append(SparseMatrix(cols, vals))
     return out
 

@@ -38,6 +38,10 @@ STEP_RTOL = 1e-10
 # the linear, quadratic and cubic extrapolants
 EXTRAPOLANTS = {len(w): np.array(w) for w in
                 ((2.0, -1.0), (3.0, -3.0, 1.0), (4.0, -6.0, 4.0, -1.0))}
+HISTORY = max(EXTRAPOLANTS)  # the most levels a step reads
+# steps of a CG run between two batched energy passes (see _run_cg); 32 to
+# 128 measured alike
+BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -161,18 +165,14 @@ class ModelParams:
 class StepperState:
     """The last 2 to 4 levels U^n, U^{n-1}, ... of a run, newest first, as
     the rows of ``levels``; u_curr and u_prev are rows 0 and 1, and n
-    indexes u_curr, at time n*k. ``products[j, i]`` is level j times
-    ``BackendHandles.operators[i]`` of ``products_of``, the backend that
-    stepped the state; only ``BackendHandles.products`` reads them.
-    ``solve`` reports the CG solve that produced u_curr in a step; None for
-    an initial state and for sine-basis steps."""
+    indexes u_curr, at time n*k. ``solve`` reports the CG solve that
+    produced u_curr in a step; None for an initial state and for sine-basis
+    steps."""
 
     n: int
     k: float
     levels: np.ndarray
     solve: SolveReport | None = None
-    products: np.ndarray | None = None
-    products_of: BackendHandles | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if np.ndim(self.levels) != 2 or len(self.levels) not in EXTRAPOLANTS:
@@ -243,13 +243,10 @@ class BackendHandles:
         f = self.params.forcing
         return np.zeros(self.ndof) if f is None else self.load(f)
 
-    def products(self, state: StepperState) -> np.ndarray:
-        """Each of the state's levels times each distinct operator, an array
-        of shape (levels, operators, ndof): the state's own products when
-        this backend made them, else one stacked matvec per level."""
-        if state.products_of is self:
-            return state.products
-        return np.array([self._stack.matvec(u) for u in state.levels])
+    def products(self, levels: np.ndarray) -> np.ndarray:
+        """Each level times each distinct operator, an array of shape
+        (levels, operators, ndof): one stacked matvec per level."""
+        return np.array([self._stack.matvec(u) for u in levels])
 
     def system(self, k: float, t: float) -> tuple[SparseMatrix, Preconditioner]:
         """(A, P^-1) with A = 1/k^2 M + 1/k D + K, D = scale_alpha(t) W
@@ -262,8 +259,8 @@ class BackendHandles:
     def _step_system(self, k: float, a: float, b: float):
         """(A, P^-1, weights) for step size k and time factors (a, b).
 
-        weights[L] has two rows over the (level, operator) pairs of a state
-        with L levels (see StepperState.products): the right-hand side
+        weights[L] has two rows over the (level, operator) pairs of the last
+        L levels, newest first (see products): the right-hand side
         (2 M U^n - M U^{n-1})/k^2 + D U^n/k without the forcing, and the
         residual of the step's CG starting point, that right-hand side minus
         A times the extrapolant of the L levels.
@@ -368,41 +365,50 @@ def init_state(backend: BackendHandles, k: float,
     return StepperState(n=1, k=k, levels=np.stack((u1, u0)))
 
 
-def step(state: StepperState, backend: BackendHandles,
-         scales: tuple[float, float] | None = None) -> StepperState:
-    """One implicit step (U^{n-1}, U^n) -> (U^n, U^{n+1}), keeping up to
-    four levels. The time factors at t_n come from ``scales`` when the
-    caller has them, else from ModelParams.check_schedules. The cached
-    system is solved by CG with its sine-basis preconditioner, from the
-    highest-order extrapolant of the levels. Its right-hand side and
-    starting residual combine BackendHandles.products(state); the new
-    level's products are one stacked matvec, so a step from a state this
-    backend made costs one matvec per CG iteration and one fused product.
-    """
-    if state.n < 1:
-        raise ValueError("stepping requires n >= 1")
-    k = state.k
-    t_n = state.n * k
-    system, precond, weights = backend._step_system(
-        k, *(backend.params.check_schedules([t_n])[0] if scales is None else scales))
-    levels, products = state.levels, backend.products(state)
-    rhs = weights[len(levels)] @ products.reshape(-1, backend.ndof)
+def _advance(backend: BackendHandles, levels: np.ndarray, products: np.ndarray,
+             top: int, n: int, k: float, scales: tuple[float, float]) -> SolveReport:
+    """One implicit step U^n -> U^{n+1} in a newest-first history: U^n and
+    up to three older levels are the rows below ``top`` of ``levels``, and of
+    ``products`` their BackendHandles.products. The cached system at the
+    time factors ``scales`` of t_n is solved by CG with its sine-basis
+    preconditioner from the highest-order extrapolant of those levels, with
+    a right-hand side and starting residual that combine their products.
+    U^{n+1} and its products (one stacked matvec) go into row ``top``, so a
+    step costs one matvec per CG iteration and one fused product."""
+    system, precond, weights = backend._step_system(k, *scales)
+    depth = min(len(levels) - top - 1, HISTORY)
+    history = slice(top + 1, top + 1 + depth)
+    rhs = weights[depth] @ products[history].reshape(-1, levels.shape[1])
     if backend.params.forcing is not None:
         rhs += backend.forcing
-    guess = EXTRAPOLANTS[len(levels)] @ levels
+    guess = EXTRAPOLANTS[depth] @ levels[history]
     try:
         u_next, report = cg_solve(system, rhs[0], rtol=STEP_RTOL, x0=guess,
                                   precond=precond, r0=rhs[1])
     except CgError as exc:
-        raise StepError(f"CG failed at step n={state.n} (t={t_n:g}): {exc}") from exc
-    kept = min(len(levels) + 1, max(EXTRAPOLANTS))
-    new_levels = np.empty((kept, *levels.shape[1:]))
-    new_levels[0], new_levels[1:] = u_next, levels[:kept - 1]
-    new_products = np.empty((kept, *products.shape[1:]))
-    new_products[0] = backend._stack.matvec(u_next)
-    new_products[1:] = products[:kept - 1]
-    return StepperState(n=state.n + 1, k=k, levels=new_levels, solve=report,
-                        products=new_products, products_of=backend)
+        raise StepError(f"CG failed at step n={n} (t={n * k:g}): {exc}") from exc
+    levels[top] = u_next
+    products[top] = backend._stack.matvec(u_next)
+    return report
+
+
+def step(state: StepperState, backend: BackendHandles,
+         scales: tuple[float, float] | None = None) -> StepperState:
+    """One implicit step (U^{n-1}, U^n) -> (U^n, U^{n+1}), keeping up to
+    four levels: _advance on a history of the state's levels and their
+    products. The time factors at t_n come from ``scales`` when the caller
+    has them, else from ModelParams.check_schedules."""
+    if state.n < 1:
+        raise ValueError("stepping requires n >= 1")
+    n, k = state.n, state.k
+    if scales is None:
+        scales = backend.params.check_schedules([n * k])[0]
+    levels = np.empty((len(state.levels) + 1, backend.ndof))
+    levels[1:] = state.levels
+    products = np.empty((len(levels), len(backend.operators), backend.ndof))
+    products[1:] = backend.products(state.levels)
+    report = _advance(backend, levels, products, 0, n, k, scales)
+    return StepperState(n=n + 1, k=k, levels=levels[:HISTORY], solve=report)
 
 
 def run(backend: BackendHandles, k: float, T: float, observers=(),
@@ -416,7 +422,7 @@ def run(backend: BackendHandles, k: float, T: float, observers=(),
 
     On a backend that is diagonal in its sine basis the steps are taken in
     that basis (see _run_modal) and report 0 iterations and residual 0;
-    otherwise each is a CG ``step``."""
+    otherwise each is a CG step (see _run_cg)."""
     if T < check_time_step(k):
         raise ValueError("final time must be at least one step")
     if n_steps is None:
@@ -428,29 +434,66 @@ def run(backend: BackendHandles, k: float, T: float, observers=(),
         state, energies, crosses = _run_modal(backend, state, scales, observers)
         iterations, residuals = np.zeros(n_steps, dtype=int), np.zeros(n_steps)
     else:
-        energies, crosses, solves = [], [], []
-
-        def record(state):
-            energy, cross = diagnostics.energy_and_cross(state, backend)
-            energies.append(energy)
-            crosses.append(cross)
-            for obs in observers:
-                obs(state)
-
-        state = replace(state, products=backend.products(state), products_of=backend)
-        record(state)
-        for step_scales in scales[1:]:
-            state = step(state, backend, step_scales)
-            solves.append(state.solve)
-            record(state)
-        iterations = np.array([s.iterations for s in solves], dtype=int)
-        residuals = np.array([s.final_residual for s in solves])
+        state, energies, crosses, iterations, residuals = _run_cg(
+            backend, state, scales, observers)
     trace = diagnostics.EnergyTrace(
-        t=k * np.arange(n_steps + 1), energy=np.array(energies),
-        cross=np.array(crosses),
+        t=k * np.arange(n_steps + 1), energy=energies, cross=crosses,
         cg_iterations=iterations, cg_residuals=residuals,
     )
     return state, trace
+
+
+def _run_cg(backend: BackendHandles, state: StepperState, scales, observers):
+    """One CG step (_advance) from ``state`` per entry of ``scales`` after
+    the first, in one newest-first block of BLOCK + HISTORY rows of levels
+    and their products, each step filling the row above the newest. When the
+    block is full, and at the end, one diagnostics.pair_energies call gives
+    the energies and cross terms of its pairs not yet recorded; the HISTORY
+    newest rows then move to the bottom, so the warm start carries across.
+    Observers get states that own a copy of their rows.
+
+    Returns (final state, energies, cross terms, CG iterations, final CG
+    residuals)."""
+    k, n_steps, ndof = state.k, len(scales) - 1, backend.ndof
+    rows = BLOCK + HISTORY
+    levels = np.empty((rows, ndof))
+    products = np.empty((rows, len(backend.operators), ndof))
+    top = rows - len(state.levels)  # the newest level
+    levels[top:], products[top:] = state.levels, backend.products(state.levels)
+    done = rows - 1  # the newest level whose energy is recorded; U^0 has none
+    energies, crosses = np.empty(n_steps + 1), np.empty(n_steps + 1)
+    iterations, residuals = np.empty(n_steps, dtype=int), np.empty(n_steps)
+    recorded = 0
+
+    def flush():
+        """Record the energies of rows top to done - 1, each with the row below."""
+        nonlocal done, recorded
+        energy, cross = diagnostics.pair_energies(
+            levels[top:done + 1], products[top:done + 1], k)
+        new = slice(recorded, recorded + done - top)
+        energies[new], crosses[new] = energy[::-1], cross[::-1]
+        recorded, done = new.stop, top
+
+    for obs in observers:
+        obs(state)
+    report = state.solve
+    for i, step_scales in enumerate(scales[1:]):
+        if top == 0:
+            flush()
+            levels[-HISTORY:], products[-HISTORY:] = levels[:HISTORY], products[:HISTORY]
+            top = done = rows - HISTORY
+        top -= 1
+        report = _advance(backend, levels, products, top, state.n + i, k, step_scales)
+        iterations[i], residuals[i] = report.iterations, report.final_residual
+        if observers:
+            seen = StepperState(n=state.n + i + 1, k=k, solve=report,
+                                levels=levels[top:top + HISTORY].copy())
+            for obs in observers:
+                obs(seen)
+    flush()
+    final = StepperState(n=state.n + n_steps, k=k, solve=report,
+                         levels=levels[top:top + HISTORY].copy())
+    return final, energies, crosses, iterations, residuals
 
 
 def _run_modal(backend: BackendHandles, state: StepperState, scales,

@@ -191,7 +191,7 @@ def _check_system(backend, k, t, a, b, w=0.0, s=0.0):
     assert backend.system(k, t)[0] is system
     levels = rng.normal(size=(4, backend.ndof))
     weights = backend._step_system(k, *backend.params.check_schedules([t])[0])[2][4]
-    products = backend.products(StepperState(n=1, k=k, levels=levels))
+    products = backend.products(levels)
     rhs, r0 = weights @ products.reshape(4 * len(backend.operators), -1)
     damping = a * m + w + b * kk + s
     want_rhs = m @ (2.0 * levels[0] - levels[1]) / k ** 2 + damping @ levels[0] / k
@@ -391,20 +391,20 @@ def test_cg_run_makes_one_matvec_per_iteration_and_per_operator(name, operators,
     k = exp.time_step(8)
     products = []  # per matvec call: the operators of a stack, 1 otherwise
     per_step = []  # matvec calls within each step
-    matvec, step_ = SparseMatrix.matvec, stepper.step
+    matvec, advance = SparseMatrix.matvec, stepper._advance
 
     def counted(self, x):
         products.append(self.vals.shape[0] if self.vals.ndim == 3 else 1)
         return matvec(self, x)
 
-    def counted_step(*args):
+    def counted_advance(*args):
         before = len(products)
-        out = step_(*args)
+        out = advance(*args)
         per_step.append(len(products) - before)
         return out
 
     monkeypatch.setattr(SparseMatrix, "matvec", counted)
-    monkeypatch.setattr(stepper, "step", counted_step)
+    monkeypatch.setattr(stepper, "_advance", counted_advance)
     init_state(backend, k)
     start = sum(products)
     products.clear()
@@ -451,8 +451,7 @@ def test_stacked_matvec_is_each_operators_own(case, operators):
     for m, op in zip(own, backend.operators, strict=True):
         assert np.array_equal(m.to_dense(), op.to_dense())
     levels = np.stack((x, 2.0 * x))
-    state = StepperState(n=1, k=0.01, levels=levels)
-    assert np.array_equal(backend.products(state)[1], stack.matvec(2.0 * x))
+    assert np.array_equal(backend.products(levels)[1], stack.matvec(2.0 * x))
     with pytest.raises(ValueError, match="dimension"):
         stack.matvec(np.ones(backend.ndof + 1))
 
@@ -542,8 +541,7 @@ def test_state_with_older_levels_steps_within_tolerance_of_linear_guess():
     assert len(state.levels) == 4
     a, _ = _dense_system(backend, state)
     cubic = step(state, backend)
-    linear = step(replace(state, levels=state.levels[:2],
-                          products=state.products[:2]), backend)
+    linear = step(replace(state, levels=state.levels[:2]), backend)
     bound = 2.0 * STEP_RTOL * np.linalg.cond(a)
     assert np.linalg.norm(cubic.u_curr - linear.u_curr) \
         <= bound * np.linalg.norm(linear.u_curr)
@@ -566,21 +564,76 @@ def test_products_of_another_backend_are_recomputed():
     a, _ = _dense_system(second, state)
     bound = 2.0 * STEP_RTOL * np.linalg.cond(a)
     assert np.linalg.norm(got.u_curr - want.u_curr) <= bound * np.linalg.norm(want.u_curr)
-    assert got.products_of is second
     # M and K differ between the FEM and FD backends of one grid
     fd = make_fd_backend(build_fd_grid(UNIT_SQUARE, 8), second.params)
     assert energy_and_cross(state, fd) == energy_and_cross(bare, fd)
 
 
 def test_a_level_cannot_be_replaced_apart_from_its_products():
-    # u_curr is a view of levels[0], not a field: replacing it alone would
-    # leave the old level's products for the next step and the energy to
-    # read (E = 16.6 for 261.9 here)
+    # u_curr is a view of levels[0], not a field, so a state stores each
+    # level once
     exp = builtin_experiments()["ex1"]
     backend = make_fem_backend(FemSpace(build_tri_mesh(UNIT_SQUARE, 8)), exp.params)
     state = _history(backend, 0.01)
     with pytest.raises(TypeError):
         replace(state, u_curr=0.5 * state.u_curr)
+
+
+def test_replaced_or_rewritten_levels_step_like_a_fresh_state():
+    # a state carries no operator products, so new levels, whether given by
+    # replace or written into u_curr, are what the step and the energy read
+    # (a cached product of the old level gave E = 16.6 for 261.9 here)
+    exp = builtin_experiments()["ex1"]
+    backend = make_fem_backend(FemSpace(build_tri_mesh(UNIT_SQUARE, 8)), exp.params)
+    state = _history(backend, 0.01)
+    levels = state.levels.copy()
+    levels[0] *= 0.5
+    replaced = replace(state, levels=levels.copy())
+    rewritten = _history(backend, 0.01)
+    rewritten.u_curr[:] = levels[0]
+    fresh = StepperState(n=state.n, k=state.k, levels=levels)
+    want = step(fresh, backend)
+    for got in (replaced, rewritten):
+        assert energy_and_cross(got, backend) == energy_and_cross(fresh, backend)
+        got = step(got, backend)
+        assert np.array_equal(got.levels, want.levels)
+        assert energy_and_cross(got, backend) == energy_and_cross(want, backend)
+
+
+@pytest.mark.parametrize("n_steps", [1, stepper.BLOCK - 1, stepper.BLOCK,
+                                     stepper.BLOCK + 1, 2 * stepper.BLOCK + 3])
+@pytest.mark.parametrize("kind,name", [("fem", "ex3ii"), ("fem", "spacevar"),
+                                       ("fd", "spacevar")])
+def test_run_matches_a_chain_of_steps_across_history_blocks(kind, name, n_steps):
+    # run() steps in a history block that wraps every BLOCK steps and takes
+    # the energies of a whole block at once; a chain of step() calls with
+    # energy_and_cross per state is the reference
+    exp = builtin_experiments()[name]
+    backend, _ = build_backend(exp.params, 8, kind)
+    assert not backend.diagonal_in_basis
+    k = exp.time_step(8)
+    seen, copies = [], []
+
+    def observe(state):
+        seen.append(state)
+        copies.append(state.levels.copy())
+
+    final, trace = run(backend, k, n_steps * k, observers=[observe], n_steps=n_steps)
+    state = init_state(backend, k)
+    chain = [state]
+    for _ in range(n_steps):
+        state = step(state, backend)
+        chain.append(state)
+    energies, crosses = np.array([energy_and_cross(s, backend) for s in chain]).T
+    tol = 1e-12 * energies
+    assert np.all(np.abs(trace.energy - energies) <= tol)
+    assert np.all(np.abs(trace.cross - crosses) <= tol)
+    assert np.array_equal(trace.cg_iterations, [s.solve.iterations for s in chain[1:]])
+    assert final.n == state.n and np.array_equal(final.levels, state.levels)
+    assert len(seen) == n_steps + 1
+    for got, copy, want in zip(seen, copies, chain, strict=True):
+        assert np.array_equal(got.levels, copy)
+        assert got.n == want.n and np.array_equal(got.levels, want.levels)
 
 
 @pytest.mark.parametrize("shape", [(8,), (1, 8), (5, 8), (2, 2, 8)])
