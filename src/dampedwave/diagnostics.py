@@ -84,6 +84,8 @@ class EnergyTrace:
     # solve; 0 and 0.0 for a step taken in the sine basis, which solves nothing
     cg_iterations: np.ndarray | None = None
     cg_residuals: np.ndarray | None = None
+    # per sample, given a reference u to stepper.run: ||U - u||_M
+    distance: np.ndarray | None = None
 
     def extended(self, delta: float) -> np.ndarray:
         return self.energy + delta * self.cross

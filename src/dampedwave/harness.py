@@ -288,7 +288,6 @@ def run_decay(exp: Experiment, n: int, backend: str = "fem",
 class SteadyReport:
     n: int
     k: float
-    times: np.ndarray
     distances: np.ndarray  # ||U^n - u_inf||_M
     u_inf: np.ndarray
 
@@ -308,16 +307,8 @@ def run_steady(exp: Experiment, n: int, backend: str = "fem",
     handles, _ = build_backend(exp.params, n, backend)
     u_inf = steady_state(handles)
     k = exp.time_step(n, k_override)
-    times, dists = [], []
-
-    def observer(state):
-        d = state.u_curr - u_inf
-        times.append(state.n * state.k)
-        dists.append(math.sqrt(float(d @ handles.M.matvec(d))))
-
-    run(handles, k, exp.T, observers=[observer])
-    return SteadyReport(n=n, k=k, times=np.array(times),
-                        distances=np.array(dists), u_inf=u_inf)
+    _, trace = run(handles, k, exp.T, reference=u_inf)
+    return SteadyReport(n=n, k=k, distances=trace.distance, u_inf=u_inf)
 
 
 def _fmt(x: float) -> str:
@@ -325,7 +316,7 @@ def _fmt(x: float) -> str:
 
 
 def write_csv(obj, path) -> None:
-    """Serialize a ConvergenceTable, EnergyTrace, or DecayReport to CSV."""
+    """Serialize a ConvergenceTable or DecayReport to CSV."""
     path = Path(path)
     try:
         with path.open("w", newline="") as fh:
@@ -348,10 +339,6 @@ def write_csv(obj, path) -> None:
                         else _fmt(obj.trace.continuous[i])
                     w.writerow([_fmt(t), _fmt(obj.trace.energy[i]),
                                 _fmt(ext[i]), _fmt(bound[i]), cont])
-            elif isinstance(obj, EnergyTrace):
-                w.writerow(["t", "E", "cross"])
-                for i, t in enumerate(obj.t):
-                    w.writerow([_fmt(t), _fmt(obj.energy[i]), _fmt(obj.cross[i])])
             else:
                 raise TypeError(f"cannot serialize {type(obj).__name__}")
     except OSError as exc:

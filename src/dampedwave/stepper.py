@@ -411,71 +411,80 @@ def step(state: StepperState, backend: BackendHandles,
     return StepperState(n=n + 1, k=k, levels=levels[:HISTORY], solve=report)
 
 
-def run(backend: BackendHandles, k: float, T: float, observers=(),
+def run(backend: BackendHandles, k: float, T: float,
         exact_at: Callable[[float], ScalarField] | None = None,
-        n_steps: int | None = None):
+        n_steps: int | None = None, reference: np.ndarray | None = None):
     """Run ceil(T/k) steps (or exactly ``n_steps``) from a fresh initial
     state, exact when ``exact_at`` is given (see init_state); returns
     (final state, EnergyTrace). The trace also carries each step's CG
-    iterations and final residual. Observers are called with every state,
-    including the initial one.
+    iterations and final residual, and, given a finite ``reference`` vector
+    u of shape (ndof,), the distance ||U - u||_M of the newest level of each
+    sample (ValueError for any other reference).
 
     On a backend that is diagonal in its sine basis the steps are taken in
     that basis (see _run_modal) and report 0 iterations and residual 0;
     otherwise each is a CG step (see _run_cg)."""
     if T < check_time_step(k):
         raise ValueError("final time must be at least one step")
+    if reference is not None:
+        reference = np.asarray(reference, dtype=float)
+        if reference.shape != (backend.ndof,) or not np.all(np.isfinite(reference)):
+            raise ValueError(f"reference must be a finite vector of shape "
+                             f"({backend.ndof},)")
     if n_steps is None:
         n_steps = math.ceil(T / k - 1e-9)
     # step n evaluates the coefficients at t = n k
     scales = backend.params.check_schedules(k * np.arange(n_steps + 1))
     state = init_state(backend, k, exact_at=exact_at, scales=scales[0])
-    if backend.diagonal_in_basis:
-        state, energies, crosses = _run_modal(backend, state, scales, observers)
-        iterations, residuals = np.zeros(n_steps, dtype=int), np.zeros(n_steps)
-    else:
-        state, energies, crosses, iterations, residuals = _run_cg(
-            backend, state, scales, observers)
     trace = diagnostics.EnergyTrace(
-        t=k * np.arange(n_steps + 1), energy=energies, cross=crosses,
-        cg_iterations=iterations, cg_residuals=residuals,
+        t=k * np.arange(n_steps + 1), energy=np.empty(n_steps + 1),
+        cross=np.empty(n_steps + 1), cg_iterations=np.zeros(n_steps, dtype=int),
+        cg_residuals=np.zeros(n_steps),
+        distance=None if reference is None else np.empty(n_steps + 1),
     )
-    return state, trace
+    loop = _run_modal if backend.diagonal_in_basis else _run_cg
+    return loop(backend, state, scales, trace, reference), trace
 
 
-def _run_cg(backend: BackendHandles, state: StepperState, scales, observers):
+def _run_cg(backend: BackendHandles, state: StepperState, scales, trace,
+            reference) -> StepperState:
     """One CG step (_advance) from ``state`` per entry of ``scales`` after
     the first, in one newest-first block of BLOCK + HISTORY rows of levels
     and their products, each step filling the row above the newest. When the
     block is full, and at the end, one diagnostics.pair_energies call gives
-    the energies and cross terms of its pairs not yet recorded; the HISTORY
-    newest rows then move to the bottom, so the warm start carries across.
-    Observers get states that own a copy of their rows.
+    the energies and cross terms of its pairs not yet recorded, and, given a
+    ``reference`` u, one einsum their distances sqrt((U - u).(M U - M u))
+    from the products' M U and M u formed once, so no matvec per step. The
+    HISTORY newest rows then move to the bottom, so the warm start carries
+    across.
 
-    Returns (final state, energies, cross terms, CG iterations, final CG
-    residuals)."""
-    k, n_steps, ndof = state.k, len(scales) - 1, backend.ndof
+    Fills ``trace`` (see run) and returns the final state."""
+    k, ndof = state.k, backend.ndof
     rows = BLOCK + HISTORY
     levels = np.empty((rows, ndof))
     products = np.empty((rows, len(backend.operators), ndof))
     top = rows - len(state.levels)  # the newest level
     levels[top:], products[top:] = state.levels, backend.products(state.levels)
     done = rows - 1  # the newest level whose energy is recorded; U^0 has none
-    energies, crosses = np.empty(n_steps + 1), np.empty(n_steps + 1)
-    iterations, residuals = np.empty(n_steps, dtype=int), np.empty(n_steps)
     recorded = 0
+    if reference is not None:
+        m_reference = backend.M.matvec(reference)
 
     def flush():
-        """Record the energies of rows top to done - 1, each with the row below."""
+        """Record the energies of rows top to done - 1, each with the row
+        below, and their distances to the reference."""
         nonlocal done, recorded
         energy, cross = diagnostics.pair_energies(
             levels[top:done + 1], products[top:done + 1], k)
         new = slice(recorded, recorded + done - top)
-        energies[new], crosses[new] = energy[::-1], cross[::-1]
+        trace.energy[new], trace.cross[new] = energy[::-1], cross[::-1]
+        if reference is not None:
+            # rounding can leave a distance at the floor slightly negative
+            squared = np.einsum("in,in->i", levels[top:done] - reference,
+                                products[top:done, 0] - m_reference)
+            trace.distance[new] = np.sqrt(np.maximum(squared, 0.0))[::-1]
         recorded, done = new.stop, top
 
-    for obs in observers:
-        obs(state)
     report = state.solve
     for i, step_scales in enumerate(scales[1:]):
         if top == 0:
@@ -484,30 +493,26 @@ def _run_cg(backend: BackendHandles, state: StepperState, scales, observers):
             top = done = rows - HISTORY
         top -= 1
         report = _advance(backend, levels, products, top, state.n + i, k, step_scales)
-        iterations[i], residuals[i] = report.iterations, report.final_residual
-        if observers:
-            seen = StepperState(n=state.n + i + 1, k=k, solve=report,
-                                levels=levels[top:top + HISTORY].copy())
-            for obs in observers:
-                obs(seen)
+        trace.cg_iterations[i], trace.cg_residuals[i] = \
+            report.iterations, report.final_residual
     flush()
-    final = StepperState(n=state.n + n_steps, k=k, solve=report,
-                         levels=levels[top:top + HISTORY].copy())
-    return final, energies, crosses, iterations, residuals
+    return StepperState(n=state.n + len(scales) - 1, k=k, solve=report,
+                        levels=levels[top:top + HISTORY].copy())
 
 
-def _run_modal(backend: BackendHandles, state: StepperState, scales,
-               observers) -> tuple[StepperState, np.ndarray, np.ndarray]:
+def _run_modal(backend: BackendHandles, state: StepperState, scales, trace,
+               reference) -> StepperState:
     """One step from ``state`` per entry of ``scales`` after the first (the
     damping time factors at each step time), in the sine basis, in which M,
     K and the damping operator are the diagonal matrices of their symbols:
     every mode follows the scalar recurrence of oracle.modal_recurrence, and
-    E = 1/2 (d'M d + U'K U) and (d, U)_M follow by Parseval. Grid values
-    are formed only for observers and for the returned final state.
+    E = 1/2 (d'M d + U'K U), (d, U)_M and, given a ``reference`` u, the
+    distance ||U - u||_M follow by Parseval. Grid values are formed only for
+    the returned final state.
 
-    Returns (final state, energies, cross terms) for the initial state and
-    each step. Raises StepError at the first step whose energy is not
-    finite, without a numpy warning for the overflow that made it so.
+    Fills the energies, cross terms and distances of ``trace`` (see run) and
+    returns the final state. Raises StepError at the first step whose energy
+    is not finite, without a numpy warning for the overflow that made it so.
     """
     basis, k = backend.basis, state.k
     n_steps = len(scales) - 1
@@ -515,22 +520,22 @@ def _run_modal(backend: BackendHandles, state: StepperState, scales,
     mass, stiff = symbols[:2]
     force = basis.forward(backend.forcing).ravel()
     prev, curr = basis.forward(state.u_prev).ravel(), basis.forward(state.u_curr).ravel()
-    energies, crosses = np.empty(n_steps + 1), np.empty(n_steps + 1)
+    energies, crosses, distances = trace.energy, trace.cross, trace.distance
+    if reference is not None:
+        target = basis.forward(reference).ravel()
 
     def record(i):
         d = (curr - prev) / k
         md = mass * d
         energies[i] = 0.5 * (d @ md + curr @ (stiff * curr))
         crosses[i] = curr @ md
+        if reference is not None:
+            e = curr - target
+            distances[i] = math.sqrt(e @ (mass * e))
 
     record(0)
-    for obs in observers:
-        obs(state)
     key = None
-    levels = state.levels
-    caller_err = np.geterr()
-    # a diverging run overflows here first and ends in the StepError below;
-    # observers run under the caller's error handling
+    # a diverging run overflows here first and ends in the StepError below
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(1, n_steps + 1):
             if scales[n] != key:
@@ -541,14 +546,8 @@ def _run_modal(backend: BackendHandles, state: StepperState, scales,
             record(n)
             if not math.isfinite(energies[n]):
                 raise StepError(f"non-finite energy at step n={n} (t={n * k:g})")
-            if observers:
-                levels = np.stack((basis.inverse(curr), levels[0]))
-                with np.errstate(**caller_err):
-                    for obs in observers:
-                        obs(StepperState(n=n + 1, k=k, levels=levels))
-    final = StepperState(n=n_steps + 1, k=k,
-                         levels=np.stack((basis.inverse(curr), basis.inverse(prev))))
-    return final, energies, crosses
+    return StepperState(n=n_steps + 1, k=k,
+                        levels=np.stack((basis.inverse(curr), basis.inverse(prev))))
 
 
 def steady_state(backend: BackendHandles) -> np.ndarray:

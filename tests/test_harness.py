@@ -3,7 +3,6 @@ import csv
 import numpy as np
 import pytest
 
-from dampedwave.diagnostics import EnergyTrace
 from dampedwave.harness import (
     Experiment,
     SeparableExact,
@@ -170,12 +169,10 @@ def test_undamped_decay_is_rejected():
 
 def test_steady_report_monotone_check():
     down = np.array([1.0, 0.5, 0.25, 1e-9, 5e-9, 2e-9])
-    rep = SteadyReport(n=8, k=0.1, times=np.arange(6.0),
-                       distances=down, u_inf=np.zeros(3))
+    rep = SteadyReport(n=8, k=0.1, distances=down, u_inf=np.zeros(3))
     assert rep.monotone_ok()  # noise below the floor is ignored
     up = np.array([1.0, 1.2, 0.5, 0.1, 0.01, 0.001])
-    rep = SteadyReport(n=8, k=0.1, times=np.arange(6.0),
-                       distances=up, u_inf=np.zeros(3))
+    rep = SteadyReport(n=8, k=0.1, distances=up, u_inf=np.zeros(3))
     assert not rep.monotone_ok()
 
 
@@ -191,15 +188,6 @@ def test_convergence_csv_round_trip(tmp_path):
     assert rows[1][2] == ""  # first rate column is blank
     assert float(rows[2][1]) == pytest.approx(table.l2[1], rel=1e-5)
     assert float(rows[2][2]) == pytest.approx(table.rate_l2[1], abs=1e-3)
-
-
-def test_empty_trace_csv(tmp_path):
-    trace = EnergyTrace(t=np.array([]), energy=np.array([]), cross=np.array([]))
-    path = tmp_path / "empty.csv"
-    write_csv(trace, path)
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows == [["t", "E", "cross"]]
 
 
 def test_decay_csv_columns(tmp_path):

@@ -228,10 +228,10 @@ def test_modal_run_follows_modal_recurrence(alpha, beta, k, p, q):
     seq = modal_recurrence(Mode(p, q, fd_eigenvalue(GRID, p, q)), alpha, beta,
                            k, 20, u0=1.0, u1=1.0)
     scale = np.max(np.abs(v))
-    states = []
-    # U^0 = U^1 = the mode, as in modal_recurrence(u0=1, u1=1)
-    run(backend, k=k, T=20 * k, exact_at=lambda t: mode_field(p, q),
-        observers=[states.append], n_steps=20)
+    # U^0 = U^1 = the mode, as in modal_recurrence(u0=1, u1=1); the final
+    # states of runs of 0 to 20 steps are U^1 to U^21
+    states = [run(backend, k=k, T=20 * k, exact_at=lambda t: mode_field(p, q),
+                  n_steps=m)[0] for m in range(21)]
     assert [s.n for s in states] == list(range(1, 22))
     for s in states:
         peak = np.max(np.abs(seq[:s.n + 1]))

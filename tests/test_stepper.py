@@ -318,7 +318,7 @@ def test_run_reports_cg_iterations_and_residuals_per_step():
     assert np.all(trace.cg_residuals <= STEP_RTOL)
 
 
-def test_fd_steady_run_gives_observers_the_cg_states():
+def test_fd_steady_distances_match_a_chain_of_cg_steps():
     exp = builtin_experiments()["forcing"]
     rep = run_steady(exp, 16, backend="fd")
     backend, _ = build_backend(exp.params, 16, "fd")
@@ -417,6 +417,53 @@ def test_cg_run_makes_one_matvec_per_iteration_and_per_operator(name, operators,
         + operators * n_steps
     # the products of a level with all operators are one stacked call
     assert per_step == list(trace.cg_iterations + 1)
+
+
+def test_steady_distances_cost_one_matvec_per_run(monkeypatch):
+    # the block's products already hold M U of every level, so a reference
+    # adds only M u, once, and no matvec per step
+    exp = builtin_experiments()["forcing"]
+    backend, _ = build_backend(exp.params, 8, "fem")
+    assert not backend.diagonal_in_basis
+    u_inf, k = steady_state(backend), exp.time_step(8)
+    calls = []
+    matvec = SparseMatrix.matvec
+
+    def counted(self, x):
+        calls.append(1)
+        return matvec(self, x)
+
+    monkeypatch.setattr(SparseMatrix, "matvec", counted)
+    counts, traces = [], []
+    for reference in (None, u_inf):
+        calls.clear()
+        traces.append(run(backend, k, 2.0, reference=reference)[1])
+        counts.append(len(calls))
+    assert traces[0].distance is None and traces[1].distance.size == traces[1].t.size
+    assert np.array_equal(traces[0].cg_iterations, traces[1].cg_iterations)
+    assert counts[1] == counts[0] + 1
+
+
+@pytest.mark.parametrize("kind", ["fd", "fem"])
+def test_run_rejects_a_reference_of_wrong_shape_or_non_finite(kind):
+    exp = builtin_experiments()["forcing"]
+    backend, _ = build_backend(exp.params, 6, kind)
+    ndof = backend.ndof
+    for bad in (np.zeros(ndof + 1), np.zeros((2, ndof)), np.zeros((ndof, 1)),
+                np.full(ndof, np.nan), np.r_[np.inf, np.zeros(ndof - 1)]):
+        with pytest.raises(ValueError, match="reference"):
+            run(backend, k=0.1, T=1.0, reference=bad)
+
+
+@pytest.mark.parametrize("kind", ["fd", "fem"])
+def test_distance_from_zero_data_to_a_zero_reference_is_exactly_zero(kind):
+    # every level stays exactly zero; the distance must read 0, not NaN
+    params = ModelParams(domain=UNIT_SQUARE, alpha=1.0, beta=0.5)
+    backend = make_fd_backend(build_fd_grid(UNIT_SQUARE, 8), params) if kind == "fd" \
+        else make_fem_backend(FemSpace(build_tri_mesh(UNIT_SQUARE, 8)), params)
+    assert backend.diagonal_in_basis == (kind == "fd")
+    _, trace = run(backend, k=0.01, T=1.0, reference=np.zeros(backend.ndof))
+    assert np.array_equal(trace.distance, np.zeros(trace.t.size))
 
 
 def _weighted_field(base, amp):
@@ -606,19 +653,14 @@ def test_replaced_or_rewritten_levels_step_like_a_fresh_state():
                                        ("fd", "spacevar")])
 def test_run_matches_a_chain_of_steps_across_history_blocks(kind, name, n_steps):
     # run() steps in a history block that wraps every BLOCK steps and takes
-    # the energies of a whole block at once; a chain of step() calls with
-    # energy_and_cross per state is the reference
+    # the energies and distances of a whole block at once; a chain of step()
+    # calls with energy_and_cross and an M-norm per state is the reference
     exp = builtin_experiments()[name]
     backend, _ = build_backend(exp.params, 8, kind)
     assert not backend.diagonal_in_basis
     k = exp.time_step(8)
-    seen, copies = [], []
-
-    def observe(state):
-        seen.append(state)
-        copies.append(state.levels.copy())
-
-    final, trace = run(backend, k, n_steps * k, observers=[observe], n_steps=n_steps)
+    reference = np.random.default_rng(5).standard_normal(backend.ndof)
+    final, trace = run(backend, k, n_steps * k, n_steps=n_steps, reference=reference)
     state = init_state(backend, k)
     chain = [state]
     for _ in range(n_steps):
@@ -630,10 +672,10 @@ def test_run_matches_a_chain_of_steps_across_history_blocks(kind, name, n_steps)
     assert np.all(np.abs(trace.cross - crosses) <= tol)
     assert np.array_equal(trace.cg_iterations, [s.solve.iterations for s in chain[1:]])
     assert final.n == state.n and np.array_equal(final.levels, state.levels)
-    assert len(seen) == n_steps + 1
-    for got, copy, want in zip(seen, copies, chain, strict=True):
-        assert np.array_equal(got.levels, copy)
-        assert got.n == want.n and np.array_equal(got.levels, want.levels)
+    errors = [s.u_curr - reference for s in chain]
+    distances = np.sqrt([e @ backend.M.matvec(e) for e in errors])
+    assert trace.distance.shape == distances.shape
+    assert np.all(np.abs(trace.distance - distances) <= 1e-12 * distances)
 
 
 @pytest.mark.parametrize("shape", [(8,), (1, 8), (5, 8), (2, 2, 8)])
