@@ -204,8 +204,8 @@ class SineBasis:
         return (s @ coeffs.reshape(self.n, self.n) @ s).ravel()
 
     def solver(self, symbol: np.ndarray) -> Preconditioner:
-        """r -> S2 (S2' r / symbol): four n x n products per call."""
-        inv = 1.0 / symbol
+        """r -> S2 (S2' r / symbol), flattened or not: four n x n products."""
+        inv = 1.0 / np.reshape(symbol, (self.n, self.n))
 
         def apply(r: np.ndarray) -> np.ndarray:
             return self.inverse(self.forward(r) * inv)

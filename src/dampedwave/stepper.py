@@ -6,14 +6,16 @@ Scheme: (d2 U^n, chi) + beta a(dt U^n, chi) + alpha (dt U^n, chi)
         + a(U^{n+1}, chi) = (f, chi), where d2 is the centered second
 difference and dt the forward difference, leading to the SPD system
     [(1/k^2 + alpha/k) M + (beta/k + 1) K] U^{n+1} = rhs.
-Every operator sits on one sparsity pattern, so the system matrix for a given
-step and coefficient value is one sum of value arrays, built once and reused.
-Its symbol in the grid's sine basis is the same sum of the operators'
-symbols, and preconditions every CG solve of the stepper.
+Everything a step needs from this system (the values of A on the operators'
+common sparsity pattern, its symbol in the grid's sine basis, which
+preconditions every CG solve, and the weights that form the right-hand side
+from the products of the last levels) is linear in the factors
+(1/k^2, alpha/k, beta/k, 1) of the mass, the two damping operators and the
+stiffness, so it is one product with parts built once per backend.
 
 Where every operator is diagonal in the sine basis (finite differences
-without a spatial weight), the symbols are the operators themselves: run()
-then steps all modes at once by the scalar recurrence, with no CG solve.
+without a spatial weight), run() keeps the levels as sine-basis
+coefficients and a step divides by the symbol of A: no CG solve.
 """
 
 from __future__ import annotations
@@ -200,28 +202,27 @@ class BackendHandles:
     weak_op: SparseMatrix    # alpha-weighted mass; M itself when alpha has no weight
     strong_op: SparseMatrix  # beta-weighted stiffness; K itself when beta has no weight
     basis: SineBasis         # the unknowns' grid, for the preconditioners
-    # every operator is diagonal in ``basis``, so its symbol is exact and
-    # run() steps in the sine basis; make_fd_backend sets it when alpha has
-    # no spatial weight
+    # every operator is diagonal in ``basis``, so its symbol is exact and a
+    # run keeps its levels in that basis, where a step solves nothing;
+    # make_fd_backend sets it when alpha has no spatial weight
     diagonal_in_basis: bool = False
-    # one-entry cache: ((k, alpha, beta) scales, (system matrix, system
-    # preconditioner, level weights))
+    # one-entry cache: ((k, alpha, beta, modal), _step_system's result)
     _system: tuple = field(default=(None, None), init=False, repr=False)
 
     def __post_init__(self):
         ops = (self.M, self.K, self.weak_op, self.strong_op)
         distinct = {id(op): op for op in ops}
-        # the distinct operators, M and K first; role i of (M, K, W, S) is
-        # operator _op_of_role[i] among them and row i of _roles picks it, so
-        # a combination of the roles is a combination of the distinct operators
+        # the distinct operators, M and K first; role i of (M, W, S, K) is
+        # operator _op_of_role[i] among them
         self.operators = list(distinct.values())
-        self._op_of_role = [list(distinct).index(id(op)) for op in ops]
-        self._roles = np.eye(len(distinct))[self._op_of_role]
+        self._op_of_role = [list(distinct).index(id(op)) for op in
+                            (self.M, self.weak_op, self.strong_op, self.K)]
         # the distinct operators on their common pattern, as one stack
         shared = on_common_pattern(self.operators)
         self._stack = replace(shared[0], vals=np.stack([m.vals for m in shared]))
-        symbols = [self.basis.symbol(op) for op in self.operators]
-        self._symbols = [symbols[i] for i in self._op_of_role]
+        # their symbols, shaped (operators, ndof): in the sine basis, the
+        # products of a level with every operator when diagonal_in_basis
+        self._symbols = np.stack([self.basis.symbol(op).ravel() for op in self.operators])
 
     @property
     def ndof(self) -> int:
@@ -243,9 +244,12 @@ class BackendHandles:
         f = self.params.forcing
         return np.zeros(self.ndof) if f is None else self.load(f)
 
-    def products(self, levels: np.ndarray) -> np.ndarray:
+    def products(self, levels: np.ndarray, modal: bool = False) -> np.ndarray:
         """Each level times each distinct operator, an array of shape
-        (levels, operators, ndof): one stacked matvec per level."""
+        (levels, operators, ndof): one stacked matvec per level, or for
+        sine-basis coefficients (``modal``) the symbols times each level."""
+        if modal:
+            return levels[:, None] * self._symbols
         return np.array([self._stack.matvec(u) for u in levels])
 
     def system(self, k: float, t: float) -> tuple[SparseMatrix, Preconditioner]:
@@ -256,39 +260,55 @@ class BackendHandles:
         time factors."""
         return self._step_system(k, *self.params.check_schedules([t])[0])[:2]
 
-    def _step_system(self, k: float, a: float, b: float):
-        """(A, P^-1, weights) for step size k and time factors (a, b).
+    @cached_property
+    def _parts(self):
+        """(values, parts, weight_at) over the roles (M, W, S, K), a row each:
+        with c = (1/k^2, a/k, b/k, 1), c @ values is A's values, flattened,
+        and c @ parts is A's symbol and then the weights of _step_system,
+        those of L levels at weight_at[L]."""
+        roles = np.eye(len(self.operators))[self._op_of_role]
+        # each role's factor with U^n and U^{n-1} in the right-hand side
+        # (2 M/k^2 + D/k, -M/k^2); the starting residual subtracts the
+        # extrapolant times the role's factor in A
+        rhs = np.array([[2.0, -1.0], [1.0, 0.0], [1.0, 0.0], [0.0, 0.0]])
+        parts = [self._symbols[self._op_of_role]]
+        for n_levels, ext in EXTRAPOLANTS.items():
+            row = np.pad(rhs, ((0, 0), (0, n_levels - 2)))
+            pair = np.stack((row, row - ext), axis=1)  # (role, weight row, level)
+            parts.append((pair[..., None] * roles[:, None, None]).reshape(4, -1))
+        ends = np.cumsum([part.shape[1] for part in parts])
+        weight_at = dict(zip(EXTRAPOLANTS, map(slice, ends[:-1], ends[1:])))
+        values = self._stack.vals[self._op_of_role].reshape(4, -1)
+        return values, np.concatenate(parts, axis=1), weight_at
+
+    def _step_system(self, k: float, a: float, b: float, modal: bool = False):
+        """(A, P^-1, weights, symbol) for step size k and time factors (a, b).
 
         weights[L] has two rows over the (level, operator) pairs of the last
         L levels, newest first (see products): the right-hand side
         (2 M U^n - M U^{n-1})/k^2 + D U^n/k without the forcing, and the
         residual of the step's CG starting point, that right-hand side minus
-        A times the extrapolant of the L levels.
+        A times the extrapolant of the L levels. symbol is A's symbol,
+        flattened like a level.
 
-        Rebuilt only when k or a time factor differs from the last call.
+        A ``modal`` step, in the sine basis, reads only the weights and the
+        symbol, the same bit for bit: A and P^-1 are then None and not built.
+        Rebuilt only when an argument differs from the last call.
         """
-        key = (k, a, b)
+        key = (k, a, b, modal)
         if self._system[0] != key:
-            vals, _ = _combine(k, a, b, *self._stack.vals[self._op_of_role])
-            symbol, _ = _combine(k, a, b, *self._symbols)
-            op_a, op_d = _combine(k, a, b, *self._roles)
-            rhs = np.concatenate((2.0 * self._roles[0] / k ** 2 + op_d / k,
-                                  -self._roles[0] / k ** 2))
-            weights = {}
-            for n_levels, ext in EXTRAPOLANTS.items():
-                row = np.zeros(n_levels * len(self.operators))
-                row[:rhs.size] = rhs
-                weights[n_levels] = np.stack((row, row - np.kron(ext, op_a)))
-            self._system = (key, (replace(self._stack, vals=vals),
-                                  self.basis.solver(symbol), weights))
+            values, parts, weight_at = self._parts
+            c = np.array([1.0 / k ** 2, a / k, b / k, 1.0])
+            flat = c @ parts
+            symbol = flat[:self.ndof]
+            weights = {n: flat[at].reshape(2, -1) for n, at in weight_at.items()}
+            system = precond = None
+            if not modal:
+                system = SparseMatrix(self._stack.cols,
+                                      (c @ values).reshape(self._stack.cols.shape))
+                precond = self.basis.solver(symbol)
+            self._system = (key, (system, precond, weights, symbol))
         return self._system[1]
-
-
-def _combine(k, a, b, mass, stiff, weak, strong):
-    """(A, D) = (mass/k^2 + D/k + stiff, a weak + b strong), over the
-    operators' value arrays or over their symbols."""
-    damp = a * weak + b * strong
-    return mass / k ** 2 + damp / k + stiff, damp
 
 
 def make_fem_backend(space: FemSpace, params: ModelParams) -> BackendHandles:
@@ -366,21 +386,28 @@ def init_state(backend: BackendHandles, k: float,
 
 
 def _advance(backend: BackendHandles, levels: np.ndarray, products: np.ndarray,
-             top: int, n: int, k: float, scales: tuple[float, float]) -> SolveReport:
+             top: int, n: int, k: float, scales: tuple[float, float],
+             force: np.ndarray, modal: bool = False) -> SolveReport | None:
     """One implicit step U^n -> U^{n+1} in a newest-first history: U^n and
     up to three older levels are the rows below ``top`` of ``levels``, and of
     ``products`` their BackendHandles.products. The cached system at the
     time factors ``scales`` of t_n is solved by CG with its sine-basis
     preconditioner from the highest-order extrapolant of those levels, with
-    a right-hand side and starting residual that combine their products.
-    U^{n+1} and its products (one stacked matvec) go into row ``top``, so a
-    step costs one matvec per CG iteration and one fused product."""
-    system, precond, weights = backend._step_system(k, *scales)
+    a right-hand side (plus the forcing ``force``) and starting residual that
+    combine their products. U^{n+1} and its products (one stacked matvec) go
+    into row ``top``, so a step costs one matvec per CG iteration and one
+    fused product. With ``modal`` the rows are sine-basis coefficients: the
+    solve is one division by the symbol of A, and returns no report."""
+    system, precond, weights, symbol = backend._step_system(k, *scales, modal)
     depth = min(len(levels) - top - 1, HISTORY)
     history = slice(top + 1, top + 1 + depth)
     rhs = weights[depth] @ products[history].reshape(-1, levels.shape[1])
     if backend.params.forcing is not None:
-        rhs += backend.forcing
+        rhs += force
+    if modal:
+        levels[top] = u_next = rhs[0] / symbol
+        products[top] = backend._symbols * u_next
+        return None
     guess = EXTRAPOLANTS[depth] @ levels[history]
     try:
         u_next, report = cg_solve(system, rhs[0], rtol=STEP_RTOL, x0=guess,
@@ -395,7 +422,7 @@ def _advance(backend: BackendHandles, levels: np.ndarray, products: np.ndarray,
 def step(state: StepperState, backend: BackendHandles,
          scales: tuple[float, float] | None = None) -> StepperState:
     """One implicit step (U^{n-1}, U^n) -> (U^n, U^{n+1}), keeping up to
-    four levels: _advance on a history of the state's levels and their
+    four levels: a CG _advance on a history of the state's levels and their
     products. The time factors at t_n come from ``scales`` when the caller
     has them, else from ModelParams.check_schedules."""
     if state.n < 1:
@@ -407,7 +434,7 @@ def step(state: StepperState, backend: BackendHandles,
     levels[1:] = state.levels
     products = np.empty((len(levels), len(backend.operators), backend.ndof))
     products[1:] = backend.products(state.levels)
-    report = _advance(backend, levels, products, 0, n, k, scales)
+    report = _advance(backend, levels, products, 0, n, k, scales, backend.forcing)
     return StepperState(n=n + 1, k=k, levels=levels[:HISTORY], solve=report)
 
 
@@ -419,11 +446,12 @@ def run(backend: BackendHandles, k: float, T: float,
     (final state, EnergyTrace). The trace also carries each step's CG
     iterations and final residual, and, given a finite ``reference`` vector
     u of shape (ndof,), the distance ||U - u||_M of the newest level of each
-    sample (ValueError for any other reference).
+    sample (ValueError for any other reference). Raises StepError at the
+    first sample whose energy is not finite.
 
     On a backend that is diagonal in its sine basis the steps are taken in
-    that basis (see _run_modal) and report 0 iterations and residual 0;
-    otherwise each is a CG step (see _run_cg)."""
+    that basis and report 0 iterations and residual 0; otherwise each is a
+    CG step (see _run)."""
     if T < check_time_step(k):
         raise ValueError("final time must be at least one step")
     if reference is not None:
@@ -442,33 +470,44 @@ def run(backend: BackendHandles, k: float, T: float,
         cg_residuals=np.zeros(n_steps),
         distance=None if reference is None else np.empty(n_steps + 1),
     )
-    loop = _run_modal if backend.diagonal_in_basis else _run_cg
-    return loop(backend, state, scales, trace, reference), trace
+    # a diverging run overflows before the flush that names its step
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _run(backend, state, scales, trace, reference), trace
 
 
-def _run_cg(backend: BackendHandles, state: StepperState, scales, trace,
-            reference) -> StepperState:
-    """One CG step (_advance) from ``state`` per entry of ``scales`` after
-    the first, in one newest-first block of BLOCK + HISTORY rows of levels
-    and their products, each step filling the row above the newest. When the
+def _run(backend: BackendHandles, state: StepperState, scales, trace,
+         reference) -> StepperState:
+    """One step (_advance) from ``state`` per entry of ``scales`` after the
+    first, in one newest-first block of BLOCK + HISTORY rows of levels and
+    their products, each step filling the row above the newest. When the
     block is full, and at the end, one diagnostics.pair_energies call gives
     the energies and cross terms of its pairs not yet recorded, and, given a
     ``reference`` u, one einsum their distances sqrt((U - u).(M U - M u))
     from the products' M U and M u formed once, so no matvec per step. The
     HISTORY newest rows then move to the bottom, so the warm start carries
-    across.
+    across. On a backend diagonal in its sine basis the rows are sine-basis
+    coefficients, so these sums hold by Parseval; the state's levels, the
+    forcing and the reference are transformed once, and only the final
+    state goes back to grid values.
 
     Fills ``trace`` (see run) and returns the final state."""
-    k, ndof = state.k, backend.ndof
+    k, modal, basis = state.k, backend.diagonal_in_basis, backend.basis
+
+    def row(u):  # a vector of grid values as a row of the block
+        return basis.forward(u).ravel() if modal else u
+
     rows = BLOCK + HISTORY
-    levels = np.empty((rows, ndof))
-    products = np.empty((rows, len(backend.operators), ndof))
+    levels = np.empty((rows, backend.ndof))
+    products = np.empty((rows, len(backend.operators), backend.ndof))
     top = rows - len(state.levels)  # the newest level
-    levels[top:], products[top:] = state.levels, backend.products(state.levels)
+    levels[top:] = [row(u) for u in state.levels]
+    products[top:] = backend.products(levels[top:], modal)
+    force = row(backend.forcing)
     done = rows - 1  # the newest level whose energy is recorded; U^0 has none
     recorded = 0
     if reference is not None:
-        m_reference = backend.M.matvec(reference)
+        reference = row(reference)
+        m_reference = backend.products(reference[None], modal)[0, 0]
 
     def flush():
         """Record the energies of rows top to done - 1, each with the row
@@ -478,6 +517,10 @@ def _run_cg(backend: BackendHandles, state: StepperState, scales, trace,
             levels[top:done + 1], products[top:done + 1], k)
         new = slice(recorded, recorded + done - top)
         trace.energy[new], trace.cross[new] = energy[::-1], cross[::-1]
+        bad = np.flatnonzero(~np.isfinite(trace.energy[new]))
+        if bad.size:
+            i = recorded + bad[0]
+            raise StepError(f"non-finite energy at step n={i} (t={trace.t[i]:g})")
         if reference is not None:
             # rounding can leave a distance at the floor slightly negative
             squared = np.einsum("in,in->i", levels[top:done] - reference,
@@ -492,62 +535,15 @@ def _run_cg(backend: BackendHandles, state: StepperState, scales, trace,
             levels[-HISTORY:], products[-HISTORY:] = levels[:HISTORY], products[:HISTORY]
             top = done = rows - HISTORY
         top -= 1
-        report = _advance(backend, levels, products, top, state.n + i, k, step_scales)
-        trace.cg_iterations[i], trace.cg_residuals[i] = \
-            report.iterations, report.final_residual
+        report = _advance(backend, levels, products, top, state.n + i, k, step_scales,
+                          force, modal)
+        if not modal:
+            trace.cg_iterations[i], trace.cg_residuals[i] = \
+                report.iterations, report.final_residual
     flush()
-    return StepperState(n=state.n + len(scales) - 1, k=k, solve=report,
-                        levels=levels[top:top + HISTORY].copy())
-
-
-def _run_modal(backend: BackendHandles, state: StepperState, scales, trace,
-               reference) -> StepperState:
-    """One step from ``state`` per entry of ``scales`` after the first (the
-    damping time factors at each step time), in the sine basis, in which M,
-    K and the damping operator are the diagonal matrices of their symbols:
-    every mode follows the scalar recurrence of oracle.modal_recurrence, and
-    E = 1/2 (d'M d + U'K U), (d, U)_M and, given a ``reference`` u, the
-    distance ||U - u||_M follow by Parseval. Grid values are formed only for
-    the returned final state.
-
-    Fills the energies, cross terms and distances of ``trace`` (see run) and
-    returns the final state. Raises StepError at the first step whose energy
-    is not finite, without a numpy warning for the overflow that made it so.
-    """
-    basis, k = backend.basis, state.k
-    n_steps = len(scales) - 1
-    symbols = [sym.ravel() for sym in backend._symbols]
-    mass, stiff = symbols[:2]
-    force = basis.forward(backend.forcing).ravel()
-    prev, curr = basis.forward(state.u_prev).ravel(), basis.forward(state.u_curr).ravel()
-    energies, crosses, distances = trace.energy, trace.cross, trace.distance
-    if reference is not None:
-        target = basis.forward(reference).ravel()
-
-    def record(i):
-        d = (curr - prev) / k
-        md = mass * d
-        energies[i] = 0.5 * (d @ md + curr @ (stiff * curr))
-        crosses[i] = curr @ md
-        if reference is not None:
-            e = curr - target
-            distances[i] = math.sqrt(e @ (mass * e))
-
-    record(0)
-    key = None
-    # a diverging run overflows here first and ends in the StepError below
-    with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(1, n_steps + 1):
-            if scales[n] != key:
-                key = scales[n]
-                system, damping = _combine(k, *key, *symbols)
-            prev, curr = curr, (mass * (2.0 * curr - prev) / k ** 2
-                                + damping * curr / k + force) / system
-            record(n)
-            if not math.isfinite(energies[n]):
-                raise StepError(f"non-finite energy at step n={n} (t={n * k:g})")
-    return StepperState(n=n_steps + 1, k=k,
-                        levels=np.stack((basis.inverse(curr), basis.inverse(prev))))
+    final = levels[top:top + HISTORY]
+    final = np.array([basis.inverse(u) for u in final]) if modal else final.copy()
+    return StepperState(n=state.n + len(scales) - 1, k=k, solve=report, levels=final)
 
 
 def steady_state(backend: BackendHandles) -> np.ndarray:

@@ -15,6 +15,7 @@ from dampedwave.mesh import UNIT_SQUARE, build_fd_grid, build_tri_mesh
 from dampedwave.oracle import Mode, modal_recurrence
 from dampedwave.sparse import cg_solve
 from dampedwave.stepper import (
+    BLOCK,
     STEP_RTOL,
     ModelParams,
     SpatialField,
@@ -118,7 +119,9 @@ class Reference(NamedTuple):
     """A run recomputed step by step: its final state, the energy and cross
     term of every sample, and what assert_runs_agree bounds the other run's
     deviation with: per step, |b|_2 / sqrt(2 lambda_min(A)) of the step's
-    system A U^{n+1} = b; lambda_min(K); and lambda_1 of the (K, M) pencil."""
+    system A U^{n+1} = b; lambda_min(K); and lambda_1 of the (K, M) pencil.
+    Given a reference vector u, also ||U - u||_M of every sample and
+    ||u||_M."""
 
     final: StepperState
     energies: np.ndarray
@@ -126,9 +129,15 @@ class Reference(NamedTuple):
     injections: np.ndarray
     lam_k: float
     lam1: float
+    distances: np.ndarray | None = None
+    reference_norm: float = 0.0
 
 
-def cg_reference(backend, k, n_steps, exact_at=None):
+def m_norm(backend, v):
+    return np.sqrt(v @ backend.M.matvec(v))
+
+
+def cg_reference(backend, k, n_steps, exact_at=None, reference=None):
     """The run as a loop of CG ``step`` calls from the same ``init_state``,
     on a finite difference backend without a spatial weight: M, K and so
     every step's A are diagonal in the sine basis, where their symbols are
@@ -138,6 +147,7 @@ def cg_reference(backend, k, n_steps, exact_at=None):
     state = init_state(backend, k, exact_at=exact_at)
     pairs = [energy_and_cross(state, backend)]
     injections = []
+    chain = [state]
     for _ in range(n_steps):
         a, b = backend.params.check_schedules([state.n * k])[0]
         u = state.u_curr
@@ -147,9 +157,14 @@ def cg_reference(backend, k, n_steps, exact_at=None):
         injections.append(np.linalg.norm(rhs) / np.sqrt(2.0 * lam_a))
         state = step(state, backend)
         pairs.append(energy_and_cross(state, backend))
+        chain.append(state)
     energies, crosses = np.array(pairs).T
+    distances, reference_norm = None, 0.0
+    if reference is not None:
+        distances = np.array([m_norm(backend, s.u_curr - reference) for s in chain])
+        reference_norm = m_norm(backend, reference)
     return Reference(state, energies, crosses, np.array(injections),
-                     np.min(sk), np.min(sk / sm))
+                     np.min(sk), np.min(sk / sm), distances, reference_norm)
 
 
 # Two evaluations of one energy in different orders differ by rounding: a
@@ -177,9 +192,13 @@ def assert_runs_agree(final, trace, ref):
       <= 2 ||S1||_E ||S2||_E / sqrt(lambda_1), so it moves by at most
       2 / sqrt(lambda_1) times the energy's bound;
     - a level moves by |e|_inf <= |e|_K / sqrt(lambda_min(K))
-      <= sqrt(2 / lambda_min(K)) eps.
+      <= sqrt(2 / lambda_min(K)) eps;
+    - a distance ||U - u||_M, where the reference has them, moves by at most
+      |e|_M <= |e|_K / sqrt(lambda_1) <= sqrt(2 / lambda_1) eps.
     rho is doubled: CG stops on its recursively updated residual, and |b|_2
-    is read from the reference. The energies also get ROUNDING.
+    is read from the reference. The energies also get ROUNDING, and the
+    distances ROUNDING times ||U||_M + ||u||_M <= ||U - u||_M + 2 ||u||_M,
+    the size of the vectors whose difference they sum.
     """
     eps = np.concatenate(([0.0], np.cumsum(2.0 * STEP_RTOL * ref.injections)))
     level_bound = np.sqrt(2.0 / ref.lam_k) * eps[-1]
@@ -191,6 +210,10 @@ def assert_runs_agree(final, trace, ref):
     bound = eps * (2.0 * np.sqrt(ref.energies) + eps) + rounding
     assert np.all(np.abs(trace.energy - ref.energies) <= bound)
     assert np.all(np.abs(trace.cross - ref.crosses) <= 2.0 / omega * bound)
+    if ref.distances is not None:
+        rounding = ROUNDING * (ref.distances + 2.0 * ref.reference_norm)
+        bound = np.sqrt(2.0 / ref.lam1) * eps + rounding
+        assert np.all(np.abs(trace.distance - ref.distances) <= bound)
 
 
 @PROPERTY
@@ -248,6 +271,25 @@ def test_modal_run_matches_cg_steps_on_the_experiments(name, n):
     modal, trace = run(backend, k, exp.T, **init)
     n_steps = trace.t.size - 1
     assert_runs_agree(modal, trace, cg_reference(backend, k, n_steps, **init))
+
+
+@pytest.mark.parametrize("n_steps", [1, BLOCK - 1, BLOCK, BLOCK + 1, BLOCK + 3,
+                                     2 * BLOCK + 3])
+@pytest.mark.parametrize("name", ["ex1", "timevar", "forcing"])
+def test_modal_run_matches_cg_steps_across_history_blocks(name, n_steps):
+    # a sine-basis run keeps its coefficients in the history block, which
+    # takes the energies and distances of a whole block at once and wraps
+    # when full: first at step BLOCK + 3, as the initial levels and the
+    # HISTORY rows carried across take its bottom rows
+    exp = builtin_experiments()[name]
+    backend, _ = build_backend(exp.params, 8, "fd")
+    k = exp.time_step(8)
+    init = dict(exact_at=exp.exact.field_at) if exp.exact else {}
+    u = np.random.default_rng(5).standard_normal(backend.ndof)
+    final, trace = run(backend, k, n_steps * k, n_steps=n_steps, reference=u, **init)
+    ref = cg_reference(backend, k, n_steps, reference=u, **init)
+    assert final.n == ref.final.n == n_steps + 1
+    assert_runs_agree(final, trace, ref)
 
 
 def dense_reference(backend, k, n_steps):

@@ -12,7 +12,7 @@ from dampedwave.harness import build_backend, builtin_experiments, run_decay, \
     run_steady
 from dampedwave.mesh import UNIT_SQUARE, build_fd_grid, build_tri_mesh
 from dampedwave.oracle import Mode, modal_recurrence
-from dampedwave.sparse import CgError, SparseMatrix, cg_solve
+from dampedwave.sparse import CgError, SineBasis, SparseMatrix, cg_solve
 from dampedwave.stepper import (
     EXTRAPOLANTS,
     STEP_RTOL,
@@ -224,6 +224,38 @@ def test_cached_system_matches_dense_fd_schedule():
     assert not np.array_equal(systems[0].vals, systems[1].vals)
 
 
+def test_cached_system_matches_dense_fem_schedule():
+    exp = builtin_experiments()["timevar"]
+    backend = make_fem_backend(FemSpace(build_tri_mesh(UNIT_SQUARE, 6)), exp.params)
+    systems = [_check_system(backend, 0.01, t,
+                             exp.params.alpha.fn(t), exp.params.beta)
+               for t in (0.1, 0.7)]
+    assert not np.array_equal(systems[0].vals, systems[1].vals)
+
+
+@pytest.mark.parametrize("kind,name", [("fd", "timevar"), ("fem", "timevar"),
+                                       ("fem", "spacevar"), ("fem", "ex1")])
+def test_sine_basis_step_system_is_the_cg_ones_symbol_and_weights(kind, name):
+    # a step in the sine basis asks for the symbol and the weights only; they
+    # are the very ones a CG step gets, and neither A nor P^-1 is built
+    backend, _ = build_backend(builtin_experiments()[name].params, 6, kind)
+    factors = backend.params.check_schedules([0.3])[0]
+    modal = backend._step_system(0.01, *factors, True)
+    assert modal[:2] == (None, None)
+    cg = backend._step_system(0.01, *factors)
+    assert cg[0] is not None and cg[1] is not None
+    assert np.array_equal(modal[3], cg[3])
+    assert modal[2].keys() == cg[2].keys()
+    for n_levels in cg[2]:
+        assert np.array_equal(modal[2][n_levels], cg[2][n_levels])
+    m, kk = backend.M.to_dense(), backend.K.to_dense()
+    a, b = factors
+    damping = a * backend.weak_op.to_dense() + b * backend.strong_op.to_dense()
+    s2 = np.kron(backend.basis.matrix, backend.basis.matrix)
+    want = np.diag(s2.T @ (m / 0.01 ** 2 + damping / 0.01 + kk) @ s2)
+    assert np.allclose(cg[3], want, rtol=1e-12, atol=0.0)
+
+
 def test_backend_reuse_matches_fresh_backends():
     space = FemSpace(build_tri_mesh(UNIT_SQUARE, 6))
     f1 = ScalarField(lambda x, y: 2 * PI ** 2 * np.sin(PI * x) * np.sin(PI * y))
@@ -360,6 +392,60 @@ def test_energy_turning_non_finite_mid_run_names_the_step():
         warnings.simplefilter("error")
         with pytest.raises(StepError, match=r"n=4 \(t=0.04\)"):
             run(backend, k=0.01, T=0.5, exact_at=lambda t: ZERO_FIELD)
+
+
+def test_energy_turning_non_finite_after_a_block_wrap_names_the_step():
+    # the energy is quadratic in the data: with zero initial data, scaling
+    # the forcing by 2^515 scales every energy's sum by exactly 2^1030 until
+    # it overflows, which first happens past one history block here
+    def forced(amplitude):
+        force = ScalarField(lambda x, y: amplitude * np.sin(PI * x) * np.sin(PI * y))
+        return fd_setup(alpha=1.0, beta=0.5, forcing=force)[2]
+
+    zero = dict(exact_at=lambda t: ZERO_FIELD)
+    _, trace = run(forced(1.5), k=0.01, T=1.0, **zero)
+    with np.errstate(over="ignore"):
+        first = np.flatnonzero(np.isinf(np.ldexp(2.0 * trace.energy, 2 * 515)))[0]
+    assert stepper.BLOCK < first < trace.t.size - 1
+    backend = forced(1.5 * 2.0 ** 515)
+    assert backend.diagonal_in_basis
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(StepError, match=rf"n={first} \(t={first * 0.01:g}\)"):
+            run(backend, k=0.01, T=1.0, **zero)
+
+
+def test_sine_basis_run_makes_no_per_step_product_or_transform(monkeypatch):
+    # set-up, the Taylor start, the forcing and reference transforms and the
+    # final state's inverse transforms are all the grid work a sine-basis run
+    # does, however many steps it takes
+    calls = {}
+
+    def count(cls, name):
+        original = getattr(cls, name)
+
+        def counted(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args)
+
+        monkeypatch.setattr(cls, name, counted)
+
+    params = ModelParams(
+        domain=UNIT_SQUARE, beta=0.1, u0=sine_field(), u1=sine_field(),
+        forcing=sine_field(), alpha=TimeSchedule(lambda t: 2.0 - np.exp(-t), 1.0, 2.0))
+    backend = make_fd_backend(build_fd_grid(UNIT_SQUARE, 8), params)
+    assert backend.diagonal_in_basis
+    for cls, name in ((SparseMatrix, "matvec"), (SineBasis, "forward"),
+                      (SineBasis, "inverse")):
+        count(cls, name)
+    reference = np.random.default_rng(3).standard_normal(backend.ndof)
+    counts = []
+    for n_steps in (10, 150):
+        calls.clear()
+        run(backend, k=0.01, T=n_steps * 0.01, n_steps=n_steps, reference=reference)
+        counts.append(dict(calls))
+    assert counts[0] == counts[1]
+    assert min(counts[0].values()) >= 1 and len(counts[0]) == 3
 
 
 @pytest.mark.parametrize("kind", ["fd", "fem"])
@@ -648,12 +734,14 @@ def test_replaced_or_rewritten_levels_step_like_a_fresh_state():
 
 
 @pytest.mark.parametrize("n_steps", [1, stepper.BLOCK - 1, stepper.BLOCK,
-                                     stepper.BLOCK + 1, 2 * stepper.BLOCK + 3])
+                                     stepper.BLOCK + 1, stepper.BLOCK + 3,
+                                     2 * stepper.BLOCK + 3])
 @pytest.mark.parametrize("kind,name", [("fem", "ex3ii"), ("fem", "spacevar"),
                                        ("fd", "spacevar")])
 def test_run_matches_a_chain_of_steps_across_history_blocks(kind, name, n_steps):
-    # run() steps in a history block that wraps every BLOCK steps and takes
-    # the energies and distances of a whole block at once; a chain of step()
+    # run() steps in a history block that wraps when full (first at step
+    # BLOCK + 3, then every BLOCK steps) and takes the energies and
+    # distances of a whole block at once; a chain of step()
     # calls with energy_and_cross and an M-norm per state is the reference
     exp = builtin_experiments()[name]
     backend, _ = build_backend(exp.params, 8, kind)
