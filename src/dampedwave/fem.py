@@ -32,13 +32,12 @@ class ScalarField:
         return self.fn(x, y)
 
 
-ZERO_FIELD = ScalarField(lambda x, y: np.zeros_like(np.asarray(x, dtype=float)),
-                         grad=lambda x, y: (np.zeros_like(np.asarray(x, dtype=float)),) * 2)
-
-
 def constant_field(c: float) -> ScalarField:
     return ScalarField(lambda x, y, c=c: np.full_like(np.asarray(x, dtype=float), c),
                        grad=lambda x, y: (np.zeros_like(np.asarray(x, dtype=float)),) * 2)
+
+
+ZERO_FIELD = constant_field(0.0)
 
 
 class FemSpace:

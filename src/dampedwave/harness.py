@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable
 
@@ -125,19 +125,13 @@ def builtin_experiments() -> dict[str, Experiment]:
                    k_rule=lambda h: 0.25 * h * h),
     )}
 
-    s = _sine_product(pi)
-    u1 = ScalarField(lambda x, y: -pi * s(x, y))
+    # ex1's domain, beta and initial data, with alpha varying in time or space
+    ex1 = out["ex1"].params
     sched = TimeSchedule(lambda t: 2.0 - math.exp(-t), lo=1.0, hi=2.0)
-    out["timevar"] = Experiment(
-        "timevar",
-        ModelParams(domain=UNIT_SQUARE, alpha=sched, beta=1.0 / pi, u0=s, u1=u1))
-
+    out["timevar"] = Experiment("timevar", replace(ex1, alpha=sched))
     alpha_field = ScalarField(lambda x, y: 1.0 + 0.5 * np.sin(pi * x) * np.sin(pi * y))
     out["spacevar"] = Experiment(
-        "spacevar",
-        ModelParams(domain=UNIT_SQUARE,
-                    alpha=SpatialField(alpha_field, lo=1.0, hi=1.5),
-                    beta=1.0 / pi, u0=s, u1=u1))
+        "spacevar", replace(ex1, alpha=SpatialField(alpha_field, lo=1.0, hi=1.5)))
 
     forcing = ScalarField(lambda x, y: 2.0 * pi * pi * np.sin(pi * x) * np.sin(pi * y))
     out["forcing"] = Experiment(
@@ -195,9 +189,9 @@ def _converge_level(exp: Experiment, n: int, backend: str,
 
 def run_convergence(exp: Experiment, backend: str = "fem",
                     n_values=None, k_override: float | None = None) -> ConvergenceTable:
-    """Refinement study at the experiment's k rule; exact-start initialization."""
-    if exp.exact is None:
-        raise ValueError("convergence study needs an exact solution")
+    """Refinement study at the experiment's k rule; exact-start initialization.
+    Raises ValueError (see check_residual) unless the experiment has an
+    exact solution with constant coefficients."""
     check_residual(exp)
     ns = tuple(n_values or exp.n_values)
     errs = [_converge_level(exp, n, backend, k_override) for n in ns]
@@ -228,9 +222,6 @@ class DecayReport:
     sandwich_slack: float
     bound_slack: float
     bound_rate_margin: float
-
-    def bound_curve(self) -> np.ndarray:
-        return self.trace.decay_bound(self.delta_disc)
 
 
 def discrete_lambda1(backend: BackendHandles) -> tuple[float, np.ndarray, int]:
@@ -331,7 +322,7 @@ def write_csv(obj, path) -> None:
                                 _fmt(obj.linf[i]), rate(obj.rate_linf[i]),
                                 _fmt(obj.h1[i]), rate(obj.rate_h1[i])])
             elif isinstance(obj, DecayReport):
-                bound = obj.bound_curve()
+                bound = obj.trace.decay_bound(obj.delta_disc)
                 ext = obj.trace.extended(obj.delta_disc)
                 w.writerow(["t", "E", "E_ext", "bound", "E_cont"])
                 for i, t in enumerate(obj.trace.t):

@@ -29,8 +29,8 @@ import numpy as np
 
 from . import diagnostics
 from .fdm import FdOperator
-from .fem import FemSpace, ScalarField, assemble_mass, assemble_stiffness, \
-    at_midpoints, interpolate as fem_interpolate, load_vector
+from .fem import ZERO_FIELD, FemSpace, ScalarField, assemble_mass, \
+    assemble_stiffness, at_midpoints, interpolate as fem_interpolate, load_vector
 from .mesh import FdGrid, Rectangle
 from .sparse import CgError, Preconditioner, SineBasis, SolveReport, \
     SparseMatrix, cg_solve, from_diagonal, on_common_pattern
@@ -41,8 +41,8 @@ STEP_RTOL = 1e-10
 EXTRAPOLANTS = {len(w): np.array(w) for w in
                 ((2.0, -1.0), (3.0, -3.0, 1.0), (4.0, -6.0, 4.0, -1.0))}
 HISTORY = max(EXTRAPOLANTS)  # the most levels a step reads
-# steps of a CG run between two batched energy passes (see _run_cg); 32 to
-# 128 measured alike
+# steps of a run between two batched energy passes (see _run); 32 to 128
+# measured alike
 BLOCK = 64
 
 
@@ -92,14 +92,15 @@ def _resolve(c: Coefficient) -> Damping:
     return Damping(value, value, lambda t: value)
 
 
-def _check_weight(c: Damping, values, where: str) -> None:
-    """Reject a spatial weight that is not finite or leaves its stated
-    [lo, hi] (so also one that is not strictly positive, since lo > 0) where
-    it is evaluated. The test is negated because NaN compares false."""
+def _check_range(c: Damping, values, where: str) -> None:
+    """Reject values of a time factor or spatial weight that are not finite or
+    leave its stated [lo, hi] (so, for a schedule or field, since lo > 0, any
+    that is not strictly positive) where they are evaluated. The test is
+    negated because NaN compares false."""
     values = np.asarray(values, dtype=float)
     if not np.all((values >= c.lo - 1e-12) & (values <= c.hi + 1e-12)):
-        raise ValueError(f"damping field must be finite, strictly positive and "
-                         f"within its stated [lo, hi] = [{c.lo:g}, {c.hi:g}] {where}")
+        raise ValueError(f"damping is not finite, not strictly positive or leaves "
+                         f"its stated [lo, hi] = [{c.lo:g}, {c.hi:g}] {where}")
 
 
 class StepError(RuntimeError):
@@ -115,13 +116,14 @@ def check_time_step(k: float) -> float:
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Damping coefficients, forcing, and initial data on a rectangle."""
+    """Damping coefficients, forcing, and initial data on a rectangle.
+    Initial data left out is the zero field; no forcing (None) is f = 0."""
 
     domain: Rectangle
     alpha: Coefficient = 0.0
     beta: Coefficient = 0.0
-    u0: ScalarField | None = None
-    u1: ScalarField | None = None
+    u0: ScalarField = ZERO_FIELD
+    u1: ScalarField = ZERO_FIELD
     forcing: ScalarField | None = None
 
     def __post_init__(self):
@@ -147,9 +149,7 @@ class ModelParams:
             columns.append(vals.tolist())
             if c.weight is not None:
                 continue
-            if not np.all((vals >= c.lo - 1e-12) & (vals <= c.hi + 1e-12)):
-                raise ValueError("schedule is not finite or leaves its stated "
-                                 "[lo, hi] range")
+            _check_range(c, vals, "at the sampled times")
             if np.any(np.diff(vals) < -1e-12):
                 raise ValueError("schedule must be nondecreasing")
         return list(zip(*columns))
@@ -160,7 +160,7 @@ class ModelParams:
         xs = np.linspace(r.x0, r.x1, 25)[1:-1]
         ys = np.linspace(r.y0, r.y1, 25)[1:-1]
         xx, yy = np.meshgrid(xs, ys)
-        _check_weight(c, c.weight(xx, yy), "on the sample grid")
+        _check_range(c, c.weight(xx, yy), "on the sample grid")
 
 
 @dataclass(frozen=True)
@@ -315,7 +315,7 @@ def make_fem_backend(space: FemSpace, params: ModelParams) -> BackendHandles:
     alpha, beta = params.damping
     for c in (alpha, beta):
         if c.weight is not None:
-            _check_weight(c, at_midpoints(space, c.weight), "at the quadrature points")
+            _check_range(c, at_midpoints(space, c.weight), "at the quadrature points")
     mass, stiff = assemble_mass(space), assemble_stiffness(space)
     weak = mass if alpha.weight is None else assemble_mass(space, alpha.weight)
     strong = stiff if beta.weight is None else assemble_stiffness(space, beta.weight)
@@ -345,7 +345,7 @@ def make_fd_backend(grid: FdGrid, params: ModelParams) -> BackendHandles:
     weak = mass
     if alpha.weight is not None:
         w = interp(alpha.weight)
-        _check_weight(alpha, w, "at the grid nodes")
+        _check_range(alpha, w, "at the grid nodes")
         weak = from_diagonal(grid.h ** 2 * w)
     return BackendHandles(
         params=params, M=mass, K=stiff, interpolate=interp,
@@ -370,13 +370,11 @@ def init_state(backend: BackendHandles, k: float,
     """
     check_time_step(k)
     params = backend.params
-    u0 = backend.interpolate(params.u0) if params.u0 is not None \
-        else np.zeros(backend.ndof)
+    u0 = backend.interpolate(params.u0)
     if exact_at is not None:
         u1 = backend.interpolate(exact_at(k))
     else:
-        v = backend.interpolate(params.u1) if params.u1 is not None \
-            else np.zeros(backend.ndof)
+        v = backend.interpolate(params.u1)
         a, b = params.check_schedules([0.0])[0] if scales is None else scales
         damped = a * backend.weak_op.matvec(v) + b * backend.strong_op.matvec(v)
         rhs = -damped - backend.K.matvec(u0) + backend.forcing
@@ -419,17 +417,14 @@ def _advance(backend: BackendHandles, levels: np.ndarray, products: np.ndarray,
     return report
 
 
-def step(state: StepperState, backend: BackendHandles,
-         scales: tuple[float, float] | None = None) -> StepperState:
+def step(state: StepperState, backend: BackendHandles) -> StepperState:
     """One implicit step (U^{n-1}, U^n) -> (U^n, U^{n+1}), keeping up to
     four levels: a CG _advance on a history of the state's levels and their
-    products. The time factors at t_n come from ``scales`` when the caller
-    has them, else from ModelParams.check_schedules."""
+    products, at the time factors ModelParams.check_schedules gives for t_n."""
     if state.n < 1:
         raise ValueError("stepping requires n >= 1")
     n, k = state.n, state.k
-    if scales is None:
-        scales = backend.params.check_schedules([n * k])[0]
+    scales = backend.params.check_schedules([n * k])[0]
     levels = np.empty((len(state.levels) + 1, backend.ndof))
     levels[1:] = state.levels
     products = np.empty((len(levels), len(backend.operators), backend.ndof))

@@ -37,6 +37,12 @@ def test_unknown_experiment_exits_one(capsys):
     assert "unknown experiment" in capsys.readouterr().err
 
 
+def test_converge_without_exact_solution_exits_one(capsys):
+    assert main(["converge", "--experiment", "timevar"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "no exact solution" in err
+
+
 def test_bad_n_list_rejected():
     assert main(["converge", "--N", "abc"]) == 1
 

@@ -56,6 +56,11 @@ def test_residual_guard_rejects_mismatched_coefficients():
         check_residual(broken)
 
 
+def test_convergence_needs_an_exact_solution():
+    with pytest.raises(ValueError, match="no exact solution"):
+        run_convergence(builtin_experiments()["timevar"])
+
+
 def test_separable_exact_residual_is_algebraically_zero():
     exact = builtin_experiments()["ex1"].exact
     # u'' + (beta lam + alpha) u' + lam u with the Example-1 coefficients:

@@ -7,7 +7,7 @@ import pytest
 from dampedwave import stepper
 from dampedwave.diagnostics import energy_and_cross
 from dampedwave.fdm import fd_eigenvalue, fd_sine_mode
-from dampedwave.fem import FemSpace, ScalarField, interpolate
+from dampedwave.fem import ZERO_FIELD, FemSpace, ScalarField, interpolate
 from dampedwave.harness import build_backend, builtin_experiments, run_decay, \
     run_steady
 from dampedwave.mesh import UNIT_SQUARE, build_fd_grid, build_tri_mesh
@@ -378,9 +378,6 @@ def test_nan_data_on_a_sine_diagonal_backend_fails_in_init_state(data):
         run(backend, k=0.01, T=0.1)
 
 
-ZERO_FIELD = ScalarField(lambda x, y: np.zeros_like(np.asarray(x, dtype=float)))
-
-
 def test_energy_turning_non_finite_mid_run_names_the_step():
     # a forcing of 1e156 drives the energy past the float range: it is
     # finite through step 3 and overflows at step 4
@@ -596,11 +593,14 @@ def test_nan_schedule_is_rejected_at_construction():
 
 
 def test_schedule_turning_nan_within_a_run_is_rejected():
-    # finite on the construction-time sample window [0, 20], NaN from t = 25
-    sched = TimeSchedule(lambda t: 1.0 if t < 25.0 else np.nan, lo=1.0, hi=1.0)
-    _, params, backend = fd_setup(m=4, alpha=sched, u0=sine_field())
-    with pytest.raises(ValueError, match="not finite"):
-        run(backend, k=0.5, T=30.0)
+    # within [lo, hi] on the construction-time sample window [0, 20]; from
+    # t = 25 NaN, or finite but above hi
+    for late, message in ((np.nan, "not finite"), (2.0, "leaves")):
+        sched = TimeSchedule(lambda t, late=late: 1.0 if t < 25.0 else late,
+                             lo=1.0, hi=1.0)
+        _, params, backend = fd_setup(m=4, alpha=sched, u0=sine_field())
+        with pytest.raises(ValueError, match=message):
+            run(backend, k=0.5, T=30.0)
 
 
 # NaN only at x > 0.97: past the construction-time samples (x <= 23/24), but
