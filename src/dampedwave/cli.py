@@ -147,7 +147,7 @@ def _cmd_decay(args) -> int:
     print(f"delta (continuous bound) = {rep.delta_cont:.6f}")
     print(f"delta (discrete bound)   = {rep.delta_disc:.6f}")
     print(f"delta (fitted from E)    = {rep.delta_fit:.6f}  "
-          f"(log-E slope {rep.log_slope:.6f})")
+          f"(log-E slope {-2.0 * rep.delta_fit:.6f})")
     print(f"delta*k admissible (<= {harness.DK_CAP:.6f}): "
           f"{'yes' if rep.dk_admissible else 'no'}")
     print(f"energy monotone          : {'PASS' if rep.monotone_ok else 'FAIL'}")
@@ -179,6 +179,7 @@ def _cmd_eig(args) -> int:
 
 
 def _cmd_modal(args) -> int:
+    ModelParams(domain=UNIT_SQUARE, alpha=args.alpha, beta=args.beta)  # checks damping
     grid = build_fd_grid(UNIT_SQUARE, args.grid_m)
     lam = fd_eigenvalue(grid, args.p, args.q)
     mode = Mode(args.p, args.q, lam, a0=1.0, b0=0.0)

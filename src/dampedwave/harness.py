@@ -208,7 +208,6 @@ class DecayReport:
     delta_cont: float
     delta_disc: float
     delta_fit: float
-    log_slope: float
     trace: EnergyTrace
     monotone_ok: bool
     sandwich_ok: bool
@@ -262,7 +261,7 @@ def run_decay(exp: Experiment, n: int, backend: str = "fem",
     return DecayReport(
         experiment=exp.name, n=n, backend=backend, k=k, lambda1=lam1,
         delta_cont=delta_cont, delta_disc=delta_disc,
-        delta_fit=delta_fit, log_slope=-2.0 * delta_fit, trace=trace,
+        delta_fit=delta_fit, trace=trace,
         monotone_ok=trace.monotone(),
         sandwich_ok=trace.sandwich_ok(delta_disc),
         bound_ok=trace.decay_bound_ok(delta_disc),

@@ -90,18 +90,20 @@ class SparseMatrix:
 def from_coo(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
              dim: int) -> SparseMatrix:
     """Build the matrix from triplets, summing duplicates and keeping the
-    nonzero sums; raises ValueError for an index outside it or a non-finite sum."""
+    nonzero sums; raises ValueError for an index outside it or a non-finite sum.
+    ``vals`` may be a stack (operators, entries) over the same triplets: the
+    result is then one stack on the entries where any operator's sum is nonzero."""
     keys = np.ravel_multi_index((np.asarray(rows, dtype=np.int64),
                                  np.asarray(cols, dtype=np.int64)), (dim, dim))
     order = np.argsort(keys, kind="stable")  # duplicates stay in input order
-    keys, vals = keys[order], np.asarray(vals, dtype=np.float64)[order]
+    keys, vals = keys[order], np.asarray(vals, dtype=np.float64)[..., order]
     first = np.flatnonzero(keys != np.concatenate(([-1], keys[:-1])))  # run starts
     with np.errstate(over="ignore", invalid="ignore"):  # reported just below
-        vals = np.add.reduceat(vals, first)
+        vals = np.add.reduceat(vals, first, axis=-1)
     if not np.all(np.isfinite(vals)):
         raise ValueError("sparse matrix entries must be finite")
-    keep = vals != 0.0
-    return _fixed_width(keys[first[keep]], dim, [vals[keep]])[0]
+    keep = np.atleast_2d(vals != 0.0).any(axis=0)
+    return _fixed_width(keys[first[keep]], dim, vals[..., keep])
 
 
 def from_diagonal(d: np.ndarray) -> SparseMatrix:
@@ -109,22 +111,20 @@ def from_diagonal(d: np.ndarray) -> SparseMatrix:
     return SparseMatrix(np.arange(d.size)[None, :], d[None, :])
 
 
-def on_common_pattern(mats: list[SparseMatrix]) -> list[SparseMatrix]:
-    """The matrices on the union of their sparsity patterns, sharing one cols
-    array, so that a linear combination of them is that of their vals."""
-    dim = mats[0].dim
-    # each matrix's nonzero slots (padding holds 0) as keys row * dim + col
-    keys = [(m.rows * dim + m.cols)[m.vals != 0.0] for m in mats]
-    union = np.sort(np.concatenate(keys))
-    union = union[union != np.concatenate(([-1], union[:-1]))]
-    return _fixed_width(union, dim, [
-        np.bincount(np.searchsorted(union, k), m.vals[m.vals != 0.0], union.size)
-        for m, k in zip(mats, keys)])
+def on_common_pattern(mats: list[SparseMatrix]) -> SparseMatrix:
+    """The matrices on the union of their sparsity patterns as one stack, so a
+    linear combination of them is that of its vals: from_coo over all their
+    slots, each matrix's values in its own row and zeros elsewhere."""
+    owner = np.concatenate([np.full(m.cols.size, i) for i, m in enumerate(mats)])
+    vals = np.where(owner == np.arange(len(mats))[:, None],
+                    np.concatenate([m.vals.ravel() for m in mats]), 0.0)
+    return from_coo(np.concatenate([m.rows.ravel() for m in mats]),
+                    np.concatenate([m.cols.ravel() for m in mats]), vals, mats[0].dim)
 
 
-def _fixed_width(keys: np.ndarray, dim: int, values) -> list[SparseMatrix]:
-    """Matrices with the entries of each array of ``values`` at the
-    increasing keys row * dim + col, all on one cols array."""
+def _fixed_width(keys: np.ndarray, dim: int, values: np.ndarray) -> SparseMatrix:
+    """The matrix with the entries ``values`` (or the stack of its rows) at
+    the increasing keys row * dim + col."""
     rows = keys // dim
     counts = np.bincount(rows, minlength=dim)
     # the slots that hold an entry, row-major; a boolean index fills them row
@@ -133,12 +133,9 @@ def _fixed_width(keys: np.ndarray, dim: int, values) -> list[SparseMatrix]:
     cols = np.repeat(np.arange(dim)[:, None], filled.shape[1], axis=1)
     cols[filled] = keys - rows * dim
     cols = np.ascontiguousarray(cols.T)
-    out = []
-    for v in values:
-        vals = np.zeros(cols.shape)
-        vals.T[filled] = v
-        out.append(SparseMatrix(cols, vals))
-    return out
+    vals = np.zeros(values.shape[:-1] + cols.shape)
+    np.swapaxes(vals, -1, -2)[..., filled] = values
+    return SparseMatrix(cols, vals)
 
 
 def _distinct_pairs(r: np.ndarray, c: np.ndarray, n: int):
@@ -192,23 +189,19 @@ class SineBasis:
         sx = s[xs // n] * s[xs % n]
         return np.einsum("aq,ap->qp", sy, np.einsum("ab,bp->ap", pairs, sx))
 
-    def forward(self, u: np.ndarray) -> np.ndarray:
-        """S2' u as an n x n array of mode coefficients indexed like a
-        symbol: the product S U S of the grid values U (two n x n products)."""
+    def transform(self, u: np.ndarray) -> np.ndarray:
+        """S2 u as a flat array: S U S for the grid values U (two n x n
+        products). S2 is symmetric and orthonormal, so this maps grid values
+        to mode coefficients (indexed like a flattened symbol) and those back."""
         s = self.matrix
-        return s @ u.reshape(self.n, self.n) @ s
-
-    def inverse(self, coeffs: np.ndarray) -> np.ndarray:
-        """S2 coeffs as grid values stored like u; S2 is its own inverse."""
-        s = self.matrix
-        return (s @ coeffs.reshape(self.n, self.n) @ s).ravel()
+        return (s @ u.reshape(self.n, self.n) @ s).ravel()
 
     def solver(self, symbol: np.ndarray) -> Preconditioner:
-        """r -> S2 (S2' r / symbol), flattened or not: four n x n products."""
-        inv = 1.0 / np.reshape(symbol, (self.n, self.n))
+        """r -> S2 (S2 r / symbol), flattened or not: four n x n products."""
+        inv = 1.0 / np.ravel(symbol)
 
         def apply(r: np.ndarray) -> np.ndarray:
-            return self.inverse(self.forward(r) * inv)
+            return self.transform(self.transform(r) * inv)
 
         return apply
 

@@ -21,7 +21,7 @@ coefficients and a step divides by the symbol of A: no CG solve.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
 
@@ -81,14 +81,14 @@ class Damping:
 def _resolve(c: Coefficient) -> Damping:
     """The only place that asks which kind a coefficient is."""
     if isinstance(c, TimeSchedule | SpatialField):
-        if not (0 < c.lo <= c.hi):
-            raise ValueError("schedule and field bounds must satisfy 0 < lo <= hi")
+        if not (0 < c.lo <= c.hi < math.inf):
+            raise ValueError("damping bounds must satisfy 0 < lo <= hi < inf")
         if isinstance(c, SpatialField):
             return Damping(c.lo, c.hi, lambda t: 1.0, c.field)
         return Damping(c.lo, c.hi, lambda t: float(c.fn(t)))
     value = float(c)
-    if value < 0:
-        raise ValueError("constant damping must be nonnegative")
+    if not 0 <= value < math.inf:  # also false for NaN
+        raise ValueError(f"constant damping must be nonnegative and finite, not {value!r}")
     return Damping(value, value, lambda t: value)
 
 
@@ -218,8 +218,7 @@ class BackendHandles:
         self._op_of_role = [list(distinct).index(id(op)) for op in
                             (self.M, self.weak_op, self.strong_op, self.K)]
         # the distinct operators on their common pattern, as one stack
-        shared = on_common_pattern(self.operators)
-        self._stack = replace(shared[0], vals=np.stack([m.vals for m in shared]))
+        self._stack = on_common_pattern(self.operators)
         # their symbols, shaped (operators, ndof): in the sine basis, the
         # products of a level with every operator when diagonal_in_basis
         self._symbols = np.stack([self.basis.symbol(op).ravel() for op in self.operators])
@@ -489,7 +488,7 @@ def _run(backend: BackendHandles, state: StepperState, scales, trace,
     k, modal, basis = state.k, backend.diagonal_in_basis, backend.basis
 
     def row(u):  # a vector of grid values as a row of the block
-        return basis.forward(u).ravel() if modal else u
+        return basis.transform(u) if modal else u
 
     rows = BLOCK + HISTORY
     levels = np.empty((rows, backend.ndof))
@@ -537,7 +536,7 @@ def _run(backend: BackendHandles, state: StepperState, scales, trace,
                 report.iterations, report.final_residual
     flush()
     final = levels[top:top + HISTORY]
-    final = np.array([basis.inverse(u) for u in final]) if modal else final.copy()
+    final = np.array([basis.transform(u) for u in final]) if modal else final.copy()
     return StepperState(n=state.n + len(scales) - 1, k=k, solve=report, levels=final)
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from dataclasses import replace
 
-from dampedwave import harness
+from dampedwave import harness, sparse
 from dampedwave.cli import main
 from dampedwave.fem import ScalarField
 
@@ -169,6 +169,10 @@ def test_config_file_named_like_its_subcommand(tmp_path, monkeypatch, capsys):
     (["decay", "--N", "1"], "no unknowns"),
     (["eig", "--N", "1", "--backend", "fem"], "no unknowns"),
     (["steady", "--N", "1"], "no unknowns"),
+    (["modal", "--alpha", "inf"], "damping"),
+    (["modal", "--alpha", "nan"], "damping"),
+    (["modal", "--alpha", "-1"], "damping"),
+    (["modal", "--beta", "inf"], "damping"),
 ])
 def test_bad_step_or_mesh_without_unknowns_exits_one(argv, why, capsys):
     assert main(argv) == 1
@@ -195,3 +199,10 @@ def test_nan_data_on_fd_exits_two(command, experiment, data, monkeypatch, capsys
     code = main([command, "--experiment", experiment, "--backend", "fd", "--N", "8"])
     assert code == 2
     assert "numerical failure: CG" in capsys.readouterr().err
+
+
+def test_eig_without_convergence_exits_two(monkeypatch, capsys):
+    # one inverse power iteration cannot meet EIG_TOL from the all-ones start
+    monkeypatch.setattr(sparse, "EIG_MAX_ITER", 1)
+    assert main(["eig", "--N", "8"]) == 2
+    assert "numerical failure: inverse power iteration" in capsys.readouterr().err

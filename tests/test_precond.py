@@ -38,13 +38,15 @@ def test_forward_and_inverse_are_the_dense_basis_products():
     basis = SineBasis(6)
     s2 = np.kron(basis.matrix, basis.matrix)
     u = np.random.default_rng(3).normal(size=36)
-    coeffs = basis.forward(u)
-    assert coeffs.shape == (6, 6)
-    assert np.allclose(coeffs.ravel(), s2.T @ u, atol=1e-14)
-    assert np.allclose(basis.inverse(coeffs), u, atol=1e-14)
-    # the preconditioner is the symbol division between the two
+    # one transform maps grid values to mode coefficients and back
+    coeffs = basis.transform(u)
+    assert coeffs.shape == (36,)
+    assert np.allclose(coeffs, s2.T @ u, atol=1e-14)
+    assert np.array_equal(basis.transform(u.reshape(6, 6)), coeffs)
+    assert np.allclose(basis.transform(coeffs), u, atol=1e-14)
+    # the preconditioner is the symbol division between two transforms
     symbol = np.arange(1.0, 37.0).reshape(6, 6)
-    assert np.allclose(basis.solver(symbol)(u), basis.inverse(coeffs / symbol),
+    assert np.allclose(basis.solver(symbol)(u), basis.transform(coeffs / symbol.ravel()),
                        rtol=1e-14, atol=1e-15)
 
 
