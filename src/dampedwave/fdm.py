@@ -80,6 +80,8 @@ def fd_norms(grid: FdGrid, v: np.ndarray) -> tuple[float, float]:
 
 def fd_eigenvalue(grid: FdGrid, p: int, q: int) -> float:
     """Closed-form 5-point eigenvalue (4/h^2)(sin^2 + sin^2) for mode (p, q)."""
+    if not (0 < p < grid.n_per_side and 0 < q < grid.n_per_side):
+        raise ValueError(f"mode ({p}, {q}) is zero on a grid of M = {grid.n_per_side}")
     h, side = grid.h, grid.side
     s = np.sin(p * np.pi * h / (2.0 * side)) ** 2 + np.sin(q * np.pi * h / (2.0 * side)) ** 2
     return 4.0 / h ** 2 * float(s)
@@ -87,6 +89,8 @@ def fd_eigenvalue(grid: FdGrid, p: int, q: int) -> float:
 
 def fd_sine_mode(grid: FdGrid, p: int, q: int) -> np.ndarray:
     """Nodal sine mode sin(p pi x / L) sin(q pi y / L) on the interior unknowns."""
+    if not (0 < p < grid.n_per_side and 0 < q < grid.n_per_side):
+        raise ValueError(f"mode ({p}, {q}) is zero on a grid of M = {grid.n_per_side}")
     x, y = grid.interior_coords()
     side = grid.side
     return np.sin(p * np.pi * (x - grid.rect.x0) / side) * \

@@ -36,11 +36,11 @@ from .sparse import CgError, Preconditioner, SineBasis, SolveReport, \
     SparseMatrix, cg_solve, from_diagonal, on_common_pattern
 
 STEP_RTOL = 1e-10
-# CG starting point of a step from the last 2, 3 or 4 levels, newest first:
-# the linear, quadratic and cubic extrapolants
-EXTRAPOLANTS = {len(w): np.array(w) for w in
-                ((2.0, -1.0), (3.0, -3.0, 1.0), (4.0, -6.0, 4.0, -1.0))}
-HISTORY = max(EXTRAPOLANTS)  # the most levels a step reads
+HISTORY = 5  # the most levels a step reads
+# CG starting point of a step from its last L = 2 to HISTORY levels, newest
+# first: the extrapolant of degree L - 1, level j weighted (-1)^j C(L, j + 1)
+EXTRAPOLANTS = {n: np.array([(-1.0) ** j * math.comb(n, j + 1) for j in range(n)])
+                for n in range(2, HISTORY + 1)}
 # steps of a run between two batched energy passes (see _run); 32 to 128
 # measured alike
 BLOCK = 64
@@ -165,9 +165,9 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class StepperState:
-    """The last 2 to 4 levels U^n, U^{n-1}, ... of a run, newest first, as
-    the rows of ``levels``; u_curr and u_prev are rows 0 and 1, and n
-    indexes u_curr, at time n*k. ``solve`` reports the CG solve that
+    """The last 2 to HISTORY levels U^n, U^{n-1}, ... of a run, newest
+    first, as the rows of ``levels``; u_curr and u_prev are rows 0 and 1, and
+    n indexes u_curr, at time n*k. ``solve`` reports the CG solve that
     produced u_curr in a step; None for an initial state and for sine-basis
     steps."""
 
@@ -178,7 +178,8 @@ class StepperState:
 
     def __post_init__(self):
         if np.ndim(self.levels) != 2 or len(self.levels) not in EXTRAPOLANTS:
-            raise ValueError(f"levels must be 2 to 4 rows, not {np.shape(self.levels)}")
+            raise ValueError(f"levels must be 2 to {HISTORY} rows, not "
+                             f"{np.shape(self.levels)}")
 
     @property
     def u_curr(self) -> np.ndarray:
@@ -386,17 +387,17 @@ def _advance(backend: BackendHandles, levels: np.ndarray, products: np.ndarray,
              top: int, n: int, k: float, scales: tuple[float, float],
              force: np.ndarray, modal: bool = False) -> SolveReport | None:
     """One implicit step U^n -> U^{n+1} in a newest-first history: U^n and
-    up to three older levels are the rows below ``top`` of ``levels``, and of
-    ``products`` their BackendHandles.products. The cached system at the
-    time factors ``scales`` of t_n is solved by CG with its sine-basis
-    preconditioner from the highest-order extrapolant of those levels, with
+    up to HISTORY - 1 older levels are the rows below ``top`` of ``levels``,
+    and of ``products`` their BackendHandles.products. The cached system at
+    the time factors ``scales`` of t_n is solved by CG with its sine-basis
+    preconditioner from the highest-degree extrapolant of those levels, with
     a right-hand side (plus the forcing ``force``) and starting residual that
     combine their products. U^{n+1} and its products (one stacked matvec) go
     into row ``top``, so a step costs one matvec per CG iteration and one
     fused product. With ``modal`` the rows are sine-basis coefficients: the
-    solve is one division by the symbol of A, and returns no report."""
+    solve divides by A's symbol and reads only U^n and U^{n-1}; no report."""
     system, precond, weights, symbol = backend._step_system(k, *scales, modal)
-    depth = min(len(levels) - top - 1, HISTORY)
+    depth = 2 if modal else min(len(levels) - top - 1, HISTORY)
     history = slice(top + 1, top + 1 + depth)
     rhs = weights[depth] @ products[history].reshape(-1, levels.shape[1])
     if backend.params.forcing is not None:
@@ -418,7 +419,7 @@ def _advance(backend: BackendHandles, levels: np.ndarray, products: np.ndarray,
 
 def step(state: StepperState, backend: BackendHandles) -> StepperState:
     """One implicit step (U^{n-1}, U^n) -> (U^n, U^{n+1}), keeping up to
-    four levels: a CG _advance on a history of the state's levels and their
+    HISTORY levels: a CG _advance on a history of the state's levels and their
     products, at the time factors ModelParams.check_schedules gives for t_n."""
     if state.n < 1:
         raise ValueError("stepping requires n >= 1")

@@ -173,6 +173,9 @@ def test_config_file_named_like_its_subcommand(tmp_path, monkeypatch, capsys):
     (["modal", "--alpha", "nan"], "damping"),
     (["modal", "--alpha", "-1"], "damping"),
     (["modal", "--beta", "inf"], "damping"),
+    (["modal", "--p", "0"], "mode (0, 1) is zero"),
+    (["modal", "--p", "-1"], "mode (-1, 1) is zero"),
+    (["modal", "--M", "8", "--p", "8"], "mode (8, 1) is zero"),
 ])
 def test_bad_step_or_mesh_without_unknowns_exits_one(argv, why, capsys):
     assert main(argv) == 1

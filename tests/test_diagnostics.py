@@ -77,7 +77,7 @@ def test_extended_energy_of_stationary_state():
                                        ("fd", "spacevar"), ("fd", "timevar")])
 @pytest.mark.parametrize("k", [1e-2, 1e-4])
 def test_energy_and_cross_match_dense_forms(kind, name, k):
-    # the initial state, a stepped one with four levels and its newest two,
+    # the initial state, a stepped one with five levels and its newest two,
     # against the dense E = 1/2 (e'M e/k^2 + U'K U) and (d, U)_M = U'M e/k
     backend, _ = build_backend(builtin_experiments()[name].params, 12, kind)
     m, kk = backend.M.to_dense(), backend.K.to_dense()

@@ -14,10 +14,19 @@ from dampedwave.sparse import SparseMatrix
 def test_sine_modes_are_eigenvectors():
     grid = build_fd_grid(UNIT_SQUARE, 12)
     op = FdOperator(grid)
-    for p, q in ((1, 1), (2, 3), (5, 4)):
+    for p, q in ((1, 1), (2, 3), (5, 4), (11, 1)):
         v = fd_sine_mode(grid, p, q)
         lam = fd_eigenvalue(grid, p, q)
         assert np.max(np.abs(op.apply(v) - lam * v)) < 1e-11 * lam
+
+
+@pytest.mark.parametrize("p, q", [(0, 1), (1, 0), (-1, 1), (12, 1), (1, 12)])
+def test_modes_that_vanish_on_the_grid_are_rejected(p, q):
+    # only 1 <= p, q <= M - 1 give a nonzero mode on the M = 12 grid
+    grid = build_fd_grid(UNIT_SQUARE, 12)
+    for fn in (fd_eigenvalue, fd_sine_mode):
+        with pytest.raises(ValueError, match="is zero on a grid of M = 12"):
+            fn(grid, p, q)
 
 
 def test_constant_vector_vanishes_deep_inside():

@@ -16,6 +16,7 @@ from dampedwave.oracle import Mode, modal_recurrence
 from dampedwave.sparse import CgError, SineBasis, SparseMatrix, cg_solve
 from dampedwave.stepper import (
     EXTRAPOLANTS,
+    HISTORY,
     STEP_RTOL,
     ModelParams,
     SpatialField,
@@ -180,7 +181,7 @@ def _check_system(backend, k, t, a, b, w=0.0, s=0.0):
     weighted operator W or S and a scalar one its value a or b; its
     preconditioner against S2 diag(S2' A S2)^-1 S2' with a dense sine basis;
     and the right-hand side and starting residual that a step forms from
-    the products of four levels against the dense D = a M + W + b K + S."""
+    the products of HISTORY levels against the dense D = a M + W + b K + S."""
     m, kk = backend.M.to_dense(), backend.K.to_dense()
     expected = (1 / k ** 2 + a / k) * m + w / k + (b / k + 1) * kk + s / k
     tol = 1e-14 * np.max(np.abs(expected))
@@ -193,13 +194,13 @@ def _check_system(backend, k, t, a, b, w=0.0, s=0.0):
     assert np.allclose(system.to_dense(), expected, rtol=1e-14, atol=tol)
     assert np.allclose(system.diagonal(), np.diag(expected), rtol=1e-14, atol=tol)
     assert backend.system(k, t)[0] is system
-    levels = rng.normal(size=(4, backend.ndof))
-    weights = backend._step_system(k, *backend.params.check_schedules([t])[0])[2][4]
+    levels = rng.normal(size=(HISTORY, backend.ndof))
+    weights = backend._step_system(k, *backend.params.check_schedules([t])[0])[2][HISTORY]
     products = backend.products(levels)
-    rhs, r0 = weights @ products.reshape(4 * len(backend.operators), -1)
+    rhs, r0 = weights @ products.reshape(HISTORY * len(backend.operators), -1)
     damping = a * m + w + b * kk + s
     want_rhs = m @ (2.0 * levels[0] - levels[1]) / k ** 2 + damping @ levels[0] / k
-    want_r0 = want_rhs - expected @ np.dot(EXTRAPOLANTS[4], levels)
+    want_r0 = want_rhs - expected @ np.dot(EXTRAPOLANTS[HISTORY], levels)
     for got, want in ((rhs, want_rhs), (r0, want_r0)):
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want_rhs))
     return system
@@ -631,8 +632,8 @@ def test_nan_damping_weight_is_rejected(kind):
             make_fem_backend(FemSpace(build_tri_mesh(UNIT_SQUARE, 48)), params)
 
 
-def _history(backend, k, steps=3):
-    """A state three steps past the start, so it carries four levels."""
+def _history(backend, k, steps=HISTORY - 2):
+    """A state HISTORY - 2 steps past the start, so it carries HISTORY levels."""
     state = init_state(backend, k)
     for _ in range(steps):
         state = step(state, backend)
@@ -653,7 +654,7 @@ def _dense_system(backend, state):
 
 
 def test_extrapolants_reproduce_polynomials_of_their_degree():
-    times = np.array([0.0, -1.0, -2.0, -3.0])  # newest first, next level at 1
+    times = -np.arange(HISTORY, dtype=float)  # newest first, next level at 1
     for levels, weights in EXTRAPOLANTS.items():
         for degree in range(levels):
             assert sum(w * t ** degree for w, t in zip(weights, times)) == 1.0
@@ -683,14 +684,14 @@ def test_state_with_older_levels_steps_within_tolerance_of_linear_guess():
     backend = make_fem_backend(FemSpace(build_tri_mesh(UNIT_SQUARE, 12)), exp.params)
     k = exp.time_step(12)
     state = _history(backend, k)
-    assert len(state.levels) == 4
+    assert len(state.levels) == HISTORY
     a, _ = _dense_system(backend, state)
-    cubic = step(state, backend)
+    deepest = step(state, backend)
     linear = step(replace(state, levels=state.levels[:2]), backend)
     bound = 2.0 * STEP_RTOL * np.linalg.cond(a)
-    assert np.linalg.norm(cubic.u_curr - linear.u_curr) \
+    assert np.linalg.norm(deepest.u_curr - linear.u_curr) \
         <= bound * np.linalg.norm(linear.u_curr)
-    assert cubic.solve.iterations < linear.solve.iterations
+    assert deepest.solve.iterations < linear.solve.iterations
 
 
 def test_products_of_another_backend_are_recomputed():
@@ -778,9 +779,9 @@ def test_run_matches_a_chain_of_steps_across_history_blocks(kind, name, n_steps)
     assert np.all(np.abs(trace.distance - distances) <= 1e-12 * distances)
 
 
-@pytest.mark.parametrize("shape", [(8,), (1, 8), (5, 8), (2, 2, 8)])
+@pytest.mark.parametrize("shape", [(8,), (1, 8), (HISTORY + 1, 8), (2, 2, 8)])
 def test_state_levels_are_two_to_four_rows(shape):
-    with pytest.raises(ValueError, match="2 to 4 rows"):
+    with pytest.raises(ValueError, match=f"2 to {HISTORY} rows"):
         StepperState(n=1, k=0.01, levels=np.zeros(shape))
 
 
@@ -805,6 +806,18 @@ def test_warm_started_decay_takes_one_cg_iteration_per_step():
     assert its.mean() <= 1.1 and its.max() <= 3
 
 
+def test_warm_started_convergence_level_takes_one_cg_iteration_per_step():
+    # ex1 at N = 20, k = 2h^2, as run_convergence runs it; from the cubic
+    # extrapolant it takes 2.02 iterations per step
+    exp = builtin_experiments()["ex1"]
+    backend, _ = build_backend(exp.params, 20, "fem")
+    k = exp.time_step(20)
+    _, trace = run(backend, k, exp.T, exact_at=exp.exact.field_at,
+                   n_steps=round(exp.T / k) - 1)
+    assert trace.cg_iterations.size == 199
+    assert trace.cg_iterations.mean() <= 1.1
+
+
 @pytest.mark.parametrize("case", ["fem-ex1", "fd-timevar"])
 def test_step_matches_scipy_spsolve(case):
     sp = pytest.importorskip("scipy.sparse")
@@ -816,7 +829,7 @@ def test_step_matches_scipy_spsolve(case):
     else:
         backend = make_fd_backend(build_fd_grid(exp.domain, 16), exp.params)
     state = _history(backend, exp.time_step(16))
-    assert len(state.levels) == 4
+    assert len(state.levels) == HISTORY
     a, rhs = _dense_system(backend, state)
     bound = STEP_RTOL * np.linalg.cond(a)
     want = linalg.spsolve(sp.csc_matrix(a), rhs)
