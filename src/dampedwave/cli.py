@@ -183,17 +183,14 @@ def _cmd_modal(args) -> int:
     grid = build_fd_grid(UNIT_SQUARE, args.grid_m)
     lam = fd_eigenvalue(grid, args.p, args.q)
     mode = Mode(args.p, args.q, lam, a0=1.0, b0=0.0)
-    u, du = modal_continuous(mode, args.alpha, args.beta, 0.0)
-    seq = modal_recurrence(mode, args.alpha, args.beta, args.k, args.steps,
-                           u0=float(u), u1=float(
-                               modal_continuous(mode, args.alpha, args.beta,
-                                                args.k)[0]))
     t_end = (args.steps + 1) * args.k
-    u_exact, _ = modal_continuous(mode, args.alpha, args.beta, t_end)
+    u0, u1, u_exact = (float(modal_continuous(mode, args.alpha, args.beta, t)[0])
+                       for t in (0.0, args.k, t_end))
+    seq = modal_recurrence(mode, args.alpha, args.beta, args.k, args.steps, u0=u0, u1=u1)
     print(f"mode ({args.p},{args.q}) lambda_h = {lam:.8f}")
     print(f"recurrence amplitude at t={t_end:.4f}: {seq[-1]:.10e}")
-    print(f"closed form at same time        : {float(u_exact):.10e}")
-    denom = max(abs(float(u_exact)), 1e-300)
+    print(f"closed form at same time        : {u_exact:.10e}")
+    denom = max(abs(u_exact), 1e-300)
     print(f"relative difference             : {abs(seq[-1] - u_exact) / denom:.3e}")
     return 0
 

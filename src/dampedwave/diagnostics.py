@@ -174,11 +174,16 @@ def _rates(n_values: np.ndarray, err: np.ndarray) -> np.ndarray:
     return out
 
 
+def check_levels(ns):
+    """The refinement levels ``ns``; ValueError unless strictly increasing."""
+    if np.any(np.diff(ns) <= 0):
+        raise ValueError("refinement levels must be strictly increasing")
+    return ns
+
+
 def convergence_rates(rows) -> ConvergenceTable:
     """Build a table from (N, (l2, linf, h1)) rows with N strictly increasing."""
-    n_values = np.array([float(n) for n, _ in rows])
-    if np.any(np.diff(n_values) <= 0):
-        raise ValueError("refinement levels must be strictly increasing")
+    n_values = check_levels(np.array([float(n) for n, _ in rows]))
     errs = np.array([e for _, e in rows], dtype=float)
     l2, linf, h1 = errs[:, 0], errs[:, 1], errs[:, 2]
     return ConvergenceTable(n_values, l2, linf, h1,

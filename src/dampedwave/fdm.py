@@ -78,10 +78,14 @@ def fd_norms(grid: FdGrid, v: np.ndarray) -> tuple[float, float]:
     return l2h, float(h1h)
 
 
-def fd_eigenvalue(grid: FdGrid, p: int, q: int) -> float:
-    """Closed-form 5-point eigenvalue (4/h^2)(sin^2 + sin^2) for mode (p, q)."""
+def _check_mode(grid: FdGrid, p: int, q: int) -> None:
     if not (0 < p < grid.n_per_side and 0 < q < grid.n_per_side):
         raise ValueError(f"mode ({p}, {q}) is zero on a grid of M = {grid.n_per_side}")
+
+
+def fd_eigenvalue(grid: FdGrid, p: int, q: int) -> float:
+    """Closed-form 5-point eigenvalue (4/h^2)(sin^2 + sin^2) for mode (p, q)."""
+    _check_mode(grid, p, q)
     h, side = grid.h, grid.side
     s = np.sin(p * np.pi * h / (2.0 * side)) ** 2 + np.sin(q * np.pi * h / (2.0 * side)) ** 2
     return 4.0 / h ** 2 * float(s)
@@ -89,8 +93,7 @@ def fd_eigenvalue(grid: FdGrid, p: int, q: int) -> float:
 
 def fd_sine_mode(grid: FdGrid, p: int, q: int) -> np.ndarray:
     """Nodal sine mode sin(p pi x / L) sin(q pi y / L) on the interior unknowns."""
-    if not (0 < p < grid.n_per_side and 0 < q < grid.n_per_side):
-        raise ValueError(f"mode ({p}, {q}) is zero on a grid of M = {grid.n_per_side}")
+    _check_mode(grid, p, q)
     x, y = grid.interior_coords()
     side = grid.side
     return np.sin(p * np.pi * (x - grid.rect.x0) / side) * \

@@ -66,14 +66,8 @@ class FemSpace:
         if np.any(area <= 0):
             raise ValueError("degenerate or misoriented triangle in mesh")
         # grad phi_i = rot90(opposite edge) / (2 A)
-        e0 = p[:, 2] - p[:, 1]
-        e1 = p[:, 0] - p[:, 2]
-        e2 = p[:, 1] - p[:, 0]
-        grads = np.stack([
-            np.stack([-e0[:, 1], e0[:, 0]], axis=1),
-            np.stack([-e1[:, 1], e1[:, 0]], axis=1),
-            np.stack([-e2[:, 1], e2[:, 0]], axis=1),
-        ], axis=1) / (2.0 * area)[:, None, None]
+        e = p[:, [2, 0, 1]] - p[:, [1, 2, 0]]  # e[:, i] is the edge opposite vertex i
+        grads = np.stack([-e[..., 1], e[..., 0]], axis=2) / (2.0 * area)[:, None, None]
         mids = 0.5 * (p[:, [1, 2, 0]] + p[:, [2, 0, 1]])  # midpoint opposite vertex q
         return area, grads, mids
 
@@ -204,9 +198,7 @@ def error_norms(space: FemSpace, u_h: np.ndarray,
     e = at_midpoints(space, exact) - uh_mid
     l2 = np.sqrt(midpoint_sum(space, e * e))
 
-    nodes = space.mesh.nodes
-    linf = float(np.max(np.abs(np.asarray(exact(nodes[:, 0], nodes[:, 1]), dtype=float)
-                               - full)))
+    linf = float(np.max(np.abs(exact(*space.mesh.nodes.T) - full)))
 
     ex_gx, ex_gy = grad_at_midpoints(space, exact)
     grads = space.geometry[1]

@@ -11,8 +11,8 @@ from typing import Callable
 
 import numpy as np
 
-from .diagnostics import ConvergenceTable, EnergyTrace, convergence_rates, \
-    decay_bounds, fit_decay_rate
+from .diagnostics import ConvergenceTable, EnergyTrace, check_levels, \
+    convergence_rates, decay_bounds, fit_decay_rate
 from .fem import FemSpace, ScalarField, error_norms, field_h1_seminorm, \
     field_l2_norm
 from .fdm import fd_norms
@@ -87,13 +87,18 @@ class Experiment:
     def domain(self) -> Rectangle:
         return self.params.domain
 
+    def n_steps(self, k: float) -> int:
+        """The steps of size k to the first step time at or after T."""
+        return math.ceil(self.T / k - 1e-9)
+
     def time_step(self, n: int, override: float | None = None) -> float:
         if override is not None:
-            return check_time_step(override)
-        k = self.k_rule(1.0 / n)
+            if self.T < check_time_step(override):
+                raise ValueError("final time must be at least one step")
+            return override
         # snap so an integer number of steps lands exactly on T; errors at
         # the final time are then comparable across refinement levels
-        return self.T / math.ceil(self.T / k - 1e-9)
+        return self.T / self.n_steps(self.k_rule(1.0 / n))
 
     def constant_coefficients(self) -> bool:
         return all(c.weight is None and c.lo == c.hi for c in self.params.damping)
@@ -176,13 +181,12 @@ def _converge_level(exp: Experiment, n: int, backend: str,
                     k_override: float | None):
     handles, disc = build_backend(exp.params, n, backend)
     k = exp.time_step(n, k_override)
-    m = round(exp.T / k)
-    state, _ = run(handles, k, exp.T, exact_at=exp.exact.field_at, n_steps=m - 1)
-    t_final = state.n * k  # equals T by construction of the snapped step
+    # the exact start is U^1: one step fewer reaches n_steps(k), T when snapped
+    state, _ = run(handles, k, exp.n_steps(k) - 1, exact_at=exp.exact.field_at)
+    exact = exp.exact.field_at(state.n * k)
     if backend == "fem":
-        return error_norms(disc, state.u_curr, exp.exact.field_at(t_final))
-    ref = handles.interpolate(exp.exact.field_at(t_final))
-    e = ref - state.u_curr
+        return error_norms(disc, state.u_curr, exact)
+    e = handles.interpolate(exact) - state.u_curr
     l2h, h1h = fd_norms(disc, e)
     return l2h, float(np.max(np.abs(e))), h1h
 
@@ -193,7 +197,7 @@ def run_convergence(exp: Experiment, backend: str = "fem",
     Raises ValueError (see check_residual) unless the experiment has an
     exact solution with constant coefficients."""
     check_residual(exp)
-    ns = tuple(n_values or exp.n_values)
+    ns = check_levels(tuple(n_values or exp.n_values))
     errs = [_converge_level(exp, n, backend, k_override) for n in ns]
     return convergence_rates(list(zip(ns, errs)))
 
@@ -251,11 +255,11 @@ def run_decay(exp: Experiment, n: int, backend: str = "fem",
     alpha, beta = exp.params.damping
     delta_cont, delta_disc = decay_bounds((alpha.lo, alpha.hi), (beta.lo, beta.hi),
                                           lam1)
-    state, trace = run(handles, k, exp.T,
-                       exact_at=exp.exact.field_at if exp.exact else None)
+    _, trace = run(handles, k, exp.n_steps(k),
+                   exact_at=exp.exact.field_at if exp.exact else None)
     if exp.exact is not None and backend == "fem":
         trace.continuous = exp.exact.energy(disc, trace.t)
-    t_hi = (state.n - 1) * k
+    t_hi = trace.t[-1]
     delta_fit = fit_decay_rate(trace, 0.2 * t_hi, 0.8 * t_hi)
     worst_growth, worst_growth_step = trace.worst_growth()
     return DecayReport(
@@ -297,7 +301,7 @@ def run_steady(exp: Experiment, n: int, backend: str = "fem",
     handles, _ = build_backend(exp.params, n, backend)
     u_inf = steady_state(handles)
     k = exp.time_step(n, k_override)
-    _, trace = run(handles, k, exp.T, reference=u_inf)
+    _, trace = run(handles, k, exp.n_steps(k), reference=u_inf)
     return SteadyReport(n=n, k=k, distances=trace.distance, u_inf=u_inf)
 
 

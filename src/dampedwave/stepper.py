@@ -359,14 +359,13 @@ def make_fd_backend(grid: FdGrid, params: ModelParams) -> BackendHandles:
 
 
 def init_state(backend: BackendHandles, k: float,
-               exact_at: Callable[[float], ScalarField] | None = None,
-               scales: tuple[float, float] | None = None) -> StepperState:
+               exact_at: Callable[[float], ScalarField] | None = None) -> StepperState:
     """Build (U^0, U^1).
 
     Given ``exact_at``, U^1 interpolates the exact solution at t = k;
     otherwise the Taylor start expands around t = 0 using
     u''(0) = -beta A u1 - alpha u1 - A u0, with the damping time factors
-    ``scales`` at t = 0 when the caller has them (check_schedules otherwise).
+    ModelParams.check_schedules gives for t = 0.
     """
     check_time_step(k)
     params = backend.params
@@ -375,7 +374,7 @@ def init_state(backend: BackendHandles, k: float,
         u1 = backend.interpolate(exact_at(k))
     else:
         v = backend.interpolate(params.u1)
-        a, b = params.check_schedules([0.0])[0] if scales is None else scales
+        a, b = params.check_schedules([0.0])[0]
         damped = a * backend.weak_op.matvec(v) + b * backend.strong_op.matvec(v)
         rhs = -damped - backend.K.matvec(u0) + backend.forcing
         w, _ = cg_solve(backend.M, rhs, precond=backend.mass_precond)
@@ -433,32 +432,31 @@ def step(state: StepperState, backend: BackendHandles) -> StepperState:
     return StepperState(n=n + 1, k=k, levels=levels[:HISTORY], solve=report)
 
 
-def run(backend: BackendHandles, k: float, T: float,
+def run(backend: BackendHandles, k: float, n_steps: int,
         exact_at: Callable[[float], ScalarField] | None = None,
-        n_steps: int | None = None, reference: np.ndarray | None = None):
-    """Run ceil(T/k) steps (or exactly ``n_steps``) from a fresh initial
-    state, exact when ``exact_at`` is given (see init_state); returns
-    (final state, EnergyTrace). The trace also carries each step's CG
-    iterations and final residual, and, given a finite ``reference`` vector
-    u of shape (ndof,), the distance ||U - u||_M of the newest level of each
-    sample (ValueError for any other reference). Raises StepError at the
-    first sample whose energy is not finite.
+        reference: np.ndarray | None = None):
+    """Run ``n_steps`` steps (a nonnegative integer, else ValueError; 0
+    records only the initial energy) from a fresh initial state, exact when
+    ``exact_at`` is given (see init_state); returns (final state,
+    EnergyTrace). The trace also carries each step's CG iterations and final
+    residual, and, given a finite ``reference`` vector u of shape (ndof,),
+    the distance ||U - u||_M of the newest level of each sample (ValueError
+    for any other reference). Raises StepError at the first sample whose
+    energy is not finite.
 
     On a backend that is diagonal in its sine basis the steps are taken in
     that basis and report 0 iterations and residual 0; otherwise each is a
     CG step (see _run)."""
-    if T < check_time_step(k):
-        raise ValueError("final time must be at least one step")
+    if not isinstance(n_steps, int | np.integer) or n_steps < 0:
+        raise ValueError(f"step count must be a nonnegative integer, not {n_steps!r}")
     if reference is not None:
         reference = np.asarray(reference, dtype=float)
         if reference.shape != (backend.ndof,) or not np.all(np.isfinite(reference)):
             raise ValueError(f"reference must be a finite vector of shape "
                              f"({backend.ndof},)")
-    if n_steps is None:
-        n_steps = math.ceil(T / k - 1e-9)
+    state = init_state(backend, k, exact_at=exact_at)  # checks k
     # step n evaluates the coefficients at t = n k
     scales = backend.params.check_schedules(k * np.arange(n_steps + 1))
-    state = init_state(backend, k, exact_at=exact_at, scales=scales[0])
     trace = diagnostics.EnergyTrace(
         t=k * np.arange(n_steps + 1), energy=np.empty(n_steps + 1),
         cross=np.empty(n_steps + 1), cg_iterations=np.zeros(n_steps, dtype=int),

@@ -183,6 +183,14 @@ def test_bad_step_or_mesh_without_unknowns_exits_one(argv, why, capsys):
     assert err.startswith("error:") and why in err
 
 
+@pytest.mark.parametrize("argv", [["converge", "--k-override", "2"],
+                                  ["decay", "--k-override", "2"],
+                                  ["steady", "--k-override", "40"]])
+def test_step_longer_than_the_final_time_exits_one(argv, capsys):
+    assert main(argv) == 1
+    assert "final time must be at least one step" in capsys.readouterr().err
+
+
 NAN_FIELD = ScalarField(lambda x, y: np.full_like(np.asarray(x, dtype=float), np.nan))
 
 

@@ -155,7 +155,7 @@ def test_fit_decay_rate_undamped_fd_run():
     params = ModelParams(domain=UNIT_SQUARE, u0=sine)
     backend = make_fd_backend(build_fd_grid(UNIT_SQUARE, 16), params)
     k = 2e-5
-    _, trace = run(backend, k=k, T=0.2)
+    _, trace = run(backend, k=k, n_steps=10000)
     fitted = fit_decay_rate(trace, 0.05, 0.15)
     assert abs(fitted) <= 1e-3
 

@@ -3,6 +3,7 @@ import csv
 import numpy as np
 import pytest
 
+from dampedwave import harness
 from dampedwave.harness import (
     Experiment,
     SeparableExact,
@@ -16,6 +17,7 @@ from dampedwave.harness import (
     write_csv,
 )
 from dampedwave.mesh import PI_SQUARE, UNIT_SQUARE
+from dampedwave.stepper import run
 
 PI = np.pi
 
@@ -36,6 +38,39 @@ def test_time_step_snaps_to_final_time():
         k = exp.time_step(n)
         assert abs(exp.T / k - round(exp.T / k)) < 1e-9
     assert exp.time_step(10, override=0.125) == 0.125
+
+
+def test_step_count_of_a_snapped_step_is_T_over_k():
+    for exp in builtin_experiments().values():
+        for n in range(2, 129):
+            k = exp.time_step(n)
+            assert exp.n_steps(k) == round(exp.T / k)
+
+
+def test_step_override_that_does_not_divide_T_ends_at_the_first_step_past_it(
+        monkeypatch):
+    # ex1 has T = 1: at k = 0.3 every level ends at 4k = 1.2, where decay and
+    # steady runs end too
+    states = []
+
+    def recorded(*args, **kwargs):
+        state, trace = run(*args, **kwargs)
+        states.append(state)
+        return state, trace
+
+    monkeypatch.setattr(harness, "run", recorded)
+    run_convergence(builtin_experiments()["ex1"], n_values=(4, 8), k_override=0.3)
+    assert [s.n for s in states] == [4, 4]
+
+
+@pytest.mark.parametrize("ns", [(30, 25), (8, 8)])
+def test_levels_that_do_not_increase_fail_before_any_level_is_built(ns, monkeypatch):
+    def unexpected(*args):
+        raise AssertionError("a refinement level was built")
+
+    monkeypatch.setattr(harness, "build_backend", unexpected)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        run_convergence(builtin_experiments()["ex3i"], n_values=ns)
 
 
 def test_residual_guard_accepts_builtins():

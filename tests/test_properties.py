@@ -64,7 +64,7 @@ def test_pinned_schedule_is_bit_identical_to_constant(c):
     runs = []
     for alpha in (c, TimeSchedule(lambda t: c, c, c)):
         params = ModelParams(domain=UNIT_SQUARE, alpha=alpha, beta=0.1, u0=u0)
-        runs.append(run(make_fd_backend(GRID, params), k=0.02, T=0.1))
+        runs.append(run(make_fd_backend(GRID, params), k=0.02, n_steps=5))
     (s1, tr1), (s2, tr2) = runs
     assert np.array_equal(s1.u_curr, s2.u_curr)
     assert np.array_equal(tr1.energy, tr2.energy)
@@ -105,7 +105,7 @@ def test_energy_is_monotone_and_sandwiched(alpha, beta, k, p, q):
     assume(alpha + beta > 1e-3)
     params = ModelParams(domain=UNIT_SQUARE, alpha=alpha, beta=beta,
                          u0=mode_field(p, q), u1=mode_field(q, 1))
-    _, trace = run(make_fd_backend(GRID, params), k=k, T=30 * k)
+    _, trace = run(make_fd_backend(GRID, params), k=k, n_steps=30)
     _, delta = decay_bounds(alpha, beta, fd_eigenvalue(GRID, 1, 1))
     assert trace.monotone()
     assert trace.sandwich_ok(delta)
@@ -229,7 +229,7 @@ def test_modal_run_matches_cg_steps(n, alpha, beta, k, scheduled, forced, p, q):
     grid = build_fd_grid(UNIT_SQUARE, n)
     backend = make_fd_backend(grid, params)
     assert backend.diagonal_in_basis
-    modal, trace = run(backend, k=k, T=30 * k)
+    modal, trace = run(backend, k=k, n_steps=30)
     assert np.array_equal(trace.cg_iterations, np.zeros(30, dtype=int))
     assert_runs_agree(modal, trace, cg_reference(backend, k, 30))
     if alpha + beta > 0 and not forced:
@@ -253,8 +253,8 @@ def test_modal_run_follows_modal_recurrence(alpha, beta, k, p, q):
     scale = np.max(np.abs(v))
     # U^0 = U^1 = the mode, as in modal_recurrence(u0=1, u1=1); the final
     # states of runs of 0 to 20 steps are U^1 to U^21
-    states = [run(backend, k=k, T=20 * k, exact_at=lambda t: mode_field(p, q),
-                  n_steps=m)[0] for m in range(21)]
+    states = [run(backend, k=k, n_steps=m, exact_at=lambda t: mode_field(p, q))[0]
+              for m in range(21)]
     assert [s.n for s in states] == list(range(1, 22))
     for s in states:
         peak = np.max(np.abs(seq[:s.n + 1]))
@@ -268,7 +268,7 @@ def test_modal_run_matches_cg_steps_on_the_experiments(name, n):
     backend, _ = build_backend(exp.params, n, "fd")
     k = exp.time_step(n)
     init = dict(exact_at=exp.exact.field_at) if exp.exact else {}
-    modal, trace = run(backend, k, exp.T, **init)
+    modal, trace = run(backend, k, exp.n_steps(k), **init)
     n_steps = trace.t.size - 1
     assert_runs_agree(modal, trace, cg_reference(backend, k, n_steps, **init))
 
@@ -286,7 +286,7 @@ def test_modal_run_matches_cg_steps_across_history_blocks(name, n_steps):
     k = exp.time_step(8)
     init = dict(exact_at=exp.exact.field_at) if exp.exact else {}
     u = np.random.default_rng(5).standard_normal(backend.ndof)
-    final, trace = run(backend, k, n_steps * k, n_steps=n_steps, reference=u, **init)
+    final, trace = run(backend, k, n_steps, reference=u, **init)
     ref = cg_reference(backend, k, n_steps, reference=u, **init)
     assert final.n == ref.final.n == n_steps + 1
     assert_runs_agree(final, trace, ref)
@@ -349,7 +349,7 @@ def test_fem_run_matches_dense_solves(n, alpha, beta, kind, dk, forced, p, q, fd
     _, delta = decay_bounds((a.lo, a.hi), beta, dense_lambda1(backend))
     # up to the edge delta k <= 34/205 of the discrete decay theorem
     k = dk * DK_CAP / delta
-    final, trace = run(backend, k=k, T=30 * k, n_steps=30)
+    final, trace = run(backend, k=k, n_steps=30)
     assert_runs_agree(final, trace, dense_reference(backend, k, 30))
     if not forced:
         assert trace.monotone()

@@ -93,9 +93,16 @@ def test_init_rejects_bad_step_and_mode():
 
 def test_run_takes_one_step_when_T_equals_k():
     _, params, backend = fd_setup(u0=sine_field())
-    state, trace = run(backend, k=0.05, T=0.05)
+    state, trace = run(backend, k=0.05, n_steps=1)
     assert state.n == 2
     assert trace.t.size == 2
+
+
+@pytest.mark.parametrize("n_steps", [-1, 2.5])
+def test_run_rejects_a_step_count_that_is_not_a_nonnegative_integer(n_steps):
+    _, params, backend = fd_setup(u0=sine_field())
+    with pytest.raises(ValueError, match="step count must be a nonnegative integer"):
+        run(backend, k=0.05, n_steps=n_steps)
 
 
 def test_single_mode_follows_scalar_recurrence():
@@ -125,7 +132,7 @@ def test_example1_error_magnitude_and_rate():
 
 def test_energy_trace_monotone_for_damped_run():
     _, params, backend = fd_setup(m=12, alpha=PI, beta=1.0 / PI, u0=sine_field())
-    _, trace = run(backend, k=0.005, T=0.5)
+    _, trace = run(backend, k=0.005, n_steps=100)
     assert trace.monotone()
     assert trace.energy[-1] < trace.energy[0]
 
@@ -137,8 +144,8 @@ def test_constant_schedule_matches_plain_constant():
     p_sched = ModelParams(domain=UNIT_SQUARE, alpha=sched, beta=0.1, u0=sine_field())
     b1 = make_fd_backend(grid, p_const)
     b2 = make_fd_backend(grid, p_sched)
-    s1, _ = run(b1, k=0.01, T=0.1)
-    s2, _ = run(b2, k=0.01, T=0.1)
+    s1, _ = run(b1, k=0.01, n_steps=10)
+    s2, _ = run(b2, k=0.01, n_steps=10)
     assert np.array_equal(s1.u_curr, s2.u_curr)
 
 
@@ -162,8 +169,8 @@ def test_schedule_validated_over_the_run():
     params = ModelParams(domain=UNIT_SQUARE, alpha=sched, u0=sine_field())
     backend = make_fd_backend(grid, params)
     with pytest.raises(ValueError, match="nondecreasing"):
-        run(backend, k=0.5, T=30.0)
-    state, _ = run(backend, k=0.5, T=20.0)
+        run(backend, k=0.5, n_steps=60)
+    state, _ = run(backend, k=0.5, n_steps=40)
     assert state.n == 41
 
 
@@ -269,8 +276,8 @@ def test_backend_reuse_matches_fresh_backends():
     shared = make_fem_backend(space, params)
     for k in (0.02, 0.05, 0.02):
         fresh = make_fem_backend(space, params)
-        s_shared, tr_shared = run(shared, k=k, T=0.2)
-        s_fresh, tr_fresh = run(fresh, k=k, T=0.2)
+        s_shared, tr_shared = run(shared, k=k, n_steps=20)
+        s_fresh, tr_fresh = run(fresh, k=k, n_steps=20)
         assert np.array_equal(s_shared.u_curr, s_fresh.u_curr)
         assert np.array_equal(tr_shared.energy, tr_fresh.energy)
         assert np.array_equal(shared.forcing, fresh.forcing)
@@ -344,7 +351,7 @@ def test_fem_backend_checks_alpha_range_at_its_quadrature_points():
 
 def test_run_reports_cg_iterations_and_residuals_per_step():
     _, params, fd = fd_setup(m=12, alpha=PI, beta=1.0 / PI, u0=sine_field())
-    _, trace = run(fd, k=0.01, T=0.2)
+    _, trace = run(fd, k=0.01, n_steps=20)
     # the FD operators are diagonal in the sine basis: the run divides by
     # the symbols and solves nothing
     assert np.array_equal(trace.cg_iterations, np.zeros(20, dtype=int))
@@ -353,12 +360,12 @@ def test_run_reports_cg_iterations_and_residuals_per_step():
     # diagonalise, so those steps stay CG solves
     exp = builtin_experiments()["spacevar"]
     fd = make_fd_backend(build_fd_grid(UNIT_SQUARE, 12), exp.params)
-    _, trace = run(fd, k=0.01, T=0.2)
+    _, trace = run(fd, k=0.01, n_steps=20)
     assert trace.cg_iterations.size == 20 and trace.cg_iterations.min() >= 1
     assert np.all(trace.cg_residuals <= STEP_RTOL)
     exp = builtin_experiments()["ex1"]
     fem = make_fem_backend(FemSpace(build_tri_mesh(UNIT_SQUARE, 12)), exp.params)
-    _, trace = run(fem, k=exp.time_step(12), T=0.1)
+    _, trace = run(fem, k=exp.time_step(12), n_steps=8)
     assert trace.cg_iterations.size == trace.t.size - 1
     assert 1 <= trace.cg_iterations.min() and trace.cg_iterations.max() <= 6
     assert np.all(trace.cg_residuals <= STEP_RTOL)
@@ -389,7 +396,7 @@ def test_nan_data_on_a_sine_diagonal_backend_fails_in_init_state(data):
     with pytest.raises(CgError):
         init_state(backend, k=0.01)
     with pytest.raises(CgError):
-        run(backend, k=0.01, T=0.1)
+        run(backend, k=0.01, n_steps=10)
 
 
 def test_energy_turning_non_finite_mid_run_names_the_step():
@@ -402,7 +409,7 @@ def test_energy_turning_non_finite_mid_run_names_the_step():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(StepError, match=r"n=4 \(t=0.04\)"):
-            run(backend, k=0.01, T=0.5, exact_at=lambda t: ZERO_FIELD)
+            run(backend, k=0.01, n_steps=50, exact_at=lambda t: ZERO_FIELD)
 
 
 def test_energy_turning_non_finite_after_a_block_wrap_names_the_step():
@@ -414,7 +421,7 @@ def test_energy_turning_non_finite_after_a_block_wrap_names_the_step():
         return fd_setup(alpha=1.0, beta=0.5, forcing=force)[2]
 
     zero = dict(exact_at=lambda t: ZERO_FIELD)
-    _, trace = run(forced(1.5), k=0.01, T=1.0, **zero)
+    _, trace = run(forced(1.5), k=0.01, n_steps=100, **zero)
     with np.errstate(over="ignore"):
         first = np.flatnonzero(np.isinf(np.ldexp(2.0 * trace.energy, 2 * 515)))[0]
     assert stepper.BLOCK < first < trace.t.size - 1
@@ -423,7 +430,7 @@ def test_energy_turning_non_finite_after_a_block_wrap_names_the_step():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(StepError, match=rf"n={first} \(t={first * 0.01:g}\)"):
-            run(backend, k=0.01, T=1.0, **zero)
+            run(backend, k=0.01, n_steps=100, **zero)
 
 
 def test_sine_basis_run_makes_no_per_step_product_or_transform(monkeypatch):
@@ -452,7 +459,7 @@ def test_sine_basis_run_makes_no_per_step_product_or_transform(monkeypatch):
     counts = []
     for n_steps in (10, 150):
         calls.clear()
-        run(backend, k=0.01, T=n_steps * 0.01, n_steps=n_steps, reference=reference)
+        run(backend, k=0.01, n_steps=n_steps, reference=reference)
         counts.append(dict(calls))
     assert counts[0] == counts[1]
     assert min(counts[0].values()) >= 1 and len(counts[0]) == 2
@@ -472,10 +479,11 @@ def test_run_evaluates_each_schedule_once_per_step_time(kind):
         else make_fem_backend(FemSpace(build_tri_mesh(UNIT_SQUARE, 8)), params)
     assert backend.diagonal_in_basis == (kind == "fd")
     calls.clear()
-    _, trace = run(backend, k=0.01, T=0.2)  # with the Taylor start at t = 0
+    _, trace = run(backend, k=0.01, n_steps=20)
     n_steps = trace.t.size - 1
     assert n_steps == 20
-    assert calls == pytest.approx(list(trace.t))
+    # the Taylor start in init_state reads t = 0, then run each step time
+    assert calls == pytest.approx([0.0, *trace.t])
 
 
 @pytest.mark.parametrize("name,operators", [("ex3ii", 2), ("spacevar", 3)])
@@ -504,7 +512,7 @@ def test_cg_run_makes_one_matvec_per_iteration_and_per_operator(name, operators,
     init_state(backend, k)
     start = sum(products)
     products.clear()
-    _, trace = run(backend, k, exp.T)
+    _, trace = run(backend, k, exp.n_steps(k))
     n_steps = trace.t.size - 1
     assert len(per_step) == n_steps
     # start-up: the Taylor start, then each operator with U^0 and U^1; then
@@ -533,7 +541,7 @@ def test_steady_distances_cost_one_matvec_per_run(monkeypatch):
     counts, traces = [], []
     for reference in (None, u_inf):
         calls.clear()
-        traces.append(run(backend, k, 2.0, reference=reference)[1])
+        traces.append(run(backend, k, 16, reference=reference)[1])
         counts.append(len(calls))
     assert traces[0].distance is None and traces[1].distance.size == traces[1].t.size
     assert np.array_equal(traces[0].cg_iterations, traces[1].cg_iterations)
@@ -548,7 +556,7 @@ def test_run_rejects_a_reference_of_wrong_shape_or_non_finite(kind):
     for bad in (np.zeros(ndof + 1), np.zeros((2, ndof)), np.zeros((ndof, 1)),
                 np.full(ndof, np.nan), np.r_[np.inf, np.zeros(ndof - 1)]):
         with pytest.raises(ValueError, match="reference"):
-            run(backend, k=0.1, T=1.0, reference=bad)
+            run(backend, k=0.1, n_steps=10, reference=bad)
 
 
 @pytest.mark.parametrize("kind", ["fd", "fem"])
@@ -558,7 +566,7 @@ def test_distance_from_zero_data_to_a_zero_reference_is_exactly_zero(kind):
     backend = make_fd_backend(build_fd_grid(UNIT_SQUARE, 8), params) if kind == "fd" \
         else make_fem_backend(FemSpace(build_tri_mesh(UNIT_SQUARE, 8)), params)
     assert backend.diagonal_in_basis == (kind == "fd")
-    _, trace = run(backend, k=0.01, T=1.0, reference=np.zeros(backend.ndof))
+    _, trace = run(backend, k=0.01, n_steps=100, reference=np.zeros(backend.ndof))
     assert np.array_equal(trace.distance, np.zeros(trace.t.size))
 
 
@@ -613,7 +621,7 @@ def test_schedule_turning_nan_within_a_run_is_rejected():
                              lo=1.0, hi=1.0)
         _, params, backend = fd_setup(m=4, alpha=sched, u0=sine_field())
         with pytest.raises(ValueError, match=message):
-            run(backend, k=0.5, T=30.0)
+            run(backend, k=0.5, n_steps=60)
 
 
 # NaN only at x > 0.97: past the construction-time samples (x <= 23/24), but
@@ -761,7 +769,7 @@ def test_run_matches_a_chain_of_steps_across_history_blocks(kind, name, n_steps)
     assert not backend.diagonal_in_basis
     k = exp.time_step(8)
     reference = np.random.default_rng(5).standard_normal(backend.ndof)
-    final, trace = run(backend, k, n_steps * k, n_steps=n_steps, reference=reference)
+    final, trace = run(backend, k, n_steps, reference=reference)
     state = init_state(backend, k)
     chain = [state]
     for _ in range(n_steps):
@@ -796,7 +804,7 @@ def test_direct_step_checks_the_schedule_it_evaluates():
     with pytest.raises(ValueError, match="leaves"):
         backend.system(0.5, 30.0)
     with pytest.raises(ValueError, match="leaves"):
-        run(backend, k=0.5, T=30.0)
+        run(backend, k=0.5, n_steps=60)
 
 
 def test_warm_started_decay_takes_one_cg_iteration_per_step():
@@ -812,8 +820,7 @@ def test_warm_started_convergence_level_takes_one_cg_iteration_per_step():
     exp = builtin_experiments()["ex1"]
     backend, _ = build_backend(exp.params, 20, "fem")
     k = exp.time_step(20)
-    _, trace = run(backend, k, exp.T, exact_at=exp.exact.field_at,
-                   n_steps=round(exp.T / k) - 1)
+    _, trace = run(backend, k, exp.n_steps(k) - 1, exact_at=exp.exact.field_at)
     assert trace.cg_iterations.size == 199
     assert trace.cg_iterations.mean() <= 1.1
 
@@ -845,7 +852,7 @@ def test_spatial_alpha_runs_on_fem():
                          u0=sine_field())
     space = FemSpace(build_tri_mesh(UNIT_SQUARE, 8))
     backend = make_fem_backend(space, params)
-    _, trace = run(backend, k=0.01, T=0.2)
+    _, trace = run(backend, k=0.01, n_steps=20)
     assert trace.monotone()
 
 
