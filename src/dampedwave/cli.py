@@ -50,7 +50,7 @@ def _build_parser() -> argparse.ArgumentParser:
     conv.set_defaults(handler=_cmd_converge)
     conv.add_argument("--experiment", default="ex1")
     conv.add_argument("--backend", choices=["fem", "fd"], default="fem")
-    conv.add_argument("--N", type=_parse_n_list, default=None,
+    conv.add_argument("--N", type=_parse_n_list, default=harness.N_VALUES,
                       help="comma-separated refinement levels")
     conv.add_argument("--k-override", type=float, default=None)
     conv.add_argument("--out", default=None, help="CSV output path")

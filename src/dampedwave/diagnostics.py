@@ -175,9 +175,9 @@ def _rates(n_values: np.ndarray, err: np.ndarray) -> np.ndarray:
 
 
 def check_levels(ns):
-    """The refinement levels ``ns``; ValueError unless strictly increasing."""
-    if np.any(np.diff(ns) <= 0):
-        raise ValueError("refinement levels must be strictly increasing")
+    """The refinement levels ``ns``; ValueError if empty or not increasing."""
+    if not len(ns) or np.any(np.diff(ns) <= 0):
+        raise ValueError("refinement levels must be non-empty and strictly increasing")
     return ns
 
 

@@ -71,7 +71,10 @@ class FemSpace:
         mids = 0.5 * (p[:, [1, 2, 0]] + p[:, [2, 0, 1]])  # midpoint opposite vertex q
         return area, grads, mids
 
-    def restrict(self, full: np.ndarray) -> np.ndarray:
+    def scatter(self, contrib: np.ndarray) -> np.ndarray:
+        """Per-triangle vertex contributions (nt, 3) summed at the free dofs."""
+        full = np.zeros(self.mesh.n_nodes)
+        np.add.at(full, self.mesh.triangles.ravel(), contrib.ravel())
         return full[self.free_dofs]
 
     def extend(self, free: np.ndarray) -> np.ndarray:
@@ -149,9 +152,7 @@ def load_vector(space: FemSpace, f: ScalarField) -> np.ndarray:
     """b_i = int f phi_i by edge-midpoint quadrature, restricted to free dofs."""
     contrib = np.einsum("e,eq,qi->ei", space.geometry[0] / 3.0,
                         at_midpoints(space, f), _PHI_AT_MID)
-    full = np.zeros(space.mesh.n_nodes)
-    np.add.at(full, space.mesh.triangles.ravel(), contrib.ravel())
-    return space.restrict(full)
+    return space.scatter(contrib)
 
 
 def interpolate(space: FemSpace, f: ScalarField) -> np.ndarray:
@@ -178,10 +179,8 @@ def elliptic_project(space: FemSpace, u: ScalarField) -> np.ndarray:
         ux.sum(axis=1)[:, None] * grads[:, :, 0]
         + uy.sum(axis=1)[:, None] * grads[:, :, 1]
     )
-    full = np.zeros(space.mesh.n_nodes)
-    np.add.at(full, space.mesh.triangles.ravel(), contrib.ravel())
     stiff, basis = assemble_stiffness(space), space.basis
-    p, _ = cg_solve(stiff, space.restrict(full), basis.solver(basis.symbol(stiff)))
+    p, _ = cg_solve(stiff, space.scatter(contrib), basis.solver(basis.symbol(stiff)))
     return p
 
 

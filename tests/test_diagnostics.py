@@ -233,3 +233,8 @@ def test_rates_with_zero_errors_are_suppressed():
 def test_rates_require_increasing_levels():
     with pytest.raises(ValueError):
         convergence_rates([(8, (1.0, 1.0, 1.0)), (4, (2.0, 2.0, 2.0))])
+
+
+def test_rates_reject_an_empty_table():
+    with pytest.raises(ValueError, match="non-empty"):
+        convergence_rates([])

@@ -1,10 +1,13 @@
 import csv
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from dampedwave import harness
+from dampedwave.fem import ScalarField
 from dampedwave.harness import (
+    N_VALUES,
     Experiment,
     SeparableExact,
     SteadyReport,
@@ -63,7 +66,7 @@ def test_step_override_that_does_not_divide_T_ends_at_the_first_step_past_it(
     assert [s.n for s in states] == [4, 4]
 
 
-@pytest.mark.parametrize("ns", [(30, 25), (8, 8)])
+@pytest.mark.parametrize("ns", [(30, 25), (8, 8), ()])
 def test_levels_that_do_not_increase_fail_before_any_level_is_built(ns, monkeypatch):
     def unexpected(*args):
         raise AssertionError("a refinement level was built")
@@ -71,6 +74,19 @@ def test_levels_that_do_not_increase_fail_before_any_level_is_built(ns, monkeypa
     monkeypatch.setattr(harness, "build_backend", unexpected)
     with pytest.raises(ValueError, match="strictly increasing"):
         run_convergence(builtin_experiments()["ex3i"], n_values=ns)
+
+
+def test_default_levels_are_n_values(monkeypatch):
+    levels = []
+
+    def recorded(exp, n, backend, k_override):
+        levels.append(n)
+        return 1.0 / n, 1.0 / n, 1.0 / n
+
+    monkeypatch.setattr(harness, "_converge_level", recorded)
+    table = run_convergence(builtin_experiments()["ex1"])
+    assert tuple(levels) == N_VALUES
+    assert tuple(int(n) for n in table.n_values) == N_VALUES
 
 
 def test_residual_guard_accepts_builtins():
@@ -100,8 +116,22 @@ def test_separable_exact_residual_is_algebraically_zero():
     exact = builtin_experiments()["ex1"].exact
     # u'' + (beta lam + alpha) u' + lam u with the Example-1 coefficients:
     # pi^2 - (2 pi^2/pi + pi) pi + 2 pi^2 = 0
-    r = exact.residual(0.3, 0.7, 0.2, PI, 1.0 / PI)
-    assert abs(float(r)) < 1e-12
+    assert abs(exact.residual(PI, 1.0 / PI)) < 1e-12
+
+
+def test_residual_guard_is_relative_to_the_amplitude():
+    # a 1e6-amplitude copy of ex1 with alpha = pi + shift leaves the residual
+    # -pi * shift * u, so the guard sees pi * shift whatever the amplitude
+    ex1 = builtin_experiments()["ex1"]
+    big = ScalarField(lambda x, y: 1e6 * ex1.exact.s(x, y))
+
+    def shifted(shift):
+        return replace(ex1, params=replace(ex1.params, alpha=PI + shift),
+                       exact=replace(ex1.exact, s=big))
+
+    assert check_residual(shifted(1e-12)) == pytest.approx(PI * 1e-12, rel=1e-2)
+    with pytest.raises(ValueError, match="PDE residual"):
+        check_residual(shifted(1e-9))
 
 
 def test_backend_builder():
