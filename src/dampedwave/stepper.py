@@ -15,7 +15,9 @@ stiffness, so it is one product with parts built once per backend.
 
 Where every operator is diagonal in the sine basis (finite differences
 without a spatial weight), run() keeps the levels as sine-basis
-coefficients and a step divides by the symbol of A: no CG solve.
+coefficients, and one product of the same kind gives a whole block of steps
+A's symbol and the multipliers of U^n and U^{n-1}, mode by mode: no CG
+solve.
 """
 
 from __future__ import annotations
@@ -207,7 +209,7 @@ class BackendHandles:
     # run keeps its levels in that basis, where a step solves nothing;
     # make_fd_backend sets it when alpha has no spatial weight
     diagonal_in_basis: bool = False
-    # one-entry cache: ((k, alpha, beta, modal), _step_system's result)
+    # one-entry cache: ((k, alpha, beta), _step_system's result)
     _system: tuple = field(default=(None, None), init=False, repr=False)
 
     def __post_init__(self):
@@ -244,12 +246,9 @@ class BackendHandles:
         f = self.params.forcing
         return np.zeros(self.ndof) if f is None else self.load(f)
 
-    def products(self, levels: np.ndarray, modal: bool = False) -> np.ndarray:
+    def products(self, levels: np.ndarray) -> np.ndarray:
         """Each level times each distinct operator, an array of shape
-        (levels, operators, ndof): one stacked matvec per level, or for
-        sine-basis coefficients (``modal``) the symbols times each level."""
-        if modal:
-            return levels[:, None] * self._symbols
+        (levels, operators, ndof): one stacked matvec per level."""
         return np.array([self._stack.matvec(u) for u in levels])
 
     def system(self, k: float, t: float) -> tuple[SparseMatrix, Preconditioner]:
@@ -281,34 +280,51 @@ class BackendHandles:
         values = self._stack.vals[self._op_of_role].reshape(4, -1)
         return values, np.concatenate(parts, axis=1), weight_at
 
-    def _step_system(self, k: float, a: float, b: float, modal: bool = False):
-        """(A, P^-1, weights, symbol) for step size k and time factors (a, b).
+    def _step_system(self, k: float, a: float, b: float):
+        """(A, P^-1, weights) for step size k and time factors (a, b).
 
         weights[L] has two rows over the (level, operator) pairs of the last
         L levels, newest first (see products): the right-hand side
         (2 M U^n - M U^{n-1})/k^2 + D U^n/k without the forcing, and the
         residual of the step's CG starting point, that right-hand side minus
-        A times the extrapolant of the L levels. symbol is A's symbol,
-        flattened like a level.
-
-        A ``modal`` step, in the sine basis, reads only the weights and the
-        symbol, the same bit for bit: A and P^-1 are then None and not built.
-        Rebuilt only when an argument differs from the last call.
+        A times the extrapolant of the L levels. Rebuilt only when an
+        argument differs from the last call.
         """
-        key = (k, a, b, modal)
+        key = (k, a, b)
         if self._system[0] != key:
             values, parts, weight_at = self._parts
             c = np.array([1.0 / k ** 2, a / k, b / k, 1.0])
             flat = c @ parts
-            symbol = flat[:self.ndof]
             weights = {n: flat[at].reshape(2, -1) for n, at in weight_at.items()}
-            system = precond = None
-            if not modal:
-                system = SparseMatrix(self._stack.cols,
-                                      (c @ values).reshape(self._stack.cols.shape))
-                precond = self.basis.solver(symbol)
-            self._system = (key, (system, precond, weights, symbol))
+            system = SparseMatrix(self._stack.cols,
+                                  (c @ values).reshape(self._stack.cols.shape))
+            precond = self.basis.solver(flat[:self.ndof])
+            self._system = (key, (system, precond, weights))
         return self._system[1]
+
+    @cached_property
+    def _modal_parts(self) -> np.ndarray:
+        """The parts of a sine-basis step, shaped (3, roles (M, W, S, K),
+        ndof): with c as in _parts, c @ these is A's symbol and the
+        right-hand side's factors of U^n and of U^{n-1}, mode by mode, which
+        are the weights of 2 levels applied to the operators' symbols."""
+        _, parts, weight_at = self._parts
+        rhs = parts[:, weight_at[2]].reshape(4, 2, 2, -1)[:, 0]  # (role, level, operator)
+        return np.concatenate((parts[None, :, :self.ndof],
+                               (rhs @ self._symbols).transpose(1, 0, 2)))
+
+    def _multipliers(self, k: float, scales, out: np.ndarray | None = None) -> np.ndarray:
+        """(symbol, g, h), shaped (3, steps, ndof) and written to ``out`` when
+        given, for the steps at the time factors ``scales``, one (a, b) pair a
+        step: A's symbol, and the multipliers of a sine-basis step
+        U^{n+1} = g U^n + h U^{n-1} (+ F / symbol), all from one product with
+        _modal_parts."""
+        scales = np.asarray(scales, dtype=float).reshape(-1, 2)
+        ones = np.ones((len(scales), 1))
+        out = np.matmul(np.hstack((ones / k ** 2, scales / k, ones)), self._modal_parts,
+                        out=out)
+        out[1:] /= out[0]
+        return out
 
 
 def make_fem_backend(space: FemSpace, params: ModelParams) -> BackendHandles:
@@ -384,7 +400,7 @@ def init_state(backend: BackendHandles, k: float,
 
 def _advance(backend: BackendHandles, levels: np.ndarray, products: np.ndarray,
              top: int, n: int, k: float, scales: tuple[float, float],
-             force: np.ndarray, modal: bool = False) -> SolveReport | None:
+             force: np.ndarray) -> SolveReport:
     """One implicit step U^n -> U^{n+1} in a newest-first history: U^n and
     up to HISTORY - 1 older levels are the rows below ``top`` of ``levels``,
     and of ``products`` their BackendHandles.products. The cached system at
@@ -393,18 +409,13 @@ def _advance(backend: BackendHandles, levels: np.ndarray, products: np.ndarray,
     a right-hand side (plus the forcing ``force``) and starting residual that
     combine their products. U^{n+1} and its products (one stacked matvec) go
     into row ``top``, so a step costs one matvec per CG iteration and one
-    fused product. With ``modal`` the rows are sine-basis coefficients: the
-    solve divides by A's symbol and reads only U^n and U^{n-1}; no report."""
-    system, precond, weights, symbol = backend._step_system(k, *scales, modal)
-    depth = 2 if modal else min(len(levels) - top - 1, HISTORY)
+    fused product."""
+    system, precond, weights = backend._step_system(k, *scales)
+    depth = min(len(levels) - top - 1, HISTORY)
     history = slice(top + 1, top + 1 + depth)
     rhs = weights[depth] @ products[history].reshape(-1, levels.shape[1])
     if backend.params.forcing is not None:
         rhs += force
-    if modal:
-        levels[top] = u_next = rhs[0] / symbol
-        products[top] = backend._symbols * u_next
-        return None
     guess = EXTRAPOLANTS[depth] @ levels[history]
     try:
         u_next, report = cg_solve(system, rhs[0], rtol=STEP_RTOL, x0=guess,
@@ -470,18 +481,24 @@ def run(backend: BackendHandles, k: float, n_steps: int,
 
 def _run(backend: BackendHandles, state: StepperState, scales, trace,
          reference) -> StepperState:
-    """One step (_advance) from ``state`` per entry of ``scales`` after the
-    first, in one newest-first block of BLOCK + HISTORY rows of levels and
-    their products, each step filling the row above the newest. When the
-    block is full, and at the end, one diagnostics.pair_energies call gives
-    the energies and cross terms of its pairs not yet recorded, and, given a
+    """One step from ``state`` per entry of ``scales`` after the first, in
+    one newest-first block of BLOCK + HISTORY rows of levels and their
+    products, each step filling the row above the newest. When the block is
+    full, and at the end, one diagnostics.pair_energies call gives the
+    energies and cross terms of its pairs not yet recorded, and, given a
     ``reference`` u, one einsum their distances sqrt((U - u).(M U - M u))
     from the products' M U and M u formed once, so no matvec per step. The
     HISTORY newest rows then move to the bottom, so the warm start carries
-    across. On a backend diagonal in its sine basis the rows are sine-basis
-    coefficients, so these sums hold by Parseval; the state's levels, the
-    forcing and the reference are transformed once, and only the final
-    state goes back to grid values.
+    across.
+
+    A step is a CG _advance, unless the backend is diagonal in its sine
+    basis. Then the rows are sine-basis coefficients, so the block sums hold
+    by Parseval; the state's levels, the forcing F and the reference are
+    transformed once, and only the final state goes back to grid values.
+    One BackendHandles._multipliers product gives every step of a block its
+    multipliers, a step is U^{n+1} = g U^n + h U^{n-1} (+ F / A's symbol)
+    mode by mode, and the block's products are its levels times the
+    operators' symbols, formed at once before its energies.
 
     Fills ``trace`` (see run) and returns the final state."""
     k, modal, basis = state.k, backend.diagonal_in_basis, backend.basis
@@ -489,23 +506,31 @@ def _run(backend: BackendHandles, state: StepperState, scales, trace,
     def row(u):  # a vector of grid values as a row of the block
         return basis.transform(u) if modal else u
 
-    rows = BLOCK + HISTORY
+    rows, ops = BLOCK + HISTORY, len(backend.operators)
     levels = np.empty((rows, backend.ndof))
-    products = np.empty((rows, len(backend.operators), backend.ndof))
+    # a sine-basis block's products are formed only at a flush, after its
+    # steps have read their multipliers, so the two share one buffer
+    buffer = np.empty((max(ops, 3) if modal else ops, rows, backend.ndof))
+    products = buffer[:ops].reshape(rows, ops, backend.ndof)
     top = rows - len(state.levels)  # the newest level
     levels[top:] = [row(u) for u in state.levels]
-    products[top:] = backend.products(levels[top:], modal)
-    force = row(backend.forcing)
+    if not modal:
+        products[top:] = backend.products(levels[top:])
+    force, forced = row(backend.forcing), backend.params.forcing is not None
     done = rows - 1  # the newest level whose energy is recorded; U^0 has none
     recorded = 0
     if reference is not None:
         reference = row(reference)
-        m_reference = backend.products(reference[None], modal)[0, 0]
+        m_reference = (backend._symbols[0] * reference if modal
+                       else backend.products(reference[None])[0, 0])
 
     def flush():
         """Record the energies of rows top to done - 1, each with the row
         below, and their distances to the reference."""
         nonlocal done, recorded
+        if modal:
+            np.multiply(levels[top:done + 1, None], backend._symbols,
+                        out=products[top:done + 1])
         energy, cross = diagnostics.pair_energies(
             levels[top:done + 1], products[top:done + 1], k)
         new = slice(recorded, recorded + done - top)
@@ -522,21 +547,36 @@ def _run(backend: BackendHandles, state: StepperState, scales, trace,
         recorded, done = new.stop, top
 
     report = state.solve
-    for i, step_scales in enumerate(scales[1:]):
-        if top == 0:
-            flush()
-            levels[-HISTORY:], products[-HISTORY:] = levels[:HISTORY], products[:HISTORY]
-            top = done = rows - HISTORY
-        top -= 1
-        report = _advance(backend, levels, products, top, state.n + i, k, step_scales,
-                          force, modal)
-        if not modal:
-            trace.cg_iterations[i], trace.cg_residuals[i] = \
-                report.iterations, report.final_residual
-    flush()
+    taken, n_steps = 0, len(scales) - 1
+    while True:
+        block = range(taken, min(taken + top, n_steps))  # steps filling rows above top
+        if modal:
+            symbol, g, h = backend._multipliers(k, scales[block.start + 1:block.stop + 1],
+                                                out=buffer[:3, :len(block)])
+            if forced:
+                f = np.divide(force, symbol, out=symbol)
+            for j in range(len(block)):
+                top -= 1
+                u = np.multiply(g[j], levels[top + 1], out=levels[top])
+                u += h[j] * levels[top + 2]
+                if forced:
+                    u += f[j]
+        else:
+            for i in block:
+                top -= 1
+                report = _advance(backend, levels, products, top, state.n + i, k,
+                                  scales[i + 1], force)
+                trace.cg_iterations[i], trace.cg_residuals[i] = \
+                    report.iterations, report.final_residual
+        taken = block.stop
+        flush()
+        if taken == n_steps:
+            break
+        levels[-HISTORY:], products[-HISTORY:] = levels[:HISTORY], products[:HISTORY]
+        top = done = rows - HISTORY
     final = levels[top:top + HISTORY]
     final = np.array([basis.transform(u) for u in final]) if modal else final.copy()
-    return StepperState(n=state.n + len(scales) - 1, k=k, solve=report, levels=final)
+    return StepperState(n=state.n + n_steps, k=k, solve=report, levels=final)
 
 
 def steady_state(backend: BackendHandles) -> np.ndarray:

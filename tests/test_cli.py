@@ -104,6 +104,26 @@ def test_decay_strict_passes_on_builtin(tmp_path, capsys):
     assert out.exists()
 
 
+def test_decay_strict_passes_on_a_variable_coefficient(capsys):
+    assert main(["decay", "--experiment", "timevar", "--backend", "fd",
+                 "--N", "8", "--strict"]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+
+
+def test_decay_strict_fails_on_a_variable_coefficient_verdict(monkeypatch, capsys):
+    run_decay = harness.run_decay
+
+    def sandwich_fails(*args, **kwargs):
+        return replace(run_decay(*args, **kwargs), sandwich_ok=False)
+
+    monkeypatch.setattr(harness, "run_decay", sandwich_fails)
+    assert main(["decay", "--experiment", "timevar", "--backend", "fd",
+                 "--N", "8", "--strict"]) == 2
+    captured = capsys.readouterr()
+    assert "extended-energy sandwich : FAIL" in captured.out
+    assert "strict mode: inequality violated" in captured.err
+
+
 def test_steady_command(capsys):
     assert main(["steady", "--N", "8"]) == 0
     out = capsys.readouterr().out
