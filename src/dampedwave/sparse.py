@@ -1,7 +1,7 @@
 """Symmetric sparse matrices in fixed-width rows, a preconditioned CG solver,
 the sine basis that preconditions grid operators (and diagonalises the finite
-difference ones), and inverse power iteration for the generalized
-eigenproblem K v = lambda M v."""
+difference ones, and the P1 ones up to one Kronecker term), and inverse power
+iteration for the generalized eigenproblem K v = lambda M v."""
 
 from __future__ import annotations
 
@@ -155,7 +155,8 @@ class SineBasis:
     S2 diagonalises the 5-point Laplacian (and so the P1 stiffness on these
     meshes), so the diagonal of S2' A S2, the symbol of A, gives a
     preconditioner that is exact for it and spectrally equivalent (kappa
-    about 2) for the P1 mass and the weighted operators.
+    about 2) for the P1 mass and the weighted operators. The P1 mass is its
+    symbol plus (hx hy / 6) skew (x) skew in this basis (see skew).
     """
 
     n: int
@@ -189,6 +190,25 @@ class SineBasis:
         sx = s[xs // n] * s[xs % n]
         return np.einsum("aq,ap->qp", sy, np.einsum("ab,bp->ap", pairs, sx))
 
+    @cached_property
+    def skew(self) -> np.ndarray:
+        """S D S with D = (T - T')/2 the skew half of the shift T (ones above
+        the diagonal). On a mesh whose cells are split lower-left to
+        upper-right, the P1 mass couples the nodes along the cells' diagonals
+        by (hx hy / 12)(T (x) T + T' (x) T'), which is
+        (hx hy / 24)(T + T') (x) (T + T') + (hx hy / 6) D (x) D. S
+        diagonalises T + T', so in S2 the mass is its symbol plus
+        (hx hy / 6) skew (x) skew, and the stiffness is its symbol."""
+        t = np.eye(self.n, k=1)
+        return self.matrix @ (0.5 * (t - t.T)) @ self.matrix
+
+    def skew_product(self, u: np.ndarray) -> np.ndarray:
+        """(skew (x) skew) u for flat sine-basis coefficients u: skew U skew'
+        flattened, two n x n products (np.dot, which is faster than @ at
+        these sizes)."""
+        a = self.skew
+        return np.dot(np.dot(a, u.reshape(self.n, self.n)), a.T).ravel()
+
     def transform(self, u: np.ndarray) -> np.ndarray:
         """S2 u as a flat array: S U S for the grid values U (two n x n
         products). S2 is symmetric and orthonormal, so this maps grid values
@@ -206,21 +226,45 @@ class SineBasis:
         return apply
 
 
+@dataclass(frozen=True)
+class SkewSymbolOperator:
+    """v -> symbol * v + kappa (skew (x) skew) v on the coefficients v of a
+    SineBasis: an unweighted P1 operator, or a sum of them, in that basis.
+    precond, the division by the symbol, is SineBasis.solver in that basis."""
+
+    basis: SineBasis
+    symbol: np.ndarray  # flat, one value per mode
+    kappa: float
+
+    @property
+    def dim(self) -> int:
+        return self.symbol.size
+
+    def matvec(self, v: np.ndarray) -> np.ndarray:
+        return self.symbol * v + self.kappa * self.basis.skew_product(v)
+
+    def precond(self, r: np.ndarray) -> np.ndarray:
+        return r / self.symbol
+
+
 def cg_solve(a, b: np.ndarray, precond: Preconditioner, rtol: float = 1e-12,
              x0: np.ndarray | None = None,
              r0: np.ndarray | None = None) -> tuple[np.ndarray, SolveReport]:
-    """Preconditioned conjugate gradients for an SPD SparseMatrix ``a``.
+    """Preconditioned conjugate gradients for an SPD operator ``a``: any
+    object with ``dim`` and ``matvec``, such as a SparseMatrix or a
+    SkewSymbolOperator.
 
     ``precond`` maps a residual r to P^-1 r for an SPD P: the sine-basis
-    solver of a grid operator's symbol (SineBasis.solver), or the identity
-    for plain CG. A warm start ``x0`` is refined by at least one
-    iteration even when it already meets ``rtol`` (an extrapolated guess
-    left as it is would carry its error into the next step), unless its
-    residual is exactly zero. ``r0`` is the residual b - a x0 of the warm
-    start when the caller already has it; CG then starts without a product,
-    as it does from a cold start, whose residual is b. Raises CgError on a
-    non-finite right-hand side or residual, and when CG_ITERATIONS_PER_UNKNOWN
-    iterations per unknown do not reach ``rtol``.
+    solver of a grid operator's symbol (SineBasis.solver), its
+    SkewSymbolOperator.precond, or the identity for plain CG. A warm start
+    ``x0`` is refined by at least one iteration even when it already meets
+    ``rtol`` (an extrapolated guess left as it is would carry its error into
+    the next step), unless its residual is exactly zero. ``r0`` is the
+    residual b - a x0 of the warm start when the caller already has it; CG
+    then starts without a product, as it does from a cold start, whose
+    residual is b. Raises CgError on a non-finite right-hand side or
+    residual, and when CG_ITERATIONS_PER_UNKNOWN iterations per unknown do
+    not reach ``rtol``.
     """
     if rtol <= 0:
         raise ValueError("rtol must be positive")

@@ -13,11 +13,15 @@ from the products of the last levels) is linear in the factors
 (1/k^2, alpha/k, beta/k, 1) of the mass, the two damping operators and the
 stiffness, so it is one product with parts built once per backend.
 
-Where every operator is diagonal in the sine basis (finite differences
-without a spatial weight), run() keeps the levels as sine-basis
-coefficients, and one product of the same kind gives a whole block of steps
-A's symbol and the multipliers of U^n and U^{n-1}, mode by mode: no CG
-solve.
+Where every operator is its symbol plus a multiple of one Kronecker term in
+the grid's sine basis (finite differences and P1 elements without a spatial
+weight, see BackendHandles.skew_in_basis), run() keeps the levels as
+sine-basis coefficients. Where every operator is diagonal there (finite
+differences), one product of the same kind gives a whole block of steps A's
+symbol and the multipliers of U^n and U^{n-1}, mode by mode: no CG solve.
+Otherwise (P1 elements) a step is the same CG solve as on grid values, but
+A is applied as its symbol plus one Kronecker product and preconditioned by
+a division by its symbol, so it makes no sparse matvec.
 """
 
 from __future__ import annotations
@@ -34,8 +38,8 @@ from .fdm import FdOperator
 from .fem import ZERO_FIELD, FemSpace, ScalarField, assemble_mass, \
     assemble_stiffness, at_midpoints, interpolate as fem_interpolate, load_vector
 from .mesh import FdGrid, Rectangle
-from .sparse import CgError, Preconditioner, SineBasis, SolveReport, \
-    SparseMatrix, cg_solve, from_diagonal, on_common_pattern
+from .sparse import CgError, Preconditioner, SineBasis, SkewSymbolOperator, \
+    SolveReport, SparseMatrix, cg_solve, from_diagonal, on_common_pattern
 
 STEP_RTOL = 1e-10
 HISTORY = 5  # the most levels a step reads
@@ -141,20 +145,20 @@ class ModelParams:
         """(alpha, beta) in normal form."""
         return _resolve(self.alpha), _resolve(self.beta)
 
-    def check_schedules(self, times: np.ndarray) -> list[tuple[float, float]]:
+    def check_schedules(self, times: np.ndarray) -> np.ndarray:
         """The time factors (alpha, beta) at the given sample times, each
-        evaluated once. Rejects a time factor that is not finite, leaves
-        [lo, hi] or decreases there."""
+        evaluated once, as an array shaped (len(times), 2). Rejects a time
+        factor that is not finite, leaves [lo, hi] or decreases there."""
         columns = []
         for c in self.damping:
-            vals = np.array([c.scale(t) for t in times])
-            columns.append(vals.tolist())
+            vals = np.array([c.scale(t) for t in times], dtype=float)
+            columns.append(vals)
             if c.weight is not None:
                 continue
             _check_range(c, vals, "at the sampled times")
             if np.any(np.diff(vals) < -1e-12):
                 raise ValueError("schedule must be nondecreasing")
-        return list(zip(*columns))
+        return np.stack(columns, axis=1)
 
     def _check_field(self, c: Damping):
         """Check the weight at the interior points of a 25 x 25 grid."""
@@ -205,11 +209,12 @@ class BackendHandles:
     weak_op: SparseMatrix    # alpha-weighted mass; M itself when alpha has no weight
     strong_op: SparseMatrix  # beta-weighted stiffness; K itself when beta has no weight
     basis: SineBasis         # the unknowns' grid, for the preconditioners
-    # every operator is diagonal in ``basis``, so its symbol is exact and a
-    # run keeps its levels in that basis, where a step solves nothing;
-    # make_fd_backend sets it when alpha has no spatial weight
-    diagonal_in_basis: bool = False
-    # one-entry cache: ((k, alpha, beta), _step_system's result)
+    # kappa of each role (M, W, S, K): in ``basis`` the operator is its
+    # symbol plus kappa (skew (x) skew), skew = basis.skew; None when an
+    # operator is not of that form (a spatial weight). With it a run keeps
+    # its levels in that basis, and needs no grid matvec per step
+    skew_in_basis: tuple[float, float, float, float] | None = None
+    # one-entry cache: ((k, alpha, beta, sine), _step_system's result)
     _system: tuple = field(default=(None, None), init=False, repr=False)
 
     def __post_init__(self):
@@ -229,6 +234,12 @@ class BackendHandles:
     @property
     def ndof(self) -> int:
         return self.M.dim
+
+    @property
+    def diagonal_in_basis(self) -> bool:
+        """Every operator is diagonal in ``basis``, so its symbol is exact and
+        a sine-basis step solves nothing."""
+        return self.skew_in_basis is not None and not any(self.skew_in_basis)
 
     @cached_property
     def mass_precond(self) -> Preconditioner:
@@ -250,6 +261,19 @@ class BackendHandles:
         """Each level times each distinct operator, an array of shape
         (levels, operators, ndof): one stacked matvec per level."""
         return np.array([self._stack.matvec(u) for u in levels])
+
+    @cached_property
+    def _skews(self) -> np.ndarray:
+        """Each distinct operator's kappa (see skew_in_basis), a column."""
+        kappa = np.zeros((len(self.operators), 1))
+        kappa[self._op_of_role, 0] = self.skew_in_basis
+        return kappa
+
+    def _sine_products(self, u: np.ndarray) -> np.ndarray:
+        """The products of sine-basis coefficients u with every distinct
+        operator, in that basis, on a backend with skew_in_basis: each
+        operator's symbol times u plus its kappa times u's one skew product."""
+        return u * self._symbols + self._skews * self.basis.skew_product(u)
 
     def system(self, k: float, t: float) -> tuple[SparseMatrix, Preconditioner]:
         """(A, P^-1) with A = 1/k^2 M + 1/k D + K, D = scale_alpha(t) W
@@ -280,8 +304,11 @@ class BackendHandles:
         values = self._stack.vals[self._op_of_role].reshape(4, -1)
         return values, np.concatenate(parts, axis=1), weight_at
 
-    def _step_system(self, k: float, a: float, b: float):
-        """(A, P^-1, weights) for step size k and time factors (a, b).
+    def _step_system(self, k: float, a: float, b: float, sine: bool = False):
+        """(A, P^-1, weights) for step size k and time factors (a, b): A on
+        grid values and its sine-basis solver, or, when ``sine``, A on
+        sine-basis coefficients, its symbol plus c @ skew_in_basis times
+        the skew term, and the division by its symbol.
 
         weights[L] has two rows over the (level, operator) pairs of the last
         L levels, newest first (see products): the right-hand side
@@ -290,15 +317,20 @@ class BackendHandles:
         A times the extrapolant of the L levels. Rebuilt only when an
         argument differs from the last call.
         """
-        key = (k, a, b)
+        key = (k, a, b, sine)
         if self._system[0] != key:
             values, parts, weight_at = self._parts
             c = np.array([1.0 / k ** 2, a / k, b / k, 1.0])
             flat = c @ parts
             weights = {n: flat[at].reshape(2, -1) for n, at in weight_at.items()}
-            system = SparseMatrix(self._stack.cols,
-                                  (c @ values).reshape(self._stack.cols.shape))
-            precond = self.basis.solver(flat[:self.ndof])
+            if sine:
+                system = SkewSymbolOperator(self.basis, flat[:self.ndof],
+                                            float(c @ self.skew_in_basis))
+                precond = system.precond
+            else:
+                system = SparseMatrix(self._stack.cols,
+                                      (c @ values).reshape(self._stack.cols.shape))
+                precond = self.basis.solver(flat[:self.ndof])
             self._system = (key, (system, precond, weights))
         return self._system[1]
 
@@ -313,13 +345,13 @@ class BackendHandles:
         return np.concatenate((parts[None, :, :self.ndof],
                                (rhs @ self._symbols).transpose(1, 0, 2)))
 
-    def _multipliers(self, k: float, scales, out: np.ndarray | None = None) -> np.ndarray:
+    def _multipliers(self, k: float, scales: np.ndarray,
+                     out: np.ndarray | None = None) -> np.ndarray:
         """(symbol, g, h), shaped (3, steps, ndof) and written to ``out`` when
-        given, for the steps at the time factors ``scales``, one (a, b) pair a
+        given, for the steps at the time factors ``scales``, one (a, b) row a
         step: A's symbol, and the multipliers of a sine-basis step
         U^{n+1} = g U^n + h U^{n-1} (+ F / symbol), all from one product with
         _modal_parts."""
-        scales = np.asarray(scales, dtype=float).reshape(-1, 2)
         ones = np.ones((len(scales), 1))
         out = np.matmul(np.hstack((ones / k ** 2, scales / k, ones)), self._modal_parts,
                         out=out)
@@ -335,6 +367,10 @@ def make_fem_backend(space: FemSpace, params: ModelParams) -> BackendHandles:
     mass, stiff = assemble_mass(space), assemble_stiffness(space)
     weak = mass if alpha.weight is None else assemble_mass(space, alpha.weight)
     strong = stiff if beta.weight is None else assemble_stiffness(space, beta.weight)
+    # the mass's kappa is hx hy / 6 (see SineBasis.skew); a weighted
+    # operator has no such form
+    rect, n = space.mesh.rect, space.mesh.n_per_side
+    mass_kappa = rect.width * rect.height / (6.0 * n * n)
     return BackendHandles(
         params=params,
         M=mass,
@@ -343,6 +379,8 @@ def make_fem_backend(space: FemSpace, params: ModelParams) -> BackendHandles:
         load=lambda f: load_vector(space, f),
         weak_op=weak, strong_op=strong,
         basis=space.basis,
+        skew_in_basis=(mass_kappa, mass_kappa, 0.0, 0.0)
+        if alpha.weight is None and beta.weight is None else None,
     )
 
 
@@ -370,7 +408,7 @@ def make_fd_backend(grid: FdGrid, params: ModelParams) -> BackendHandles:
         basis=SineBasis(grid.n_per_side - 1),
         # h^2 I and the 5-point h^2 A_h are diagonal in the sine basis; a
         # weighted mass h^2 diag(w) is not
-        diagonal_in_basis=alpha.weight is None,
+        skew_in_basis=(0.0, 0.0, 0.0, 0.0) if alpha.weight is None else None,
     )
 
 
@@ -399,8 +437,8 @@ def init_state(backend: BackendHandles, k: float,
 
 
 def _advance(backend: BackendHandles, levels: np.ndarray, products: np.ndarray,
-             top: int, n: int, k: float, scales: tuple[float, float],
-             force: np.ndarray) -> SolveReport:
+             top: int, n: int, k: float, scales: np.ndarray, force: np.ndarray,
+             sine: bool = False) -> SolveReport:
     """One implicit step U^n -> U^{n+1} in a newest-first history: U^n and
     up to HISTORY - 1 older levels are the rows below ``top`` of ``levels``,
     and of ``products`` their BackendHandles.products. The cached system at
@@ -409,8 +447,11 @@ def _advance(backend: BackendHandles, levels: np.ndarray, products: np.ndarray,
     a right-hand side (plus the forcing ``force``) and starting residual that
     combine their products. U^{n+1} and its products (one stacked matvec) go
     into row ``top``, so a step costs one matvec per CG iteration and one
-    fused product."""
-    system, precond, weights = backend._step_system(k, *scales)
+    fused product. When ``sine`` the rows are sine-basis coefficients, and
+    the system and products are those of the sine basis
+    (BackendHandles._step_system and _sine_products): one skew product per
+    CG iteration and one for U^{n+1}, and no sparse matvec."""
+    system, precond, weights = backend._step_system(k, *scales, sine)
     depth = min(len(levels) - top - 1, HISTORY)
     history = slice(top + 1, top + 1 + depth)
     rhs = weights[depth] @ products[history].reshape(-1, levels.shape[1])
@@ -423,7 +464,8 @@ def _advance(backend: BackendHandles, levels: np.ndarray, products: np.ndarray,
     except CgError as exc:
         raise StepError(f"CG failed at step n={n} (t={n * k:g}): {exc}") from exc
     levels[top] = u_next
-    products[top] = backend._stack.matvec(u_next)
+    products[top] = backend._sine_products(u_next) if sine \
+        else backend._stack.matvec(u_next)
     return report
 
 
@@ -455,9 +497,10 @@ def run(backend: BackendHandles, k: float, n_steps: int,
     for any other reference). Raises StepError at the first sample whose
     energy is not finite.
 
-    On a backend that is diagonal in its sine basis the steps are taken in
-    that basis and report 0 iterations and residual 0; otherwise each is a
-    CG step (see _run)."""
+    On a backend with skew_in_basis the steps are taken in its sine basis:
+    on one that is diagonal there they solve nothing and report 0 iterations
+    and residual 0, on the others each is a CG step in that basis, as it is
+    on grid values for any other backend (see _run)."""
     if not isinstance(n_steps, int | np.integer) or n_steps < 0:
         raise ValueError(f"step count must be a nonnegative integer, not {n_steps!r}")
     if reference is not None:
@@ -491,20 +534,27 @@ def _run(backend: BackendHandles, state: StepperState, scales, trace,
     HISTORY newest rows then move to the bottom, so the warm start carries
     across.
 
-    A step is a CG _advance, unless the backend is diagonal in its sine
-    basis. Then the rows are sine-basis coefficients, so the block sums hold
-    by Parseval; the state's levels, the forcing F and the reference are
-    transformed once, and only the final state goes back to grid values.
-    One BackendHandles._multipliers product gives every step of a block its
-    multipliers, a step is U^{n+1} = g U^n + h U^{n-1} (+ F / A's symbol)
-    mode by mode, and the block's products are its levels times the
-    operators' symbols, formed at once before its energies.
+    On a backend with skew_in_basis the rows are sine-basis coefficients,
+    so the block sums hold by Parseval; the state's levels, the forcing F
+    and the reference are transformed once, and only the final state goes
+    back to grid values. A step is then a CG _advance in that basis, unless
+    the backend is diagonal there: then one BackendHandles._multipliers
+    product gives every step of a block its multipliers, a step is
+    U^{n+1} = g U^n + h U^{n-1} (+ F / A's symbol) mode by mode, and the
+    block's products are its levels times the operators' symbols, formed at
+    once before its energies. On any other backend a step is a CG _advance
+    on grid values.
 
     Fills ``trace`` (see run) and returns the final state."""
-    k, modal, basis = state.k, backend.diagonal_in_basis, backend.basis
+    k, basis = state.k, backend.basis
+    sine, modal = backend.skew_in_basis is not None, backend.diagonal_in_basis
 
     def row(u):  # a vector of grid values as a row of the block
-        return basis.transform(u) if modal else u
+        return basis.transform(u) if sine else u
+
+    def products_of(rows):  # the products of rows of the block
+        return np.array([backend._sine_products(u) for u in rows]) if sine \
+            else backend.products(rows)
 
     rows, ops = BLOCK + HISTORY, len(backend.operators)
     levels = np.empty((rows, backend.ndof))
@@ -515,14 +565,13 @@ def _run(backend: BackendHandles, state: StepperState, scales, trace,
     top = rows - len(state.levels)  # the newest level
     levels[top:] = [row(u) for u in state.levels]
     if not modal:
-        products[top:] = backend.products(levels[top:])
+        products[top:] = products_of(levels[top:])
     force, forced = row(backend.forcing), backend.params.forcing is not None
     done = rows - 1  # the newest level whose energy is recorded; U^0 has none
     recorded = 0
     if reference is not None:
         reference = row(reference)
-        m_reference = (backend._symbols[0] * reference if modal
-                       else backend.products(reference[None])[0, 0])
+        m_reference = products_of(reference[None])[0, 0]
 
     def flush():
         """Record the energies of rows top to done - 1, each with the row
@@ -565,7 +614,7 @@ def _run(backend: BackendHandles, state: StepperState, scales, trace,
             for i in block:
                 top -= 1
                 report = _advance(backend, levels, products, top, state.n + i, k,
-                                  scales[i + 1], force)
+                                  scales[i + 1], force, sine)
                 trace.cg_iterations[i], trace.cg_residuals[i] = \
                     report.iterations, report.final_residual
         taken = block.stop
@@ -575,7 +624,7 @@ def _run(backend: BackendHandles, state: StepperState, scales, trace,
         levels[-HISTORY:], products[-HISTORY:] = levels[:HISTORY], products[:HISTORY]
         top = done = rows - HISTORY
     final = levels[top:top + HISTORY]
-    final = np.array([basis.transform(u) for u in final]) if modal else final.copy()
+    final = np.array([basis.transform(u) for u in final]) if sine else final.copy()
     return StepperState(n=state.n + n_steps, k=k, solve=report, levels=final)
 
 

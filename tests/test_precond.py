@@ -15,10 +15,10 @@ from dampedwave.fem import FemSpace, ScalarField, assemble_mass, assemble_stiffn
 from dampedwave.harness import builtin_experiments
 from dampedwave.mesh import PI_SQUARE, Rectangle, UNIT_SQUARE, build_fd_grid, \
     build_tri_mesh
-from dampedwave.sparse import SineBasis, cg_solve, from_diagonal, \
-    smallest_generalized_eigenpair
-from dampedwave.stepper import ModelParams, init_state, make_fd_backend, \
-    make_fem_backend
+from dampedwave.sparse import SineBasis, SkewSymbolOperator, cg_solve, \
+    from_diagonal, smallest_generalized_eigenpair
+from dampedwave.stepper import ModelParams, SpatialField, init_state, \
+    make_fd_backend, make_fem_backend
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -117,6 +117,69 @@ def test_projections_and_higher_energy_solve_in_the_sine_basis(n, monkeypatch):
     for a, b, its in solves:
         _, jacobi = cg_solve(a, b, lambda r: r / a.diagonal())
         assert its < jacobi.iterations
+
+
+SKEW_DOMAINS = {"unit": UNIT_SQUARE, "pi": PI_SQUARE,
+                "rectangle": Rectangle(-1.0, 0.5, 0.0, 3.0)}
+
+
+@pytest.mark.parametrize("n", [2, 3, 8])
+@pytest.mark.parametrize("domain", list(SKEW_DOMAINS))
+def test_unweighted_p1_operators_are_their_symbol_plus_the_stated_skew_term(domain, n):
+    # the oracle is the dense S2' op S2; an unweighted FEM backend states
+    # each role's kappa, with which it must equal diag(symbol) + kappa
+    # (skew (x) skew), and its sine-basis step operator must apply S2' A S2
+    rect = SKEW_DOMAINS[domain]
+    params = ModelParams(domain=rect, alpha=0.7, beta=0.3)
+    backend = make_fem_backend(FemSpace(build_tri_mesh(rect, n)), params)
+    basis = backend.basis
+    s2 = np.kron(basis.matrix, basis.matrix)
+    skew2 = np.kron(basis.skew, basis.skew)
+    kappa = backend.skew_in_basis
+    assert backend.weak_op is backend.M and backend.strong_op is backend.K
+    assert kappa[1] == kappa[0] > 0 and kappa[2] == kappa[3]
+    assert not backend.diagonal_in_basis
+    for op, kap in ((backend.M, kappa[0]), (backend.K, kappa[3])):
+        dense = s2.T @ op.to_dense() @ s2
+        want = np.diag(basis.symbol(op).ravel()) + kap * skew2
+        assert np.max(np.abs(dense - want)) <= 1e-13 * np.max(np.abs(dense))
+    if n > 3:  # the skew term is not vacuous: M is not diagonal in S2
+        dense = s2.T @ backend.M.to_dense() @ s2
+        assert np.max(np.abs(dense - np.diag(np.diag(dense)))) > 1e-2 * np.max(dense)
+    k, t = 0.05, 0.0
+    grid, _ = backend.system(k, t)
+    system, precond, _ = backend._step_system(k, *params.check_schedules([t])[0], True)
+    assert isinstance(system, SkewSymbolOperator) and system.dim == backend.ndof
+    v = np.random.default_rng(n).normal(size=backend.ndof)
+    want = s2.T @ grid.to_dense() @ s2 @ v
+    assert np.max(np.abs(system.matvec(v) - want)) <= 1e-13 * np.max(np.abs(want))
+    # the preconditioner divides by the symbol of the grid system
+    assert np.allclose(precond(v), v / basis.symbol(grid).ravel(), rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("kind", ["fem-alpha", "fem-beta", "fd"])
+def test_weighted_operators_state_no_skew_term(kind):
+    # a weighted mass or stiffness is not its symbol plus any multiple of
+    # skew (x) skew in S2, so its backend states None and steps on grid
+    # values; the weighted mass's off-diagonal part is checked to be far
+    # from the best such multiple
+    weight = ScalarField(lambda x, y: 1.0 + 0.5 * np.sin(np.pi * x) * np.sin(np.pi * y))
+    coeff = SpatialField(weight, lo=1.0, hi=1.5)
+    if kind == "fd":
+        params = builtin_experiments()["spacevar"].params
+        backend = make_fd_backend(build_fd_grid(UNIT_SQUARE, 8), params)
+    else:
+        params = ModelParams(domain=UNIT_SQUARE, **{kind[4:]: coeff})
+        backend = make_fem_backend(FemSpace(build_tri_mesh(UNIT_SQUARE, 8)), params)
+    assert backend.skew_in_basis is None and not backend.diagonal_in_basis
+    basis = backend.basis
+    s2 = np.kron(basis.matrix, basis.matrix)
+    skew2 = np.kron(basis.skew, basis.skew)
+    weighted = backend.strong_op if kind == "fem-beta" else backend.weak_op
+    dense = s2.T @ weighted.to_dense() @ s2
+    rest = dense - np.diag(np.diag(dense))
+    best = np.sum(rest * skew2) / np.sum(skew2 * skew2)
+    assert np.linalg.norm(rest - best * skew2) > 1e-2 * np.linalg.norm(dense)
 
 
 def _kappa(a, precond):

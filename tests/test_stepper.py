@@ -493,25 +493,36 @@ def test_run_evaluates_each_schedule_once_per_step_time(kind):
 @pytest.mark.parametrize("name,operators", [("ex3ii", 2), ("spacevar", 3)])
 def test_cg_run_makes_one_matvec_per_iteration_and_per_operator(name, operators,
                                                                 monkeypatch):
+    # spacevar (a spatial alpha) steps on grid values; ex3ii (unweighted P1)
+    # steps in the sine basis, where the same counts are of skew products
     exp = builtin_experiments()[name]
     backend = make_fem_backend(FemSpace(build_tri_mesh(exp.domain, 8)), exp.params)
     assert len(backend.operators) == operators
+    sine = backend.skew_in_basis is not None
+    assert sine == (name == "ex3ii") and not backend.diagonal_in_basis
     k = exp.time_step(8)
     products = []  # per matvec call: the operators of a stack, 1 otherwise
-    per_step = []  # matvec calls within each step
-    matvec, advance = SparseMatrix.matvec, stepper._advance
+    skews = []     # one entry per skew product
+    per_step = []  # (matvec, skew product) calls within each step
+    matvec, skew_product = SparseMatrix.matvec, SineBasis.skew_product
+    advance = stepper._advance
 
     def counted(self, x):
         products.append(self.vals.shape[0] if self.vals.ndim == 3 else 1)
         return matvec(self, x)
 
+    def counted_skew(self, u):
+        skews.append(1)
+        return skew_product(self, u)
+
     def counted_advance(*args):
-        before = len(products)
+        before = len(products), len(skews)
         out = advance(*args)
-        per_step.append(len(products) - before)
+        per_step.append((len(products) - before[0], len(skews) - before[1]))
         return out
 
     monkeypatch.setattr(SparseMatrix, "matvec", counted)
+    monkeypatch.setattr(SineBasis, "skew_product", counted_skew)
     monkeypatch.setattr(stepper, "_advance", counted_advance)
     init_state(backend, k)
     start = sum(products)
@@ -519,37 +530,64 @@ def test_cg_run_makes_one_matvec_per_iteration_and_per_operator(name, operators,
     _, trace = run(backend, k, exp.n_steps(k))
     n_steps = trace.t.size - 1
     assert len(per_step) == n_steps
-    # start-up: the Taylor start, then each operator with U^0 and U^1; then
-    # per step one A p per CG iteration and each operator with U^{n+1}
-    assert sum(products) == start + 2 * operators + trace.cg_iterations.sum() \
-        + operators * n_steps
-    # the products of a level with all operators are one stacked call
-    assert per_step == list(trace.cg_iterations + 1)
+    # per step one A p per CG iteration and the products of U^{n+1}
+    per_level = list(trace.cg_iterations + 1)
+    if sine:
+        # start-up: the Taylor start, then one skew product each for U^0
+        # and U^1; a step makes no sparse matvec
+        assert sum(products) == start
+        assert len(skews) == 2 + sum(per_level)
+        assert per_step == [(0, n) for n in per_level]
+    else:
+        # start-up: the Taylor start, then each operator with U^0 and U^1;
+        # the products of a level with all operators are one stacked call
+        assert sum(products) == start + 2 * operators + trace.cg_iterations.sum() \
+            + operators * n_steps
+        assert per_step == [(n, 0) for n in per_level]
+        assert not skews
 
 
 def test_steady_distances_cost_one_matvec_per_run(monkeypatch):
     # the block's products already hold M U of every level, so a reference
-    # adds only M u, once, and no matvec per step
+    # adds only M u, once, and no matvec per step: a sparse matvec on grid
+    # values (forced spacevar), a skew product in the sine basis (forcing,
+    # whose steps make no sparse matvec at all)
     exp = builtin_experiments()["forcing"]
-    backend, _ = build_backend(exp.params, 8, "fem")
-    assert not backend.diagonal_in_basis
-    u_inf, k = steady_state(backend), exp.time_step(8)
-    calls = []
-    matvec = SparseMatrix.matvec
+    spacevar = replace(builtin_experiments()["spacevar"].params,
+                       forcing=exp.params.forcing)
+    calls = {}
 
-    def counted(self, x):
-        calls.append(1)
-        return matvec(self, x)
+    def count(cls, name):
+        original = getattr(cls, name)
 
-    monkeypatch.setattr(SparseMatrix, "matvec", counted)
-    counts, traces = [], []
-    for reference in (None, u_inf):
-        calls.clear()
-        traces.append(run(backend, k, 16, reference=reference)[1])
-        counts.append(len(calls))
-    assert traces[0].distance is None and traces[1].distance.size == traces[1].t.size
-    assert np.array_equal(traces[0].cg_iterations, traces[1].cg_iterations)
-    assert counts[1] == counts[0] + 1
+        def counted(self, x):
+            calls[name] = calls.get(name, 0) + 1
+            return original(self, x)
+
+        monkeypatch.setattr(cls, name, counted)
+
+    count(SparseMatrix, "matvec")
+    count(SineBasis, "skew_product")
+    for params, sine in ((spacevar, False), (exp.params, True)):
+        backend, _ = build_backend(params, 8, "fem")
+        assert (backend.skew_in_basis is not None) == sine
+        assert not backend.diagonal_in_basis
+        u_inf, k = steady_state(backend), exp.time_step(8)
+        counts, traces = [], []
+        for n_steps, reference in ((16, None), (16, u_inf), (40, u_inf)):
+            calls.clear()
+            traces.append(run(backend, k, n_steps, reference=reference)[1])
+            counts.append(dict(calls))
+        assert traces[0].distance is None and traces[1].distance.size == traces[1].t.size
+        assert np.array_equal(traces[0].cg_iterations, traces[1].cg_iterations)
+        if sine:
+            # the Taylor start's sparse matvecs, however many steps follow;
+            # M u is one more skew product
+            assert counts[0]["matvec"] == counts[1]["matvec"] == counts[2]["matvec"]
+            assert counts[1]["skew_product"] == counts[0]["skew_product"] + 1
+        else:
+            assert counts[1]["matvec"] == counts[0]["matvec"] + 1
+            assert "skew_product" not in counts[0] | counts[1]
 
 
 @pytest.mark.parametrize("kind", ["fd", "fem"])
@@ -609,6 +647,17 @@ def test_stacked_matvec_is_each_operators_own(case, operators):
     assert np.array_equal(backend.products(levels)[1], stack.matvec(2.0 * x))
     with pytest.raises(ValueError, match="dimension"):
         stack.matvec(np.ones(backend.ndof + 1))
+    # unweighted P1 (ex3ii) also has its products in the sine basis: those
+    # of the levels' coefficients are the coefficients of their products
+    assert (backend.skew_in_basis is not None) == (case == "ex3ii")
+    if case == "ex3ii":
+        basis = backend.basis
+        coeffs = np.array([basis.transform(u) for u in levels])
+        want = np.array([[basis.transform(p) for p in ps]
+                         for ps in backend.products(levels)])
+        got = np.array([backend._sine_products(c) for c in coeffs])
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_nan_schedule_is_rejected_at_construction():
@@ -767,10 +816,16 @@ def test_run_matches_a_chain_of_steps_across_history_blocks(kind, name, n_steps)
     # run() steps in a history block that wraps when full (first at step
     # BLOCK + 3, then every BLOCK steps) and takes the energies and
     # distances of a whole block at once; a chain of step()
-    # calls with energy_and_cross and an M-norm per state is the reference
+    # calls with energy_and_cross and an M-norm per state is the reference.
+    # spacevar steps on grid values as step() does, so the two agree to
+    # rounding; ex3ii (unweighted P1) steps in the sine basis, the same CG
+    # solves in other coordinates, each stopped at STEP_RTOL, so they take
+    # the same iterations and agree to 1e-10
     exp = builtin_experiments()[name]
     backend, _ = build_backend(exp.params, 8, kind)
-    assert not backend.diagonal_in_basis
+    sine = backend.skew_in_basis is not None
+    assert sine == (name == "ex3ii") and not backend.diagonal_in_basis
+    rtol = 1e-10 if sine else 1e-12
     k = exp.time_step(8)
     reference = np.random.default_rng(5).standard_normal(backend.ndof)
     final, trace = run(backend, k, n_steps, reference=reference)
@@ -780,15 +835,20 @@ def test_run_matches_a_chain_of_steps_across_history_blocks(kind, name, n_steps)
         state = step(state, backend)
         chain.append(state)
     energies, crosses = np.array([energy_and_cross(s, backend) for s in chain]).T
-    tol = 1e-12 * energies
+    tol = rtol * energies
     assert np.all(np.abs(trace.energy - energies) <= tol)
     assert np.all(np.abs(trace.cross - crosses) <= tol)
     assert np.array_equal(trace.cg_iterations, [s.solve.iterations for s in chain[1:]])
-    assert final.n == state.n and np.array_equal(final.levels, state.levels)
+    assert final.n == state.n and final.levels.shape == state.levels.shape
+    if sine:
+        assert np.max(np.abs(final.levels - state.levels)) \
+            <= rtol * np.max(np.abs(state.levels))
+    else:
+        assert np.array_equal(final.levels, state.levels)
     errors = [s.u_curr - reference for s in chain]
     distances = np.sqrt([e @ backend.M.matvec(e) for e in errors])
     assert trace.distance.shape == distances.shape
-    assert np.all(np.abs(trace.distance - distances) <= 1e-12 * distances)
+    assert np.all(np.abs(trace.distance - distances) <= rtol * distances)
 
 
 @pytest.mark.parametrize("shape", [(8,), (1, 8), (HISTORY + 1, 8), (2, 2, 8)])
