@@ -81,7 +81,8 @@ class EnergyTrace:
     cross: np.ndarray          # (d, U)_M per step, for extended energies
     continuous: np.ndarray | None = None  # quadrature energy of the exact solution
     # per step (t[1:]): CG iterations and final relative residual of its
-    # solve; 0 and 0.0 for a step taken in the sine basis, which solves nothing
+    # solve; 0 and 0.0 for a step on a backend that is diagonal in its sine
+    # basis (finite differences without a spatial weight), which solves nothing
     cg_iterations: np.ndarray | None = None
     cg_residuals: np.ndarray | None = None
     # per sample, given a reference u to stepper.run: ||U - u||_M

@@ -241,7 +241,10 @@ class SkewSymbolOperator:
         return self.symbol.size
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        return self.symbol * v + self.kappa * self.basis.skew_product(v)
+        y = self.basis.skew_product(v)
+        y *= self.kappa
+        y += self.symbol * v
+        return y
 
     def precond(self, r: np.ndarray) -> np.ndarray:
         return r / self.symbol
@@ -256,15 +259,11 @@ def cg_solve(a, b: np.ndarray, precond: Preconditioner, rtol: float = 1e-12,
 
     ``precond`` maps a residual r to P^-1 r for an SPD P: the sine-basis
     solver of a grid operator's symbol (SineBasis.solver), its
-    SkewSymbolOperator.precond, or the identity for plain CG. A warm start
-    ``x0`` is refined by at least one iteration even when it already meets
-    ``rtol`` (an extrapolated guess left as it is would carry its error into
-    the next step), unless its residual is exactly zero. ``r0`` is the
-    residual b - a x0 of the warm start when the caller already has it; CG
-    then starts without a product, as it does from a cold start, whose
-    residual is b. Raises CgError on a non-finite right-hand side or
-    residual, and when CG_ITERATIONS_PER_UNKNOWN iterations per unknown do
-    not reach ``rtol``.
+    SkewSymbolOperator.precond, or the identity for plain CG. ``x0`` is a
+    warm start and ``r0`` its residual b - a x0 when the caller already has
+    it; CG then starts without a product, as it does from a cold start,
+    whose residual is b. Neither is modified. Checks the arguments and runs
+    cg_refine on copies, whose stopping rules it follows.
     """
     if rtol <= 0:
         raise ValueError("rtol must be positive")
@@ -273,25 +272,45 @@ def cg_solve(a, b: np.ndarray, precond: Preconditioner, rtol: float = 1e-12,
     n = b.shape[0]
     if n != a.dim:
         raise ValueError(f"dimension mismatch: {n} != {a.dim}")
-    bnorm = math.sqrt(b @ b)
-    if not math.isfinite(bnorm):
-        raise CgError(0, bnorm)
-    if bnorm == 0.0:
-        return np.zeros(n), SolveReport(0, 0.0)
     if x0 is None:
         x, r = np.zeros(n), b.astype(np.float64, copy=True)
     else:
         x = x0.astype(np.float64, copy=True)
         r = b - a.matvec(x) if r0 is None else r0.astype(np.float64, copy=True)
+    iterations, residual = cg_refine(a, b, x, r, precond, rtol, warm=x0 is not None)
+    return x, SolveReport(iterations, residual)
+
+
+def cg_refine(a, b: np.ndarray, x: np.ndarray, r: np.ndarray, precond: Preconditioner,
+              rtol: float, warm: bool = True) -> tuple[int, float]:
+    """The CG iterations of cg_solve, in place: refines ``x``, whose
+    residual b - a x is ``r``, and ``r`` with it, until the relative
+    residual |r| / |b| is at most ``rtol``; returns (iterations, that
+    residual). No argument is checked.
+
+    A zero ``b`` sets x and r to zero (0 iterations, residual 0). A
+    ``warm`` start is refined by at least one iteration even when it already
+    meets ``rtol`` (an extrapolated guess left as it is would carry its
+    error into the next step), unless its residual is exactly zero; a cold
+    one (x = 0, r = b) is returned as it is when it meets ``rtol``. Raises
+    CgError on a non-finite right-hand side or residual, and when
+    CG_ITERATIONS_PER_UNKNOWN iterations per unknown do not reach ``rtol``.
+    """
+    bnorm = math.sqrt(b @ b)
+    if not math.isfinite(bnorm):
+        raise CgError(0, bnorm)
+    if bnorm == 0.0:
+        x[:] = r[:] = 0.0
+        return 0, 0.0
     res = math.sqrt(r @ r) / bnorm
-    if res == 0.0 or (x0 is None and res <= rtol):
-        return x, SolveReport(0, res)
+    if res == 0.0 or (not warm and res <= rtol):
+        return 0, res
     if not math.isfinite(res):
         raise CgError(0, res)
     z = precond(r)
     p = z.copy()  # a preconditioner may return r itself, which r -= updates
     rz = r @ z
-    max_iter = CG_ITERATIONS_PER_UNKNOWN * n
+    max_iter = CG_ITERATIONS_PER_UNKNOWN * b.shape[0]
     for it in range(1, max_iter + 1):
         ap = a.matvec(p)
         alpha = rz / (p @ ap)
@@ -299,7 +318,7 @@ def cg_solve(a, b: np.ndarray, precond: Preconditioner, rtol: float = 1e-12,
         r -= alpha * ap
         res = math.sqrt(r @ r) / bnorm
         if res <= rtol:
-            return x, SolveReport(it, res)
+            return it, res
         if not math.isfinite(res):
             raise CgError(it, res)
         z = precond(r)

@@ -39,7 +39,7 @@ from .fem import ZERO_FIELD, FemSpace, ScalarField, assemble_mass, \
     assemble_stiffness, at_midpoints, interpolate as fem_interpolate, load_vector
 from .mesh import FdGrid, Rectangle
 from .sparse import CgError, Preconditioner, SineBasis, SkewSymbolOperator, \
-    SolveReport, SparseMatrix, cg_solve, from_diagonal, on_common_pattern
+    SolveReport, SparseMatrix, cg_refine, cg_solve, from_diagonal, on_common_pattern
 
 STEP_RTOL = 1e-10
 HISTORY = 5  # the most levels a step reads
@@ -174,8 +174,8 @@ class StepperState:
     """The last 2 to HISTORY levels U^n, U^{n-1}, ... of a run, newest
     first, as the rows of ``levels``; u_curr and u_prev are rows 0 and 1, and
     n indexes u_curr, at time n*k. ``solve`` reports the CG solve that
-    produced u_curr in a step; None for an initial state and for sine-basis
-    steps."""
+    produced u_curr in a step; None for an initial state and for steps on a
+    backend that is diagonal in its sine basis, which solve nothing."""
 
     n: int
     k: float
@@ -269,11 +269,14 @@ class BackendHandles:
         kappa[self._op_of_role, 0] = self.skew_in_basis
         return kappa
 
-    def _sine_products(self, u: np.ndarray) -> np.ndarray:
+    def _sine_products(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """The products of sine-basis coefficients u with every distinct
-        operator, in that basis, on a backend with skew_in_basis: each
-        operator's symbol times u plus its kappa times u's one skew product."""
-        return u * self._symbols + self._skews * self.basis.skew_product(u)
+        operator, in that basis, on a backend with skew_in_basis, written to
+        ``out`` when given: each operator's symbol times u plus its kappa
+        times u's one skew product."""
+        out = np.multiply(self._skews, self.basis.skew_product(u), out=out)
+        out += u * self._symbols
+        return out
 
     def system(self, k: float, t: float) -> tuple[SparseMatrix, Preconditioner]:
         """(A, P^-1) with A = 1/k^2 M + 1/k D + K, D = scale_alpha(t) W
@@ -437,36 +440,38 @@ def init_state(backend: BackendHandles, k: float,
 
 
 def _advance(backend: BackendHandles, levels: np.ndarray, products: np.ndarray,
-             top: int, n: int, k: float, scales: np.ndarray, force: np.ndarray,
-             sine: bool = False) -> SolveReport:
+             top: int, n: int, k: float, scales, force: np.ndarray,
+             sine: bool = False) -> tuple[int, float]:
     """One implicit step U^n -> U^{n+1} in a newest-first history: U^n and
     up to HISTORY - 1 older levels are the rows below ``top`` of ``levels``,
     and of ``products`` their BackendHandles.products. The cached system at
-    the time factors ``scales`` of t_n is solved by CG with its sine-basis
-    preconditioner from the highest-degree extrapolant of those levels, with
-    a right-hand side (plus the forcing ``force``) and starting residual that
-    combine their products. U^{n+1} and its products (one stacked matvec) go
-    into row ``top``, so a step costs one matvec per CG iteration and one
-    fused product. When ``sine`` the rows are sine-basis coefficients, and
-    the system and products are those of the sine basis
-    (BackendHandles._step_system and _sine_products): one skew product per
-    CG iteration and one for U^{n+1}, and no sparse matvec."""
+    the time factors ``scales`` (a, b) of t_n is solved by sparse.cg_refine
+    with its sine-basis preconditioner, in place in row ``top`` from the
+    highest-degree extrapolant of those levels, with the two rows of one
+    product of their products as right-hand side (plus the forcing
+    ``force``) and starting residual. The products of U^{n+1} (one stacked
+    matvec) then fill row ``top`` of ``products``, so a step costs one
+    matvec per CG iteration and one fused product. When ``sine`` the rows
+    are sine-basis coefficients, and the system and products are those of
+    the sine basis (BackendHandles._step_system and _sine_products): one
+    skew product per CG iteration and one for U^{n+1}, and no sparse
+    matvec. Returns the solve's (iterations, final relative residual)."""
     system, precond, weights = backend._step_system(k, *scales, sine)
     depth = min(len(levels) - top - 1, HISTORY)
     history = slice(top + 1, top + 1 + depth)
     rhs = weights[depth] @ products[history].reshape(-1, levels.shape[1])
     if backend.params.forcing is not None:
         rhs += force
-    guess = EXTRAPOLANTS[depth] @ levels[history]
+    u = np.matmul(EXTRAPOLANTS[depth], levels[history], out=levels[top])
     try:
-        u_next, report = cg_solve(system, rhs[0], rtol=STEP_RTOL, x0=guess,
-                                  precond=precond, r0=rhs[1])
+        solved = cg_refine(system, rhs[0], u, rhs[1], precond, STEP_RTOL)
     except CgError as exc:
         raise StepError(f"CG failed at step n={n} (t={n * k:g}): {exc}") from exc
-    levels[top] = u_next
-    products[top] = backend._sine_products(u_next) if sine \
-        else backend._stack.matvec(u_next)
-    return report
+    if sine:
+        backend._sine_products(u, out=products[top])
+    else:
+        products[top] = backend._stack.matvec(u)
+    return solved
 
 
 def step(state: StepperState, backend: BackendHandles) -> StepperState:
@@ -481,8 +486,8 @@ def step(state: StepperState, backend: BackendHandles) -> StepperState:
     levels[1:] = state.levels
     products = np.empty((len(levels), len(backend.operators), backend.ndof))
     products[1:] = backend.products(state.levels)
-    report = _advance(backend, levels, products, 0, n, k, scales, backend.forcing)
-    return StepperState(n=n + 1, k=k, levels=levels[:HISTORY], solve=report)
+    solved = _advance(backend, levels, products, 0, n, k, scales, backend.forcing)
+    return StepperState(n=n + 1, k=k, levels=levels[:HISTORY], solve=SolveReport(*solved))
 
 
 def run(backend: BackendHandles, k: float, n_steps: int,
@@ -597,6 +602,8 @@ def _run(backend: BackendHandles, state: StepperState, scales, trace,
 
     report = state.solve
     taken, n_steps = 0, len(scales) - 1
+    if not modal:
+        scales = scales.tolist()  # Python floats: _step_system's key compares them
     while True:
         block = range(taken, min(taken + top, n_steps))  # steps filling rows above top
         if modal:
@@ -610,13 +617,15 @@ def _run(backend: BackendHandles, state: StepperState, scales, trace,
                 u += h[j] * levels[top + 2]
                 if forced:
                     u += f[j]
-        else:
+        elif block:
+            solves = []
             for i in block:
                 top -= 1
-                report = _advance(backend, levels, products, top, state.n + i, k,
-                                  scales[i + 1], force, sine)
-                trace.cg_iterations[i], trace.cg_residuals[i] = \
-                    report.iterations, report.final_residual
+                solves.append(_advance(backend, levels, products, top, state.n + i, k,
+                                       scales[i + 1], force, sine))
+            steps = slice(block.start, block.stop)
+            trace.cg_iterations[steps], trace.cg_residuals[steps] = zip(*solves)
+            report = SolveReport(*solves[-1])
         taken = block.stop
         flush()
         if taken == n_steps:

@@ -13,6 +13,7 @@ from dampedwave.sparse import (
     CgError,
     SineBasis,
     SparseMatrix,
+    cg_refine,
     cg_solve,
     from_coo,
     from_diagonal,
@@ -95,9 +96,19 @@ def test_cg_identity_converges_immediately():
 
 
 def test_cg_zero_rhs():
-    x, rep = cg_solve(from_diagonal(np.ones(4)), np.zeros(4), lambda r: r)
+    a, b = from_diagonal(np.ones(4)), np.zeros(4)
+    x, rep = cg_solve(a, b, lambda r: r)
     assert np.array_equal(x, np.zeros(4))
     assert rep.iterations == 0
+    # a nonzero start comes back zeroed: from cg_solve, which leaves x0 as it
+    # is, and from the core, which zeroes the caller's x and r in place
+    guess = np.arange(1.0, 5.0)
+    x, rep = cg_solve(a, b, lambda r: r, x0=guess)
+    assert np.array_equal(x, np.zeros(4)) and (rep.iterations, rep.final_residual) == (0, 0.0)
+    assert np.array_equal(guess, np.arange(1.0, 5.0))
+    x, r = guess.copy(), b - a.matvec(guess)
+    assert cg_refine(a, b, x, r, lambda r: r, 1e-12) == (0, 0.0)
+    assert np.array_equal(x, np.zeros(4)) and np.array_equal(r, np.zeros(4))
 
 
 def thomas_solve(lower, diag, upper, rhs):
@@ -205,6 +216,12 @@ def test_cg_warm_start_meeting_rtol_is_refined_once():
     assert rep.iterations == 1
     assert rep.final_residual <= start
     assert np.linalg.norm(b - m.matvec(x)) / np.linalg.norm(b) <= start
+    # the core takes the same iteration on the caller's arrays, and leaves
+    # in r the residual it reports
+    x_core, r = guess.copy(), b - m.matvec(guess)
+    assert cg_refine(m, b, x_core, r, pre, 1e-10) == (1, rep.final_residual)
+    assert np.array_equal(x_core, x)
+    assert math.sqrt(r @ r) / math.sqrt(b @ b) == rep.final_residual
 
 
 def test_cg_exact_warm_start_returns_the_guess():
@@ -385,10 +402,13 @@ def test_cg_fails_fast_on_non_finite_rhs(bad):
     k = assemble_stiffness(space)
     b = np.ones(k.dim)
     b[3] = bad
-    with pytest.raises(CgError) as err:
-        cg_solve(k, b, sine_precond(space, k))
-    assert err.value.iterations <= 1
-    assert "non-finite" in str(err.value)
+    pre = sine_precond(space, k)
+    for solve in (lambda: cg_solve(k, b, pre),
+                  lambda: cg_refine(k, b, np.zeros(k.dim), b.copy(), pre, 1e-12)):
+        with pytest.raises(CgError) as err:
+            solve()
+        assert err.value.iterations == 0
+        assert "non-finite" in str(err.value)
 
 
 def test_cg_fails_fast_on_non_finite_residual():

@@ -352,11 +352,12 @@ def test_fem_backend_checks_alpha_range_at_its_quadrature_points():
 
 def test_run_reports_cg_iterations_and_residuals_per_step():
     _, params, fd = fd_setup(m=12, alpha=PI, beta=1.0 / PI, u0=sine_field())
-    _, trace = run(fd, k=0.01, n_steps=20)
+    state, trace = run(fd, k=0.01, n_steps=20)
     # the FD operators are diagonal in the sine basis: the run divides by
     # the symbols and solves nothing
     assert np.array_equal(trace.cg_iterations, np.zeros(20, dtype=int))
     assert np.array_equal(trace.cg_residuals, np.zeros(20))
+    assert state.solve is None
     # a spatial alpha weights the mass, which the sine basis does not
     # diagonalise, so those steps stay CG solves
     exp = builtin_experiments()["spacevar"]
@@ -366,10 +367,16 @@ def test_run_reports_cg_iterations_and_residuals_per_step():
     assert np.all(trace.cg_residuals <= STEP_RTOL)
     exp = builtin_experiments()["ex1"]
     fem = make_fem_backend(FemSpace(build_tri_mesh(UNIT_SQUARE, 12)), exp.params)
-    _, trace = run(fem, k=exp.time_step(12), n_steps=8)
+    assert fem.skew_in_basis is not None and not fem.diagonal_in_basis
+    state, trace = run(fem, k=exp.time_step(12), n_steps=8)
     assert trace.cg_iterations.size == trace.t.size - 1
     assert 1 <= trace.cg_iterations.min() and trace.cg_iterations.max() <= 6
     assert np.all(trace.cg_residuals <= STEP_RTOL)
+    # unweighted P1 steps in the sine basis, but still by CG; the final
+    # state reports the last step's solve
+    assert state.solve.iterations >= 1
+    assert (state.solve.iterations, state.solve.final_residual) == \
+        (trace.cg_iterations[-1], trace.cg_residuals[-1])
 
 
 def test_fd_steady_distances_match_a_chain_of_cg_steps():
@@ -545,6 +552,38 @@ def test_cg_run_makes_one_matvec_per_iteration_and_per_operator(name, operators,
             + operators * n_steps
         assert per_step == [(n, 0) for n in per_level]
         assert not skews
+
+
+@pytest.mark.parametrize("name", ["ex3ii", "spacevar"])
+def test_a_step_refines_in_place_what_cg_solve_returns(name):
+    # one CG loop serves both step paths: the in-place step on the block
+    # (sine basis for ex3ii, grid values for spacevar) and cg_solve on the
+    # same system, right-hand side and warm start agree bit for bit
+    exp = builtin_experiments()[name]
+    backend = make_fem_backend(FemSpace(build_tri_mesh(exp.domain, 8)), exp.params)
+    sine = backend.skew_in_basis is not None
+    assert sine == (name == "ex3ii") and exp.params.forcing is None
+    k = exp.time_step(8)
+    state, _ = run(backend, k, HISTORY)
+    rows = np.array([backend.basis.transform(u) for u in state.levels]) if sine \
+        else state.levels
+    levels = np.empty((HISTORY + 1, backend.ndof))
+    levels[1:] = rows
+    products = np.empty((HISTORY + 1, len(backend.operators), backend.ndof))
+    products[1:] = [backend._sine_products(u) for u in rows] if sine \
+        else backend.products(rows)
+    scales = tuple(backend.params.check_schedules([state.n * k])[0])
+    system, precond, weights = backend._step_system(k, *scales, sine)
+    b, r0 = weights[HISTORY] @ products[1:].reshape(-1, backend.ndof)
+    guess = EXTRAPOLANTS[HISTORY] @ rows
+    x, report = cg_solve(system, b, precond, rtol=STEP_RTOL, x0=guess, r0=r0)
+    solved = stepper._advance(backend, levels, products, 0, state.n, k, scales,
+                              backend.forcing, sine)
+    assert report.iterations >= 1
+    assert solved == (report.iterations, report.final_residual)
+    assert np.array_equal(levels[0], x)
+    want = backend._sine_products(x) if sine else backend.products(x[None])[0]
+    assert np.array_equal(products[0], want)
 
 
 def test_steady_distances_cost_one_matvec_per_run(monkeypatch):
