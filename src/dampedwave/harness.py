@@ -212,7 +212,6 @@ class DecayReport:
     sandwich_ok: bool
     bound_ok: bool
     dk_admissible: bool
-    constant_coeffs: bool
     # margins of the three verdicts (EnergyTrace.worst_growth, sandwich_slack,
     # decay_bound_slack and decay_bound_rate_margin at delta_disc)
     worst_growth: float
@@ -265,7 +264,6 @@ def run_decay(exp: Experiment, n: int, backend: str = "fem",
         sandwich_ok=trace.sandwich_ok(delta_disc),
         bound_ok=trace.decay_bound_ok(delta_disc),
         dk_admissible=delta_disc * k <= DK_CAP,
-        constant_coeffs=exp.constant_coefficients(),
         worst_growth=worst_growth, worst_growth_step=worst_growth_step,
         sandwich_slack=trace.sandwich_slack(delta_disc),
         bound_slack=trace.decay_bound_slack(delta_disc),

@@ -251,8 +251,7 @@ class SkewSymbolOperator:
 
 
 def cg_solve(a, b: np.ndarray, precond: Preconditioner, rtol: float = 1e-12,
-             x0: np.ndarray | None = None,
-             r0: np.ndarray | None = None) -> tuple[np.ndarray, SolveReport]:
+             x0: np.ndarray | None = None) -> tuple[np.ndarray, SolveReport]:
     """Preconditioned conjugate gradients for an SPD operator ``a``: any
     object with ``dim`` and ``matvec``, such as a SparseMatrix or a
     SkewSymbolOperator.
@@ -260,15 +259,12 @@ def cg_solve(a, b: np.ndarray, precond: Preconditioner, rtol: float = 1e-12,
     ``precond`` maps a residual r to P^-1 r for an SPD P: the sine-basis
     solver of a grid operator's symbol (SineBasis.solver), its
     SkewSymbolOperator.precond, or the identity for plain CG. ``x0`` is a
-    warm start and ``r0`` its residual b - a x0 when the caller already has
-    it; CG then starts without a product, as it does from a cold start,
-    whose residual is b. Neither is modified. Checks the arguments and runs
-    cg_refine on copies, whose stopping rules it follows.
+    warm start, which is not modified; its residual b - a x0 costs one
+    product, which a cold start, whose residual is b, does not. Checks the
+    arguments and runs cg_refine on copies, whose stopping rules it follows.
     """
     if rtol <= 0:
         raise ValueError("rtol must be positive")
-    if r0 is not None and x0 is None:
-        raise ValueError("a starting residual needs its starting point x0")
     n = b.shape[0]
     if n != a.dim:
         raise ValueError(f"dimension mismatch: {n} != {a.dim}")
@@ -276,7 +272,7 @@ def cg_solve(a, b: np.ndarray, precond: Preconditioner, rtol: float = 1e-12,
         x, r = np.zeros(n), b.astype(np.float64, copy=True)
     else:
         x = x0.astype(np.float64, copy=True)
-        r = b - a.matvec(x) if r0 is None else r0.astype(np.float64, copy=True)
+        r = b - a.matvec(x)
     iterations, residual = cg_refine(a, b, x, r, precond, rtol, warm=x0 is not None)
     return x, SolveReport(iterations, residual)
 

@@ -11,17 +11,20 @@ common sparsity pattern, its symbol in the grid's sine basis, which
 preconditions every CG solve, and the weights that form the right-hand side
 from the products of the last levels) is linear in the factors
 (1/k^2, alpha/k, beta/k, 1) of the mass, the two damping operators and the
-stiffness, so it is one product with parts built once per backend.
+stiffness, so it is one product with parts built once per backend; the
+right-hand side's factors of each role are one table, RHS.
 
-Where every operator is its symbol plus a multiple of one Kronecker term in
-the grid's sine basis (finite differences and P1 elements without a spatial
-weight, see BackendHandles.skew_in_basis), run() keeps the levels as
-sine-basis coefficients. Where every operator is diagonal there (finite
-differences), one product of the same kind gives a whole block of steps A's
-symbol and the multipliers of U^n and U^{n-1}, mode by mode: no CG solve.
-Otherwise (P1 elements) a step is the same CG solve as on grid values, but
-A is applied as its symbol plus one Kronecker product and preconditioned by
-a division by its symbol, so it makes no sparse matvec.
+Without a spatial weight (finite differences and P1 elements), the damping
+operators are M and K, K is its symbol in the grid's sine basis, and M is its
+symbol plus one multiple, BackendHandles.mass_skew, of a Kronecker term
+there. run() then keeps the levels as sine-basis coefficients. Where that
+multiple is 0 (finite differences), one product of the same kind gives a
+whole block of steps A's symbol and the multipliers of U^n and U^{n-1}, mode
+by mode: no CG solve. Otherwise (P1 elements) a step is the same CG solve as
+on grid values, but A is applied as its symbol plus one Kronecker product
+and preconditioned by a division by its symbol, so it makes no sparse
+matvec. Only grid-value products and systems build the operators' common
+sparsity pattern.
 """
 
 from __future__ import annotations
@@ -50,6 +53,9 @@ EXTRAPOLANTS = {n: np.array([(-1.0) ** j * math.comb(n, j + 1) for j in range(n)
 # steps of a run between two batched energy passes (see _run); 32 to 128
 # measured alike
 BLOCK = 64
+# each role's (M, W, S, K) factor with U^n and U^{n-1} in a step's
+# right-hand side (2 M/k^2 + D/k, -M/k^2), with c as in BackendHandles._parts
+RHS = np.array([[2.0, -1.0], [1.0, 0.0], [1.0, 0.0], [0.0, 0.0]])
 
 
 @dataclass(frozen=True)
@@ -209,11 +215,12 @@ class BackendHandles:
     weak_op: SparseMatrix    # alpha-weighted mass; M itself when alpha has no weight
     strong_op: SparseMatrix  # beta-weighted stiffness; K itself when beta has no weight
     basis: SineBasis         # the unknowns' grid, for the preconditioners
-    # kappa of each role (M, W, S, K): in ``basis`` the operator is its
-    # symbol plus kappa (skew (x) skew), skew = basis.skew; None when an
-    # operator is not of that form (a spatial weight). With it a run keeps
-    # its levels in that basis, and needs no grid matvec per step
-    skew_in_basis: tuple[float, float, float, float] | None = None
+    # kappa of M in ``basis``: there M is its symbol plus kappa (skew (x)
+    # skew), skew = basis.skew, and K is its symbol; None with a spatial
+    # weight, whose operators are not of that form. Without a weight W is M
+    # and S is K, so with it a run keeps its levels in that basis, and needs
+    # no grid matvec per step
+    mass_skew: float | None = None
     # one-entry cache: ((k, alpha, beta, sine), _step_system's result)
     _system: tuple = field(default=(None, None), init=False, repr=False)
 
@@ -225,8 +232,6 @@ class BackendHandles:
         self.operators = list(distinct.values())
         self._op_of_role = [list(distinct).index(id(op)) for op in
                             (self.M, self.weak_op, self.strong_op, self.K)]
-        # the distinct operators on their common pattern, as one stack
-        self._stack = on_common_pattern(self.operators)
         # their symbols, shaped (operators, ndof): in the sine basis, the
         # products of a level with every operator when diagonal_in_basis
         self._symbols = np.stack([self.basis.symbol(op).ravel() for op in self.operators])
@@ -239,7 +244,7 @@ class BackendHandles:
     def diagonal_in_basis(self) -> bool:
         """Every operator is diagonal in ``basis``, so its symbol is exact and
         a sine-basis step solves nothing."""
-        return self.skew_in_basis is not None and not any(self.skew_in_basis)
+        return self.mass_skew == 0.0
 
     @cached_property
     def mass_precond(self) -> Preconditioner:
@@ -257,25 +262,24 @@ class BackendHandles:
         f = self.params.forcing
         return np.zeros(self.ndof) if f is None else self.load(f)
 
+    @cached_property
+    def _stack(self) -> SparseMatrix:
+        """The distinct operators on their common pattern, as one stack;
+        built on first use, which a sine-basis run never makes."""
+        return on_common_pattern(self.operators)
+
     def products(self, levels: np.ndarray) -> np.ndarray:
         """Each level times each distinct operator, an array of shape
         (levels, operators, ndof): one stacked matvec per level."""
         return np.array([self._stack.matvec(u) for u in levels])
 
-    @cached_property
-    def _skews(self) -> np.ndarray:
-        """Each distinct operator's kappa (see skew_in_basis), a column."""
-        kappa = np.zeros((len(self.operators), 1))
-        kappa[self._op_of_role, 0] = self.skew_in_basis
-        return kappa
-
     def _sine_products(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """The products of sine-basis coefficients u with every distinct
-        operator, in that basis, on a backend with skew_in_basis, written to
-        ``out`` when given: each operator's symbol times u plus its kappa
-        times u's one skew product."""
-        out = np.multiply(self._skews, self.basis.skew_product(u), out=out)
-        out += u * self._symbols
+        """The products of sine-basis coefficients u with M and K, in that
+        basis, on a backend with mass_skew, written to ``out`` when given:
+        each operator's symbol times u, plus mass_skew times u's skew
+        product for M."""
+        out = np.multiply(u, self._symbols, out=out)
+        out[0] += self.mass_skew * self.basis.skew_product(u)
         return out
 
     def system(self, k: float, t: float) -> tuple[SparseMatrix, Preconditioner]:
@@ -288,30 +292,26 @@ class BackendHandles:
 
     @cached_property
     def _parts(self):
-        """(values, parts, weight_at) over the roles (M, W, S, K), a row each:
-        with c = (1/k^2, a/k, b/k, 1), c @ values is A's values, flattened,
-        and c @ parts is A's symbol and then the weights of _step_system,
-        those of L levels at weight_at[L]."""
+        """(parts, weight_at) over the roles (M, W, S, K), a row each: with
+        c = (1/k^2, a/k, b/k, 1), c @ parts is A's symbol and then the
+        weights of _step_system, those of L levels at weight_at[L]."""
         roles = np.eye(len(self.operators))[self._op_of_role]
-        # each role's factor with U^n and U^{n-1} in the right-hand side
-        # (2 M/k^2 + D/k, -M/k^2); the starting residual subtracts the
-        # extrapolant times the role's factor in A
-        rhs = np.array([[2.0, -1.0], [1.0, 0.0], [1.0, 0.0], [0.0, 0.0]])
+        # the right-hand side's factors (RHS); the starting residual
+        # subtracts the extrapolant times the role's factor in A
         parts = [self._symbols[self._op_of_role]]
         for n_levels, ext in EXTRAPOLANTS.items():
-            row = np.pad(rhs, ((0, 0), (0, n_levels - 2)))
+            row = np.pad(RHS, ((0, 0), (0, n_levels - 2)))
             pair = np.stack((row, row - ext), axis=1)  # (role, weight row, level)
             parts.append((pair[..., None] * roles[:, None, None]).reshape(4, -1))
         ends = np.cumsum([part.shape[1] for part in parts])
         weight_at = dict(zip(EXTRAPOLANTS, map(slice, ends[:-1], ends[1:])))
-        values = self._stack.vals[self._op_of_role].reshape(4, -1)
-        return values, np.concatenate(parts, axis=1), weight_at
+        return np.concatenate(parts, axis=1), weight_at
 
     def _step_system(self, k: float, a: float, b: float, sine: bool = False):
         """(A, P^-1, weights) for step size k and time factors (a, b): A on
         grid values and its sine-basis solver, or, when ``sine``, A on
-        sine-basis coefficients, its symbol plus c @ skew_in_basis times
-        the skew term, and the division by its symbol.
+        sine-basis coefficients, its symbol plus (c[0] + c[1]) mass_skew
+        times the skew term, and the division by its symbol.
 
         weights[L] has two rows over the (level, operator) pairs of the last
         L levels, newest first (see products): the right-hand side
@@ -322,42 +322,35 @@ class BackendHandles:
         """
         key = (k, a, b, sine)
         if self._system[0] != key:
-            values, parts, weight_at = self._parts
+            parts, weight_at = self._parts
             c = np.array([1.0 / k ** 2, a / k, b / k, 1.0])
             flat = c @ parts
             weights = {n: flat[at].reshape(2, -1) for n, at in weight_at.items()}
             if sine:
-                system = SkewSymbolOperator(self.basis, flat[:self.ndof],
-                                            float(c @ self.skew_in_basis))
+                # M and W carry the skew term; the sum is formed as this dot
+                # product, whose rounding the stepped outputs depend on
+                kappa = float(c[:2] @ (self.mass_skew, self.mass_skew))
+                system = SkewSymbolOperator(self.basis, flat[:self.ndof], kappa)
                 precond = system.precond
             else:
-                system = SparseMatrix(self._stack.cols,
-                                      (c @ values).reshape(self._stack.cols.shape))
+                stack = self._stack
+                values = stack.vals[self._op_of_role].reshape(4, -1)
+                system = SparseMatrix(stack.cols, (c @ values).reshape(stack.cols.shape))
                 precond = self.basis.solver(flat[:self.ndof])
             self._system = (key, (system, precond, weights))
         return self._system[1]
-
-    @cached_property
-    def _modal_parts(self) -> np.ndarray:
-        """The parts of a sine-basis step, shaped (3, roles (M, W, S, K),
-        ndof): with c as in _parts, c @ these is A's symbol and the
-        right-hand side's factors of U^n and of U^{n-1}, mode by mode, which
-        are the weights of 2 levels applied to the operators' symbols."""
-        _, parts, weight_at = self._parts
-        rhs = parts[:, weight_at[2]].reshape(4, 2, 2, -1)[:, 0]  # (role, level, operator)
-        return np.concatenate((parts[None, :, :self.ndof],
-                               (rhs @ self._symbols).transpose(1, 0, 2)))
 
     def _multipliers(self, k: float, scales: np.ndarray,
                      out: np.ndarray | None = None) -> np.ndarray:
         """(symbol, g, h), shaped (3, steps, ndof) and written to ``out`` when
         given, for the steps at the time factors ``scales``, one (a, b) row a
         step: A's symbol, and the multipliers of a sine-basis step
-        U^{n+1} = g U^n + h U^{n-1} (+ F / symbol), all from one product with
-        _modal_parts."""
+        U^{n+1} = g U^n + h U^{n-1} (+ F / symbol), all from one product of
+        c (as in _parts) with the roles' symbols and those times RHS."""
+        symbols = self._symbols[self._op_of_role]
+        parts = np.concatenate((symbols[None], RHS.T[:, :, None] * symbols))
         ones = np.ones((len(scales), 1))
-        out = np.matmul(np.hstack((ones / k ** 2, scales / k, ones)), self._modal_parts,
-                        out=out)
+        out = np.matmul(np.hstack((ones / k ** 2, scales / k, ones)), parts, out=out)
         out[1:] /= out[0]
         return out
 
@@ -373,7 +366,6 @@ def make_fem_backend(space: FemSpace, params: ModelParams) -> BackendHandles:
     # the mass's kappa is hx hy / 6 (see SineBasis.skew); a weighted
     # operator has no such form
     rect, n = space.mesh.rect, space.mesh.n_per_side
-    mass_kappa = rect.width * rect.height / (6.0 * n * n)
     return BackendHandles(
         params=params,
         M=mass,
@@ -382,7 +374,7 @@ def make_fem_backend(space: FemSpace, params: ModelParams) -> BackendHandles:
         load=lambda f: load_vector(space, f),
         weak_op=weak, strong_op=strong,
         basis=space.basis,
-        skew_in_basis=(mass_kappa, mass_kappa, 0.0, 0.0)
+        mass_skew=rect.width * rect.height / (6.0 * n * n)
         if alpha.weight is None and beta.weight is None else None,
     )
 
@@ -411,7 +403,7 @@ def make_fd_backend(grid: FdGrid, params: ModelParams) -> BackendHandles:
         basis=SineBasis(grid.n_per_side - 1),
         # h^2 I and the 5-point h^2 A_h are diagonal in the sine basis; a
         # weighted mass h^2 diag(w) is not
-        skew_in_basis=(0.0, 0.0, 0.0, 0.0) if alpha.weight is None else None,
+        mass_skew=0.0 if alpha.weight is None else None,
     )
 
 
@@ -502,7 +494,7 @@ def run(backend: BackendHandles, k: float, n_steps: int,
     for any other reference). Raises StepError at the first sample whose
     energy is not finite.
 
-    On a backend with skew_in_basis the steps are taken in its sine basis:
+    On a backend with mass_skew the steps are taken in its sine basis:
     on one that is diagonal there they solve nothing and report 0 iterations
     and residual 0, on the others each is a CG step in that basis, as it is
     on grid values for any other backend (see _run)."""
@@ -539,7 +531,7 @@ def _run(backend: BackendHandles, state: StepperState, scales, trace,
     HISTORY newest rows then move to the bottom, so the warm start carries
     across.
 
-    On a backend with skew_in_basis the rows are sine-basis coefficients,
+    On a backend with mass_skew the rows are sine-basis coefficients,
     so the block sums hold by Parseval; the state's levels, the forcing F
     and the reference are transformed once, and only the final state goes
     back to grid values. A step is then a CG _advance in that basis, unless
@@ -552,7 +544,7 @@ def _run(backend: BackendHandles, state: StepperState, scales, trace,
 
     Fills ``trace`` (see run) and returns the final state."""
     k, basis = state.k, backend.basis
-    sine, modal = backend.skew_in_basis is not None, backend.diagonal_in_basis
+    sine, modal = backend.mass_skew is not None, backend.diagonal_in_basis
 
     def row(u):  # a vector of grid values as a row of the block
         return basis.transform(u) if sine else u

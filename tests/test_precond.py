@@ -127,19 +127,20 @@ SKEW_DOMAINS = {"unit": UNIT_SQUARE, "pi": PI_SQUARE,
 @pytest.mark.parametrize("domain", list(SKEW_DOMAINS))
 def test_unweighted_p1_operators_are_their_symbol_plus_the_stated_skew_term(domain, n):
     # the oracle is the dense S2' op S2; an unweighted FEM backend states
-    # each role's kappa, with which it must equal diag(symbol) + kappa
-    # (skew (x) skew), and its sine-basis step operator must apply S2' A S2
+    # the mass's kappa, with which M must equal diag(symbol) + kappa
+    # (skew (x) skew) and K its symbol, and its sine-basis step operator must
+    # apply S2' A S2
     rect = SKEW_DOMAINS[domain]
     params = ModelParams(domain=rect, alpha=0.7, beta=0.3)
     backend = make_fem_backend(FemSpace(build_tri_mesh(rect, n)), params)
     basis = backend.basis
     s2 = np.kron(basis.matrix, basis.matrix)
     skew2 = np.kron(basis.skew, basis.skew)
-    kappa = backend.skew_in_basis
+    kappa = backend.mass_skew
     assert backend.weak_op is backend.M and backend.strong_op is backend.K
-    assert kappa[1] == kappa[0] > 0 and kappa[2] == kappa[3]
+    assert kappa == rect.width * rect.height / (6.0 * n * n) > 0
     assert not backend.diagonal_in_basis
-    for op, kap in ((backend.M, kappa[0]), (backend.K, kappa[3])):
+    for op, kap in ((backend.M, kappa), (backend.K, 0.0)):
         dense = s2.T @ op.to_dense() @ s2
         want = np.diag(basis.symbol(op).ravel()) + kap * skew2
         assert np.max(np.abs(dense - want)) <= 1e-13 * np.max(np.abs(dense))
@@ -157,6 +158,20 @@ def test_unweighted_p1_operators_are_their_symbol_plus_the_stated_skew_term(doma
     assert np.allclose(precond(v), v / basis.symbol(grid).ravel(), rtol=1e-13, atol=0.0)
 
 
+@pytest.mark.parametrize("name", ["ex1", "timevar"])
+def test_unweighted_fd_operators_are_their_symbol(name):
+    # h^2 I and the 5-point h^2 A_h are diagonal in S2: an unweighted FD
+    # backend states a zero kappa, so its sine-basis steps solve nothing
+    params = builtin_experiments()[name].params
+    backend = make_fd_backend(build_fd_grid(UNIT_SQUARE, 8), params)
+    assert backend.mass_skew == 0.0 and backend.diagonal_in_basis
+    s2 = np.kron(backend.basis.matrix, backend.basis.matrix)
+    for op in (backend.M, backend.K):
+        dense = s2.T @ op.to_dense() @ s2
+        want = np.diag(backend.basis.symbol(op).ravel())
+        assert np.max(np.abs(dense - want)) <= 1e-13 * np.max(np.abs(dense))
+
+
 @pytest.mark.parametrize("kind", ["fem-alpha", "fem-beta", "fd"])
 def test_weighted_operators_state_no_skew_term(kind):
     # a weighted mass or stiffness is not its symbol plus any multiple of
@@ -171,7 +186,7 @@ def test_weighted_operators_state_no_skew_term(kind):
     else:
         params = ModelParams(domain=UNIT_SQUARE, **{kind[4:]: coeff})
         backend = make_fem_backend(FemSpace(build_tri_mesh(UNIT_SQUARE, 8)), params)
-    assert backend.skew_in_basis is None and not backend.diagonal_in_basis
+    assert backend.mass_skew is None and not backend.diagonal_in_basis
     basis = backend.basis
     s2 = np.kron(basis.matrix, basis.matrix)
     skew2 = np.kron(basis.skew, basis.skew)

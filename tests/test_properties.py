@@ -355,3 +355,19 @@ def test_fem_run_matches_dense_solves(n, alpha, beta, kind, dk, forced, p, q, fd
         assert trace.monotone()
         assert trace.sandwich_ok(delta)
         assert trace.decay_bound_ok(delta)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 2")
+def test_weakly_damped_fem_run_at_the_step_size_edge_is_monotone():
+    # a falsifying draw of test_fem_run_matches_dense_solves (seed 2, 300
+    # examples): four unknowns, constant alpha = 1e-4, beta = 0 and k at the
+    # edge delta k = 34/205, about 3300. The run agrees with dense solves,
+    # but its energy rises between steps whose solves report a residual
+    # below STEP_RTOL
+    params = ModelParams(domain=UNIT_SQUARE, alpha=1e-4, beta=0.0,
+                         u0=mode_field(1, 2), u1=mode_field(2, 1))
+    backend = make_fem_backend(FemSpace(build_tri_mesh(UNIT_SQUARE, 3)), params)
+    _, delta = decay_bounds(1e-4, 0.0, dense_lambda1(backend))
+    final, trace = run(backend, k=DK_CAP / delta, n_steps=30)
+    assert_runs_agree(final, trace, dense_reference(backend, DK_CAP / delta, 30))
+    assert trace.monotone()

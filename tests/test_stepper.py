@@ -13,7 +13,7 @@ from dampedwave.harness import build_backend, builtin_experiments, run_decay, \
     run_steady
 from dampedwave.mesh import UNIT_SQUARE, build_fd_grid, build_tri_mesh
 from dampedwave.oracle import Mode, modal_recurrence
-from dampedwave.sparse import CgError, SineBasis, SparseMatrix, cg_solve
+from dampedwave.sparse import CgError, SineBasis, SparseMatrix, cg_refine, cg_solve
 from dampedwave.stepper import (
     EXTRAPOLANTS,
     HISTORY,
@@ -367,7 +367,7 @@ def test_run_reports_cg_iterations_and_residuals_per_step():
     assert np.all(trace.cg_residuals <= STEP_RTOL)
     exp = builtin_experiments()["ex1"]
     fem = make_fem_backend(FemSpace(build_tri_mesh(UNIT_SQUARE, 12)), exp.params)
-    assert fem.skew_in_basis is not None and not fem.diagonal_in_basis
+    assert fem.mass_skew is not None and not fem.diagonal_in_basis
     state, trace = run(fem, k=exp.time_step(12), n_steps=8)
     assert trace.cg_iterations.size == trace.t.size - 1
     assert 1 <= trace.cg_iterations.min() and trace.cg_iterations.max() <= 6
@@ -505,7 +505,7 @@ def test_cg_run_makes_one_matvec_per_iteration_and_per_operator(name, operators,
     exp = builtin_experiments()[name]
     backend = make_fem_backend(FemSpace(build_tri_mesh(exp.domain, 8)), exp.params)
     assert len(backend.operators) == operators
-    sine = backend.skew_in_basis is not None
+    sine = backend.mass_skew is not None
     assert sine == (name == "ex3ii") and not backend.diagonal_in_basis
     k = exp.time_step(8)
     products = []  # per matvec call: the operators of a stack, 1 otherwise
@@ -557,11 +557,12 @@ def test_cg_run_makes_one_matvec_per_iteration_and_per_operator(name, operators,
 @pytest.mark.parametrize("name", ["ex3ii", "spacevar"])
 def test_a_step_refines_in_place_what_cg_solve_returns(name):
     # one CG loop serves both step paths: the in-place step on the block
-    # (sine basis for ex3ii, grid values for spacevar) and cg_solve on the
-    # same system, right-hand side and warm start agree bit for bit
+    # (sine basis for ex3ii, grid values for spacevar) and cg_refine on
+    # copies of the same warm start and its residual, with the same system
+    # and right-hand side, agree bit for bit
     exp = builtin_experiments()[name]
     backend = make_fem_backend(FemSpace(build_tri_mesh(exp.domain, 8)), exp.params)
-    sine = backend.skew_in_basis is not None
+    sine = backend.mass_skew is not None
     assert sine == (name == "ex3ii") and exp.params.forcing is None
     k = exp.time_step(8)
     state, _ = run(backend, k, HISTORY)
@@ -575,12 +576,12 @@ def test_a_step_refines_in_place_what_cg_solve_returns(name):
     scales = tuple(backend.params.check_schedules([state.n * k])[0])
     system, precond, weights = backend._step_system(k, *scales, sine)
     b, r0 = weights[HISTORY] @ products[1:].reshape(-1, backend.ndof)
-    guess = EXTRAPOLANTS[HISTORY] @ rows
-    x, report = cg_solve(system, b, precond, rtol=STEP_RTOL, x0=guess, r0=r0)
+    x = EXTRAPOLANTS[HISTORY] @ rows
+    report = cg_refine(system, b, x, r0.copy(), precond, STEP_RTOL)
     solved = stepper._advance(backend, levels, products, 0, state.n, k, scales,
                               backend.forcing, sine)
-    assert report.iterations >= 1
-    assert solved == (report.iterations, report.final_residual)
+    assert report[0] >= 1
+    assert solved == report
     assert np.array_equal(levels[0], x)
     want = backend._sine_products(x) if sine else backend.products(x[None])[0]
     assert np.array_equal(products[0], want)
@@ -609,7 +610,7 @@ def test_steady_distances_cost_one_matvec_per_run(monkeypatch):
     count(SineBasis, "skew_product")
     for params, sine in ((spacevar, False), (exp.params, True)):
         backend, _ = build_backend(params, 8, "fem")
-        assert (backend.skew_in_basis is not None) == sine
+        assert (backend.mass_skew is not None) == sine
         assert not backend.diagonal_in_basis
         u_inf, k = steady_state(backend), exp.time_step(8)
         counts, traces = [], []
@@ -688,7 +689,7 @@ def test_stacked_matvec_is_each_operators_own(case, operators):
         stack.matvec(np.ones(backend.ndof + 1))
     # unweighted P1 (ex3ii) also has its products in the sine basis: those
     # of the levels' coefficients are the coefficients of their products
-    assert (backend.skew_in_basis is not None) == (case == "ex3ii")
+    assert (backend.mass_skew is not None) == (case == "ex3ii")
     if case == "ex3ii":
         basis = backend.basis
         coeffs = np.array([basis.transform(u) for u in levels])
@@ -697,6 +698,21 @@ def test_stacked_matvec_is_each_operators_own(case, operators):
         got = np.array([backend._sine_products(c) for c in coeffs])
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("name,kind,grid_frame", [("ex3ii", "fem", False),
+                                                   ("timevar", "fd", False),
+                                                   ("spacevar", "fem", True),
+                                                   ("spacevar", "fd", True)])
+def test_only_a_grid_frame_run_builds_the_stack(name, kind, grid_frame):
+    # the operators' common pattern serves grid-value products and systems;
+    # a run in the sine basis, by CG (ex3ii FEM) or by multipliers (timevar
+    # FD), never builds it
+    exp = builtin_experiments()[name]
+    backend, _ = build_backend(exp.params, 8, kind)
+    assert (backend.mass_skew is None) == grid_frame
+    run(backend, exp.time_step(8), 20)
+    assert ("_stack" in backend.__dict__) == grid_frame
 
 
 def test_nan_schedule_is_rejected_at_construction():
@@ -862,7 +878,7 @@ def test_run_matches_a_chain_of_steps_across_history_blocks(kind, name, n_steps)
     # the same iterations and agree to 1e-10
     exp = builtin_experiments()[name]
     backend, _ = build_backend(exp.params, 8, kind)
-    sine = backend.skew_in_basis is not None
+    sine = backend.mass_skew is not None
     assert sine == (name == "ex3ii") and not backend.diagonal_in_basis
     rtol = 1e-10 if sine else 1e-12
     k = exp.time_step(8)
