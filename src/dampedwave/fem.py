@@ -170,9 +170,11 @@ def l2_project(space: FemSpace, f: ScalarField) -> np.ndarray:
 
 
 def elliptic_project(space: FemSpace, u: ScalarField) -> np.ndarray:
-    """Solve K p = (grad u, grad phi_i) by CG preconditioned in the sine
-    basis, which is exact for K; requires an analytic gradient."""
+    """Solve K p = (grad u, grad phi_i) by the division by K's symbol in the
+    sine basis, which is K^-1; requires a finite analytic gradient."""
     ux, uy = grad_at_midpoints(space, u)
+    if not np.all(np.isfinite(ux) & np.isfinite(uy)):
+        raise ValueError("elliptic projection requires a finite gradient")
     area, grads, _ = space.geometry
     # grad phi_i is constant per element: b_i += (A/3) sum_q grad u(m_q) . g_i
     contrib = (area / 3.0)[:, None] * (
@@ -180,8 +182,7 @@ def elliptic_project(space: FemSpace, u: ScalarField) -> np.ndarray:
         + uy.sum(axis=1)[:, None] * grads[:, :, 1]
     )
     stiff, basis = assemble_stiffness(space), space.basis
-    p, _ = cg_solve(stiff, space.scatter(contrib), basis.solver(basis.symbol(stiff)))
-    return p
+    return basis.solver(basis.symbol(stiff))(space.scatter(contrib))
 
 
 def error_norms(space: FemSpace, u_h: np.ndarray,

@@ -223,9 +223,9 @@ class DecayReport:
 
 def discrete_lambda1(backend: BackendHandles) -> tuple[float, np.ndarray, int]:
     """(lambda1, eigenvector, iterations) of the backend's (K, M) pencil, by
-    inverse power iteration with sine-basis preconditioned K-solves."""
+    inverse power iteration whose K-solve is stiffness_precond, exact for K."""
     return smallest_generalized_eigenpair(backend.K, backend.M,
-                                          precond=backend.stiffness_precond)
+                                          solve=backend.stiffness_precond)
 
 
 def run_decay(exp: Experiment, n: int, backend: str = "fem",

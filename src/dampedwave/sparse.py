@@ -1,7 +1,8 @@
 """Symmetric sparse matrices in fixed-width rows, a preconditioned CG solver,
 the sine basis that preconditions grid operators (and diagonalises the finite
-difference ones, and the P1 ones up to one Kronecker term), and inverse power
-iteration for the generalized eigenproblem K v = lambda M v."""
+difference ones and the P1 stiffness, and the P1 mass up to one Kronecker
+term), and inverse power iteration for the generalized eigenproblem
+K v = lambda M v."""
 
 from __future__ import annotations
 
@@ -14,7 +15,8 @@ import numpy as np
 
 Preconditioner = Callable[[np.ndarray], np.ndarray]  # r -> P^-1 r
 
-CG_ITERATIONS_PER_UNKNOWN = 50  # cg_solve's iteration cap, per unknown
+CG_ITERATIONS_PER_UNKNOWN = 50  # cg_refine's iteration cap, per unknown
+CG_RTOL = 1e-12  # the relative residual of a cg_solve
 # inverse iteration: relative change of lambda that ends it, and its cap
 EIG_TOL, EIG_MAX_ITER = 1e-10, 500
 
@@ -250,36 +252,27 @@ class SkewSymbolOperator:
         return r / self.symbol
 
 
-def cg_solve(a, b: np.ndarray, precond: Preconditioner, rtol: float = 1e-12,
-             x0: np.ndarray | None = None) -> tuple[np.ndarray, SolveReport]:
-    """Preconditioned conjugate gradients for an SPD operator ``a``: any
+def cg_solve(a, b: np.ndarray, precond: Preconditioner) -> tuple[np.ndarray, SolveReport]:
+    """Preconditioned conjugate gradients for an SPD operator ``a`` (any
     object with ``dim`` and ``matvec``, such as a SparseMatrix or a
-    SkewSymbolOperator.
+    SkewSymbolOperator), from x = 0 to the relative residual CG_RTOL.
 
     ``precond`` maps a residual r to P^-1 r for an SPD P: the sine-basis
     solver of a grid operator's symbol (SineBasis.solver), its
-    SkewSymbolOperator.precond, or the identity for plain CG. ``x0`` is a
-    warm start, which is not modified; its residual b - a x0 costs one
-    product, which a cold start, whose residual is b, does not. Checks the
-    arguments and runs cg_refine on copies, whose stopping rules it follows.
+    SkewSymbolOperator.precond, or the identity for plain CG. Checks the
+    dimension and runs cg_refine from the cold start (residual b).
     """
-    if rtol <= 0:
-        raise ValueError("rtol must be positive")
     n = b.shape[0]
     if n != a.dim:
         raise ValueError(f"dimension mismatch: {n} != {a.dim}")
-    if x0 is None:
-        x, r = np.zeros(n), b.astype(np.float64, copy=True)
-    else:
-        x = x0.astype(np.float64, copy=True)
-        r = b - a.matvec(x)
-    iterations, residual = cg_refine(a, b, x, r, precond, rtol, warm=x0 is not None)
+    x, r = np.zeros(n), b.astype(np.float64, copy=True)
+    iterations, residual = cg_refine(a, b, x, r, precond, CG_RTOL, warm=False)
     return x, SolveReport(iterations, residual)
 
 
 def cg_refine(a, b: np.ndarray, x: np.ndarray, r: np.ndarray, precond: Preconditioner,
               rtol: float, warm: bool = True) -> tuple[int, float]:
-    """The CG iterations of cg_solve, in place: refines ``x``, whose
+    """The one CG iteration loop, in place: refines ``x``, whose
     residual b - a x is ``r``, and ``r`` with it, until the relative
     residual |r| / |b| is at most ``rtol``; returns (iterations, that
     residual). No argument is checked.
@@ -324,9 +317,9 @@ def cg_refine(a, b: np.ndarray, x: np.ndarray, r: np.ndarray, precond: Precondit
     raise CgError(max_iter, res)
 
 
-def smallest_generalized_eigenpair(k: SparseMatrix, m, precond: Preconditioner):
+def smallest_generalized_eigenpair(k: SparseMatrix, m, solve: Preconditioner):
     """Inverse power iteration on the pencil (K, M) with M-normalization, to
-    EIG_TOL in EIG_MAX_ITER iterations; ``precond`` is passed to the K-solves.
+    EIG_TOL in EIG_MAX_ITER iterations; ``solve`` maps b to K^-1 b.
 
     Returns (lambda1, eigenvector, iterations); the eigenvector satisfies
     v' M v = 1.
@@ -341,8 +334,7 @@ def smallest_generalized_eigenpair(k: SparseMatrix, m, precond: Preconditioner):
 
     v, mv, lam = normalised(np.ones(k.dim))
     for it in range(1, EIG_MAX_ITER + 1):
-        w, _ = cg_solve(k, mv, x0=v / lam, precond=precond)
-        v, mv, lam_new = normalised(w)
+        v, mv, lam_new = normalised(solve(mv))
         converged = abs(lam_new - lam) <= EIG_TOL * abs(lam_new)
         lam = lam_new
         if converged:

@@ -9,16 +9,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dampedwave import diagnostics, fem
+from dampedwave import diagnostics, fem, sparse, stepper
 from dampedwave.fdm import FdOperator, fd_eigenvalue
 from dampedwave.fem import FemSpace, ScalarField, assemble_mass, assemble_stiffness
-from dampedwave.harness import builtin_experiments
+from dampedwave.harness import builtin_experiments, discrete_lambda1
 from dampedwave.mesh import PI_SQUARE, Rectangle, UNIT_SQUARE, build_fd_grid, \
     build_tri_mesh
 from dampedwave.sparse import SineBasis, SkewSymbolOperator, cg_solve, \
     from_diagonal, smallest_generalized_eigenpair
 from dampedwave.stepper import ModelParams, SpatialField, init_state, \
-    make_fd_backend, make_fem_backend
+    make_fd_backend, make_fem_backend, steady_state
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -84,25 +84,25 @@ def test_p1_stiffness_is_diagonal_in_the_sine_basis():
     k = assemble_stiffness(space)
     basis = SineBasis(11)
     b = np.random.default_rng(3).normal(size=k.dim)
-    x, rep = cg_solve(k, b, rtol=1e-12, precond=basis.solver(basis.symbol(k)))
+    x, rep = cg_solve(k, b, basis.solver(basis.symbol(k)))
     assert rep.iterations == 1
     assert np.allclose(k.matvec(x), b, atol=1e-11 * np.linalg.norm(b))
 
 
 @pytest.mark.parametrize("n", [8, 16, 32])
 def test_projections_and_higher_energy_solve_in_the_sine_basis(n, monkeypatch):
-    # each solve against Jacobi CG (P = diag(A)) on the same system: the
-    # sine basis solves the elliptic projection's K in one iteration, and the
-    # M-solves of the L2 projection and energy_EA in fewer (on ex1, 11-13
-    # against 14-19 at N = 8, 16, 32; Jacobi takes 6-56 for K)
+    # the elliptic projection's K-solve is one division by K's symbol, no CG;
+    # the M-solves of the L2 projection and energy_EA are CG solves that take
+    # fewer iterations than Jacobi CG (P = diag(A)) on the same system (on
+    # ex1, 11-13 against 14-19 at N = 8, 16, 32)
     exp = builtin_experiments()["ex1"]
     space = FemSpace(build_tri_mesh(exp.domain, n))
     backend = make_fem_backend(space, exp.params)
     state = init_state(backend, exp.time_step(n), exact_at=exp.exact.field_at)
     solves = []
 
-    def recorded(a, b, precond, **kwargs):
-        x, rep = cg_solve(a, b, precond, **kwargs)
+    def recorded(a, b, precond):
+        x, rep = cg_solve(a, b, precond)
         solves.append((a, b, rep.iterations))
         return x, rep
 
@@ -110,10 +110,11 @@ def test_projections_and_higher_energy_solve_in_the_sine_basis(n, monkeypatch):
     monkeypatch.setattr(diagnostics, "cg_solve", recorded)
     u = exp.exact.field_at(0.0)
     fem.elliptic_project(space, u)
+    assert solves == []
     fem.l2_project(space, u)
     diagnostics.energy_EA(state, backend)
-    assert len(solves) == 3
-    assert solves[0][2] == 1
+    assert len(solves) == 2  # both with the mass
+    assert all(np.array_equal(a.vals, backend.M.vals) for a, _, _ in solves)
     for a, b, its in solves:
         _, jacobi = cg_solve(a, b, lambda r: r / a.diagonal())
         assert its < jacobi.iterations
@@ -121,6 +122,58 @@ def test_projections_and_higher_energy_solve_in_the_sine_basis(n, monkeypatch):
 
 SKEW_DOMAINS = {"unit": UNIT_SQUARE, "pi": PI_SQUARE,
                 "rectangle": Rectangle(-1.0, 0.5, 0.0, 3.0)}
+
+
+def _k_solve_backend(kind):
+    """An FD or FEM backend at N = 12 on a SKEW_DOMAINS domain (``fd-``,
+    ``fem-``), or of the spacevar experiment (``spacevar-``)."""
+    backend, where = kind.split("-")
+    params = builtin_experiments()["spacevar"].params if where == "spacevar" \
+        else ModelParams(domain=SKEW_DOMAINS[where], alpha=0.7, beta=0.3)
+    if backend == "fd":
+        return make_fd_backend(build_fd_grid(params.domain, 12), params)
+    return make_fem_backend(FemSpace(build_tri_mesh(params.domain, 12)), params)
+
+
+@pytest.mark.parametrize("kind", ["fd-unit", "fem-unit", "fem-pi", "fem-rectangle",
+                                  "fem-spacevar", "fd-spacevar"])
+def test_stiffness_precond_is_the_inverse_of_k(kind):
+    # K (5-point or P1, unweighted on every backend) is diagonal in the sine
+    # basis, so the division by its symbol is K^-1: what steady_state, the
+    # lambda1 inverse iteration and the elliptic projection apply
+    backend = _k_solve_backend(kind)
+    for seed in range(3):
+        b = np.random.default_rng(seed).normal(size=backend.ndof)
+        back = backend.K.matvec(backend.stiffness_precond(b))
+        assert np.linalg.norm(back - b) <= 1e-12 * np.linalg.norm(b)
+
+
+def test_k_solves_run_no_cg(monkeypatch):
+    # with every CG entry point raising, the steady state, lambda1 and the
+    # elliptic projection still come out
+    exps = builtin_experiments()
+    forced = [make_fem_backend(FemSpace(build_tri_mesh(UNIT_SQUARE, 8)),
+                               exps["forcing"].params),
+              make_fd_backend(build_fd_grid(UNIT_SQUARE, 8), exps["forcing"].params)]
+    pencils = [_k_solve_backend("fem-pi"), _k_solve_backend("fd-unit")]
+    space = FemSpace(build_tri_mesh(UNIT_SQUARE, 8))
+
+    def no_cg(*args, **kwargs):
+        raise AssertionError("a K-solve ran CG")
+
+    for module in (sparse, stepper, fem, diagnostics):
+        for name in ("cg_solve", "cg_refine"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, no_cg)
+    for backend in forced:
+        u = steady_state(backend)
+        assert np.linalg.norm(backend.K.matvec(u) - backend.forcing) \
+            <= 1e-12 * np.linalg.norm(backend.forcing)
+    for backend in pencils:
+        lam, v, its = discrete_lambda1(backend)
+        assert 0.0 < lam < np.inf and its > 1
+    p = fem.elliptic_project(space, exps["ex1"].exact.field_at(0.0))
+    assert np.all(np.isfinite(p)) and np.any(p != 0.0)
 
 
 @pytest.mark.parametrize("n", [2, 3, 8])
@@ -238,7 +291,7 @@ def test_preconditioned_lambda1_matches_scipy_eigsh(backend):
     else:
         handles = make_fd_backend(build_fd_grid(PI_SQUARE, 16), exp.params)
     lam, _, _ = smallest_generalized_eigenpair(
-        handles.K, handles.M, precond=handles.stiffness_precond)
+        handles.K, handles.M, solve=handles.stiffness_precond)
 
     def csr(a):
         return sp.csr_matrix((a.vals.ravel(), (a.rows.ravel(), a.cols.ravel())),
@@ -247,6 +300,20 @@ def test_preconditioned_lambda1_matches_scipy_eigsh(backend):
     want = linalg.eigsh(csr(handles.K), k=1, M=csr(handles.M), sigma=0.0,
                         which="LM", return_eigenvectors=False)[0]
     assert lam == pytest.approx(want, rel=1e-10)
+
+
+@pytest.mark.parametrize("kind", ["fem", "fd"])
+def test_steady_state_matches_scipy_spsolve(kind):
+    sp = pytest.importorskip("scipy.sparse")
+    linalg = pytest.importorskip("scipy.sparse.linalg")
+    params = builtin_experiments()["forcing"].params
+    backend = make_fd_backend(build_fd_grid(params.domain, 16), params) if kind == "fd" \
+        else make_fem_backend(FemSpace(build_tri_mesh(params.domain, 16)), params)
+    k = backend.K
+    csr = sp.csr_matrix((k.vals.ravel(), (k.rows.ravel(), k.cols.ravel())),
+                        shape=(k.dim, k.dim))
+    want = linalg.spsolve(csr, backend.forcing)
+    assert np.linalg.norm(steady_state(backend) - want) <= 1e-12 * np.linalg.norm(want)
 
 
 def test_package_runs_without_scipy():

@@ -83,7 +83,7 @@ def test_cg_matches_a_dense_solve_with_either_preconditioner(kind, n, alpha, bet
     b = np.random.default_rng(seed).normal(size=backend.ndof)
     want = np.linalg.solve(system.to_dense(), b)
     for pre in (lambda r: r, precond):
-        x, _ = cg_solve(system, b, rtol=1e-12, precond=pre)
+        x, _ = cg_solve(system, b, pre)
         assert np.linalg.norm(x - want) <= 1e-9 * np.linalg.norm(want)
 
 

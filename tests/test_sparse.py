@@ -1,3 +1,4 @@
+import inspect
 import math
 import warnings
 from dataclasses import replace
@@ -100,12 +101,9 @@ def test_cg_zero_rhs():
     x, rep = cg_solve(a, b, lambda r: r)
     assert np.array_equal(x, np.zeros(4))
     assert rep.iterations == 0
-    # a nonzero start comes back zeroed: from cg_solve, which leaves x0 as it
-    # is, and from the core, which zeroes the caller's x and r in place
+    # a nonzero start comes back zeroed: cg_refine zeroes the caller's x and
+    # r in place
     guess = np.arange(1.0, 5.0)
-    x, rep = cg_solve(a, b, lambda r: r, x0=guess)
-    assert np.array_equal(x, np.zeros(4)) and (rep.iterations, rep.final_residual) == (0, 0.0)
-    assert np.array_equal(guess, np.arange(1.0, 5.0))
     x, r = guess.copy(), b - a.matvec(guess)
     assert cg_refine(a, b, x, r, lambda r: r, 1e-12) == (0, 0.0)
     assert np.array_equal(x, np.zeros(4)) and np.array_equal(r, np.zeros(4))
@@ -138,7 +136,7 @@ def test_cg_matches_tridiagonal_elimination():
     vals = np.concatenate([main, off, off])
     a = from_coo(rows, cols, vals, n)
     b = h * np.ones(n)  # lumped load for f = 1
-    x, _ = cg_solve(a, b, lambda r: r, rtol=1e-12)
+    x, _ = cg_solve(a, b, lambda r: r)
     ref = thomas_solve(off, main, off, b)
     assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
 
@@ -158,7 +156,7 @@ def test_cg_preconditioner_returning_its_argument_matches_a_copy():
             seen.append(r.copy())
             return precond(r)
 
-        x, rep = cg_solve(a, b, recorded, rtol=1e-12)
+        x, rep = cg_solve(a, b, recorded)
         runs.append((x, rep, seen))
     (x0, rep0, seen0), (x1, rep1, seen1) = runs
     assert rep0 == rep1 and rep0.iterations > 1
@@ -172,22 +170,47 @@ def test_cg_random_spd():
     spd = b.T @ b + np.eye(10)
     a = from_dense(spd)
     rhs = rng.normal(size=10)
-    x, rep = cg_solve(a, rhs, lambda r: r, rtol=1e-10)
+    x, rep = cg_solve(a, rhs, lambda r: r)
     assert np.linalg.norm(rhs - spd @ x) <= 1e-10 * np.linalg.norm(rhs)
-    assert rep.final_residual <= 1e-10
+    assert rep.final_residual <= sparse.CG_RTOL
+
+
+def test_cg_solve_is_a_cold_solve_at_cg_rtol():
+    # no start and no tolerance to set: the operator, b and P^-1
+    assert list(inspect.signature(cg_solve).parameters) == ["a", "b", "precond"]
+    space = FemSpace(build_tri_mesh(UNIT_SQUARE, 8))
+    m = assemble_mass(space)
+    b = np.random.default_rng(5).normal(size=m.dim)
+    x, rep = cg_solve(m, b, sine_precond(space, m))
+    assert rep.iterations > 1 and rep.final_residual <= sparse.CG_RTOL == 1e-12
+    assert np.linalg.norm(b - m.matvec(x)) <= 1e-11 * np.linalg.norm(b)
+
+
+def cold_refine(a, b, precond, rtol):
+    """cg_refine from x = 0 (residual b) at ``rtol``: (x, iterations, residual)."""
+    x = np.zeros(b.shape[0])
+    its, res = cg_refine(a, b, x, b.copy(), precond, rtol, warm=False)
+    return x, its, res
+
+
+def warm_refine(a, b, guess, precond, rtol):
+    """cg_refine from a copy of ``guess``: (x, iterations, residual)."""
+    x = guess.astype(np.float64, copy=True)
+    its, res = cg_refine(a, b, x, b - a.matvec(x), precond, rtol)
+    return x, its, res
 
 
 def test_cg_raises_on_iteration_cap(monkeypatch):
     # unpreconditioned CG on eigenvalues 1 ... 1e8 loses orthogonality and
-    # needs 92 iterations for 20 unknowns, within the cap of 50 per unknown;
-    # a cap of 1 per unknown stops it
+    # needs 92 iterations for 20 unknowns to reach 1e-14, within the cap of
+    # 50 per unknown; a cap of 1 per unknown stops it
     a = from_diagonal(np.logspace(0.0, 8.0, 20))
     b = np.ones(20)
-    _, rep = cg_solve(a, b, rtol=1e-14, precond=lambda r: r)
-    assert 20 < rep.iterations <= 50 * 20
+    _, its, _ = cold_refine(a, b, lambda r: r, 1e-14)
+    assert 20 < its <= 50 * 20
     monkeypatch.setattr(sparse, "CG_ITERATIONS_PER_UNKNOWN", 1)
     with pytest.raises(CgError, match="did not converge") as err:
-        cg_solve(a, b, rtol=1e-14, precond=lambda r: r)
+        cold_refine(a, b, lambda r: r, 1e-14)
     assert err.value.iterations == 20
 
 
@@ -199,9 +222,9 @@ def test_cg_warm_start_helps():
     m = assemble_mass(space)
     pre = sine_precond(space, m)
     b = np.ones(m.dim)
-    x_cold, rep_cold = cg_solve(m, b, pre, rtol=1e-10)
-    _, rep_warm = cg_solve(m, b, pre, rtol=1e-10, x0=x_cold)
-    assert rep_warm.iterations < rep_cold.iterations
+    x_cold, its_cold, _ = cold_refine(m, b, pre, 1e-10)
+    _, its_warm, _ = warm_refine(m, b, x_cold, pre, 1e-10)
+    assert its_warm < its_cold
 
 
 def test_cg_warm_start_meeting_rtol_is_refined_once():
@@ -209,19 +232,17 @@ def test_cg_warm_start_meeting_rtol_is_refined_once():
     m = assemble_mass(space)
     pre = sine_precond(space, m)
     b = np.ones(m.dim)
-    guess, _ = cg_solve(m, b, pre, rtol=1e-12)
+    guess, _ = cg_solve(m, b, pre)
     start = np.linalg.norm(b - m.matvec(guess)) / np.linalg.norm(b)
     assert 0.0 < start <= 1e-10
-    x, rep = cg_solve(m, b, pre, rtol=1e-10, x0=guess)
-    assert rep.iterations == 1
-    assert rep.final_residual <= start
+    x, r = guess.copy(), b - m.matvec(guess)
+    its, res = cg_refine(m, b, x, r, pre, 1e-10)
+    assert its == 1
+    assert res <= start
     assert np.linalg.norm(b - m.matvec(x)) / np.linalg.norm(b) <= start
-    # the core takes the same iteration on the caller's arrays, and leaves
-    # in r the residual it reports
-    x_core, r = guess.copy(), b - m.matvec(guess)
-    assert cg_refine(m, b, x_core, r, pre, 1e-10) == (1, rep.final_residual)
-    assert np.array_equal(x_core, x)
-    assert math.sqrt(r @ r) / math.sqrt(b @ b) == rep.final_residual
+    # the iteration runs on the caller's arrays, and leaves in r the
+    # residual it reports
+    assert math.sqrt(r @ r) / math.sqrt(b @ b) == res
 
 
 def test_cg_exact_warm_start_returns_the_guess():
@@ -229,9 +250,9 @@ def test_cg_exact_warm_start_returns_the_guess():
     guess = np.ones(2)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        x, rep = cg_solve(a, np.array([2.0, 3.0]), lambda r: r, x0=guess)
-    assert rep.iterations == 0 and rep.final_residual == 0.0
-    assert np.array_equal(x, guess) and x is not guess
+        x, its, res = warm_refine(a, np.array([2.0, 3.0]), guess, lambda r: r, 1e-12)
+    assert its == 0 and res == 0.0
+    assert np.array_equal(x, guess)
 
 
 def _reference_cg(a, b, rtol, max_iter, precond):
@@ -263,13 +284,17 @@ def _reference_cg(a, b, rtol, max_iter, precond):
 
 @pytest.mark.parametrize("rtol", [1e-10, 2.0])
 def test_cg_cold_start_is_bit_identical_to_the_reference_loop(rtol):
+    # cg_refine from a cold start at rtol, and cg_solve at CG_RTOL
     space = FemSpace(build_tri_mesh(UNIT_SQUARE, 8))
     k, m = assemble_stiffness(space), assemble_mass(space)
     b = np.random.default_rng(3).normal(size=k.dim)
     for a in (k, m):
         pre = sine_precond(space, a)
-        x, rep = cg_solve(a, b, pre, rtol=rtol)
-        want, its, res = _reference_cg(a, b, rtol, 10_000, pre)
+        x, its, res = cold_refine(a, b, pre, rtol)
+        want, want_its, want_res = _reference_cg(a, b, rtol, 10_000, pre)
+        assert np.array_equal(x, want) and (its, res) == (want_its, want_res)
+        x, rep = cg_solve(a, b, pre)
+        want, its, res = _reference_cg(a, b, sparse.CG_RTOL, 10_000, pre)
         assert np.array_equal(x, want)
         assert (rep.iterations, rep.final_residual) == (its, res)
 
@@ -286,7 +311,7 @@ def test_cg_cold_start_makes_one_matvec_per_iteration(monkeypatch):
         return matvec(self, x)
 
     monkeypatch.setattr(SparseMatrix, "matvec", counted)
-    _, rep = cg_solve(k, np.ones(k.dim), pre, rtol=1e-10)
+    _, rep = cg_solve(k, np.ones(k.dim), pre)
     assert rep.iterations > 0
     assert len(calls) == rep.iterations
     with pytest.raises(ValueError, match="dimension"):
@@ -417,7 +442,7 @@ def test_cg_fails_fast_on_non_finite_residual():
     x0 = np.zeros(k.dim)
     x0[0] = np.inf
     with pytest.raises(CgError) as err:
-        cg_solve(k, np.ones(k.dim), sine_precond(space, k), x0=x0)
+        warm_refine(k, np.ones(k.dim), x0, sine_precond(space, k), 1e-12)
     assert err.value.iterations <= 1
 
 
@@ -456,8 +481,11 @@ def test_inverse_iteration_multiplies_by_m_once_per_iterate(monkeypatch):
     monkeypatch.setattr(SparseMatrix, "matvec", counted)
     lam, v, its = smallest_generalized_eigenpair(k, m, sine_precond(space, k))
     # the starting vector and each iterate: one product with M, which
-    # normalises it, enters its Rayleigh quotient and is the next right-hand side
+    # normalises it, enters its Rayleigh quotient and is the next right-hand
+    # side, and one with K for the quotient; the K-solve is a division, no CG
     assert sum(a is m for a in calls) == its + 1
+    assert sum(a is k for a in calls) == its + 1
+    assert len(calls) == 2 * (its + 1)
     monkeypatch.undo()
     assert v @ m.matvec(v) == pytest.approx(1.0, rel=1e-12)
     assert lam == pytest.approx((v @ k.matvec(v)) / (v @ m.matvec(v)), rel=1e-14)
