@@ -17,9 +17,10 @@ def pair_energies(levels: np.ndarray, products: np.ndarray,
     velocity: E = 1/2 (e'M e/k^2 + U'K U), and M is symmetric, so the cross
     term is U^{n+1} . (M e)/k.
 
-    ``products`` are the levels' stepper.BackendHandles.products, M first
-    and K second: M e = M U^{n+1} - M U^n and K U^{n+1} are their rows, so
-    no matvec is made. Each dot product is one row of an einsum.
+    ``products`` holds each level's products with M and K, in that order
+    (the rows of stepper.BackendHandles._sine_products in a run): M e =
+    M U^{n+1} - M U^n and K U^{n+1} are their rows, so no matvec is made.
+    Each dot product is one row of an einsum.
     """
     u, e = levels[:-1], levels[:-1] - levels[1:]
     me = products[:-1, 0] - products[1:, 0]
@@ -30,9 +31,10 @@ def pair_energies(levels: np.ndarray, products: np.ndarray,
 
 def energy_and_cross(state, backend) -> tuple[float, float]:
     """(E, (d, U^{n+1})_M) of the pair (U_prev, U_curr) of ``state``:
-    pair_energies of its two newest levels."""
+    pair_energies of its two newest levels, with their grid products."""
     levels = state.levels[:2]
-    energy, cross = pair_energies(levels, backend.products(levels), state.k)
+    products = np.array([(backend.M.matvec(u), backend.K.matvec(u)) for u in levels])
+    energy, cross = pair_energies(levels, products, state.k)
     return float(energy[0]), float(cross[0])
 
 

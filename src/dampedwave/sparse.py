@@ -51,14 +51,10 @@ class SparseMatrix:
     holds vals[w, i] in the column cols[w, i], padded with the row's own index
     and the value 0, so a row with no entries is an exact zero row. Assembled
     ones are symmetric. Width-major slots make each slot's gather and product
-    one contiguous run over the rows.
-
-    ``vals`` may carry a leading operator axis over the one ``cols`` array (a
-    stack): matvec then returns every operator's product, shaped
-    (operators, dim), from one gather of x."""
+    one contiguous run over the rows."""
 
     cols: np.ndarray  # (width, dim) column indices
-    vals: np.ndarray  # (width, dim) values, or (operators, width, dim) for a stack
+    vals: np.ndarray  # (width, dim) values
 
     @property
     def dim(self) -> int:
@@ -72,7 +68,7 @@ class SparseMatrix:
     def matvec(self, x: np.ndarray) -> np.ndarray:
         if x.shape[0] != self.dim:
             raise ValueError(f"dimension mismatch: {x.shape[0]} != {self.dim}")
-        return np.einsum("...wn,wn->...n", self.vals, x[self.cols])
+        return np.einsum("wn,wn->n", self.vals, x[self.cols])
 
     def diagonal(self) -> np.ndarray:
         return np.where(self.cols == self.rows, self.vals, 0.0).sum(axis=0)
@@ -84,28 +80,25 @@ class SparseMatrix:
 
     @property
     def nnz(self) -> int:
-        """Stored slots, padding included and over every operator of a
-        stack: what matvec multiplies."""
+        """Stored slots, padding included: what matvec multiplies."""
         return self.vals.size
 
 
 def from_coo(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
              dim: int) -> SparseMatrix:
     """Build the matrix from triplets, summing duplicates and keeping the
-    nonzero sums; raises ValueError for an index outside it or a non-finite sum.
-    ``vals`` may be a stack (operators, entries) over the same triplets: the
-    result is then one stack on the entries where any operator's sum is nonzero."""
+    nonzero sums; raises ValueError for an index outside it or a non-finite sum."""
     keys = np.ravel_multi_index((np.asarray(rows, dtype=np.int64),
                                  np.asarray(cols, dtype=np.int64)), (dim, dim))
     order = np.argsort(keys, kind="stable")  # duplicates stay in input order
-    keys, vals = keys[order], np.asarray(vals, dtype=np.float64)[..., order]
+    keys, vals = keys[order], np.asarray(vals, dtype=np.float64)[order]
     first = np.flatnonzero(keys != np.concatenate(([-1], keys[:-1])))  # run starts
     with np.errstate(over="ignore", invalid="ignore"):  # reported just below
-        vals = np.add.reduceat(vals, first, axis=-1)
+        vals = np.add.reduceat(vals, first)
     if not np.all(np.isfinite(vals)):
         raise ValueError("sparse matrix entries must be finite")
-    keep = np.atleast_2d(vals != 0.0).any(axis=0)
-    return _fixed_width(keys[first[keep]], dim, vals[..., keep])
+    keep = vals != 0.0
+    return _fixed_width(keys[first[keep]], dim, vals[keep])
 
 
 def from_diagonal(d: np.ndarray) -> SparseMatrix:
@@ -113,20 +106,9 @@ def from_diagonal(d: np.ndarray) -> SparseMatrix:
     return SparseMatrix(np.arange(d.size)[None, :], d[None, :])
 
 
-def on_common_pattern(mats: list[SparseMatrix]) -> SparseMatrix:
-    """The matrices on the union of their sparsity patterns as one stack, so a
-    linear combination of them is that of its vals: from_coo over all their
-    slots, each matrix's values in its own row and zeros elsewhere."""
-    owner = np.concatenate([np.full(m.cols.size, i) for i, m in enumerate(mats)])
-    vals = np.where(owner == np.arange(len(mats))[:, None],
-                    np.concatenate([m.vals.ravel() for m in mats]), 0.0)
-    return from_coo(np.concatenate([m.rows.ravel() for m in mats]),
-                    np.concatenate([m.cols.ravel() for m in mats]), vals, mats[0].dim)
-
-
 def _fixed_width(keys: np.ndarray, dim: int, values: np.ndarray) -> SparseMatrix:
-    """The matrix with the entries ``values`` (or the stack of its rows) at
-    the increasing keys row * dim + col."""
+    """The matrix with the entries ``values`` at the increasing keys
+    row * dim + col."""
     rows = keys // dim
     counts = np.bincount(rows, minlength=dim)
     # the slots that hold an entry, row-major; a boolean index fills them row
@@ -135,8 +117,8 @@ def _fixed_width(keys: np.ndarray, dim: int, values: np.ndarray) -> SparseMatrix
     cols = np.repeat(np.arange(dim)[:, None], filled.shape[1], axis=1)
     cols[filled] = keys - rows * dim
     cols = np.ascontiguousarray(cols.T)
-    vals = np.zeros(values.shape[:-1] + cols.shape)
-    np.swapaxes(vals, -1, -2)[..., filled] = values
+    vals = np.zeros(cols.shape)
+    vals.T[filled] = values
     return SparseMatrix(cols, vals)
 
 
@@ -213,10 +195,11 @@ class SineBasis:
 
     def transform(self, u: np.ndarray) -> np.ndarray:
         """S2 u as a flat array: S U S for the grid values U (two n x n
-        products). S2 is symmetric and orthonormal, so this maps grid values
-        to mode coefficients (indexed like a flattened symbol) and those back."""
+        products, np.dot as in skew_product). S2 is symmetric and
+        orthonormal, so this maps grid values to mode coefficients (indexed
+        like a flattened symbol) and those back."""
         s = self.matrix
-        return (s @ u.reshape(self.n, self.n) @ s).ravel()
+        return np.dot(np.dot(s, u.reshape(self.n, self.n)), s).ravel()
 
     def solver(self, symbol: np.ndarray) -> Preconditioner:
         """r -> S2 (S2 r / symbol), flattened or not: four n x n products."""
@@ -230,13 +213,15 @@ class SineBasis:
 
 @dataclass(frozen=True)
 class SkewSymbolOperator:
-    """v -> symbol * v + kappa (skew (x) skew) v on the coefficients v of a
-    SineBasis: an unweighted P1 operator, or a sum of them, in that basis.
-    precond, the division by the symbol, is SineBasis.solver in that basis."""
+    """v -> symbol * v + kappa (skew (x) skew) v + S2 W S2 v on the
+    coefficients v of a SineBasis, with W the sum of the grid operators
+    ``weighted``: a sum of unweighted P1 or finite difference operators in
+    that basis, plus spatially weighted ones, applied on grid values."""
 
     basis: SineBasis
     symbol: np.ndarray  # flat, one value per mode
     kappa: float
+    weighted: tuple[SparseMatrix, ...] = ()
 
     @property
     def dim(self) -> int:
@@ -246,10 +231,13 @@ class SkewSymbolOperator:
         y = self.basis.skew_product(v)
         y *= self.kappa
         y += self.symbol * v
+        if self.weighted:
+            grid = self.basis.transform(v)
+            w = self.weighted[0].matvec(grid)
+            for op in self.weighted[1:]:
+                w += op.matvec(grid)
+            y += self.basis.transform(w)
         return y
-
-    def precond(self, r: np.ndarray) -> np.ndarray:
-        return r / self.symbol
 
 
 def cg_solve(a, b: np.ndarray, precond: Preconditioner) -> tuple[np.ndarray, SolveReport]:
@@ -258,9 +246,9 @@ def cg_solve(a, b: np.ndarray, precond: Preconditioner) -> tuple[np.ndarray, Sol
     SkewSymbolOperator), from x = 0 to the relative residual CG_RTOL.
 
     ``precond`` maps a residual r to P^-1 r for an SPD P: the sine-basis
-    solver of a grid operator's symbol (SineBasis.solver), its
-    SkewSymbolOperator.precond, or the identity for plain CG. Checks the
-    dimension and runs cg_refine from the cold start (residual b).
+    solver of a grid operator's symbol (SineBasis.solver), the division of
+    sine-basis coefficients by that symbol, or the identity for plain CG.
+    Checks the dimension and runs cg_refine from the cold start (residual b).
     """
     n = b.shape[0]
     if n != a.dim:

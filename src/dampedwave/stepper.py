@@ -6,31 +6,29 @@ Scheme: (d2 U^n, chi) + beta a(dt U^n, chi) + alpha (dt U^n, chi)
         + a(U^{n+1}, chi) = (f, chi), where d2 is the centered second
 difference and dt the forward difference, leading to the SPD system
     [(1/k^2 + alpha/k) M + (beta/k + 1) K] U^{n+1} = rhs.
-Everything a step needs from this system (the values of A on the operators'
-common sparsity pattern, its symbol in the grid's sine basis, which
-preconditions every CG solve, and the weights that form the right-hand side
-from the products of the last levels) is linear in the factors
+Every step works in the grid's sine basis, where K is its symbol and M is
+its symbol plus one multiple, BackendHandles.mass_skew, of a Kronecker term
+(0 for finite differences). Without a spatial weight the damping operators
+are M and K; a weighted one enters by a round trip to grid values and back.
+Everything a step needs from this system (A's symbol, which preconditions
+every CG solve, and the weights that form the right-hand side from the
+products of the last levels) is linear in the factors
 (1/k^2, alpha/k, beta/k, 1) of the mass, the two damping operators and the
 stiffness, so it is one product with parts built once per backend; the
 right-hand side's factors of each role are one table, RHS.
 
-Without a spatial weight (finite differences and P1 elements), the damping
-operators are M and K, K is its symbol in the grid's sine basis, and M is its
-symbol plus one multiple, BackendHandles.mass_skew, of a Kronecker term
-there. run() then keeps the levels as sine-basis coefficients. Where that
-multiple is 0 (finite differences), one product of the same kind gives a
-whole block of steps A's symbol and the multipliers of U^n and U^{n-1}, mode
-by mode: no CG solve. Otherwise (P1 elements) a step is the same CG solve as
-on grid values, but A is applied as its symbol plus one Kronecker product
-and preconditioned by a division by its symbol, so it makes no sparse
-matvec. Only grid-value products and systems build the operators' common
-sparsity pattern.
+run() keeps the levels as sine-basis coefficients. Where every operator is
+diagonal there (finite differences without a weight), one product of the
+same kind gives a whole block of steps A's symbol and the multipliers of U^n
+and U^{n-1}, mode by mode: no CG solve. Otherwise a step is a CG solve with
+A applied as its symbol plus one Kronecker product (plus the weighted
+operators' round trips) and preconditioned by a division by its symbol.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable
 
@@ -42,7 +40,7 @@ from .fem import ZERO_FIELD, FemSpace, ScalarField, assemble_mass, \
     assemble_stiffness, at_midpoints, interpolate as fem_interpolate, load_vector
 from .mesh import FdGrid, Rectangle
 from .sparse import CgError, Preconditioner, SineBasis, SkewSymbolOperator, \
-    SolveReport, SparseMatrix, cg_refine, cg_solve, from_diagonal, on_common_pattern
+    SolveReport, SparseMatrix, cg_refine, cg_solve, from_diagonal
 
 STEP_RTOL = 1e-10
 HISTORY = 5  # the most levels a step reads
@@ -178,10 +176,11 @@ class ModelParams:
 @dataclass(frozen=True)
 class StepperState:
     """The last 2 to HISTORY levels U^n, U^{n-1}, ... of a run, newest
-    first, as the rows of ``levels``; u_curr and u_prev are rows 0 and 1, and
+    first, as the rows of ``levels``, in grid values (the steps work on
+    their sine-basis coefficients); u_curr and u_prev are rows 0 and 1, and
     n indexes u_curr, at time n*k. ``solve`` reports the CG solve that
-    produced u_curr in a step; None for an initial state and for steps on a
-    backend that is diagonal in its sine basis, which solve nothing."""
+    produced u_curr; None for an initial state and after a run on a backend
+    that is diagonal in its sine basis, whose steps solve nothing."""
 
     n: int
     k: float
@@ -214,14 +213,11 @@ class BackendHandles:
     load: Callable[[ScalarField], np.ndarray]
     weak_op: SparseMatrix    # alpha-weighted mass; M itself when alpha has no weight
     strong_op: SparseMatrix  # beta-weighted stiffness; K itself when beta has no weight
-    basis: SineBasis         # the unknowns' grid, for the preconditioners
+    basis: SineBasis         # the unknowns' grid, in which every step works
     # kappa of M in ``basis``: there M is its symbol plus kappa (skew (x)
-    # skew), skew = basis.skew, and K is its symbol; None with a spatial
-    # weight, whose operators are not of that form. Without a weight W is M
-    # and S is K, so with it a run keeps its levels in that basis, and needs
-    # no grid matvec per step
-    mass_skew: float | None = None
-    # one-entry cache: ((k, alpha, beta, sine), _step_system's result)
+    # skew), skew = basis.skew, and K is its symbol
+    mass_skew: float
+    # one-entry cache: ((k, alpha, beta), _step_system's result)
     _system: tuple = field(default=(None, None), init=False, repr=False)
 
     def __post_init__(self):
@@ -232,6 +228,9 @@ class BackendHandles:
         self.operators = list(distinct.values())
         self._op_of_role = [list(distinct).index(id(op)) for op in
                             (self.M, self.weak_op, self.strong_op, self.K)]
+        # the roles (W, S) of a spatially weighted operator, which has no
+        # such form in the basis
+        self._weighted = [role for role, op in enumerate(self._op_of_role) if op >= 2]
         # their symbols, shaped (operators, ndof): in the sine basis, the
         # products of a level with every operator when diagonal_in_basis
         self._symbols = np.stack([self.basis.symbol(op).ravel() for op in self.operators])
@@ -242,9 +241,9 @@ class BackendHandles:
 
     @property
     def diagonal_in_basis(self) -> bool:
-        """Every operator is diagonal in ``basis``, so its symbol is exact and
-        a sine-basis step solves nothing."""
-        return self.mass_skew == 0.0
+        """Every operator is diagonal in ``basis`` (none is weighted and M
+        has no skew term), so its symbol is exact and a step solves nothing."""
+        return self.mass_skew == 0.0 and not self._weighted
 
     @cached_property
     def mass_precond(self) -> Preconditioner:
@@ -258,47 +257,38 @@ class BackendHandles:
 
     @cached_property
     def forcing(self) -> np.ndarray:
-        """Load vector of the forcing; zeros when there is none."""
+        """Load vector of the forcing; zeros when there is none. Raises
+        ValueError when it is not finite."""
         f = self.params.forcing
-        return np.zeros(self.ndof) if f is None else self.load(f)
-
-    @cached_property
-    def _stack(self) -> SparseMatrix:
-        """The distinct operators on their common pattern, as one stack;
-        built on first use, which a sine-basis run never makes."""
-        return on_common_pattern(self.operators)
-
-    def products(self, levels: np.ndarray) -> np.ndarray:
-        """Each level times each distinct operator, an array of shape
-        (levels, operators, ndof): one stacked matvec per level."""
-        return np.array([self._stack.matvec(u) for u in levels])
+        load = np.zeros(self.ndof) if f is None else self.load(f)
+        if not np.all(np.isfinite(load)):
+            raise ValueError("steady state requires a finite forcing, as does a run")
+        return load
 
     def _sine_products(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """The products of sine-basis coefficients u with M and K, in that
-        basis, on a backend with mass_skew, written to ``out`` when given:
-        each operator's symbol times u, plus mass_skew times u's skew
-        product for M."""
+        """The products of sine-basis coefficients u with each distinct
+        operator, in that basis, shaped (operators, ndof) and written to
+        ``out`` when given: each operator's symbol times u, plus mass_skew
+        times u's skew product for M, and for a weighted operator W the
+        round trip S2 W S2 u."""
         out = np.multiply(u, self._symbols, out=out)
         out[0] += self.mass_skew * self.basis.skew_product(u)
+        for i, op in enumerate(self.operators[2:], 2):
+            out[i] = self.basis.transform(op.matvec(self.basis.transform(u)))
         return out
-
-    def system(self, k: float, t: float) -> tuple[SparseMatrix, Preconditioner]:
-        """(A, P^-1) with A = 1/k^2 M + 1/k D + K, D = scale_alpha(t) W
-        + scale_beta(t) S the damping operator at time t, and P^-1 the
-        sine-basis preconditioner of A, whose symbol is the same combination
-        of the operators' symbols; ModelParams.check_schedules gives the
-        time factors."""
-        return self._step_system(k, *self.params.check_schedules([t])[0])[:2]
 
     @cached_property
     def _parts(self):
         """(parts, weight_at) over the roles (M, W, S, K), a row each: with
-        c = (1/k^2, a/k, b/k, 1), c @ parts is A's symbol and then the
-        weights of _step_system, those of L levels at weight_at[L]."""
+        c = (1/k^2, a/k, b/k, 1), c @ parts is the symbol of A without its
+        weighted operators and then the weights of _step_system, those of L
+        levels at weight_at[L]."""
         roles = np.eye(len(self.operators))[self._op_of_role]
+        symbols = self._symbols[self._op_of_role]
+        symbols[self._weighted] = 0.0
         # the right-hand side's factors (RHS); the starting residual
         # subtracts the extrapolant times the role's factor in A
-        parts = [self._symbols[self._op_of_role]]
+        parts = [symbols]
         for n_levels, ext in EXTRAPOLANTS.items():
             row = np.pad(RHS, ((0, 0), (0, n_levels - 2)))
             pair = np.stack((row, row - ext), axis=1)  # (role, weight row, level)
@@ -307,37 +297,36 @@ class BackendHandles:
         weight_at = dict(zip(EXTRAPOLANTS, map(slice, ends[:-1], ends[1:])))
         return np.concatenate(parts, axis=1), weight_at
 
-    def _step_system(self, k: float, a: float, b: float, sine: bool = False):
+    def _step_system(self, k: float, a: float, b: float):
         """(A, P^-1, weights) for step size k and time factors (a, b): A on
-        grid values and its sine-basis solver, or, when ``sine``, A on
-        sine-basis coefficients, its symbol plus (c[0] + c[1]) mass_skew
-        times the skew term, and the division by its symbol.
+        sine-basis coefficients, a SkewSymbolOperator (the unweighted roles'
+        symbols, the skew term and the weighted operators, each times its
+        factor in c), and the division by A's whole symbol.
 
         weights[L] has two rows over the (level, operator) pairs of the last
-        L levels, newest first (see products): the right-hand side
+        L levels, newest first (see _sine_products): the right-hand side
         (2 M U^n - M U^{n-1})/k^2 + D U^n/k without the forcing, and the
         residual of the step's CG starting point, that right-hand side minus
         A times the extrapolant of the L levels. Rebuilt only when an
         argument differs from the last call.
         """
-        key = (k, a, b, sine)
+        key = (k, a, b)
         if self._system[0] != key:
             parts, weight_at = self._parts
             c = np.array([1.0 / k ** 2, a / k, b / k, 1.0])
             flat = c @ parts
             weights = {n: flat[at].reshape(2, -1) for n, at in weight_at.items()}
-            if sine:
-                # M and W carry the skew term; the sum is formed as this dot
-                # product, whose rounding the stepped outputs depend on
-                kappa = float(c[:2] @ (self.mass_skew, self.mass_skew))
-                system = SkewSymbolOperator(self.basis, flat[:self.ndof], kappa)
-                precond = system.precond
-            else:
-                stack = self._stack
-                values = stack.vals[self._op_of_role].reshape(4, -1)
-                system = SparseMatrix(stack.cols, (c @ values).reshape(stack.cols.shape))
-                precond = self.basis.solver(flat[:self.ndof])
-            self._system = (key, (system, precond, weights))
+            symbol = flat[:self.ndof]
+            weighted = [(c[role], self._op_of_role[role]) for role in self._weighted]
+            whole = symbol + sum(f * self._symbols[op] for f, op in weighted)
+            # M, and W unless weighted, carry the skew term; the sum is
+            # formed as this dot product, whose rounding the stepped outputs
+            # depend on
+            skews = (self.mass_skew, 0.0 if 1 in self._weighted else self.mass_skew)
+            scaled = tuple(replace(self.operators[op], vals=f * self.operators[op].vals)
+                           for f, op in weighted)
+            system = SkewSymbolOperator(self.basis, symbol, float(c[:2] @ skews), scaled)
+            self._system = (key, (system, lambda r: r / whole, weights))
         return self._system[1]
 
     def _multipliers(self, k: float, scales: np.ndarray,
@@ -363,8 +352,7 @@ def make_fem_backend(space: FemSpace, params: ModelParams) -> BackendHandles:
     mass, stiff = assemble_mass(space), assemble_stiffness(space)
     weak = mass if alpha.weight is None else assemble_mass(space, alpha.weight)
     strong = stiff if beta.weight is None else assemble_stiffness(space, beta.weight)
-    # the mass's kappa is hx hy / 6 (see SineBasis.skew); a weighted
-    # operator has no such form
+    # the mass's kappa is hx hy / 6 (see SineBasis.skew)
     rect, n = space.mesh.rect, space.mesh.n_per_side
     return BackendHandles(
         params=params,
@@ -374,8 +362,7 @@ def make_fem_backend(space: FemSpace, params: ModelParams) -> BackendHandles:
         load=lambda f: load_vector(space, f),
         weak_op=weak, strong_op=strong,
         basis=space.basis,
-        mass_skew=rect.width * rect.height / (6.0 * n * n)
-        if alpha.weight is None and beta.weight is None else None,
+        mass_skew=rect.width * rect.height / (6.0 * n * n),
     )
 
 
@@ -401,9 +388,8 @@ def make_fd_backend(grid: FdGrid, params: ModelParams) -> BackendHandles:
         load=lambda f: grid.h ** 2 * interp(f),
         weak_op=weak, strong_op=stiff,
         basis=SineBasis(grid.n_per_side - 1),
-        # h^2 I and the 5-point h^2 A_h are diagonal in the sine basis; a
-        # weighted mass h^2 diag(w) is not
-        mass_skew=0.0 if alpha.weight is None else None,
+        # h^2 I and the 5-point h^2 A_h are diagonal in the sine basis
+        mass_skew=0.0,
     )
 
 
@@ -414,15 +400,18 @@ def init_state(backend: BackendHandles, k: float,
     Given ``exact_at``, U^1 interpolates the exact solution at t = k;
     otherwise the Taylor start expands around t = 0 using
     u''(0) = -beta A u1 - alpha u1 - A u0, with the damping time factors
-    ModelParams.check_schedules gives for t = 0.
+    ModelParams.check_schedules gives for t = 0. Raises ValueError when the
+    initial data (or the exact solution at t = k) or the forcing is not
+    finite at the unknowns.
     """
     check_time_step(k)
     params = backend.params
     u0 = backend.interpolate(params.u0)
-    if exact_at is not None:
-        u1 = backend.interpolate(exact_at(k))
-    else:
-        v = backend.interpolate(params.u1)
+    # U^1 itself given exact_at, else the initial velocity
+    u1 = v = backend.interpolate(params.u1 if exact_at is None else exact_at(k))
+    if not np.all(np.isfinite((u0, v))):
+        raise ValueError("initial data must be finite at the unknowns")
+    if exact_at is None:
         a, b = params.check_schedules([0.0])[0]
         damped = a * backend.weak_op.matvec(v) + b * backend.strong_op.matvec(v)
         rhs = -damped - backend.K.matvec(u0) + backend.forcing
@@ -432,23 +421,21 @@ def init_state(backend: BackendHandles, k: float,
 
 
 def _advance(backend: BackendHandles, levels: np.ndarray, products: np.ndarray,
-             top: int, n: int, k: float, scales, force: np.ndarray,
-             sine: bool = False) -> tuple[int, float]:
-    """One implicit step U^n -> U^{n+1} in a newest-first history: U^n and
-    up to HISTORY - 1 older levels are the rows below ``top`` of ``levels``,
-    and of ``products`` their BackendHandles.products. The cached system at
-    the time factors ``scales`` (a, b) of t_n is solved by sparse.cg_refine
-    with its sine-basis preconditioner, in place in row ``top`` from the
+             top: int, n: int, k: float, scales, force: np.ndarray) -> tuple[int, float]:
+    """One implicit step U^n -> U^{n+1} in a newest-first history of
+    sine-basis coefficients: U^n and up to HISTORY - 1 older levels are the
+    rows below ``top`` of ``levels``, and of ``products`` their
+    BackendHandles._sine_products. The cached system at the time factors
+    ``scales`` (a, b) of t_n is solved by sparse.cg_refine, preconditioned
+    by the division by its symbol, in place in row ``top`` from the
     highest-degree extrapolant of those levels, with the two rows of one
     product of their products as right-hand side (plus the forcing
-    ``force``) and starting residual. The products of U^{n+1} (one stacked
-    matvec) then fill row ``top`` of ``products``, so a step costs one
-    matvec per CG iteration and one fused product. When ``sine`` the rows
-    are sine-basis coefficients, and the system and products are those of
-    the sine basis (BackendHandles._step_system and _sine_products): one
-    skew product per CG iteration and one for U^{n+1}, and no sparse
-    matvec. Returns the solve's (iterations, final relative residual)."""
-    system, precond, weights = backend._step_system(k, *scales, sine)
+    coefficients ``force``) and starting residual. The products of U^{n+1}
+    then fill row ``top`` of ``products``, so a step costs one operator
+    application per CG iteration and one for U^{n+1}: a skew product each,
+    and for a weighted operator also two transforms and its grid matvec.
+    Returns the solve's (iterations, final relative residual)."""
+    system, precond, weights = backend._step_system(k, *scales)
     depth = min(len(levels) - top - 1, HISTORY)
     history = slice(top + 1, top + 1 + depth)
     rhs = weights[depth] @ products[history].reshape(-1, levels.shape[1])
@@ -459,27 +446,28 @@ def _advance(backend: BackendHandles, levels: np.ndarray, products: np.ndarray,
         solved = cg_refine(system, rhs[0], u, rhs[1], precond, STEP_RTOL)
     except CgError as exc:
         raise StepError(f"CG failed at step n={n} (t={n * k:g}): {exc}") from exc
-    if sine:
-        backend._sine_products(u, out=products[top])
-    else:
-        products[top] = backend._stack.matvec(u)
+    backend._sine_products(u, out=products[top])
     return solved
 
 
 def step(state: StepperState, backend: BackendHandles) -> StepperState:
     """One implicit step (U^{n-1}, U^n) -> (U^n, U^{n+1}), keeping up to
-    HISTORY levels: a CG _advance on a history of the state's levels and their
-    products, at the time factors ModelParams.check_schedules gives for t_n."""
+    HISTORY levels: a CG _advance on the sine-basis coefficients of the
+    state's levels and their products, at the time factors
+    ModelParams.check_schedules gives for t_n; the new level is transformed
+    back to grid values."""
     if state.n < 1:
         raise ValueError("stepping requires n >= 1")
-    n, k = state.n, state.k
+    n, k, basis = state.n, state.k, backend.basis
     scales = backend.params.check_schedules([n * k])[0]
-    levels = np.empty((len(state.levels) + 1, backend.ndof))
-    levels[1:] = state.levels
-    products = np.empty((len(levels), len(backend.operators), backend.ndof))
-    products[1:] = backend.products(state.levels)
-    solved = _advance(backend, levels, products, 0, n, k, scales, backend.forcing)
-    return StepperState(n=n + 1, k=k, levels=levels[:HISTORY], solve=SolveReport(*solved))
+    # row 0 is the step's, which it overwrites with U^{n+1} and its products
+    levels = np.array([basis.transform(u) for u in (state.u_curr, *state.levels)])
+    products = np.array([backend._sine_products(u) for u in levels])
+    solved = _advance(backend, levels, products, 0, n, k, scales,
+                      basis.transform(backend.forcing))
+    new = basis.transform(levels[0])
+    return StepperState(n=n + 1, k=k, solve=SolveReport(*solved),
+                        levels=np.vstack((new, state.levels[:HISTORY - 1])))
 
 
 def run(backend: BackendHandles, k: float, n_steps: int,
@@ -494,10 +482,9 @@ def run(backend: BackendHandles, k: float, n_steps: int,
     for any other reference). Raises StepError at the first sample whose
     energy is not finite.
 
-    On a backend with mass_skew the steps are taken in its sine basis:
-    on one that is diagonal there they solve nothing and report 0 iterations
-    and residual 0, on the others each is a CG step in that basis, as it is
-    on grid values for any other backend (see _run)."""
+    The steps are taken in the backend's sine basis: on a backend that is
+    diagonal there they solve nothing and report 0 iterations and residual
+    0, on the others each is a CG step in that basis (see _run)."""
     if not isinstance(n_steps, int | np.integer) or n_steps < 0:
         raise ValueError(f"step count must be a nonnegative integer, not {n_steps!r}")
     if reference is not None:
@@ -531,28 +518,17 @@ def _run(backend: BackendHandles, state: StepperState, scales, trace,
     HISTORY newest rows then move to the bottom, so the warm start carries
     across.
 
-    On a backend with mass_skew the rows are sine-basis coefficients,
-    so the block sums hold by Parseval; the state's levels, the forcing F
-    and the reference are transformed once, and only the final state goes
-    back to grid values. A step is then a CG _advance in that basis, unless
-    the backend is diagonal there: then one BackendHandles._multipliers
-    product gives every step of a block its multipliers, a step is
-    U^{n+1} = g U^n + h U^{n-1} (+ F / A's symbol) mode by mode, and the
-    block's products are its levels times the operators' symbols, formed at
-    once before its energies. On any other backend a step is a CG _advance
-    on grid values.
+    The rows are sine-basis coefficients, so the block sums hold by
+    Parseval; the state's levels, the forcing F and the reference are
+    transformed once, and only the final state goes back to grid values. A
+    step is a CG _advance in that basis, unless the backend is diagonal
+    there: then one BackendHandles._multipliers product gives every step of
+    a block its multipliers, a step is U^{n+1} = g U^n + h U^{n-1}
+    (+ F / A's symbol) mode by mode, and the block's products are its levels
+    times the operators' symbols, formed at once before its energies.
 
     Fills ``trace`` (see run) and returns the final state."""
-    k, basis = state.k, backend.basis
-    sine, modal = backend.mass_skew is not None, backend.diagonal_in_basis
-
-    def row(u):  # a vector of grid values as a row of the block
-        return basis.transform(u) if sine else u
-
-    def products_of(rows):  # the products of rows of the block
-        return np.array([backend._sine_products(u) for u in rows]) if sine \
-            else backend.products(rows)
-
+    k, basis, modal = state.k, backend.basis, backend.diagonal_in_basis
     rows, ops = BLOCK + HISTORY, len(backend.operators)
     levels = np.empty((rows, backend.ndof))
     # a sine-basis block's products are formed only at a flush, after its
@@ -560,15 +536,15 @@ def _run(backend: BackendHandles, state: StepperState, scales, trace,
     buffer = np.empty((max(ops, 3) if modal else ops, rows, backend.ndof))
     products = buffer[:ops].reshape(rows, ops, backend.ndof)
     top = rows - len(state.levels)  # the newest level
-    levels[top:] = [row(u) for u in state.levels]
+    levels[top:] = [basis.transform(u) for u in state.levels]
     if not modal:
-        products[top:] = products_of(levels[top:])
-    force, forced = row(backend.forcing), backend.params.forcing is not None
+        products[top:] = [backend._sine_products(u) for u in levels[top:]]
+    force, forced = basis.transform(backend.forcing), backend.params.forcing is not None
     done = rows - 1  # the newest level whose energy is recorded; U^0 has none
     recorded = 0
     if reference is not None:
-        reference = row(reference)
-        m_reference = products_of(reference[None])[0, 0]
+        reference = basis.transform(reference)
+        m_reference = backend._sine_products(reference)[0]
 
     def flush():
         """Record the energies of rows top to done - 1, each with the row
@@ -614,7 +590,7 @@ def _run(backend: BackendHandles, state: StepperState, scales, trace,
             for i in block:
                 top -= 1
                 solves.append(_advance(backend, levels, products, top, state.n + i, k,
-                                       scales[i + 1], force, sine))
+                                       scales[i + 1], force))
             steps = slice(block.start, block.stop)
             trace.cg_iterations[steps], trace.cg_residuals[steps] = zip(*solves)
             report = SolveReport(*solves[-1])
@@ -624,16 +600,14 @@ def _run(backend: BackendHandles, state: StepperState, scales, trace,
             break
         levels[-HISTORY:], products[-HISTORY:] = levels[:HISTORY], products[:HISTORY]
         top = done = rows - HISTORY
-    final = levels[top:top + HISTORY]
-    final = np.array([basis.transform(u) for u in final]) if sine else final.copy()
+    final = np.array([basis.transform(u) for u in levels[top:top + HISTORY]])
     return StepperState(n=state.n + n_steps, k=k, solve=report, levels=final)
 
 
 def steady_state(backend: BackendHandles) -> np.ndarray:
     """Solve K u_inf = F for the backend's time-independent forcing, by the
-    sine-basis division that is K^-1."""
+    sine-basis division that is K^-1; a forcing that is not finite raises
+    ValueError (see BackendHandles.forcing)."""
     if backend.params.forcing is None:
         raise ValueError("steady state requires a forcing term")
-    if not np.all(np.isfinite(backend.forcing)):
-        raise ValueError("steady state requires a finite forcing")
     return backend.stiffness_precond(backend.forcing)

@@ -229,12 +229,14 @@ def _with_nan_data(monkeypatch, experiment, data):
 @pytest.mark.parametrize("data, command, experiment", [("forcing", "decay", "timevar"),
                                                        ("u0", "decay", "timevar"),
                                                        ("u0", "steady", "forcing")])
-def test_nan_data_on_fd_exits_two(command, experiment, data, monkeypatch, capsys):
-    # the run's Taylor start meets the NaN in its mass solve
+def test_nan_data_on_fd_exits_one(command, experiment, data, monkeypatch, capsys):
+    # init_state rejects non-finite initial data, and the load vector a
+    # non-finite forcing, as bad input before any solve
     _with_nan_data(monkeypatch, experiment, data)
     code = main([command, "--experiment", experiment, "--backend", "fd", "--N", "8"])
-    assert code == 2
-    assert "numerical failure: CG" in capsys.readouterr().err
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "finite" in err
 
 
 def test_nan_forcing_of_steady_exits_one(monkeypatch, capsys):

@@ -179,10 +179,10 @@ def test_k_solves_run_no_cg(monkeypatch):
 @pytest.mark.parametrize("n", [2, 3, 8])
 @pytest.mark.parametrize("domain", list(SKEW_DOMAINS))
 def test_unweighted_p1_operators_are_their_symbol_plus_the_stated_skew_term(domain, n):
-    # the oracle is the dense S2' op S2; an unweighted FEM backend states
-    # the mass's kappa, with which M must equal diag(symbol) + kappa
-    # (skew (x) skew) and K its symbol, and its sine-basis step operator must
-    # apply S2' A S2
+    # the oracle is the dense S2' op S2; a FEM backend states the mass's
+    # kappa, with which M must equal diag(symbol) + kappa (skew (x) skew)
+    # and K its symbol, and its sine-basis step operator must apply S2' A S2
+    # for the dense A
     rect = SKEW_DOMAINS[domain]
     params = ModelParams(domain=rect, alpha=0.7, beta=0.3)
     backend = make_fem_backend(FemSpace(build_tri_mesh(rect, n)), params)
@@ -200,15 +200,16 @@ def test_unweighted_p1_operators_are_their_symbol_plus_the_stated_skew_term(doma
     if n > 3:  # the skew term is not vacuous: M is not diagonal in S2
         dense = s2.T @ backend.M.to_dense() @ s2
         assert np.max(np.abs(dense - np.diag(np.diag(dense)))) > 1e-2 * np.max(dense)
-    k, t = 0.05, 0.0
-    grid, _ = backend.system(k, t)
-    system, precond, _ = backend._step_system(k, *params.check_schedules([t])[0], True)
+    k = 0.05
+    system, precond, _ = backend._step_system(k, 0.7, 0.3)
     assert isinstance(system, SkewSymbolOperator) and system.dim == backend.ndof
+    a = s2.T @ ((1 / k ** 2 + 0.7 / k) * backend.M.to_dense()
+                + (0.3 / k + 1) * backend.K.to_dense()) @ s2
     v = np.random.default_rng(n).normal(size=backend.ndof)
-    want = s2.T @ grid.to_dense() @ s2 @ v
+    want = a @ v
     assert np.max(np.abs(system.matvec(v) - want)) <= 1e-13 * np.max(np.abs(want))
-    # the preconditioner divides by the symbol of the grid system
-    assert np.allclose(precond(v), v / basis.symbol(grid).ravel(), rtol=1e-13, atol=0.0)
+    # the preconditioner divides by the symbol of the system
+    assert np.allclose(precond(v), v / np.diag(a), rtol=1e-13, atol=0.0)
 
 
 @pytest.mark.parametrize("name", ["ex1", "timevar"])
@@ -228,9 +229,10 @@ def test_unweighted_fd_operators_are_their_symbol(name):
 @pytest.mark.parametrize("kind", ["fem-alpha", "fem-beta", "fd"])
 def test_weighted_operators_state_no_skew_term(kind):
     # a weighted mass or stiffness is not its symbol plus any multiple of
-    # skew (x) skew in S2, so its backend states None and steps on grid
-    # values; the weighted mass's off-diagonal part is checked to be far
-    # from the best such multiple
+    # skew (x) skew in S2, so the backend's mass_skew states M's kappa only
+    # and a step applies the weighted operator by a round trip to grid
+    # values; its off-diagonal part is checked to be far from the best such
+    # multiple
     weight = ScalarField(lambda x, y: 1.0 + 0.5 * np.sin(np.pi * x) * np.sin(np.pi * y))
     coeff = SpatialField(weight, lo=1.0, hi=1.5)
     if kind == "fd":
@@ -239,7 +241,8 @@ def test_weighted_operators_state_no_skew_term(kind):
     else:
         params = ModelParams(domain=UNIT_SQUARE, **{kind[4:]: coeff})
         backend = make_fem_backend(FemSpace(build_tri_mesh(UNIT_SQUARE, 8)), params)
-    assert backend.mass_skew is None and not backend.diagonal_in_basis
+    assert not backend.diagonal_in_basis
+    assert backend.mass_skew == (0.0 if kind == "fd" else 1.0 / (6.0 * 8 * 8))
     basis = backend.basis
     s2 = np.kron(basis.matrix, basis.matrix)
     skew2 = np.kron(basis.skew, basis.skew)
@@ -252,8 +255,9 @@ def test_weighted_operators_state_no_skew_term(kind):
 
 def _kappa(a, precond):
     """Condition number of P^-1 A by a dense check."""
-    pinv = np.column_stack([precond(e) for e in np.eye(a.dim)])
-    ev = np.sort(np.linalg.eigvals(pinv @ a.to_dense()).real)
+    pinv, dense = (np.column_stack([f(e) for e in np.eye(a.dim)])
+                   for f in (precond, a.matvec))
+    ev = np.sort(np.linalg.eigvals(pinv @ dense).real)
     return ev[-1] / ev[0]
 
 
@@ -266,7 +270,8 @@ def test_preconditioned_fem_step_systems_are_well_conditioned(name):
     for n in (8, 16):
         backend = make_fem_backend(FemSpace(build_tri_mesh(params.domain, n)), params)
         for k in (1e-5, 1e-2, 1.0):
-            system, precond = backend.system(k, 0.0)
+            system, precond, _ = backend._step_system(
+                k, *params.check_schedules([0.0])[0])
             assert _kappa(system, precond) <= 2.2
         assert _kappa(backend.M, backend.mass_precond) <= 2.2
         assert _kappa(backend.K, backend.stiffness_precond) == pytest.approx(1.0)

@@ -76,12 +76,16 @@ def test_pinned_schedule_is_bit_identical_to_constant(c):
        seed=st.integers(0, 2 ** 16))
 def test_cg_matches_a_dense_solve_with_either_preconditioner(kind, n, alpha, beta,
                                                              k, seed):
+    # the sine-basis step system against S2' A S2 with the dense A
     params = ModelParams(domain=UNIT_SQUARE, alpha=alpha, beta=beta)
     backend = make_fd_backend(build_fd_grid(UNIT_SQUARE, n), params) if kind == "fd" \
         else make_fem_backend(FemSpace(build_tri_mesh(UNIT_SQUARE, n)), params)
-    system, precond = backend.system(k, 0.0)
+    system, precond, _ = backend._step_system(k, alpha, beta)
+    expected = (1 / k ** 2 + alpha / k) * backend.M.to_dense() \
+        + (beta / k + 1) * backend.K.to_dense()
+    s2 = np.kron(backend.basis.matrix, backend.basis.matrix)
     b = np.random.default_rng(seed).normal(size=backend.ndof)
-    want = np.linalg.solve(system.to_dense(), b)
+    want = np.linalg.solve(s2.T @ expected @ s2, b)
     for pre in (lambda r: r, precond):
         x, _ = cg_solve(system, b, pre)
         assert np.linalg.norm(x - want) <= 1e-9 * np.linalg.norm(want)
@@ -292,9 +296,10 @@ def test_modal_run_matches_cg_steps_across_history_blocks(name, n_steps):
     assert_runs_agree(final, trace, ref)
 
 
-def dense_reference(backend, k, n_steps):
+def dense_reference(backend, k, n_steps, reference=None):
     """The run as a loop of dense solves of each step's system with
-    np.linalg.solve, from the same ``init_state``: a Reference."""
+    np.linalg.solve, from the same ``init_state``: a Reference, with the
+    distances to ``reference`` when it is given."""
     alpha, beta = backend.params.damping
     m, kk = backend.M.to_dense(), backend.K.to_dense()
     weak, strong = backend.weak_op.to_dense(), backend.strong_op.to_dense()
@@ -306,6 +311,7 @@ def dense_reference(backend, k, n_steps):
     state = init_state(backend, k)
     prev, curr = state.u_prev, state.u_curr
     pairs = [pair(prev, curr)]
+    levels = [curr]
     injections = []
     for n in range(1, n_steps + 1):
         damp = alpha.scale(n * k) * weak + beta.scale(n * k) * strong
@@ -314,10 +320,17 @@ def dense_reference(backend, k, n_steps):
         injections.append(np.linalg.norm(rhs) / np.sqrt(2.0 * np.linalg.eigvalsh(a)[0]))
         prev, curr = curr, np.linalg.solve(a, rhs)
         pairs.append(pair(prev, curr))
+        levels.append(curr)
     energies, crosses = np.array(pairs).T
     final = StepperState(n=n_steps + 1, k=k, levels=np.stack((curr, prev)))
+    distances, reference_norm = None, 0.0
+    if reference is not None:
+        distances = np.array([np.sqrt((u - reference) @ m @ (u - reference))
+                              for u in levels])
+        reference_norm = np.sqrt(reference @ m @ reference)
     return Reference(final, energies, crosses, np.array(injections),
-                     np.linalg.eigvalsh(kk)[0], dense_lambda1(backend))
+                     np.linalg.eigvalsh(kk)[0], dense_lambda1(backend), distances,
+                     reference_norm)
 
 
 def dense_lambda1(backend):
@@ -355,6 +368,20 @@ def test_fem_run_matches_dense_solves(n, alpha, beta, kind, dk, forced, p, q, fd
         assert trace.monotone()
         assert trace.sandwich_ok(delta)
         assert trace.decay_bound_ok(delta)
+
+
+@pytest.mark.parametrize("kind", ["fem", "fd"])
+def test_spacevar_run_matches_dense_solves(kind):
+    # a spatially weighted alpha enters the sine-basis steps by a round trip
+    # to grid values; the whole run agrees with dense solves
+    exp = builtin_experiments()["spacevar"]
+    backend, _ = build_backend(exp.params, 8, kind)
+    assert not backend.diagonal_in_basis
+    k = exp.time_step(8)
+    final, trace = run(backend, k, exp.n_steps(k))
+    assert trace.cg_iterations.min() >= 1
+    assert_runs_agree(final, trace, dense_reference(backend, k, trace.t.size - 1))
+    assert trace.monotone()
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 2")

@@ -1,7 +1,6 @@
 import inspect
 import math
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,7 +17,6 @@ from dampedwave.sparse import (
     cg_solve,
     from_coo,
     from_diagonal,
-    on_common_pattern,
     smallest_generalized_eigenpair,
 )
 
@@ -347,44 +345,6 @@ def test_diagonal_and_dense_with_missing_diagonal_and_empty_row():
     assert np.array_equal(a.matvec(x), dense @ x)
 
 
-def test_common_pattern_keeps_values():
-    rng = np.random.default_rng(23)
-    mats = []
-    for density in (0.2, 0.5, 0.0):
-        b = rng.normal(size=(7, 7)) * (rng.uniform(size=(7, 7)) < density)
-        mats.append(from_dense(b + b.T + np.diag(rng.uniform(1.0, 2.0, 7))))
-    stack = on_common_pattern(mats)
-    union = np.zeros((7, 7), dtype=bool)
-    for m in mats:
-        union |= m.to_dense() != 0.0
-    assert stack.vals.shape == (len(mats),) + stack.cols.shape
-    for i, m in enumerate(mats):
-        s = replace(stack, vals=stack.vals[i])
-        assert s.nnz == 7 * np.count_nonzero(union, axis=1).max()
-        assert np.array_equal(s.to_dense(), m.to_dense())
-
-
-@pytest.mark.parametrize("seed", range(5))
-def test_from_coo_of_stacked_values_keeps_each_operator(seed):
-    # one stack on the entries where any operator's sum is nonzero; an
-    # operator whose sums all cancel is an exact zero row of the stack
-    rng = np.random.default_rng(seed)
-    dim = int(rng.integers(1, 10))
-    rows, cols, vals = _random_triplets(rng, dim)
-    stacked = np.stack([vals, 2.0 * vals[::-1], np.zeros_like(vals)])
-    stack = from_coo(rows, cols, stacked, dim)
-    assert stack.vals.shape == (3,) + stack.cols.shape
-    wants = [from_coo(rows, cols, v, dim).to_dense() for v in stacked]
-    for i, want in enumerate(wants):
-        assert np.array_equal(replace(stack, vals=stack.vals[i]).to_dense(), want)
-    # no entry is kept that every operator has as zero
-    union = np.any([want != 0.0 for want in wants], axis=0)
-    assert stack.cols.shape[0] == np.count_nonzero(union, axis=1).max(initial=0)
-    empty = from_coo([], [], np.zeros((2, 0)), 3)
-    assert empty.vals.shape == (2,) + empty.cols.shape
-    assert np.array_equal(empty.matvec(np.ones(3)), np.zeros((2, 3)))
-
-
 def _random_triplets(rng, dim):
     """Triplets with duplicates (some cancelling), explicit zeros, empty rows
     (sometimes the last one) and rows of different widths. The values are
@@ -412,13 +372,10 @@ def test_layout_matches_scipy_coo(seed):
         mats.append(from_coo(rows, cols, vals, dim))
         dense.append(sp.coo_matrix((vals, (rows, cols)), shape=(dim, dim)).toarray())
     x = rng.integers(-3, 4, size=dim).astype(float)
-    stack = on_common_pattern(mats)
-    assert stack.vals.shape == (len(mats),) + stack.cols.shape
-    for i, (a, want) in enumerate(zip(mats, dense)):
-        for m in (a, replace(stack, vals=stack.vals[i])):
-            assert np.array_equal(m.to_dense(), want)
-            assert np.array_equal(m.diagonal(), np.diag(want))
-            assert np.array_equal(m.matvec(x), want @ x)
+    for m, want in zip(mats, dense):
+        assert np.array_equal(m.to_dense(), want)
+        assert np.array_equal(m.diagonal(), np.diag(want))
+        assert np.array_equal(m.matvec(x), want @ x)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
