@@ -254,22 +254,21 @@ def cg_solve(a, b: np.ndarray, precond: Preconditioner) -> tuple[np.ndarray, Sol
     if n != a.dim:
         raise ValueError(f"dimension mismatch: {n} != {a.dim}")
     x, r = np.zeros(n), b.astype(np.float64, copy=True)
-    iterations, residual = cg_refine(a, b, x, r, precond, CG_RTOL, warm=False)
+    iterations, residual = cg_refine(a, b, x, r, precond, CG_RTOL)
     return x, SolveReport(iterations, residual)
 
 
 def cg_refine(a, b: np.ndarray, x: np.ndarray, r: np.ndarray, precond: Preconditioner,
-              rtol: float, warm: bool = True) -> tuple[int, float]:
+              rtol: float) -> tuple[int, float]:
     """The one CG iteration loop, in place: refines ``x``, whose
     residual b - a x is ``r``, and ``r`` with it, until the relative
     residual |r| / |b| is at most ``rtol``; returns (iterations, that
     residual). No argument is checked.
 
-    A zero ``b`` sets x and r to zero (0 iterations, residual 0). A
-    ``warm`` start is refined by at least one iteration even when it already
-    meets ``rtol`` (an extrapolated guess left as it is would carry its
-    error into the next step), unless its residual is exactly zero; a cold
-    one (x = 0, r = b) is returned as it is when it meets ``rtol``. Raises
+    A zero ``b`` sets x and r to zero (0 iterations, residual 0). A start
+    is refined by at least one iteration even when it already meets
+    ``rtol`` (an extrapolated guess left as it is would carry its error
+    into the next step), unless its residual is exactly zero. Raises
     CgError on a non-finite right-hand side or residual, and when
     CG_ITERATIONS_PER_UNKNOWN iterations per unknown do not reach ``rtol``.
     """
@@ -280,7 +279,7 @@ def cg_refine(a, b: np.ndarray, x: np.ndarray, r: np.ndarray, precond: Precondit
         x[:] = r[:] = 0.0
         return 0, 0.0
     res = math.sqrt(r @ r) / bnorm
-    if res == 0.0 or (not warm and res <= rtol):
+    if res == 0.0:
         return 0, res
     if not math.isfinite(res):
         raise CgError(0, res)

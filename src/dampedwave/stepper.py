@@ -17,12 +17,13 @@ products of the last levels) is linear in the factors
 stiffness, so it is one product with parts built once per backend; the
 right-hand side's factors of each role are one table, RHS.
 
-run() keeps the levels as sine-basis coefficients. Where every operator is
-diagonal there (finite differences without a weight), one product of the
-same kind gives a whole block of steps A's symbol and the multipliers of U^n
-and U^{n-1}, mode by mode: no CG solve. Otherwise a step is a CG solve with
-A applied as its symbol plus one Kronecker product (plus the weighted
-operators' round trips) and preconditioned by a division by its symbol.
+run() and step() take every step in one loop, _run, on the levels'
+sine-basis coefficients. Where every operator is diagonal there (finite
+differences without a weight), one product of the same kind gives a whole
+block of steps A's symbol and the multipliers of U^n and U^{n-1}, mode by
+mode: no CG solve. Otherwise a step is a CG solve with A applied as its
+symbol plus one Kronecker product (plus the weighted operators' round trips)
+and preconditioned by a division by its symbol.
 """
 
 from __future__ import annotations
@@ -179,8 +180,8 @@ class StepperState:
     first, as the rows of ``levels``, in grid values (the steps work on
     their sine-basis coefficients); u_curr and u_prev are rows 0 and 1, and
     n indexes u_curr, at time n*k. ``solve`` reports the CG solve that
-    produced u_curr; None for an initial state and after a run on a backend
-    that is diagonal in its sine basis, whose steps solve nothing."""
+    produced u_curr; None for an initial state and after steps on a backend
+    that is diagonal in its sine basis, which solve nothing."""
 
     n: int
     k: float
@@ -420,54 +421,13 @@ def init_state(backend: BackendHandles, k: float,
     return StepperState(n=1, k=k, levels=np.stack((u1, u0)))
 
 
-def _advance(backend: BackendHandles, levels: np.ndarray, products: np.ndarray,
-             top: int, n: int, k: float, scales, force: np.ndarray) -> tuple[int, float]:
-    """One implicit step U^n -> U^{n+1} in a newest-first history of
-    sine-basis coefficients: U^n and up to HISTORY - 1 older levels are the
-    rows below ``top`` of ``levels``, and of ``products`` their
-    BackendHandles._sine_products. The cached system at the time factors
-    ``scales`` (a, b) of t_n is solved by sparse.cg_refine, preconditioned
-    by the division by its symbol, in place in row ``top`` from the
-    highest-degree extrapolant of those levels, with the two rows of one
-    product of their products as right-hand side (plus the forcing
-    coefficients ``force``) and starting residual. The products of U^{n+1}
-    then fill row ``top`` of ``products``, so a step costs one operator
-    application per CG iteration and one for U^{n+1}: a skew product each,
-    and for a weighted operator also two transforms and its grid matvec.
-    Returns the solve's (iterations, final relative residual)."""
-    system, precond, weights = backend._step_system(k, *scales)
-    depth = min(len(levels) - top - 1, HISTORY)
-    history = slice(top + 1, top + 1 + depth)
-    rhs = weights[depth] @ products[history].reshape(-1, levels.shape[1])
-    if backend.params.forcing is not None:
-        rhs += force
-    u = np.matmul(EXTRAPOLANTS[depth], levels[history], out=levels[top])
-    try:
-        solved = cg_refine(system, rhs[0], u, rhs[1], precond, STEP_RTOL)
-    except CgError as exc:
-        raise StepError(f"CG failed at step n={n} (t={n * k:g}): {exc}") from exc
-    backend._sine_products(u, out=products[top])
-    return solved
-
-
 def step(state: StepperState, backend: BackendHandles) -> StepperState:
-    """One implicit step (U^{n-1}, U^n) -> (U^n, U^{n+1}), keeping up to
-    HISTORY levels: a CG _advance on the sine-basis coefficients of the
-    state's levels and their products, at the time factors
-    ModelParams.check_schedules gives for t_n; the new level is transformed
-    back to grid values."""
+    """One step (U^{n-1}, U^n) -> (U^n, U^{n+1}) from ``state`` (n >= 1,
+    else ValueError), keeping up to HISTORY levels: _run over one step, the
+    step a run takes there. The older levels come back as given."""
     if state.n < 1:
         raise ValueError("stepping requires n >= 1")
-    n, k, basis = state.n, state.k, backend.basis
-    scales = backend.params.check_schedules([n * k])[0]
-    # row 0 is the step's, which it overwrites with U^{n+1} and its products
-    levels = np.array([basis.transform(u) for u in (state.u_curr, *state.levels)])
-    products = np.array([backend._sine_products(u) for u in levels])
-    solved = _advance(backend, levels, products, 0, n, k, scales,
-                      basis.transform(backend.forcing))
-    new = basis.transform(levels[0])
-    return StepperState(n=n + 1, k=k, solve=SolveReport(*solved),
-                        levels=np.vstack((new, state.levels[:HISTORY - 1])))
+    return _run(backend, state, 1, None)[0]
 
 
 def run(backend: BackendHandles, k: float, n_steps: int,
@@ -493,58 +453,67 @@ def run(backend: BackendHandles, k: float, n_steps: int,
             raise ValueError(f"reference must be a finite vector of shape "
                              f"({backend.ndof},)")
     state = init_state(backend, k, exact_at=exact_at)  # checks k
-    # step n evaluates the coefficients at t = n k
-    scales = backend.params.check_schedules(k * np.arange(n_steps + 1))
+    return _run(backend, state, n_steps, reference)
+
+
+# a diverging run overflows before the flush that names its step
+@np.errstate(over="ignore", invalid="ignore")
+def _run(backend: BackendHandles, state: StepperState, n_steps: int,
+         reference) -> tuple[StepperState, diagnostics.EnergyTrace]:
+    """The one stepping loop: ``n_steps`` steps from ``state``, whose newest
+    level is U^n; returns (final state, EnergyTrace as run describes it),
+    with the energy of the pair whose newest level is U^m at t = (m - 1) k,
+    from the state's newest pair on. Step m reads the time factors
+    ModelParams.check_schedules gives for t_m.
+
+    The levels are sine-basis coefficients in one newest-first block of
+    BLOCK + HISTORY rows, with their BackendHandles._sine_products, each
+    step filling the row above the newest. On a backend diagonal in the
+    basis, one BackendHandles._multipliers product gives a block's steps
+    U^{n+1} = g U^n + h U^{n-1} (+ F / A's symbol) mode by mode, and its
+    products are its levels times the operators' symbols, formed at once
+    before its energies. Otherwise a step solves the cached _step_system by
+    sparse.cg_refine, preconditioned by the division by its symbol, in place
+    in its row from the highest-degree extrapolant of the up to HISTORY
+    levels below, with one product of their products as right-hand side
+    (plus the forcing's coefficients F) and starting residual; U^{n+1}'s
+    products then fill its row. So a step applies the operators once per CG
+    iteration and once for U^{n+1}: a skew product, and for a weighted
+    operator two transforms and its grid matvec.
+
+    When the block is full, and at the end, one diagnostics.pair_energies
+    call records the energies and cross terms of its new pairs, and, given a
+    ``reference`` u, one einsum their distances sqrt((U - u).(M U - M u)),
+    with M u formed once: no matvec per step. The HISTORY newest rows then
+    move to the bottom, so the warm start carries across. The sums hold by
+    Parseval; only the new levels go back to grid values, and the final
+    state's older levels are the given ones."""
+    n, k, basis, modal = state.n, state.k, backend.basis, backend.diagonal_in_basis
+    times = k * np.arange(n - 1, n + n_steps)
+    scales = backend.params.check_schedules(times)
     trace = diagnostics.EnergyTrace(
-        t=k * np.arange(n_steps + 1), energy=np.empty(n_steps + 1),
-        cross=np.empty(n_steps + 1), cg_iterations=np.zeros(n_steps, dtype=int),
-        cg_residuals=np.zeros(n_steps),
+        t=times, energy=np.empty(n_steps + 1), cross=np.empty(n_steps + 1),
+        cg_iterations=np.zeros(n_steps, dtype=int), cg_residuals=np.zeros(n_steps),
         distance=None if reference is None else np.empty(n_steps + 1),
     )
-    # a diverging run overflows before the flush that names its step
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _run(backend, state, scales, trace, reference), trace
-
-
-def _run(backend: BackendHandles, state: StepperState, scales, trace,
-         reference) -> StepperState:
-    """One step from ``state`` per entry of ``scales`` after the first, in
-    one newest-first block of BLOCK + HISTORY rows of levels and their
-    products, each step filling the row above the newest. When the block is
-    full, and at the end, one diagnostics.pair_energies call gives the
-    energies and cross terms of its pairs not yet recorded, and, given a
-    ``reference`` u, one einsum their distances sqrt((U - u).(M U - M u))
-    from the products' M U and M u formed once, so no matvec per step. The
-    HISTORY newest rows then move to the bottom, so the warm start carries
-    across.
-
-    The rows are sine-basis coefficients, so the block sums hold by
-    Parseval; the state's levels, the forcing F and the reference are
-    transformed once, and only the final state goes back to grid values. A
-    step is a CG _advance in that basis, unless the backend is diagonal
-    there: then one BackendHandles._multipliers product gives every step of
-    a block its multipliers, a step is U^{n+1} = g U^n + h U^{n-1}
-    (+ F / A's symbol) mode by mode, and the block's products are its levels
-    times the operators' symbols, formed at once before its energies.
-
-    Fills ``trace`` (see run) and returns the final state."""
-    k, basis, modal = state.k, backend.basis, backend.diagonal_in_basis
-    rows, ops = BLOCK + HISTORY, len(backend.operators)
-    levels = np.empty((rows, backend.ndof))
+    rows, ops, ndof = BLOCK + HISTORY, len(backend.operators), backend.ndof
+    levels = np.empty((rows, ndof))
     # a sine-basis block's products are formed only at a flush, after its
     # steps have read their multipliers, so the two share one buffer
-    buffer = np.empty((max(ops, 3) if modal else ops, rows, backend.ndof))
-    products = buffer[:ops].reshape(rows, ops, backend.ndof)
+    buffer = np.empty((max(ops, 3) if modal else ops, rows, ndof))
+    products = buffer[:ops].reshape(rows, ops, ndof)
     top = rows - len(state.levels)  # the newest level
     levels[top:] = [basis.transform(u) for u in state.levels]
     if not modal:
         products[top:] = [backend._sine_products(u) for u in levels[top:]]
     force, forced = basis.transform(backend.forcing), backend.params.forcing is not None
-    done = rows - 1  # the newest level whose energy is recorded; U^0 has none
+    done = top + 1  # rows top to done - 1 await their energies (see flush)
     recorded = 0
     if reference is not None:
         reference = basis.transform(reference)
-        m_reference = backend._sine_products(reference)[0]
+        # row 0 of its _sine_products, without the other operators
+        m_reference = reference * backend._symbols[0] \
+            + backend.mass_skew * basis.skew_product(reference)
 
     def flush():
         """Record the energies of rows top to done - 1, each with the row
@@ -560,7 +529,7 @@ def _run(backend: BackendHandles, state: StepperState, scales, trace,
         bad = np.flatnonzero(~np.isfinite(trace.energy[new]))
         if bad.size:
             i = recorded + bad[0]
-            raise StepError(f"non-finite energy at step n={i} (t={trace.t[i]:g})")
+            raise StepError(f"non-finite energy at step n={n - 1 + i} (t={trace.t[i]:g})")
         if reference is not None:
             # rounding can leave a distance at the floor slightly negative
             squared = np.einsum("in,in->i", levels[top:done] - reference,
@@ -568,8 +537,7 @@ def _run(backend: BackendHandles, state: StepperState, scales, trace,
             trace.distance[new] = np.sqrt(np.maximum(squared, 0.0))[::-1]
         recorded, done = new.stop, top
 
-    report = state.solve
-    taken, n_steps = 0, len(scales) - 1
+    report, taken = None, 0
     if not modal:
         scales = scales.tolist()  # Python floats: _step_system's key compares them
     while True:
@@ -589,8 +557,19 @@ def _run(backend: BackendHandles, state: StepperState, scales, trace,
             solves = []
             for i in block:
                 top -= 1
-                solves.append(_advance(backend, levels, products, top, state.n + i, k,
-                                       scales[i + 1], force))
+                system, precond, weights = backend._step_system(k, *scales[i + 1])
+                depth = min(rows - top - 1, HISTORY)
+                history = slice(top + 1, top + 1 + depth)
+                rhs = weights[depth] @ products[history].reshape(-1, ndof)
+                if forced:
+                    rhs += force
+                u = np.matmul(EXTRAPOLANTS[depth], levels[history], out=levels[top])
+                try:
+                    solves.append(cg_refine(system, rhs[0], u, rhs[1], precond, STEP_RTOL))
+                except CgError as exc:
+                    raise StepError(f"CG failed at step n={n + i} "
+                                    f"(t={(n + i) * k:g}): {exc}") from exc
+                backend._sine_products(u, out=products[top])
             steps = slice(block.start, block.stop)
             trace.cg_iterations[steps], trace.cg_residuals[steps] = zip(*solves)
             report = SolveReport(*solves[-1])
@@ -600,8 +579,9 @@ def _run(backend: BackendHandles, state: StepperState, scales, trace,
             break
         levels[-HISTORY:], products[-HISTORY:] = levels[:HISTORY], products[:HISTORY]
         top = done = rows - HISTORY
-    final = np.array([basis.transform(u) for u in levels[top:top + HISTORY]])
-    return StepperState(n=state.n + n_steps, k=k, solve=report, levels=final)
+    new = [basis.transform(u) for u in levels[top:top + min(n_steps, HISTORY)]]
+    final = np.array([*new, *state.levels[:HISTORY - len(new)]])
+    return StepperState(n=n + n_steps, k=k, solve=report, levels=final), trace
 
 
 def steady_state(backend: BackendHandles) -> np.ndarray:

@@ -13,9 +13,10 @@ from dampedwave.fem import FemSpace, ScalarField
 from dampedwave.harness import DK_CAP, builtin_experiments, build_backend
 from dampedwave.mesh import UNIT_SQUARE, build_fd_grid, build_tri_mesh
 from dampedwave.oracle import Mode, modal_recurrence
-from dampedwave.sparse import cg_solve
+from dampedwave.sparse import cg_refine, cg_solve
 from dampedwave.stepper import (
     BLOCK,
+    EXTRAPOLANTS,
     STEP_RTOL,
     ModelParams,
     SpatialField,
@@ -95,11 +96,18 @@ def test_cg_matches_a_dense_solve_with_either_preconditioner(kind, n, alpha, bet
 @given(alpha=st.floats(0.0, 10.0), beta=st.floats(0.0, 3.0), k=log_step,
        seed=st.integers(0, 2 ** 16))
 def test_fd_step_systems_converge_in_one_iteration(alpha, beta, k, seed):
+    # A is diagonal in the sine basis, so the division by its symbol is
+    # exact: a step's CG, from the linear extrapolant of two levels and the
+    # starting residual formed from their products, takes one iteration
     params = ModelParams(domain=UNIT_SQUARE, alpha=alpha, beta=beta)
     backend = make_fd_backend(GRID, params)
-    u = np.random.default_rng(seed).normal(size=(2, backend.ndof))
-    state = step(StepperState(n=1, k=k, levels=u[::-1]), backend)
-    assert state.solve.iterations == 1
+    system, precond, weights = backend._step_system(k, alpha, beta)
+    levels = np.random.default_rng(seed).normal(size=(2, backend.ndof))
+    products = np.array([backend._sine_products(u) for u in levels])
+    b, r0 = weights[2] @ products.reshape(-1, backend.ndof)
+    x = EXTRAPOLANTS[2] @ levels
+    iterations, residual = cg_refine(system, b, x, r0, precond, STEP_RTOL)
+    assert iterations == 1 and residual <= STEP_RTOL
 
 
 @PROPERTY
@@ -141,25 +149,48 @@ def m_norm(backend, v):
     return np.sqrt(v @ backend.M.matvec(v))
 
 
+class GridSystem(NamedTuple):
+    """A = c_m M + c_k K on grid values, from a backend's grid matrices: the
+    ``dim`` and ``matvec`` that cg_solve reads."""
+
+    m: object
+    k: object
+    c_m: float
+    c_k: float
+
+    @property
+    def dim(self):
+        return self.m.dim
+
+    def matvec(self, v):
+        return self.c_m * self.m.matvec(v) + self.c_k * self.k.matvec(v)
+
+
 def cg_reference(backend, k, n_steps, exact_at=None, reference=None):
-    """The run as a loop of CG ``step`` calls from the same ``init_state``,
-    on a finite difference backend without a spatial weight: M, K and so
-    every step's A are diagonal in the sine basis, where their symbols are
-    their eigenvalues."""
+    """The run recomputed from the same ``init_state`` on a finite
+    difference backend without a spatial weight, where W = M and S = K:
+    each step solves its grid system A U^{n+1} = b, A = (1/k^2 + a/k) M
+    + (b/k + 1) K, by cg_solve, preconditioned by the sine-basis solver of
+    A's symbol. M, K and so A are diagonal in the sine basis, where their
+    symbols are their eigenvalues."""
     assert backend.diagonal_in_basis
-    sm, sk = (backend.basis.symbol(op) for op in (backend.M, backend.K))
+    basis = backend.basis
+    sm, sk = (basis.symbol(op) for op in (backend.M, backend.K))
     state = init_state(backend, k, exact_at=exact_at)
     pairs = [energy_and_cross(state, backend)]
     injections = []
     chain = [state]
-    for _ in range(n_steps):
-        a, b = backend.params.check_schedules([state.n * k])[0]
-        u = state.u_curr
-        rhs = backend.M.matvec(2.0 * u - state.u_prev) / k ** 2 + backend.forcing \
+    for n in range(1, n_steps + 1):
+        a, b = backend.params.check_schedules([n * k])[0]
+        prev, u = state.u_prev, state.u_curr
+        rhs = backend.M.matvec(2.0 * u - prev) / k ** 2 + backend.forcing \
             + (a * backend.weak_op.matvec(u) + b * backend.strong_op.matvec(u)) / k
-        lam_a = np.min(sm / k ** 2 + (a * sm + b * sk) / k + sk)
-        injections.append(np.linalg.norm(rhs) / np.sqrt(2.0 * lam_a))
-        state = step(state, backend)
+        c_m, c_k = 1.0 / k ** 2 + a / k, b / k + 1.0
+        symbol = c_m * sm + c_k * sk
+        injections.append(np.linalg.norm(rhs) / np.sqrt(2.0 * np.min(symbol)))
+        new, _ = cg_solve(GridSystem(backend.M, backend.K, c_m, c_k), rhs,
+                          basis.solver(symbol))
+        state = StepperState(n=n + 1, k=k, levels=np.stack((new, u)))
         pairs.append(energy_and_cross(state, backend))
         chain.append(state)
     energies, crosses = np.array(pairs).T

@@ -13,7 +13,8 @@ from dampedwave.harness import build_backend, builtin_experiments, run_decay, \
     run_steady
 from dampedwave.mesh import UNIT_SQUARE, build_fd_grid, build_tri_mesh
 from dampedwave.oracle import Mode, modal_recurrence
-from dampedwave.sparse import SineBasis, SparseMatrix, cg_refine, cg_solve
+from dampedwave.sparse import SineBasis, SolveReport, SparseMatrix, cg_refine, \
+    cg_solve
 from dampedwave.stepper import (
     EXTRAPOLANTS,
     HISTORY,
@@ -30,7 +31,7 @@ from dampedwave.stepper import (
     steady_state,
     step,
 )
-from test_properties import assert_runs_agree, dense_reference
+from test_properties import assert_runs_agree, cg_reference, dense_reference
 
 PI = np.pi
 
@@ -175,11 +176,18 @@ def test_schedule_validated_over_the_run():
 
 
 def test_non_finite_state_fails_fast_as_step_error():
+    # FD steps by multipliers, so the NaN surfaces at the flush, in the
+    # energy of the state's pair (U^2, U^3), named as run names it: by the
+    # step that made its newest level; a FEM step's CG meets it first
     _, params, backend = fd_setup(alpha=1.0, beta=0.5)
     u = np.ones(backend.ndof)
     u[2] = np.nan
-    with pytest.raises(StepError, match=r"n=3 .*in [01] iterations"):
-        step(StepperState(n=3, k=0.01, levels=np.stack((u, u))), backend)
+    state = StepperState(n=3, k=0.01, levels=np.stack((u, u)))
+    with pytest.raises(StepError, match=r"non-finite energy at step n=2 \(t=0.02\)"):
+        step(state, backend)
+    fem = make_fem_backend(FemSpace(build_tri_mesh(UNIT_SQUARE, 8)), params)
+    with pytest.raises(StepError, match=r"CG failed at step n=3 \(t=0.03\).*in 0 iterations"):
+        step(state, fem)
 
 
 def _dense(op):
@@ -387,17 +395,14 @@ def test_run_reports_cg_iterations_and_residuals_per_step():
 
 
 def test_fd_steady_distances_match_a_chain_of_cg_steps():
+    # the run steps by multipliers; the reference solves each step's grid
+    # system by CG and measures each level's M-norm distance to u_inf
     exp = builtin_experiments()["forcing"]
     rep = run_steady(exp, 16, backend="fd")
     backend, _ = build_backend(exp.params, 16, "fd")
     assert backend.diagonal_in_basis
-    state = init_state(backend, rep.k)
-    dists = []
-    for _ in range(rep.distances.size):
-        d = state.u_curr - rep.u_inf
-        dists.append(np.sqrt(d @ backend.M.matvec(d)))
-        state = step(state, backend)
-    assert np.max(np.abs(rep.distances - dists)) <= 1e-12 * rep.distances[0]
+    ref = cg_reference(backend, rep.k, rep.distances.size - 1, reference=rep.u_inf)
+    assert np.max(np.abs(rep.distances - ref.distances)) <= 1e-12 * rep.distances[0]
 
 
 NAN_FIELD = ScalarField(lambda x, y: np.full_like(np.asarray(x, dtype=float), np.nan))
@@ -518,9 +523,9 @@ def test_cg_run_makes_one_matvec_per_iteration_and_per_operator(name, operators,
     k = exp.time_step(8)
     matvecs = []   # one entry per grid matvec
     skews = []     # one entry per skew product
-    per_step = []  # (matvec, skew product) calls within each step
+    marks = []     # (matvecs, skew products) so far, after each level's products
     matvec, skew_product = SparseMatrix.matvec, SineBasis.skew_product
-    advance = stepper._advance
+    sine_products = stepper.BackendHandles._sine_products
 
     def counted(self, x):
         matvecs.append(1)
@@ -530,21 +535,22 @@ def test_cg_run_makes_one_matvec_per_iteration_and_per_operator(name, operators,
         skews.append(1)
         return skew_product(self, u)
 
-    def counted_advance(*args):
-        before = len(matvecs), len(skews)
-        out = advance(*args)
-        per_step.append((len(matvecs) - before[0], len(skews) - before[1]))
+    def counted_products(self, u, out=None):
+        out = sine_products(self, u, out=out)
+        marks.append((len(matvecs), len(skews)))
         return out
 
     monkeypatch.setattr(SparseMatrix, "matvec", counted)
     monkeypatch.setattr(SineBasis, "skew_product", counted_skew)
-    monkeypatch.setattr(stepper, "_advance", counted_advance)
+    monkeypatch.setattr(stepper.BackendHandles, "_sine_products", counted_products)
     init_state(backend, k)
     start = len(matvecs)
     matvecs.clear()
     final, trace = run(backend, k, exp.n_steps(k))
     n_steps = trace.t.size - 1
-    assert len(per_step) == n_steps
+    # the products of U^1 and U^0, then a step ends with those of U^{n+1}
+    assert len(marks) == 2 + n_steps
+    per_step = [(m1 - m0, s1 - s0) for (m0, s0), (m1, s1) in zip(marks[1:], marks[2:])]
     # per step one A p per CG iteration and the products of U^{n+1}; at
     # start-up the Taylor start, then the products of U^0 and U^1
     per_level = list(trace.cg_iterations + 1)
@@ -556,40 +562,48 @@ def test_cg_run_makes_one_matvec_per_iteration_and_per_operator(name, operators,
 
 
 @pytest.mark.parametrize("name", ["ex3ii", "spacevar"])
-def test_a_step_refines_in_place_what_cg_solve_returns(name):
-    # the in-place step on the block and cg_refine on copies of the same
-    # warm start and its residual, with the same system and right-hand side,
-    # agree bit for bit; the run's steps agree with dense solves
+def test_a_step_refines_in_place_what_cg_solve_returns(name, monkeypatch):
+    # the in-place step on the history block and cg_refine on copies of the
+    # same warm start and its residual, with the same system and right-hand
+    # side, agree bit for bit, and so do the new level's products; the
+    # run's steps agree with dense solves
     exp = builtin_experiments()[name]
     backend = make_fem_backend(FemSpace(build_tri_mesh(exp.domain, 8)), exp.params)
     assert exp.params.forcing is None
     k = exp.time_step(8)
     state, _ = run(backend, k, HISTORY)
+    assert len(state.levels) == HISTORY
     rows = np.array([backend.basis.transform(u) for u in state.levels])
-    levels = np.empty((HISTORY + 1, backend.ndof))
-    levels[1:] = rows
-    products = np.empty((HISTORY + 1, len(backend.operators), backend.ndof))
-    products[1:] = [backend._sine_products(u) for u in rows]
+    products = np.array([backend._sine_products(u) for u in rows])
     scales = tuple(backend.params.check_schedules([state.n * k])[0])
     system, precond, weights = backend._step_system(k, *scales)
-    b, r0 = weights[HISTORY] @ products[1:].reshape(-1, backend.ndof)
+    b, r0 = weights[HISTORY] @ products.reshape(-1, backend.ndof)
     x = EXTRAPOLANTS[HISTORY] @ rows
     report = cg_refine(system, b, x, r0.copy(), precond, STEP_RTOL)
-    solved = stepper._advance(backend, levels, products, 0, state.n, k, scales,
-                              backend.forcing)
+    sine_products = stepper.BackendHandles._sine_products
+    seen = []
+
+    def recorded(self, u, out=None):
+        seen.append(sine_products(self, u, out=out).copy())
+        return seen[-1]
+
+    monkeypatch.setattr(stepper.BackendHandles, "_sine_products", recorded)
+    new = step(state, backend)
+    monkeypatch.undo()
     assert report[0] >= 1
-    assert solved == report
-    assert np.array_equal(levels[0], x)
-    assert np.array_equal(products[0], backend._sine_products(x))
+    assert new.solve == SolveReport(*report)
+    assert np.array_equal(new.u_curr, backend.basis.transform(x))
+    assert np.array_equal(seen[-1], backend._sine_products(x))
     final, trace = run(backend, k, HISTORY + 1)
     assert_runs_agree(final, trace, dense_reference(backend, k, HISTORY + 1))
 
 
 def test_steady_distances_cost_one_matvec_per_run(monkeypatch):
     # the block's products already hold M U of every level, so a reference
-    # adds only its products, once, and no product per step: one skew
-    # product, and for forced spacevar also the weighted mass's grid matvec
-    # (forcing, unweighted, makes no grid matvec in its steps at all)
+    # adds only its own M u, once, and no product per step: one skew
+    # product and no grid matvec, also on forced spacevar, whose weighted
+    # mass M u does not involve (forcing, unweighted, makes no grid matvec
+    # in its steps at all)
     exp = builtin_experiments()["forcing"]
     spacevar = replace(builtin_experiments()["spacevar"].params,
                        forcing=exp.params.forcing)
@@ -618,7 +632,7 @@ def test_steady_distances_cost_one_matvec_per_run(monkeypatch):
             counts.append(dict(calls))
         assert traces[0].distance is None and traces[1].distance.size == traces[1].t.size
         assert np.array_equal(traces[0].cg_iterations, traces[1].cg_iterations)
-        assert counts[1]["matvec"] == counts[0]["matvec"] + weighted
+        assert counts[1]["matvec"] == counts[0]["matvec"]
         assert counts[1]["skew_product"] == counts[0]["skew_product"] + 1
         if not weighted:
             # the Taylor start's grid matvecs, however many steps follow
@@ -766,6 +780,44 @@ def test_two_level_state_steps_from_the_linear_guess():
     assert len(step(new, backend).levels) == 4
 
 
+def test_a_step_on_a_sine_diagonal_backend_solves_nothing(monkeypatch):
+    # step() is run's loop over one step, so on FD without a weight it takes
+    # the multipliers: no CG, and no report carried over from the state
+    exp = builtin_experiments()["timevar"]
+    backend, _ = build_backend(exp.params, 8, "fd")
+    assert backend.diagonal_in_basis
+    state = replace(init_state(backend, exp.time_step(8)), solve=SolveReport(3, 1e-11))
+
+    def no_cg(*args):
+        raise AssertionError("a sine-diagonal step ran CG")
+
+    monkeypatch.setattr(stepper, "cg_refine", no_cg)
+    new = step(state, backend)
+    assert new.n == state.n + 1 and new.solve is None
+
+
+@pytest.mark.parametrize("kind,name", [("fd", "timevar"), ("fem", "ex3ii"),
+                                       ("fem", "spacevar")])
+def test_a_step_keeps_the_older_levels_and_agrees_with_run(kind, name):
+    # the levels a step did not produce come back exactly as they went in;
+    # its new level is run's next one, up to the solve's tolerance (the
+    # run carries its levels in the sine basis, the state in grid values)
+    exp = builtin_experiments()[name]
+    backend, _ = build_backend(exp.params, 8, kind)
+    k = exp.time_step(8)
+    state, _ = run(backend, k, HISTORY)
+    want, _ = run(backend, k, HISTORY + 1)
+    levels = state.levels.copy()
+    new = step(state, backend)
+    assert np.array_equal(state.levels, levels)
+    assert new.n == want.n and len(new.levels) == HISTORY
+    assert np.array_equal(new.levels[1:], levels[:HISTORY - 1])
+    a, _ = _dense_system(backend, state)
+    bound = 2.0 * STEP_RTOL * np.linalg.cond(a)
+    assert np.linalg.norm(new.u_curr - want.u_curr) <= bound * np.linalg.norm(want.u_curr)
+    assert (new.solve is None) == backend.diagonal_in_basis
+
+
 def test_state_with_older_levels_steps_within_tolerance_of_linear_guess():
     exp = builtin_experiments()["ex1"]
     backend = make_fem_backend(FemSpace(build_tri_mesh(UNIT_SQUARE, 12)), exp.params)
@@ -855,7 +907,7 @@ def test_run_matches_a_chain_of_steps_across_history_blocks(kind, name, n_steps)
 
 
 @pytest.mark.parametrize("shape", [(8,), (1, 8), (HISTORY + 1, 8), (2, 2, 8)])
-def test_state_levels_are_two_to_four_rows(shape):
+def test_state_levels_are_two_to_history_rows(shape):
     with pytest.raises(ValueError, match=f"2 to {HISTORY} rows"):
         StepperState(n=1, k=0.01, levels=np.zeros(shape))
 
