@@ -7,7 +7,7 @@ K v = lambda M v."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
 
@@ -186,12 +186,14 @@ class SineBasis:
         t = np.eye(self.n, k=1)
         return self.matrix @ (0.5 * (t - t.T)) @ self.matrix
 
-    def skew_product(self, u: np.ndarray) -> np.ndarray:
-        """(skew (x) skew) u for flat sine-basis coefficients u: skew U skew'
-        flattened, two n x n products (np.dot, which is faster than @ at
-        these sizes)."""
-        a = self.skew
-        return np.dot(np.dot(a, u.reshape(self.n, self.n)), a.T).ravel()
+    def skew_factor(self, kappa: float) -> np.ndarray:
+        """F = sqrt(kappa) skew, so that skew_product(F, u) is
+        kappa (skew (x) skew) u; raises ValueError unless kappa is
+        nonnegative and finite (its square root would be NaN)."""
+        if not 0.0 <= kappa < math.inf:  # also false for NaN
+            raise ValueError(f"a skew term's kappa must be nonnegative and finite, "
+                             f"not {kappa!r}")
+        return math.sqrt(kappa) * self.skew
 
     def transform(self, u: np.ndarray) -> np.ndarray:
         """S2 u as a flat array: S U S for the grid values U (two n x n
@@ -211,25 +213,39 @@ class SineBasis:
         return apply
 
 
+def skew_product(factor: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """(F (x) F) u for flat sine-basis coefficients u of an n x n grid and
+    an n x n F: F U F' flattened, two n x n products (ndarray.dot, which is
+    faster than @ or np.dot at these sizes). With
+    F = SineBasis.skew_factor(kappa) it is kappa (skew (x) skew) u, with no
+    multiply by kappa."""
+    return factor.dot(u.reshape(factor.shape)).dot(factor.T).ravel()
+
+
 @dataclass(frozen=True)
 class SkewSymbolOperator:
     """v -> symbol * v + kappa (skew (x) skew) v + S2 W S2 v on the
     coefficients v of a SineBasis, with W the sum of the grid operators
     ``weighted``: a sum of unweighted P1 or finite difference operators in
-    that basis, plus spatially weighted ones, applied on grid values."""
+    that basis, plus spatially weighted ones, applied on grid values. The
+    skew term is applied through ``factor``, sqrt(kappa) skew, built once;
+    a kappa that is negative or not finite raises ValueError."""
 
     basis: SineBasis
     symbol: np.ndarray  # flat, one value per mode
     kappa: float
     weighted: tuple[SparseMatrix, ...] = ()
+    factor: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "factor", self.basis.skew_factor(self.kappa))
 
     @property
     def dim(self) -> int:
         return self.symbol.size
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        y = self.basis.skew_product(v)
-        y *= self.kappa
+        y = skew_product(self.factor, v)
         y += self.symbol * v
         if self.weighted:
             grid = self.basis.transform(v)
@@ -246,8 +262,9 @@ def cg_solve(a, b: np.ndarray, precond: Preconditioner) -> tuple[np.ndarray, Sol
     SkewSymbolOperator), from x = 0 to the relative residual CG_RTOL.
 
     ``precond`` maps a residual r to P^-1 r for an SPD P: the sine-basis
-    solver of a grid operator's symbol (SineBasis.solver), the division of
-    sine-basis coefficients by that symbol, or the identity for plain CG.
+    solver of a grid operator's symbol (SineBasis.solver), the
+    multiplication of sine-basis coefficients by that symbol's reciprocal,
+    or the identity for plain CG.
     Checks the dimension and runs cg_refine from the cold start (residual b).
     """
     n = b.shape[0]
@@ -272,33 +289,34 @@ def cg_refine(a, b: np.ndarray, x: np.ndarray, r: np.ndarray, precond: Precondit
     CgError on a non-finite right-hand side or residual, and when
     CG_ITERATIONS_PER_UNKNOWN iterations per unknown do not reach ``rtol``.
     """
-    bnorm = math.sqrt(b @ b)
+    # ndarray.dot: on a few hundred entries @ costs about twice as much
+    bnorm = math.sqrt(b.dot(b))
     if not math.isfinite(bnorm):
         raise CgError(0, bnorm)
     if bnorm == 0.0:
         x[:] = r[:] = 0.0
         return 0, 0.0
-    res = math.sqrt(r @ r) / bnorm
+    res = math.sqrt(r.dot(r)) / bnorm
     if res == 0.0:
         return 0, res
     if not math.isfinite(res):
         raise CgError(0, res)
     z = precond(r)
     p = z.copy()  # a preconditioner may return r itself, which r -= updates
-    rz = r @ z
+    rz = r.dot(z)
     max_iter = CG_ITERATIONS_PER_UNKNOWN * b.shape[0]
     for it in range(1, max_iter + 1):
         ap = a.matvec(p)
-        alpha = rz / (p @ ap)
+        alpha = rz / p.dot(ap)
         x += alpha * p
         r -= alpha * ap
-        res = math.sqrt(r @ r) / bnorm
+        res = math.sqrt(r.dot(r)) / bnorm
         if res <= rtol:
             return it, res
         if not math.isfinite(res):
             raise CgError(it, res)
         z = precond(r)
-        rz_new = r @ z
+        rz_new = r.dot(z)
         p = z + (rz_new / rz) * p
         rz = rz_new
     raise CgError(max_iter, res)

@@ -11,26 +11,30 @@ its symbol plus one multiple, BackendHandles.mass_skew, of a Kronecker term
 (0 for finite differences). Without a spatial weight the damping operators
 are M and K; a weighted one enters by a round trip to grid values and back.
 Everything a step needs from this system (A's symbol, which preconditions
-every CG solve, and the weights that form the right-hand side from the
-products of the last levels) is linear in the factors
-(1/k^2, alpha/k, beta/k, 1) of the mass, the two damping operators and the
-stiffness, so it is one product with parts built once per backend; the
-right-hand side's factors of each role are one table, RHS.
+every CG solve, and the three-row table that forms the CG starting point,
+the right-hand side and the starting residual from the last levels and
+their products) is linear in the factors (1/k^2, alpha/k, beta/k, 1) of the
+mass, the two damping operators and the stiffness, so it is one product
+with parts built once per backend; the right-hand side's factors of each
+role are one table, RHS.
 
 run() and step() take every step in one loop, _run, on the levels'
-sine-basis coefficients. Where every operator is diagonal there (finite
-differences without a weight), one product of the same kind gives a whole
-block of steps A's symbol and the multipliers of U^n and U^{n-1}, mode by
-mode: no CG solve. Otherwise a step is a CG solve with A applied as its
-symbol plus one Kronecker product (plus the weighted operators' round trips)
-and preconditioned by a division by its symbol.
+sine-basis coefficients, kept with their products in one history block.
+Where every operator is diagonal there (finite differences without a
+weight), one product of the same kind gives a whole block of steps A's
+symbol and the multipliers of U^n and U^{n-1}, mode by mode: no CG solve.
+Otherwise a step is one product of its table with the history rows and a
+CG solve, with A applied as its symbol plus one skew product F V F'
+(F = sqrt(kappa) skew, scaled once per system; plus the weighted
+operators' round trips) and preconditioned by a multiplication by its
+reciprocal symbol.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable
 
 import numpy as np
@@ -41,7 +45,7 @@ from .fem import ZERO_FIELD, FemSpace, ScalarField, assemble_mass, \
     assemble_stiffness, at_midpoints, interpolate as fem_interpolate, load_vector
 from .mesh import FdGrid, Rectangle
 from .sparse import CgError, Preconditioner, SineBasis, SkewSymbolOperator, \
-    SolveReport, SparseMatrix, cg_refine, cg_solve, from_diagonal
+    SolveReport, SparseMatrix, cg_refine, cg_solve, from_diagonal, skew_product
 
 STEP_RTOL = 1e-10
 HISTORY = 5  # the most levels a step reads
@@ -235,6 +239,8 @@ class BackendHandles:
         # their symbols, shaped (operators, ndof): in the sine basis, the
         # products of a level with every operator when diagonal_in_basis
         self._symbols = np.stack([self.basis.symbol(op).ravel() for op in self.operators])
+        # sqrt(mass_skew) skew: M's skew term of u is skew_product of it and u
+        self._mass_factor = self.basis.skew_factor(self.mass_skew)
 
     @property
     def ndof(self) -> int:
@@ -269,11 +275,11 @@ class BackendHandles:
     def _sine_products(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """The products of sine-basis coefficients u with each distinct
         operator, in that basis, shaped (operators, ndof) and written to
-        ``out`` when given: each operator's symbol times u, plus mass_skew
-        times u's skew product for M, and for a weighted operator W the
+        ``out`` when given: each operator's symbol times u, plus
+        mass_skew (skew (x) skew) u for M, and for a weighted operator W the
         round trip S2 W S2 u."""
         out = np.multiply(u, self._symbols, out=out)
-        out[0] += self.mass_skew * self.basis.skew_product(u)
+        out[0] += skew_product(self._mass_factor, u)
         for i, op in enumerate(self.operators[2:], 2):
             out[i] = self.basis.transform(op.matvec(self.basis.transform(u)))
         return out
@@ -282,18 +288,25 @@ class BackendHandles:
     def _parts(self):
         """(parts, weight_at) over the roles (M, W, S, K), a row each: with
         c = (1/k^2, a/k, b/k, 1), c @ parts is the symbol of A without its
-        weighted operators and then the weights of _step_system, those of L
-        levels at weight_at[L]."""
-        roles = np.eye(len(self.operators))[self._op_of_role]
+        weighted operators and then the weight tables of _step_system, that
+        of L levels at weight_at[L]."""
+        ops = len(self.operators)
+        roles = np.eye(ops)[self._op_of_role]
         symbols = self._symbols[self._op_of_role]
         symbols[self._weighted] = 0.0
-        # the right-hand side's factors (RHS); the starting residual
-        # subtracts the extrapolant times the role's factor in A
         parts = [symbols]
         for n_levels, ext in EXTRAPOLANTS.items():
-            row = np.pad(RHS, ((0, 0), (0, n_levels - 2)))
-            pair = np.stack((row, row - ext), axis=1)  # (role, weight row, level)
-            parts.append((pair[..., None] * roles[:, None, None]).reshape(4, -1))
+            # (role, table row, level, slot), the slots of a history row
+            # being the level and then its products (see _run)
+            table = np.zeros((4, 3, n_levels, 1 + ops))
+            # x0: the extrapolant, constant, on K's factor, which is 1
+            table[3, 0, :, 0] = ext
+            # b: the right-hand side's factors (RHS); r0 subtracts the
+            # extrapolant times the role's factor in A
+            rhs = np.pad(RHS, ((0, 0), (0, n_levels - 2)))
+            pair = np.stack((rhs, rhs - ext), axis=1)  # (role, b or r0, level)
+            table[:, 1:, :, 1:] = pair[..., None] * roles[:, None, None]
+            parts.append(table.reshape(4, -1))
         ends = np.cumsum([part.shape[1] for part in parts])
         weight_at = dict(zip(EXTRAPOLANTS, map(slice, ends[:-1], ends[1:])))
         return np.concatenate(parts, axis=1), weight_at
@@ -302,21 +315,24 @@ class BackendHandles:
         """(A, P^-1, weights) for step size k and time factors (a, b): A on
         sine-basis coefficients, a SkewSymbolOperator (the unweighted roles'
         symbols, the skew term and the weighted operators, each times its
-        factor in c), and the division by A's whole symbol.
+        factor in c), and the multiplication by the reciprocal of A's whole
+        symbol, a C-level partial of np.multiply.
 
-        weights[L] has two rows over the (level, operator) pairs of the last
-        L levels, newest first (see _sine_products): the right-hand side
-        (2 M U^n - M U^{n-1})/k^2 + D U^n/k without the forcing, and the
-        residual of the step's CG starting point, that right-hand side minus
-        A times the extrapolant of the L levels. Rebuilt only when an
-        argument differs from the last call.
+        weights[L] is a table of three rows, (x0, b, r0), over the slots of
+        the last L rows of a history block, newest first: each row's level,
+        then its product with each distinct operator (see _sine_products).
+        x0, the step's CG starting point, is the extrapolant of the L levels
+        (weights on the level slots only); b is the right-hand side
+        (2 M U^n - M U^{n-1})/k^2 + D U^n/k without the forcing, and r0 the
+        residual of x0, b - A x0 (both on the product slots only). Rebuilt
+        only when an argument differs from the last call.
         """
         key = (k, a, b)
         if self._system[0] != key:
             parts, weight_at = self._parts
             c = np.array([1.0 / k ** 2, a / k, b / k, 1.0])
             flat = c @ parts
-            weights = {n: flat[at].reshape(2, -1) for n, at in weight_at.items()}
+            weights = {n: flat[at].reshape(3, -1) for n, at in weight_at.items()}
             symbol = flat[:self.ndof]
             weighted = [(c[role], self._op_of_role[role]) for role in self._weighted]
             whole = symbol + sum(f * self._symbols[op] for f, op in weighted)
@@ -327,7 +343,7 @@ class BackendHandles:
             scaled = tuple(replace(self.operators[op], vals=f * self.operators[op].vals)
                            for f, op in weighted)
             system = SkewSymbolOperator(self.basis, symbol, float(c[:2] @ skews), scaled)
-            self._system = (key, (system, lambda r: r / whole, weights))
+            self._system = (key, (system, partial(np.multiply, 1.0 / whole), weights))
         return self._system[1]
 
     def _multipliers(self, k: float, scales: np.ndarray,
@@ -467,17 +483,23 @@ def _run(backend: BackendHandles, state: StepperState, n_steps: int,
     ModelParams.check_schedules gives for t_m.
 
     The levels are sine-basis coefficients in one newest-first block of
-    BLOCK + HISTORY rows, with their BackendHandles._sine_products, each
-    step filling the row above the newest. On a backend diagonal in the
-    basis, one BackendHandles._multipliers product gives a block's steps
-    U^{n+1} = g U^n + h U^{n-1} (+ F / A's symbol) mode by mode, and its
-    products are its levels times the operators' symbols, formed at once
-    before its energies. Otherwise a step solves the cached _step_system by
-    sparse.cg_refine, preconditioned by the division by its symbol, in place
-    in its row from the highest-degree extrapolant of the up to HISTORY
-    levels below, with one product of their products as right-hand side
-    (plus the forcing's coefficients F) and starting residual; U^{n+1}'s
-    products then fill its row. So a step applies the operators once per CG
+    BLOCK + HISTORY rows shaped (rows, 1 + operators, ndof): row j holds
+    level j and then its products with the distinct operators
+    (BackendHandles._sine_products), so ``levels`` and ``products`` are
+    views of it, and each step fills the row above the newest. On a backend
+    diagonal in the basis, one BackendHandles._multipliers product gives a
+    block's steps U^{n+1} = g U^n + h U^{n-1} (+ F / A's symbol) mode by
+    mode, kept in the product slots of its first rows (one slot wider than
+    the products); its products are its levels times the operators'
+    symbols, formed at once before its energies, over the spent
+    multipliers. Otherwise a step is one product of the cached
+    _step_system's weight table with the slots of the up to HISTORY rows
+    below, written to the first three slots of its row: the highest-degree
+    extrapolant x0 on the level slot, the right-hand side b and x0's
+    residual r0 on the next two (each plus the forcing's coefficients F).
+    sparse.cg_refine, preconditioned by the multiplication by A's
+    reciprocal symbol, refines x0 and r0 in place, and U^{n+1}'s products
+    then overwrite b and r0. So a step applies the operators once per CG
     iteration and once for U^{n+1}: a skew product, and for a weighted
     operator two transforms and its grid matvec.
 
@@ -485,9 +507,9 @@ def _run(backend: BackendHandles, state: StepperState, n_steps: int,
     call records the energies and cross terms of its new pairs, and, given a
     ``reference`` u, one einsum their distances sqrt((U - u).(M U - M u)),
     with M u formed once: no matvec per step. The HISTORY newest rows then
-    move to the bottom, so the warm start carries across. The sums hold by
-    Parseval; only the new levels go back to grid values, and the final
-    state's older levels are the given ones."""
+    move to the bottom in one block copy, so the warm start carries across.
+    The sums hold by Parseval; only the new levels go back to grid values,
+    and the final state's older levels are the given ones."""
     n, k, basis, modal = state.n, state.k, backend.basis, backend.diagonal_in_basis
     times = k * np.arange(n - 1, n + n_steps)
     scales = backend.params.check_schedules(times)
@@ -497,15 +519,18 @@ def _run(backend: BackendHandles, state: StepperState, n_steps: int,
         distance=None if reference is None else np.empty(n_steps + 1),
     )
     rows, ops, ndof = BLOCK + HISTORY, len(backend.operators), backend.ndof
-    levels = np.empty((rows, ndof))
-    # a sine-basis block's products are formed only at a flush, after its
-    # steps have read their multipliers, so the two share one buffer
-    buffer = np.empty((max(ops, 3) if modal else ops, rows, ndof))
-    products = buffer[:ops].reshape(rows, ops, ndof)
+    # row j: level j, then its products with the operators; a modal block's
+    # products are formed only at a flush, after its steps have read their
+    # three multipliers, which fill the product slots of its first rows
+    # (a modal backend has two operators, M and K, so one slot more)
+    width = 1 + (max(ops, 3) if modal else ops)
+    block = np.empty((rows, width, ndof))
+    levels, products, slots = block[:, 0], block[:, 1:1 + ops], block.reshape(-1, ndof)
     top = rows - len(state.levels)  # the newest level
     levels[top:] = [basis.transform(u) for u in state.levels]
     if not modal:
-        products[top:] = [backend._sine_products(u) for u in levels[top:]]
+        for row in block[top:]:
+            backend._sine_products(row[0], out=row[1:])
     force, forced = basis.transform(backend.forcing), backend.params.forcing is not None
     done = top + 1  # rows top to done - 1 await their energies (see flush)
     recorded = 0
@@ -513,7 +538,7 @@ def _run(backend: BackendHandles, state: StepperState, n_steps: int,
         reference = basis.transform(reference)
         # row 0 of its _sine_products, without the other operators
         m_reference = reference * backend._symbols[0] \
-            + backend.mass_skew * basis.skew_product(reference)
+            + skew_product(backend._mass_factor, reference)
 
     def flush():
         """Record the energies of rows top to done - 1, each with the row
@@ -541,43 +566,49 @@ def _run(backend: BackendHandles, state: StepperState, n_steps: int,
     if not modal:
         scales = scales.tolist()  # Python floats: _step_system's key compares them
     while True:
-        block = range(taken, min(taken + top, n_steps))  # steps filling rows above top
+        steps = range(taken, min(taken + top, n_steps))  # steps filling rows above top
         if modal:
-            symbol, g, h = backend._multipliers(k, scales[block.start + 1:block.stop + 1],
-                                                out=buffer[:3, :len(block)])
+            symbol, g, h = backend._multipliers(
+                k, scales[steps.start + 1:steps.stop + 1],
+                out=block[:len(steps), 1:4].swapaxes(0, 1))
             if forced:
                 f = np.divide(force, symbol, out=symbol)
-            for j in range(len(block)):
+            for j in range(len(steps)):
                 top -= 1
                 u = np.multiply(g[j], levels[top + 1], out=levels[top])
                 u += h[j] * levels[top + 2]
                 if forced:
                     u += f[j]
-        elif block:
+        elif steps:
             solves = []
-            for i in block:
+            for i in steps:
                 top -= 1
                 system, precond, weights = backend._step_system(k, *scales[i + 1])
                 depth = min(rows - top - 1, HISTORY)
-                history = slice(top + 1, top + 1 + depth)
-                rhs = weights[depth] @ products[history].reshape(-1, ndof)
+                # (x0, b, r0) from the slots of the rows below, into the
+                # row's first three slots (ndarray.dot: at these sizes
+                # np.matmul's dispatch costs as much as its product)
+                start = block[top, :3]
+                weights[depth].dot(slots[(top + 1) * width:(top + 1 + depth) * width],
+                                   out=start)
                 if forced:
-                    rhs += force
-                u = np.matmul(EXTRAPOLANTS[depth], levels[history], out=levels[top])
+                    start[1:] += force
+                u = start[0]
                 try:
-                    solves.append(cg_refine(system, rhs[0], u, rhs[1], precond, STEP_RTOL))
+                    solves.append(cg_refine(system, start[1], u, start[2], precond,
+                                            STEP_RTOL))
                 except CgError as exc:
                     raise StepError(f"CG failed at step n={n + i} "
                                     f"(t={(n + i) * k:g}): {exc}") from exc
-                backend._sine_products(u, out=products[top])
-            steps = slice(block.start, block.stop)
-            trace.cg_iterations[steps], trace.cg_residuals[steps] = zip(*solves)
+                backend._sine_products(u, out=block[top, 1:])
+            span = slice(steps.start, steps.stop)
+            trace.cg_iterations[span], trace.cg_residuals[span] = zip(*solves)
             report = SolveReport(*solves[-1])
-        taken = block.stop
+        taken = steps.stop
         flush()
         if taken == n_steps:
             break
-        levels[-HISTORY:], products[-HISTORY:] = levels[:HISTORY], products[:HISTORY]
+        block[-HISTORY:] = block[:HISTORY]
         top = done = rows - HISTORY
     new = [basis.transform(u) for u in levels[top:top + min(n_steps, HISTORY)]]
     final = np.array([*new, *state.levels[:HISTORY - len(new)]])

@@ -4,6 +4,7 @@ conditioning of preconditioned step systems, and scipy as a test-only oracle."""
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -210,6 +211,45 @@ def test_unweighted_p1_operators_are_their_symbol_plus_the_stated_skew_term(doma
     assert np.max(np.abs(system.matvec(v) - want)) <= 1e-13 * np.max(np.abs(want))
     # the preconditioner divides by the symbol of the system
     assert np.allclose(precond(v), v / np.diag(a), rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("kappa", [-1e-300, -1.0, -np.inf, np.inf, np.nan])
+def test_a_skew_term_rejects_a_kappa_without_a_real_square_root(kappa):
+    # the factor sqrt(kappa) skew would turn such a kappa silently into NaN
+    basis = SineBasis(4)
+    with pytest.raises(ValueError, match="kappa"):
+        SkewSymbolOperator(basis, np.ones(basis.n ** 2), kappa)
+    params = ModelParams(domain=UNIT_SQUARE, alpha=0.7, beta=0.3)
+    backend = make_fem_backend(FemSpace(build_tri_mesh(UNIT_SQUARE, 4)), params)
+    with pytest.raises(ValueError, match="kappa"):
+        replace(backend, mass_skew=kappa)
+
+
+@pytest.mark.parametrize("case", ["ex3ii", "spacevar", "fd"])
+def test_scaled_skew_factors_apply_kappa_times_the_skew_product(case):
+    # F = sqrt(kappa) skew, built once, gives F V F' = kappa (skew V skew')
+    # to 1e-14 relative, for a step system's kappa (that of W too on ex3ii,
+    # 1/k^2 mass_skew alone with a weighted W on spacevar, 0 on weighted FD)
+    # and for the mass's, where a zero kappa must give exactly 0; the oracle
+    # is also the dense kron(skew, skew)
+    if case == "fd":
+        params = builtin_experiments()["spacevar"].params
+        backend = make_fd_backend(build_fd_grid(UNIT_SQUARE, 8), params)
+    else:
+        params = builtin_experiments()[case].params
+        backend = make_fem_backend(FemSpace(build_tri_mesh(UNIT_SQUARE, 8)), params)
+    basis, k = backend.basis, 0.05
+    system, _, _ = backend._step_system(k, 0.7, 0.3)
+    kappa_w = 0.0 if case == "spacevar" else 0.7 / k
+    assert system.kappa == (1 / k ** 2 + kappa_w) * backend.mass_skew
+    assert (system.kappa == 0.0) == (case == "fd")
+    skew2 = np.kron(basis.skew, basis.skew)
+    v = np.random.default_rng(3).normal(size=backend.ndof)
+    for factor, kappa in ((system.factor, system.kappa),
+                          (backend._mass_factor, backend.mass_skew)):
+        got = sparse.skew_product(factor, v)
+        for want in (kappa * sparse.skew_product(basis.skew, v), kappa * skew2 @ v):
+            assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
 
 
 @pytest.mark.parametrize("name", ["ex1", "timevar"])

@@ -39,6 +39,14 @@ def mode_field(p, q):
     return ScalarField(lambda x, y: np.sin(p * np.pi * x) * np.sin(q * np.pi * y))
 
 
+def history_slots(backend, levels):
+    """The rows of a history block holding the sine-basis ``levels``, newest
+    first, each its level and then its products with the backend's
+    operators, flattened to the slots a step's weight table multiplies."""
+    return np.array([(u, *backend._sine_products(u)) for u in levels]) \
+        .reshape(-1, backend.ndof)
+
+
 @PROPERTY
 @given(alpha=st.floats(0.0, 5.0), beta=st.floats(0.0, 1.0),
        k=st.floats(1e-3, 0.1), p=mode_index, q=mode_index)
@@ -98,14 +106,15 @@ def test_cg_matches_a_dense_solve_with_either_preconditioner(kind, n, alpha, bet
 def test_fd_step_systems_converge_in_one_iteration(alpha, beta, k, seed):
     # A is diagonal in the sine basis, so the division by its symbol is
     # exact: a step's CG, from the linear extrapolant of two levels and the
-    # starting residual formed from their products, takes one iteration
+    # starting residual, both formed with the right-hand side by the one
+    # product of the weight table with their history rows, takes one
+    # iteration
     params = ModelParams(domain=UNIT_SQUARE, alpha=alpha, beta=beta)
     backend = make_fd_backend(GRID, params)
     system, precond, weights = backend._step_system(k, alpha, beta)
     levels = np.random.default_rng(seed).normal(size=(2, backend.ndof))
-    products = np.array([backend._sine_products(u) for u in levels])
-    b, r0 = weights[2] @ products.reshape(-1, backend.ndof)
-    x = EXTRAPOLANTS[2] @ levels
+    x, b, r0 = weights[2] @ history_slots(backend, levels)
+    assert np.array_equal(x, EXTRAPOLANTS[2] @ levels)
     iterations, residual = cg_refine(system, b, x, r0, precond, STEP_RTOL)
     assert iterations == 1 and residual <= STEP_RTOL
 

@@ -1,3 +1,4 @@
+import functools
 import math
 import warnings
 from dataclasses import replace
@@ -5,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dampedwave import stepper
+from dampedwave import sparse, stepper
 from dampedwave.diagnostics import energy_and_cross
 from dampedwave.fdm import fd_eigenvalue, fd_sine_mode
 from dampedwave.fem import ZERO_FIELD, FemSpace, ScalarField, interpolate
@@ -31,7 +32,8 @@ from dampedwave.stepper import (
     steady_state,
     step,
 )
-from test_properties import assert_runs_agree, cg_reference, dense_reference
+from test_properties import assert_runs_agree, cg_reference, dense_reference, \
+    history_slots
 
 PI = np.pi
 
@@ -200,9 +202,10 @@ def _check_system(backend, k, t, a, b, w=0.0, s=0.0):
     S2 and the dense A = (1/k^2 + a/k) M + W/k + (b/k + 1) K + S/k, where a
     spatial coefficient contributes its weighted operator W or S and a
     scalar one its value a or b; its preconditioner against the division by
-    diag(S2' A S2); and the right-hand side and starting residual that a
-    step forms from the products of HISTORY levels against S2' times those
-    formed with the dense D = a M + W + b K + S."""
+    diag(S2' A S2); and the starting point, right-hand side and starting
+    residual that a step forms from the history rows of HISTORY levels (one
+    product with its three-row weight table) against S2' times the
+    extrapolant and those formed with the dense D = a M + W + b K + S."""
     m, kk = backend.M.to_dense(), backend.K.to_dense()
     expected = (1 / k ** 2 + a / k) * m + w / k + (b / k + 1) * kk + s / k
     s2 = np.kron(backend.basis.matrix, backend.basis.matrix)
@@ -213,16 +216,20 @@ def _check_system(backend, k, t, a, b, w=0.0, s=0.0):
     rng = np.random.default_rng(5)
     r = rng.normal(size=backend.ndof)
     want = r / np.diag(in_basis)
+    # a C-level multiplication by the reciprocal symbol, no Python frame
+    assert isinstance(precond, functools.partial) and precond.func is np.multiply
     assert np.allclose(precond(r), want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
     assert np.allclose(_dense(system), in_basis, rtol=1e-14, atol=tol)
     assert backend._step_system(k, *scales)[0] is system
     levels = rng.normal(size=(HISTORY, backend.ndof))
-    products = np.array([backend._sine_products(backend.basis.transform(u))
-                         for u in levels])
-    rhs, r0 = weights[HISTORY] @ products.reshape(HISTORY * len(backend.operators), -1)
+    slots = history_slots(backend, [backend.basis.transform(u) for u in levels])
+    assert weights[HISTORY].shape == (3, len(slots))
+    x0, rhs, r0 = weights[HISTORY] @ slots
     damping = a * m + w + b * kk + s
+    want_x0 = np.dot(EXTRAPOLANTS[HISTORY], levels)
     want_rhs = m @ (2.0 * levels[0] - levels[1]) / k ** 2 + damping @ levels[0] / k
-    want_r0 = want_rhs - expected @ np.dot(EXTRAPOLANTS[HISTORY], levels)
+    want_r0 = want_rhs - expected @ want_x0
+    assert np.max(np.abs(x0 - s2.T @ want_x0)) <= 1e-13 * np.max(np.abs(want_x0))
     for got, want in ((rhs, want_rhs), (r0, want_r0)):
         assert np.max(np.abs(got - s2.T @ want)) <= 1e-13 * np.max(np.abs(want_rhs))
     return system
@@ -264,7 +271,9 @@ def test_cached_system_matches_dense_fem_schedule():
 def test_sine_basis_multipliers_are_the_cg_systems_symbol_and_weights(name):
     # a sine-basis run steps by A's symbol and the multipliers of U^n and
     # U^{n-1}; at each step time they are the symbol of the CG system and its
-    # right-hand-side weights of 2 levels applied to the operators' symbols
+    # right-hand-side weights of 2 levels (the b row of the weight table, on
+    # the product slots, zero on the level slots) applied to the operators'
+    # symbols
     backend, _ = build_backend(builtin_experiments()[name].params, 6, "fd")
     assert backend.diagonal_in_basis
     k, times = 0.01, (0.0, 0.3, 1.7)
@@ -276,7 +285,9 @@ def test_sine_basis_multipliers_are_the_cg_systems_symbol_and_weights(name):
         system, _, weights = backend._step_system(k, a, b)
         symbol = system.symbol
         assert np.allclose(symbols[i], symbol, rtol=1e-14, atol=0.0)
-        rhs = weights[2][0].reshape(2, -1) @ backend._symbols
+        b_row = weights[2][1].reshape(2, 1 + len(backend.operators))
+        assert np.array_equal(b_row[:, 0], [0.0, 0.0])
+        rhs = b_row[:, 1:] @ backend._symbols
         for got, want in ((g[i], rhs[0] / symbol), (h[i], rhs[1] / symbol)):
             assert np.allclose(got, want, rtol=1e-14, atol=1e-14 * np.max(np.abs(want)))
         damping = a * backend.weak_op.to_dense() + b * backend.strong_op.to_dense()
@@ -524,16 +535,16 @@ def test_cg_run_makes_one_matvec_per_iteration_and_per_operator(name, operators,
     matvecs = []   # one entry per grid matvec
     skews = []     # one entry per skew product
     marks = []     # (matvecs, skew products) so far, after each level's products
-    matvec, skew_product = SparseMatrix.matvec, SineBasis.skew_product
+    matvec, skew_product = SparseMatrix.matvec, sparse.skew_product
     sine_products = stepper.BackendHandles._sine_products
 
     def counted(self, x):
         matvecs.append(1)
         return matvec(self, x)
 
-    def counted_skew(self, u):
+    def counted_skew(factor, u):
         skews.append(1)
-        return skew_product(self, u)
+        return skew_product(factor, u)
 
     def counted_products(self, u, out=None):
         out = sine_products(self, u, out=out)
@@ -541,7 +552,9 @@ def test_cg_run_makes_one_matvec_per_iteration_and_per_operator(name, operators,
         return out
 
     monkeypatch.setattr(SparseMatrix, "matvec", counted)
-    monkeypatch.setattr(SineBasis, "skew_product", counted_skew)
+    # A's matvec calls sparse's binding, the products stepper's
+    monkeypatch.setattr(sparse, "skew_product", counted_skew)
+    monkeypatch.setattr(stepper, "skew_product", counted_skew)
     monkeypatch.setattr(stepper.BackendHandles, "_sine_products", counted_products)
     init_state(backend, k)
     start = len(matvecs)
@@ -563,10 +576,11 @@ def test_cg_run_makes_one_matvec_per_iteration_and_per_operator(name, operators,
 
 @pytest.mark.parametrize("name", ["ex3ii", "spacevar"])
 def test_a_step_refines_in_place_what_cg_solve_returns(name, monkeypatch):
-    # the in-place step on the history block and cg_refine on copies of the
-    # same warm start and its residual, with the same system and right-hand
-    # side, agree bit for bit, and so do the new level's products; the
-    # run's steps agree with dense solves
+    # the in-place step on the history block and cg_refine on the warm start,
+    # right-hand side and residual of a separate product of the weight table
+    # with the same history rows, with the same system, agree bit for bit,
+    # and so do the new level's products; the run's steps agree with dense
+    # solves
     exp = builtin_experiments()[name]
     backend = make_fem_backend(FemSpace(build_tri_mesh(exp.domain, 8)), exp.params)
     assert exp.params.forcing is None
@@ -574,12 +588,12 @@ def test_a_step_refines_in_place_what_cg_solve_returns(name, monkeypatch):
     state, _ = run(backend, k, HISTORY)
     assert len(state.levels) == HISTORY
     rows = np.array([backend.basis.transform(u) for u in state.levels])
-    products = np.array([backend._sine_products(u) for u in rows])
     scales = tuple(backend.params.check_schedules([state.n * k])[0])
     system, precond, weights = backend._step_system(k, *scales)
-    b, r0 = weights[HISTORY] @ products.reshape(-1, backend.ndof)
-    x = EXTRAPOLANTS[HISTORY] @ rows
-    report = cg_refine(system, b, x, r0.copy(), precond, STEP_RTOL)
+    x, b, r0 = weights[HISTORY] @ history_slots(backend, rows)
+    assert np.allclose(x, EXTRAPOLANTS[HISTORY] @ rows, rtol=0.0,
+                       atol=1e-14 * np.max(np.abs(rows)))
+    report = cg_refine(system, b, x, r0, precond, STEP_RTOL)
     sine_products = stepper.BackendHandles._sine_products
     seen = []
 
@@ -609,17 +623,19 @@ def test_steady_distances_cost_one_matvec_per_run(monkeypatch):
                        forcing=exp.params.forcing)
     calls = {}
 
-    def count(cls, name):
-        original = getattr(cls, name)
+    def count(owner, name):
+        original = getattr(owner, name)
 
-        def counted(self, x):
+        def counted(a, x):
             calls[name] = calls.get(name, 0) + 1
-            return original(self, x)
+            return original(a, x)
 
-        monkeypatch.setattr(cls, name, counted)
+        monkeypatch.setattr(owner, name, counted)
 
     count(SparseMatrix, "matvec")
-    count(SineBasis, "skew_product")
+    # A's matvec calls sparse's binding, the products and M u stepper's
+    count(sparse, "skew_product")
+    count(stepper, "skew_product")
     for params, weighted in ((spacevar, 1), (exp.params, 0)):
         backend, _ = build_backend(params, 8, "fem")
         assert len(backend.operators) == 2 + weighted
