@@ -228,8 +228,9 @@ class SkewSymbolOperator:
     coefficients v of a SineBasis, with W the sum of the grid operators
     ``weighted``: a sum of unweighted P1 or finite difference operators in
     that basis, plus spatially weighted ones, applied on grid values. The
-    skew term is applied through ``factor``, sqrt(kappa) skew, built once;
-    a kappa that is negative or not finite raises ValueError."""
+    skew term is applied through ``factor``, sqrt(kappa) skew, built once,
+    and skipped when kappa is 0; a kappa that is negative or not finite
+    raises ValueError."""
 
     basis: SineBasis
     symbol: np.ndarray  # flat, one value per mode
@@ -245,8 +246,9 @@ class SkewSymbolOperator:
         return self.symbol.size
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        y = skew_product(self.factor, v)
-        y += self.symbol * v
+        y = self.symbol * v
+        if self.kappa:
+            y += skew_product(self.factor, v)
         if self.weighted:
             grid = self.basis.transform(v)
             w = self.weighted[0].matvec(grid)
@@ -302,7 +304,7 @@ def cg_refine(a, b: np.ndarray, x: np.ndarray, r: np.ndarray, precond: Precondit
     if not math.isfinite(res):
         raise CgError(0, res)
     z = precond(r)
-    p = z.copy()  # a preconditioner may return r itself, which r -= updates
+    p = z.copy() if z is r else z  # r -= updates r, which p must not follow
     rz = r.dot(z)
     max_iter = CG_ITERATIONS_PER_UNKNOWN * b.shape[0]
     for it in range(1, max_iter + 1):

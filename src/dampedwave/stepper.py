@@ -10,13 +10,14 @@ Every step works in the grid's sine basis, where K is its symbol and M is
 its symbol plus one multiple, BackendHandles.mass_skew, of a Kronecker term
 (0 for finite differences). Without a spatial weight the damping operators
 are M and K; a weighted one enters by a round trip to grid values and back.
-Everything a step needs from this system (A's symbol, which preconditions
-every CG solve, and the three-row table that forms the CG starting point,
-the right-hand side and the starting residual from the last levels and
-their products) is linear in the factors (1/k^2, alpha/k, beta/k, 1) of the
-mass, the two damping operators and the stiffness, so it is one product
-with parts built once per backend; the right-hand side's factors of each
-role are one table, RHS.
+A step's factors c = (1/k^2, alpha/k, beta/k, 1) of the roles (M, W, S, K),
+the mass, the two damping operators and the stiffness, give each distinct
+operator's factor f = c @ BackendHandles._roles: A is their sum, each times
+its factor, and f times their symbols is A's symbol, which preconditions
+every CG solve. The three-row table that forms the CG starting point, the
+right-hand side and the starting residual from the last levels and their
+products is c times parts built once per backend from the module table
+SCHEME, each role's weight in A and in the right-hand side.
 
 run() and step() take every step in one loop, _run, on the levels'
 sine-basis coefficients, kept with their products in one history block.
@@ -45,7 +46,7 @@ from .fem import ZERO_FIELD, FemSpace, ScalarField, assemble_mass, \
     assemble_stiffness, at_midpoints, interpolate as fem_interpolate, load_vector
 from .mesh import FdGrid, Rectangle
 from .sparse import CgError, Preconditioner, SineBasis, SkewSymbolOperator, \
-    SolveReport, SparseMatrix, cg_refine, cg_solve, from_diagonal, skew_product
+    SparseMatrix, cg_refine, cg_solve, from_diagonal, skew_product
 
 STEP_RTOL = 1e-10
 HISTORY = 5  # the most levels a step reads
@@ -56,9 +57,10 @@ EXTRAPOLANTS = {n: np.array([(-1.0) ** j * math.comb(n, j + 1) for j in range(n)
 # steps of a run between two batched energy passes (see _run); 32 to 128
 # measured alike
 BLOCK = 64
-# each role's (M, W, S, K) factor with U^n and U^{n-1} in a step's
-# right-hand side (2 M/k^2 + D/k, -M/k^2), with c as in BackendHandles._parts
-RHS = np.array([[2.0, -1.0], [1.0, 0.0], [1.0, 0.0], [0.0, 0.0]])
+# each role's (M, W, S, K) weight, before its factor in c = (1/k^2, a/k,
+# b/k, 1), in A and in the right-hand side's U^n and U^{n-1} terms
+# (2 M/k^2 + D/k, -M/k^2), D = a W + b S
+SCHEME = np.array([[1.0, 2.0, -1.0], [1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
 
 
 @dataclass(frozen=True)
@@ -183,14 +185,12 @@ class StepperState:
     """The last 2 to HISTORY levels U^n, U^{n-1}, ... of a run, newest
     first, as the rows of ``levels``, in grid values (the steps work on
     their sine-basis coefficients); u_curr and u_prev are rows 0 and 1, and
-    n indexes u_curr, at time n*k. ``solve`` reports the CG solve that
-    produced u_curr; None for an initial state and after steps on a backend
-    that is diagonal in its sine basis, which solve nothing."""
+    n indexes u_curr, at time n*k. The trace of a run, or of _run over one
+    step, which is what step() takes, reports each step's CG solve."""
 
     n: int
     k: float
     levels: np.ndarray
-    solve: SolveReport | None = None
 
     def __post_init__(self):
         if np.ndim(self.levels) != 2 or len(self.levels) not in EXTRAPOLANTS:
@@ -226,17 +226,15 @@ class BackendHandles:
     _system: tuple = field(default=(None, None), init=False, repr=False)
 
     def __post_init__(self):
-        ops = (self.M, self.K, self.weak_op, self.strong_op)
-        distinct = {id(op): op for op in ops}
-        # the distinct operators, M and K first; role i of (M, W, S, K) is
-        # operator _op_of_role[i] among them
+        distinct = {id(op): op for op in (self.M, self.K, self.weak_op, self.strong_op)}
+        # the distinct operators, M and K first, then the spatially weighted
+        # ones, which have no such form in the basis
         self.operators = list(distinct.values())
-        self._op_of_role = [list(distinct).index(id(op)) for op in
-                            (self.M, self.weak_op, self.strong_op, self.K)]
-        # the roles (W, S) of a spatially weighted operator, which has no
-        # such form in the basis
-        self._weighted = [role for role, op in enumerate(self._op_of_role) if op >= 2]
-        # their symbols, shaped (operators, ndof): in the sine basis, the
+        # role (M, W, S, K) x distinct operator: 1 where the role is that
+        # operator, so c @ _roles is each operator's factor
+        self._roles = np.array([[role is op for op in self.operators] for role in
+                                (self.M, self.weak_op, self.strong_op, self.K)], float)
+        # the operators' symbols (operators, ndof): in the sine basis, the
         # products of a level with every operator when diagonal_in_basis
         self._symbols = np.stack([self.basis.symbol(op).ravel() for op in self.operators])
         # sqrt(mass_skew) skew: M's skew term of u is skew_product of it and u
@@ -250,7 +248,7 @@ class BackendHandles:
     def diagonal_in_basis(self) -> bool:
         """Every operator is diagonal in ``basis`` (none is weighted and M
         has no skew term), so its symbol is exact and a step solves nothing."""
-        return self.mass_skew == 0.0 and not self._weighted
+        return self.mass_skew == 0.0 and len(self.operators) == 2
 
     @cached_property
     def mass_precond(self) -> Preconditioner:
@@ -276,10 +274,11 @@ class BackendHandles:
         """The products of sine-basis coefficients u with each distinct
         operator, in that basis, shaped (operators, ndof) and written to
         ``out`` when given: each operator's symbol times u, plus
-        mass_skew (skew (x) skew) u for M, and for a weighted operator W the
-        round trip S2 W S2 u."""
+        mass_skew (skew (x) skew) u for M unless mass_skew is 0, and for a
+        weighted operator W the round trip S2 W S2 u."""
         out = np.multiply(u, self._symbols, out=out)
-        out[0] += skew_product(self._mass_factor, u)
+        if self.mass_skew:
+            out[0] += skew_product(self._mass_factor, u)
         for i, op in enumerate(self.operators[2:], 2):
             out[i] = self.basis.transform(op.matvec(self.basis.transform(u)))
         return out
@@ -287,36 +286,33 @@ class BackendHandles:
     @cached_property
     def _parts(self):
         """(parts, weight_at) over the roles (M, W, S, K), a row each: with
-        c = (1/k^2, a/k, b/k, 1), c @ parts is the symbol of A without its
-        weighted operators and then the weight tables of _step_system, that
-        of L levels at weight_at[L]."""
-        ops = len(self.operators)
-        roles = np.eye(ops)[self._op_of_role]
-        symbols = self._symbols[self._op_of_role]
-        symbols[self._weighted] = 0.0
-        parts = [symbols]
+        c = (1/k^2, a/k, b/k, 1), c @ parts holds the weight tables of
+        _step_system, that of L levels at weight_at[L]."""
+        parts = []
         for n_levels, ext in EXTRAPOLANTS.items():
             # (role, table row, level, slot), the slots of a history row
             # being the level and then its products (see _run)
-            table = np.zeros((4, 3, n_levels, 1 + ops))
+            table = np.zeros((4, 3, n_levels, 1 + len(self.operators)))
             # x0: the extrapolant, constant, on K's factor, which is 1
             table[3, 0, :, 0] = ext
-            # b: the right-hand side's factors (RHS); r0 subtracts the
-            # extrapolant times the role's factor in A
-            rhs = np.pad(RHS, ((0, 0), (0, n_levels - 2)))
-            pair = np.stack((rhs, rhs - ext), axis=1)  # (role, b or r0, level)
-            table[:, 1:, :, 1:] = pair[..., None] * roles[:, None, None]
+            # b: the role's right-hand side weights (SCHEME); r0 subtracts
+            # the extrapolant times its weight in A; (role, b or r0, level)
+            rhs = np.pad(SCHEME[:, 1:], ((0, 0), (0, n_levels - 2)))
+            pair = np.stack((rhs, rhs - SCHEME[:, :1] * ext), axis=1)
+            table[:, 1:, :, 1:] = pair[..., None] * self._roles[:, None, None]
             parts.append(table.reshape(4, -1))
-        ends = np.cumsum([part.shape[1] for part in parts])
+        ends = np.cumsum([0] + [part.shape[1] for part in parts])
         weight_at = dict(zip(EXTRAPOLANTS, map(slice, ends[:-1], ends[1:])))
         return np.concatenate(parts, axis=1), weight_at
 
     def _step_system(self, k: float, a: float, b: float):
-        """(A, P^-1, weights) for step size k and time factors (a, b): A on
-        sine-basis coefficients, a SkewSymbolOperator (the unweighted roles'
-        symbols, the skew term and the weighted operators, each times its
-        factor in c), and the multiplication by the reciprocal of A's whole
-        symbol, a C-level partial of np.multiply.
+        """(A, P^-1, weights) for step size k and time factors (a, b), from
+        f = c @ _roles, each distinct operator's factor in A (c as in
+        _parts): A on sine-basis coefficients, a SkewSymbolOperator with
+        M's and K's symbols times their factors, M's skew term times its
+        factor and the weighted operators times theirs, and the
+        multiplication by the reciprocal of A's whole symbol f @ _symbols,
+        a C-level partial of np.multiply.
 
         weights[L] is a table of three rows, (x0, b, r0), over the slots of
         the last L rows of a history block, newest first: each row's level,
@@ -331,33 +327,29 @@ class BackendHandles:
         if self._system[0] != key:
             parts, weight_at = self._parts
             c = np.array([1.0 / k ** 2, a / k, b / k, 1.0])
-            flat = c @ parts
+            flat = c.dot(parts)  # ndarray.dot, as in _run
             weights = {n: flat[at].reshape(3, -1) for n, at in weight_at.items()}
-            symbol = flat[:self.ndof]
-            weighted = [(c[role], self._op_of_role[role]) for role in self._weighted]
-            whole = symbol + sum(f * self._symbols[op] for f, op in weighted)
-            # M, and W unless weighted, carry the skew term; the sum is
-            # formed as this dot product, whose rounding the stepped outputs
-            # depend on
-            skews = (self.mass_skew, 0.0 if 1 in self._weighted else self.mass_skew)
-            scaled = tuple(replace(self.operators[op], vals=f * self.operators[op].vals)
-                           for f, op in weighted)
-            system = SkewSymbolOperator(self.basis, symbol, float(c[:2] @ skews), scaled)
+            f = c.dot(self._roles)
+            scaled = tuple(replace(op, vals=f[i] * op.vals)
+                           for i, op in enumerate(self.operators[2:], 2))
+            system = SkewSymbolOperator(self.basis, f[:2].dot(self._symbols[:2]),
+                                        float(f[0] * self.mass_skew), scaled)
+            whole = f.dot(self._symbols)
             self._system = (key, (system, partial(np.multiply, 1.0 / whole), weights))
         return self._system[1]
 
     def _multipliers(self, k: float, scales: np.ndarray,
                      out: np.ndarray | None = None) -> np.ndarray:
-        """(symbol, g, h), shaped (3, steps, ndof) and written to ``out`` when
-        given, for the steps at the time factors ``scales``, one (a, b) row a
-        step: A's symbol, and the multipliers of a sine-basis step
-        U^{n+1} = g U^n + h U^{n-1} (+ F / symbol), all from one product of
-        c (as in _parts) with the roles' symbols and those times RHS."""
-        symbols = self._symbols[self._op_of_role]
-        parts = np.concatenate((symbols[None], RHS.T[:, :, None] * symbols))
+        """(symbol, g, h) of each step, shaped (steps, 3, ndof) and written
+        to ``out`` when given, for the steps at the time factors ``scales``,
+        one (a, b) row a step: A's symbol, and the multipliers of a
+        sine-basis step U^{n+1} = g U^n + h U^{n-1} (+ F / symbol), from
+        ((c * SCHEME') @ _roles) @ _symbols, each step's c as in _parts,
+        the multipliers then divided by the symbol."""
         ones = np.ones((len(scales), 1))
-        out = np.matmul(np.hstack((ones / k ** 2, scales / k, ones)), parts, out=out)
-        out[1:] /= out[0]
+        c = np.hstack((ones / k ** 2, scales / k, ones))
+        out = np.matmul((c[:, None] * SCHEME.T) @ self._roles, self._symbols, out=out)
+        out[:, 1:] /= out[:, :1]
         return out
 
 
@@ -562,7 +554,7 @@ def _run(backend: BackendHandles, state: StepperState, n_steps: int,
             trace.distance[new] = np.sqrt(np.maximum(squared, 0.0))[::-1]
         recorded, done = new.stop, top
 
-    report, taken = None, 0
+    taken = 0
     if not modal:
         scales = scales.tolist()  # Python floats: _step_system's key compares them
     while True:
@@ -570,7 +562,7 @@ def _run(backend: BackendHandles, state: StepperState, n_steps: int,
         if modal:
             symbol, g, h = backend._multipliers(
                 k, scales[steps.start + 1:steps.stop + 1],
-                out=block[:len(steps), 1:4].swapaxes(0, 1))
+                out=block[:len(steps), 1:4]).swapaxes(0, 1)
             if forced:
                 f = np.divide(force, symbol, out=symbol)
             for j in range(len(steps)):
@@ -603,7 +595,6 @@ def _run(backend: BackendHandles, state: StepperState, n_steps: int,
                 backend._sine_products(u, out=block[top, 1:])
             span = slice(steps.start, steps.stop)
             trace.cg_iterations[span], trace.cg_residuals[span] = zip(*solves)
-            report = SolveReport(*solves[-1])
         taken = steps.stop
         flush()
         if taken == n_steps:
@@ -612,7 +603,7 @@ def _run(backend: BackendHandles, state: StepperState, n_steps: int,
         top = done = rows - HISTORY
     new = [basis.transform(u) for u in levels[top:top + min(n_steps, HISTORY)]]
     final = np.array([*new, *state.levels[:HISTORY - len(new)]])
-    return StepperState(n=n + n_steps, k=k, solve=report, levels=final), trace
+    return StepperState(n=n + n_steps, k=k, levels=final), trace
 
 
 def steady_state(backend: BackendHandles) -> np.ndarray:

@@ -229,9 +229,10 @@ def test_a_skew_term_rejects_a_kappa_without_a_real_square_root(kappa):
 def test_scaled_skew_factors_apply_kappa_times_the_skew_product(case):
     # F = sqrt(kappa) skew, built once, gives F V F' = kappa (skew V skew')
     # to 1e-14 relative, for a step system's kappa (that of W too on ex3ii,
-    # 1/k^2 mass_skew alone with a weighted W on spacevar, 0 on weighted FD)
-    # and for the mass's, where a zero kappa must give exactly 0; the oracle
-    # is also the dense kron(skew, skew)
+    # 1/k^2 mass_skew alone with a weighted W on spacevar) and for the
+    # mass's; the oracle is also the dense kron(skew, skew). Weighted FD
+    # states kappa 0: its factors are zero, and A skips the skew product,
+    # so A v is its symbol times v plus the weighted round trip, bit for bit
     if case == "fd":
         params = builtin_experiments()["spacevar"].params
         backend = make_fd_backend(build_fd_grid(UNIT_SQUARE, 8), params)
@@ -245,6 +246,11 @@ def test_scaled_skew_factors_apply_kappa_times_the_skew_product(case):
     assert (system.kappa == 0.0) == (case == "fd")
     skew2 = np.kron(basis.skew, basis.skew)
     v = np.random.default_rng(3).normal(size=backend.ndof)
+    if case == "fd":
+        assert not np.any(system.factor) and not np.any(backend._mass_factor)
+        trip = basis.transform(system.weighted[0].matvec(basis.transform(v)))
+        assert np.array_equal(system.matvec(v), system.symbol * v + trip)
+        return
     for factor, kappa in ((system.factor, system.kappa),
                           (backend._mass_factor, backend.mass_skew)):
         got = sparse.skew_product(factor, v)

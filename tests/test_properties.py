@@ -385,8 +385,14 @@ def dense_lambda1(backend):
        dk=st.floats(0.01, 1.0), forced=st.booleans(), p=mode_index, q=mode_index,
        fd=st.booleans())
 def test_fem_run_matches_dense_solves(n, alpha, beta, kind, dk, forced, p, q, fd):
-    # on FD a spatial alpha takes CG steps, and any other alpha the modal path
     assume(alpha + beta > 0)
+    check_run_matches_dense_solves(n, alpha, beta, kind, dk, forced, p, q, fd)
+
+
+def check_run_matches_dense_solves(n, alpha, beta, kind, dk, forced, p, q, fd):
+    """30 steps at dk times the step-size edge against dense solves, and the
+    energy invariants when unforced; on FD a spatial alpha takes CG steps,
+    and any other alpha the modal path."""
     coeff = alpha
     if kind == "scheduled" and alpha > 0:
         coeff = TimeSchedule(lambda t: alpha * (2.0 - math.exp(-t)), alpha, 2.0 * alpha)
@@ -438,3 +444,14 @@ def test_weakly_damped_fem_run_at_the_step_size_edge_is_monotone():
     final, trace = run(backend, k=DK_CAP / delta, n_steps=30)
     assert_runs_agree(final, trace, dense_reference(backend, DK_CAP / delta, 30))
     assert trace.monotone()
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 2")
+def test_weakly_damped_scheduled_fem_run_near_the_step_size_edge_is_monotone():
+    # a falsifying draw of test_fem_run_matches_dense_solves (hypothesis seed
+    # 1, 300 examples, not derandomized), with its exact arguments: one
+    # unknown, alpha scheduled from 1e-4 to 2e-4, beta = 0 and k at 0.93
+    # of the edge. The run agrees with dense solves, but its energy rises
+    # between steps, as in the draw above
+    check_run_matches_dense_solves(n=2, alpha=1e-4, beta=0.0, kind="scheduled",
+                                   dk=0.93359375, forced=False, p=1, q=1, fd=False)

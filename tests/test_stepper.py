@@ -14,8 +14,7 @@ from dampedwave.harness import build_backend, builtin_experiments, run_decay, \
     run_steady
 from dampedwave.mesh import UNIT_SQUARE, build_fd_grid, build_tri_mesh
 from dampedwave.oracle import Mode, modal_recurrence
-from dampedwave.sparse import SineBasis, SolveReport, SparseMatrix, cg_refine, \
-    cg_solve
+from dampedwave.sparse import SineBasis, SparseMatrix, cg_refine, cg_solve
 from dampedwave.stepper import (
     EXTRAPOLANTS,
     HISTORY,
@@ -267,6 +266,20 @@ def test_cached_system_matches_dense_fem_schedule():
     assert not np.array_equal(systems[0].symbol, systems[1].symbol)
 
 
+@pytest.mark.parametrize("case", ["beta", "both", "fd"])
+def test_cached_system_matches_dense_weighted(case):
+    # each weighted operator takes its own factor in A: a weighted stiffness
+    # on FEM (S, beside M and K), both weighted (W and S) and a weighted
+    # mass on FD (W, with a zero kappa)
+    backend = _weighted_case(case)
+    assert len(backend.operators) == (4 if case == "both" else 3)
+    alpha, beta = backend.params.damping
+    a, b = (0.0 if c.weight is not None else c.scale(0.0) for c in (alpha, beta))
+    w = 0.0 if alpha.weight is None else backend.weak_op.to_dense()
+    s = 0.0 if beta.weight is None else backend.strong_op.to_dense()
+    _check_system(backend, 0.02, 0.0, a, b, w=w, s=s)
+
+
 @pytest.mark.parametrize("name", ["timevar", "ex1"])
 def test_sine_basis_multipliers_are_the_cg_systems_symbol_and_weights(name):
     # a sine-basis run steps by A's symbol and the multipliers of U^n and
@@ -278,7 +291,9 @@ def test_sine_basis_multipliers_are_the_cg_systems_symbol_and_weights(name):
     assert backend.diagonal_in_basis
     k, times = 0.01, (0.0, 0.3, 1.7)
     scales = backend.params.check_schedules(times)
-    symbols, g, h = backend._multipliers(k, scales)
+    multipliers = backend._multipliers(k, scales)
+    assert multipliers.shape == (len(times), 3, backend.ndof)
+    symbols, g, h = multipliers.swapaxes(0, 1)
     m, kk = backend.M.to_dense(), backend.K.to_dense()
     s2 = np.kron(backend.basis.matrix, backend.basis.matrix)
     for i, (a, b) in enumerate(scales):
@@ -383,7 +398,9 @@ def test_run_reports_cg_iterations_and_residuals_per_step():
     # the symbols and solves nothing
     assert np.array_equal(trace.cg_iterations, np.zeros(20, dtype=int))
     assert np.array_equal(trace.cg_residuals, np.zeros(20))
-    assert state.solve is None
+    # and so does a step from its final state, which _run takes as step() does
+    _, one = stepper._run(fd, state, 1, None)
+    assert (one.cg_iterations.tolist(), one.cg_residuals.tolist()) == ([0], [0.0])
     # a spatial alpha weights the mass, which the sine basis does not
     # diagonalise, so those steps stay CG solves
     exp = builtin_experiments()["spacevar"]
@@ -398,11 +415,10 @@ def test_run_reports_cg_iterations_and_residuals_per_step():
     assert trace.cg_iterations.size == trace.t.size - 1
     assert 1 <= trace.cg_iterations.min() and trace.cg_iterations.max() <= 6
     assert np.all(trace.cg_residuals <= STEP_RTOL)
-    # unweighted P1 steps in the sine basis, but still by CG; the final
-    # state reports the last step's solve
-    assert state.solve.iterations >= 1
-    assert (state.solve.iterations, state.solve.final_residual) == \
-        (trace.cg_iterations[-1], trace.cg_residuals[-1])
+    # unweighted P1 steps in the sine basis, but still by CG, also a step
+    # from the final state
+    _, one = stepper._run(fem, state, 1, None)
+    assert one.cg_iterations[0] >= 1 and one.cg_residuals[0] <= STEP_RTOL
 
 
 def test_fd_steady_distances_match_a_chain_of_cg_steps():
@@ -602,14 +618,37 @@ def test_a_step_refines_in_place_what_cg_solve_returns(name, monkeypatch):
         return seen[-1]
 
     monkeypatch.setattr(stepper.BackendHandles, "_sine_products", recorded)
-    new = step(state, backend)
+    new, one = stepper._run(backend, state, 1, None)  # step()'s step
     monkeypatch.undo()
     assert report[0] >= 1
-    assert new.solve == SolveReport(*report)
+    assert (one.cg_iterations.tolist(), one.cg_residuals.tolist()) == \
+        ([report[0]], [report[1]])
     assert np.array_equal(new.u_curr, backend.basis.transform(x))
     assert np.array_equal(seen[-1], backend._sine_products(x))
     final, trace = run(backend, k, HISTORY + 1)
     assert_runs_agree(final, trace, dense_reference(backend, k, HISTORY + 1))
+
+
+def test_a_zero_kappa_makes_no_skew_product(monkeypatch):
+    # weighted FD (spacevar) steps by CG, but states kappa 0: neither A's
+    # applications nor the new levels' products form a skew product of zeros
+    exp = builtin_experiments()["spacevar"]
+    backend, _ = build_backend(exp.params, 8, "fd")
+    assert backend.mass_skew == 0.0 and not backend.diagonal_in_basis
+    skew_product, skews = sparse.skew_product, []
+
+    def counted_skew(factor, u):
+        skews.append(1)
+        return skew_product(factor, u)
+
+    # A's matvec calls sparse's binding, the products stepper's
+    monkeypatch.setattr(sparse, "skew_product", counted_skew)
+    monkeypatch.setattr(stepper, "skew_product", counted_skew)
+    k = exp.time_step(8)
+    final, trace = run(backend, k, 40)
+    monkeypatch.undo()
+    assert trace.cg_iterations.min() >= 1 and skews == []
+    assert_runs_agree(final, trace, dense_reference(backend, k, 40))
 
 
 def test_steady_distances_cost_one_matvec_per_run(monkeypatch):
@@ -686,7 +725,10 @@ def _weighted_case(case):
         params = ModelParams(domain=UNIT_SQUARE, beta=0.1, alpha=SpatialField(
             _weighted_field(1.0, 0.5), lo=1.0, hi=1.5))
         return make_fd_backend(build_fd_grid(UNIT_SQUARE, 8), params)
-    if case == "both":
+    if case == "beta":
+        params = ModelParams(domain=UNIT_SQUARE, alpha=1.0, beta=SpatialField(
+            _weighted_field(0.1, 0.5), lo=0.1, hi=0.15))
+    elif case == "both":
         params = ModelParams(
             domain=UNIT_SQUARE,
             alpha=SpatialField(_weighted_field(1.0, 0.5), lo=1.0, hi=1.5),
@@ -780,7 +822,7 @@ def test_two_level_state_steps_from_the_linear_guess():
     backend = make_fem_backend(FemSpace(build_tri_mesh(UNIT_SQUARE, 12)), exp.params)
     k = exp.time_step(12)
     state = init_state(backend, k, exact_at=exp.exact.field_at)
-    new = step(state, backend)
+    new, one = stepper._run(backend, state, 1, None)  # step()'s step
     system, precond, _ = backend._step_system(k, *backend.params.check_schedules([k])[0])
     a, rhs = _dense_system(backend, state)
     # the linear guess refined in the sine basis
@@ -791,25 +833,27 @@ def test_two_level_state_steps_from_the_linear_guess():
     # product with the guess: the same CG up to rounding
     bound = 2.0 * STEP_RTOL * np.linalg.cond(a)
     assert np.linalg.norm(new.u_curr - want) <= bound * np.linalg.norm(want)
-    assert new.solve.iterations == iterations
+    assert one.cg_iterations.tolist() == [iterations]
     assert np.array_equal(new.levels, [new.u_curr, state.u_curr, state.u_prev])
     assert len(step(new, backend).levels) == 4
 
 
 def test_a_step_on_a_sine_diagonal_backend_solves_nothing(monkeypatch):
     # step() is run's loop over one step, so on FD without a weight it takes
-    # the multipliers: no CG, and no report carried over from the state
+    # the multipliers: no CG, and the step's trace reports none
     exp = builtin_experiments()["timevar"]
     backend, _ = build_backend(exp.params, 8, "fd")
     assert backend.diagonal_in_basis
-    state = replace(init_state(backend, exp.time_step(8)), solve=SolveReport(3, 1e-11))
+    state = init_state(backend, exp.time_step(8))
 
     def no_cg(*args):
         raise AssertionError("a sine-diagonal step ran CG")
 
     monkeypatch.setattr(stepper, "cg_refine", no_cg)
     new = step(state, backend)
-    assert new.n == state.n + 1 and new.solve is None
+    assert new.n == state.n + 1
+    _, one = stepper._run(backend, state, 1, None)
+    assert (one.cg_iterations.tolist(), one.cg_residuals.tolist()) == ([0], [0.0])
 
 
 @pytest.mark.parametrize("kind,name", [("fd", "timevar"), ("fem", "ex3ii"),
@@ -824,14 +868,14 @@ def test_a_step_keeps_the_older_levels_and_agrees_with_run(kind, name):
     state, _ = run(backend, k, HISTORY)
     want, _ = run(backend, k, HISTORY + 1)
     levels = state.levels.copy()
-    new = step(state, backend)
+    new, one = stepper._run(backend, state, 1, None)  # step()'s step
     assert np.array_equal(state.levels, levels)
     assert new.n == want.n and len(new.levels) == HISTORY
     assert np.array_equal(new.levels[1:], levels[:HISTORY - 1])
     a, _ = _dense_system(backend, state)
     bound = 2.0 * STEP_RTOL * np.linalg.cond(a)
     assert np.linalg.norm(new.u_curr - want.u_curr) <= bound * np.linalg.norm(want.u_curr)
-    assert (new.solve is None) == backend.diagonal_in_basis
+    assert (one.cg_iterations[0] == 0) == backend.diagonal_in_basis
 
 
 def test_state_with_older_levels_steps_within_tolerance_of_linear_guess():
@@ -841,12 +885,13 @@ def test_state_with_older_levels_steps_within_tolerance_of_linear_guess():
     state = _history(backend, k)
     assert len(state.levels) == HISTORY
     a, _ = _dense_system(backend, state)
-    deepest = step(state, backend)
-    linear = step(replace(state, levels=state.levels[:2]), backend)
+    deepest, deep_trace = stepper._run(backend, state, 1, None)  # step()'s step
+    linear, linear_trace = stepper._run(backend, replace(state, levels=state.levels[:2]),
+                                        1, None)
     bound = 2.0 * STEP_RTOL * np.linalg.cond(a)
     assert np.linalg.norm(deepest.u_curr - linear.u_curr) \
         <= bound * np.linalg.norm(linear.u_curr)
-    assert deepest.solve.iterations < linear.solve.iterations
+    assert deep_trace.cg_iterations[0] < linear_trace.cg_iterations[0]
 
 
 def test_products_of_another_backend_are_recomputed():
