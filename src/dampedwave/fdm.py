@@ -13,24 +13,11 @@ from .sparse import SparseMatrix, from_coo, from_diagonal
 
 @dataclass(frozen=True)
 class FdOperator:
-    """Discrete Laplacian on the interior unknowns of a square grid.
-
-    Supports both a matrix-free stencil action and an assembled sparse form;
-    the two agree to rounding. The companion mass matrix is h^2 * I.
+    """Discrete Laplacian on the interior unknowns of a square grid, assembled
+    as a sparse matrix. The companion mass matrix is h^2 * I.
     """
 
     grid: FdGrid
-
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        """Matrix-free stencil action (4v - sum of neighbors)/h^2, zero extension."""
-        n1 = self.grid.n_per_side - 1
-        if v.shape[0] != n1 * n1:
-            raise ValueError(f"dimension mismatch: {v.shape[0]} != {n1 * n1}")
-        w = np.zeros((n1 + 2, n1 + 2))
-        w[1:-1, 1:-1] = v.reshape(n1, n1)
-        out = (4.0 * w[1:-1, 1:-1] - w[:-2, 1:-1] - w[2:, 1:-1]
-               - w[1:-1, :-2] - w[1:-1, 2:]) / self.grid.h ** 2
-        return out.ravel()
 
     def assemble(self) -> SparseMatrix:
         m = self.grid.n_per_side
@@ -78,23 +65,11 @@ def fd_norms(grid: FdGrid, v: np.ndarray) -> tuple[float, float]:
     return l2h, float(h1h)
 
 
-def _check_mode(grid: FdGrid, p: int, q: int) -> None:
+def fd_eigenvalue(grid: FdGrid, p: int, q: int) -> float:
+    """Closed-form 5-point eigenvalue (4/h^2)(sin^2 + sin^2) for mode (p, q);
+    ValueError unless 1 <= p, q <= M - 1, where the mode is not zero."""
     if not (0 < p < grid.n_per_side and 0 < q < grid.n_per_side):
         raise ValueError(f"mode ({p}, {q}) is zero on a grid of M = {grid.n_per_side}")
-
-
-def fd_eigenvalue(grid: FdGrid, p: int, q: int) -> float:
-    """Closed-form 5-point eigenvalue (4/h^2)(sin^2 + sin^2) for mode (p, q)."""
-    _check_mode(grid, p, q)
     h, side = grid.h, grid.side
     s = np.sin(p * np.pi * h / (2.0 * side)) ** 2 + np.sin(q * np.pi * h / (2.0 * side)) ** 2
     return 4.0 / h ** 2 * float(s)
-
-
-def fd_sine_mode(grid: FdGrid, p: int, q: int) -> np.ndarray:
-    """Nodal sine mode sin(p pi x / L) sin(q pi y / L) on the interior unknowns."""
-    _check_mode(grid, p, q)
-    x, y = grid.interior_coords()
-    side = grid.side
-    return np.sin(p * np.pi * (x - grid.rect.x0) / side) * \
-        np.sin(q * np.pi * (y - grid.rect.y0) / side)

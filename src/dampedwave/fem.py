@@ -1,5 +1,5 @@
-"""P1 finite elements on structured triangulations: assembly, projections,
-and quadrature-based error norms.
+"""P1 finite elements on structured triangulations: assembly, the elliptic
+projection, and quadrature-based error norms.
 
 All integrals use the 3-point edge-midpoint rule, which is exact for
 quadratics and therefore exact for P1 mass and stiffness with constant
@@ -15,6 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .mesh import TriMesh
+# fem calls no CG solve; the benchmark's tracer wraps this binding by name
 from .sparse import SineBasis, SparseMatrix, cg_solve, from_coo
 
 
@@ -159,14 +160,6 @@ def interpolate(space: FemSpace, f: ScalarField) -> np.ndarray:
     """Nodal interpolant at the free dofs (boundary values implicitly zero)."""
     nodes = space.mesh.nodes[space.free_dofs]
     return np.asarray(f(nodes[:, 0], nodes[:, 1]), dtype=float)
-
-
-def l2_project(space: FemSpace, f: ScalarField) -> np.ndarray:
-    """Solve M p = (f, phi_i) for the L2 projection of f, by CG
-    preconditioned in the sine basis."""
-    mass, basis = assemble_mass(space), space.basis
-    p, _ = cg_solve(mass, load_vector(space, f), basis.solver(basis.symbol(mass)))
-    return p
 
 
 def elliptic_project(space: FemSpace, u: ScalarField) -> np.ndarray:

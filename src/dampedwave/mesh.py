@@ -107,12 +107,6 @@ class FdGrid:
         xx, yy = np.meshgrid(t, s)  # rows indexed by j, cols by i
         return xx.ravel(), yy.ravel()
 
-    def flat_index(self, i: int, j: int) -> int:
-        m = self.n_per_side
-        if not (1 <= i <= m - 1 and 1 <= j <= m - 1):
-            raise IndexError(f"({i}, {j}) is not an interior node")
-        return (j - 1) * (m - 1) + (i - 1)
-
 
 def build_tri_mesh(rect: Rectangle, n: int) -> TriMesh:
     """Triangulate ``rect`` with an n x n grid of cells, two triangles each."""

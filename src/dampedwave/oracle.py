@@ -71,10 +71,6 @@ def modal_continuous(mode: Mode, alpha: float, beta: float,
     return u, du
 
 
-def modal_energy(mode: Mode, u: float, du: float) -> float:
-    return 0.5 * (du * du + mode.lam * u * u)
-
-
 def modal_recurrence(mode: Mode, alpha: float, beta: float, k: float,
                      n_steps: int, u0: float, u1: float) -> np.ndarray:
     """Scalar three-term recurrence of the fully discrete scheme on one mode.

@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from dampedwave.fdm import FdOperator, fd_eigenvalue, fd_sine_mode
+from dampedwave.fdm import FdOperator, fd_eigenvalue
 from dampedwave.fem import FemSpace, assemble_mass, assemble_stiffness
 from dampedwave.harness import (
     DK_CAP,
@@ -31,6 +31,7 @@ from dampedwave.stepper import (
     step,
 )
 from dampedwave.diagnostics import discrete_energy
+from fd_oracles import sine_mode
 
 PI = np.pi
 
@@ -166,7 +167,7 @@ def test_stepper_agrees_with_modal_recurrence():
     k = 1e-3
     for p, q in ((1, 1), (2, 3)):
         lam = fd_eigenvalue(grid, p, q)
-        v = fd_sine_mode(grid, p, q)
+        v = sine_mode(grid, p, q)
         seq = modal_recurrence(Mode(p, q, lam), PI, 1.0 / PI, k, 500,
                                u0=1.0, u1=0.9)
         state = StepperState(n=1, k=k, levels=np.stack((0.9 * v, 1.0 * v)))

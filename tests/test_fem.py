@@ -13,7 +13,6 @@ from dampedwave.fem import (
     field_h1_seminorm,
     field_l2_norm,
     interpolate,
-    l2_project,
     load_vector,
 )
 from dampedwave.mesh import TriMesh, UNIT_SQUARE, build_tri_mesh
@@ -172,24 +171,6 @@ def test_l2_projection_reproduces_members():
     b = m.matvec(coeffs)
     p, _ = cg_solve(m, b, space.basis.solver(space.basis.symbol(m)))
     assert np.allclose(p, coeffs, atol=1e-9)
-
-
-def test_l2_projection_zero():
-    space = FemSpace(build_tri_mesh(UNIT_SQUARE, 4))
-    assert np.allclose(l2_project(space, ZERO_FIELD), 0.0)
-
-
-def test_l2_projection_converges_to_interpolant():
-    u = sine_product()
-    dists = []
-    for n in (8, 16, 32):
-        space = FemSpace(build_tri_mesh(UNIT_SQUARE, n))
-        p = l2_project(space, u)
-        diff = p - interpolate(space, u)
-        m = assemble_mass(space)
-        dists.append(np.sqrt(diff @ m.matvec(diff)))
-    slopes = np.log2(np.array(dists[:-1]) / np.array(dists[1:]))
-    assert np.all(slopes >= 1.9)
 
 
 def test_elliptic_projection_rates():

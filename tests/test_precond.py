@@ -91,15 +91,15 @@ def test_p1_stiffness_is_diagonal_in_the_sine_basis():
 
 
 @pytest.mark.parametrize("n", [8, 16, 32])
-def test_projections_and_higher_energy_solve_in_the_sine_basis(n, monkeypatch):
+def test_elliptic_projection_taylor_start_and_higher_energy_solve_in_the_sine_basis(
+        n, monkeypatch):
     # the elliptic projection's K-solve is one division by K's symbol, no CG;
-    # the M-solves of the L2 projection and energy_EA are CG solves that take
+    # the M-solves of the Taylor start and energy_EA are CG solves that take
     # fewer iterations than Jacobi CG (P = diag(A)) on the same system (on
     # ex1, 11-13 against 14-19 at N = 8, 16, 32)
     exp = builtin_experiments()["ex1"]
     space = FemSpace(build_tri_mesh(exp.domain, n))
     backend = make_fem_backend(space, exp.params)
-    state = init_state(backend, exp.time_step(n), exact_at=exp.exact.field_at)
     solves = []
 
     def recorded(a, b, precond):
@@ -108,11 +108,11 @@ def test_projections_and_higher_energy_solve_in_the_sine_basis(n, monkeypatch):
         return x, rep
 
     monkeypatch.setattr(fem, "cg_solve", recorded)
+    monkeypatch.setattr(stepper, "cg_solve", recorded)
     monkeypatch.setattr(diagnostics, "cg_solve", recorded)
-    u = exp.exact.field_at(0.0)
-    fem.elliptic_project(space, u)
+    fem.elliptic_project(space, exp.exact.field_at(0.0))
     assert solves == []
-    fem.l2_project(space, u)
+    state = init_state(backend, exp.time_step(n))
     diagnostics.energy_EA(state, backend)
     assert len(solves) == 2  # both with the mass
     assert all(np.array_equal(a.vals, backend.M.vals) for a, _, _ in solves)

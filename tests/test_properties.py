@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from dampedwave.diagnostics import decay_bounds, energy_and_cross
-from dampedwave.fdm import fd_eigenvalue, fd_sine_mode
+from dampedwave.fdm import fd_eigenvalue
 from dampedwave.fem import FemSpace, ScalarField
 from dampedwave.harness import DK_CAP, builtin_experiments, build_backend
 from dampedwave.mesh import UNIT_SQUARE, build_fd_grid, build_tri_mesh
@@ -28,6 +28,7 @@ from dampedwave.stepper import (
     run,
     step,
 )
+from fd_oracles import sine_mode
 
 GRID = build_fd_grid(UNIT_SQUARE, 8)
 PROPERTY = settings(max_examples=20, deadline=None, derandomize=True)
@@ -53,7 +54,7 @@ def history_slots(backend, levels):
 def test_fd_stepper_follows_modal_recurrence(alpha, beta, k, p, q):
     params = ModelParams(domain=UNIT_SQUARE, alpha=alpha, beta=beta)
     backend = make_fd_backend(GRID, params)
-    v = fd_sine_mode(GRID, p, q)
+    v = sine_mode(GRID, p, q)
     seq = modal_recurrence(Mode(p, q, fd_eigenvalue(GRID, p, q)), alpha, beta,
                            k, 20, u0=1.0, u1=1.0)
     state = StepperState(n=1, k=k, levels=np.stack((v, v)))
@@ -291,7 +292,7 @@ def test_modal_run_follows_modal_recurrence(alpha, beta, k, p, q):
     params = ModelParams(domain=UNIT_SQUARE, alpha=alpha, beta=beta,
                          u0=mode_field(p, q))
     backend = make_fd_backend(GRID, params)
-    v = fd_sine_mode(GRID, p, q)
+    v = sine_mode(GRID, p, q)
     seq = modal_recurrence(Mode(p, q, fd_eigenvalue(GRID, p, q)), alpha, beta,
                            k, 20, u0=1.0, u1=1.0)
     scale = np.max(np.abs(v))

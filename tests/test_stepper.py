@@ -8,7 +8,7 @@ import pytest
 
 from dampedwave import sparse, stepper
 from dampedwave.diagnostics import energy_and_cross
-from dampedwave.fdm import fd_eigenvalue, fd_sine_mode
+from dampedwave.fdm import fd_eigenvalue
 from dampedwave.fem import ZERO_FIELD, FemSpace, ScalarField, interpolate
 from dampedwave.harness import build_backend, builtin_experiments, run_decay, \
     run_steady
@@ -31,6 +31,7 @@ from dampedwave.stepper import (
     steady_state,
     step,
 )
+from fd_oracles import sine_mode
 from test_properties import assert_runs_agree, cg_reference, dense_reference, \
     history_slots
 
@@ -111,7 +112,7 @@ def test_single_mode_follows_scalar_recurrence():
     grid, params, backend = fd_setup(m=16, alpha=0.0, beta=0.0)
     k = 1e-3
     lam = fd_eigenvalue(grid, 1, 1)
-    v = fd_sine_mode(grid, 1, 1)
+    v = sine_mode(grid, 1, 1)
     seq = modal_recurrence(Mode(1, 1, lam), 0.0, 0.0, k, 200, u0=1.0, u1=1.0)
     state = StepperState(n=1, k=k, levels=np.stack((v, v)))
     for i in range(200):
