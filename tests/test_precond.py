@@ -91,8 +91,7 @@ def test_p1_stiffness_is_diagonal_in_the_sine_basis():
 
 
 @pytest.mark.parametrize("n", [8, 16, 32])
-def test_elliptic_projection_taylor_start_and_higher_energy_solve_in_the_sine_basis(
-        n, monkeypatch):
+def test_projections_and_higher_energy_solve_in_the_sine_basis(n, monkeypatch):
     # the elliptic projection's K-solve is one division by K's symbol, no CG;
     # the M-solves of the Taylor start and energy_EA are CG solves that take
     # fewer iterations than Jacobi CG (P = diag(A)) on the same system (on
