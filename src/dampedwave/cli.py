@@ -221,6 +221,9 @@ def main(argv=None) -> int:
     except (CgError, EigError, StepError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
+    except ArithmeticError as exc:  # an overflow or a division by zero
+        print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -284,26 +284,24 @@ class BackendHandles:
         return out
 
     @cached_property
-    def _parts(self):
-        """(parts, weight_at) over the roles (M, W, S, K), a row each: with
-        c = (1/k^2, a/k, b/k, 1), c @ parts holds the weight tables of
-        _step_system, that of L levels at weight_at[L]."""
-        parts = []
-        for n_levels, ext in EXTRAPOLANTS.items():
-            # (role, table row, level, slot), the slots of a history row
-            # being the level and then its products (see _run)
-            table = np.zeros((4, 3, n_levels, 1 + len(self.operators)))
-            # x0: the extrapolant, constant, on K's factor, which is 1
-            table[3, 0, :, 0] = ext
-            # b: the role's right-hand side weights (SCHEME); r0 subtracts
-            # the extrapolant times its weight in A; (role, b or r0, level)
-            rhs = np.pad(SCHEME[:, 1:], ((0, 0), (0, n_levels - 2)))
-            pair = np.stack((rhs, rhs - SCHEME[:, :1] * ext), axis=1)
-            table[:, 1:, :, 1:] = pair[..., None] * self._roles[:, None, None]
-            parts.append(table.reshape(4, -1))
-        ends = np.cumsum([0] + [part.shape[1] for part in parts])
-        weight_at = dict(zip(EXTRAPOLANTS, map(slice, ends[:-1], ends[1:])))
-        return np.concatenate(parts, axis=1), weight_at
+    def _parts(self) -> np.ndarray:
+        """The weight tables of _step_system over the roles (M, W, S, K),
+        shaped (len(EXTRAPOLANTS), 4, 3 * HISTORY * (1 + operators)): with
+        c = (1/k^2, a/k, b/k, 1), c @ parts[L - 2] is that of L levels,
+        zero on the slots of rows L to HISTORY - 1."""
+        # the extrapolant of each depth L, over HISTORY levels
+        ext = np.array([np.pad(e, (0, HISTORY - len(e))) for e in EXTRAPOLANTS.values()])
+        # (depth, role, table row, level, slot), the slots of a history row
+        # being the level and then its products (see _run)
+        parts = np.zeros((len(ext), 4, 3, HISTORY, 1 + len(self.operators)))
+        # x0: the extrapolant, constant, on K's factor, which is 1
+        parts[:, 3, 0, :, 0] = ext
+        # b: the role's right-hand side weights (SCHEME); r0 subtracts the
+        # extrapolant times its weight in A; (depth, role, b or r0, level)
+        rhs = np.pad(SCHEME[:, 1:], ((0, 0), (0, HISTORY - 2)))
+        pair = np.stack(np.broadcast_arrays(rhs, rhs - SCHEME[:, :1] * ext[:, None]), axis=2)
+        parts[:, :, 1:, :, 1:] = pair[..., None] * self._roles[:, None, None]
+        return parts.reshape(len(ext), 4, -1)
 
     def _step_system(self, k: float, a: float, b: float):
         """(A, P^-1, weights) for step size k and time factors (a, b), from
@@ -314,21 +312,20 @@ class BackendHandles:
         multiplication by the reciprocal of A's whole symbol f @ _symbols,
         a C-level partial of np.multiply.
 
-        weights[L] is a table of three rows, (x0, b, r0), over the slots of
-        the last L rows of a history block, newest first: each row's level,
-        then its product with each distinct operator (see _sine_products).
-        x0, the step's CG starting point, is the extrapolant of the L levels
-        (weights on the level slots only); b is the right-hand side
+        weights[L - 2] is a table of three rows, (x0, b, r0), over the slots
+        of the last HISTORY rows of a history block, newest first: each
+        row's level, then its product with each distinct operator (see
+        _sine_products); it reads only the L newest rows and is zero on the
+        others. x0, the step's CG starting point, is the extrapolant of the
+        L levels (weights on the level slots only); b is the right-hand side
         (2 M U^n - M U^{n-1})/k^2 + D U^n/k without the forcing, and r0 the
         residual of x0, b - A x0 (both on the product slots only). Rebuilt
         only when an argument differs from the last call.
         """
         key = (k, a, b)
         if self._system[0] != key:
-            parts, weight_at = self._parts
             c = np.array([1.0 / k ** 2, a / k, b / k, 1.0])
-            flat = c.dot(parts)  # ndarray.dot, as in _run
-            weights = {n: flat[at].reshape(3, -1) for n, at in weight_at.items()}
+            weights = c.dot(self._parts).reshape(len(EXTRAPOLANTS), 3, -1)  # ndarray.dot
             f = c.dot(self._roles)
             scaled = tuple(replace(op, vals=f[i] * op.vals)
                            for i, op in enumerate(self.operators[2:], 2))
@@ -475,33 +472,38 @@ def _run(backend: BackendHandles, state: StepperState, n_steps: int,
     ModelParams.check_schedules gives for t_m.
 
     The levels are sine-basis coefficients in one newest-first block of
-    BLOCK + HISTORY rows shaped (rows, 1 + operators, ndof): row j holds
-    level j and then its products with the distinct operators
+    min(BLOCK, n_steps) + HISTORY rows shaped (rows, 1 + operators, ndof):
+    row j holds level j and then its products with the distinct operators
     (BackendHandles._sine_products), so ``levels`` and ``products`` are
-    views of it, and each step fills the row above the newest. On a backend
-    diagonal in the basis, one BackendHandles._multipliers product gives a
-    block's steps U^{n+1} = g U^n + h U^{n-1} (+ F / A's symbol) mode by
-    mode, kept in the product slots of its first rows (one slot wider than
-    the products); its products are its levels times the operators'
-    symbols, formed at once before its energies, over the spent
-    multipliers. Otherwise a step is one product of the cached
-    _step_system's weight table with the slots of the up to HISTORY rows
-    below, written to the first three slots of its row: the highest-degree
-    extrapolant x0 on the level slot, the right-hand side b and x0's
-    residual r0 on the next two (each plus the forcing's coefficients F).
-    sparse.cg_refine, preconditioned by the multiplication by A's
-    reciprocal symbol, refines x0 and r0 in place, and U^{n+1}'s products
-    then overwrite b and r0. So a step applies the operators once per CG
-    iteration and once for U^{n+1}: a skew product, and for a weighted
-    operator two transforms and its grid matvec.
+    views of it. Each block of BLOCK steps (the last: those left) starts
+    with the newest level at row rows - HISTORY, the HISTORY rows from there
+    down being zero where the state lacks a level, and each step fills the
+    row above the newest. On a backend diagonal in the basis, one
+    BackendHandles._multipliers product gives a block's steps
+    U^{n+1} = g U^n + h U^{n-1} (+ F / A's symbol) mode by mode, kept in
+    the product slots of its first rows (one slot wider than the products);
+    its products are its levels times the operators' symbols, formed at
+    once before its energies, over the spent multipliers. Otherwise a step
+    is one product of the HISTORY rows below with the cached _step_system's
+    weight table of its depth (the levels held, at most HISTORY), written
+    to the first three slots of its row: the extrapolant x0 on the level
+    slot, the right-hand side b and x0's residual r0 on the next two (each
+    plus the forcing's coefficients F). sparse.cg_refine, preconditioned by
+    the multiplication by A's reciprocal symbol, refines x0 and r0 in
+    place, and U^{n+1}'s products then overwrite b and r0. So a step
+    applies the operators once per CG iteration and once for U^{n+1}: a
+    skew product, and for a weighted operator two transforms and its grid
+    matvec.
 
-    When the block is full, and at the end, one diagnostics.pair_energies
-    call records the energies and cross terms of its new pairs, and, given a
-    ``reference`` u, one einsum their distances sqrt((U - u).(M U - M u)),
-    with M u formed once: no matvec per step. The HISTORY newest rows then
-    move to the bottom in one block copy, so the warm start carries across.
-    The sums hold by Parseval; only the new levels go back to grid values,
-    and the final state's older levels are the given ones."""
+    After each block (or none, for n_steps = 0), the flush: one
+    diagnostics.pair_energies call records the energies and cross terms of
+    its pairs, raising StepError at the first that is not finite, and,
+    given a ``reference`` u, one einsum their distances
+    sqrt((U - u).(M U - M u)), with M u formed once: no matvec per step.
+    The next block starts with one block copy of the HISTORY newest rows to
+    the bottom, so the warm start carries across. The sums hold by
+    Parseval; only the new levels go back to grid values, and the final
+    state's older levels are the given ones."""
     n, k, basis, modal = state.n, state.k, backend.basis, backend.diagonal_in_basis
     times = k * np.arange(n - 1, n + n_steps)
     scales = backend.params.check_schedules(times)
@@ -510,7 +512,7 @@ def _run(backend: BackendHandles, state: StepperState, n_steps: int,
         cg_iterations=np.zeros(n_steps, dtype=int), cg_residuals=np.zeros(n_steps),
         distance=None if reference is None else np.empty(n_steps + 1),
     )
-    rows, ops, ndof = BLOCK + HISTORY, len(backend.operators), backend.ndof
+    rows, ops, ndof = min(BLOCK, n_steps) + HISTORY, len(backend.operators), backend.ndof
     # row j: level j, then its products with the operators; a modal block's
     # products are formed only at a flush, after its steps have read their
     # three multipliers, which fill the product slots of its first rows
@@ -518,47 +520,25 @@ def _run(backend: BackendHandles, state: StepperState, n_steps: int,
     width = 1 + (max(ops, 3) if modal else ops)
     block = np.empty((rows, width, ndof))
     levels, products, slots = block[:, 0], block[:, 1:1 + ops], block.reshape(-1, ndof)
-    top = rows - len(state.levels)  # the newest level
-    levels[top:] = [basis.transform(u) for u in state.levels]
+    top, held = rows - HISTORY, len(state.levels)  # the newest level, the levels held
+    levels[top:top + held] = [basis.transform(u) for u in state.levels]
+    block[top + held:] = 0.0  # the rows of the levels a short state lacks
     if not modal:
-        for row in block[top:]:
+        for row in block[top:top + held]:
             backend._sine_products(row[0], out=row[1:])
     force, forced = basis.transform(backend.forcing), backend.params.forcing is not None
-    done = top + 1  # rows top to done - 1 await their energies (see flush)
-    recorded = 0
     if reference is not None:
         reference = basis.transform(reference)
         # row 0 of its _sine_products, without the other operators
         m_reference = reference * backend._symbols[0] \
             + skew_product(backend._mass_factor, reference)
-
-    def flush():
-        """Record the energies of rows top to done - 1, each with the row
-        below, and their distances to the reference."""
-        nonlocal done, recorded
-        if modal:
-            np.multiply(levels[top:done + 1, None], backend._symbols,
-                        out=products[top:done + 1])
-        energy, cross = diagnostics.pair_energies(
-            levels[top:done + 1], products[top:done + 1], k)
-        new = slice(recorded, recorded + done - top)
-        trace.energy[new], trace.cross[new] = energy[::-1], cross[::-1]
-        bad = np.flatnonzero(~np.isfinite(trace.energy[new]))
-        if bad.size:
-            i = recorded + bad[0]
-            raise StepError(f"non-finite energy at step n={n - 1 + i} (t={trace.t[i]:g})")
-        if reference is not None:
-            # rounding can leave a distance at the floor slightly negative
-            squared = np.einsum("in,in->i", levels[top:done] - reference,
-                                products[top:done, 0] - m_reference)
-            trace.distance[new] = np.sqrt(np.maximum(squared, 0.0))[::-1]
-        recorded, done = new.stop, top
-
-    taken = 0
     if not modal:
         scales = scales.tolist()  # Python floats: _step_system's key compares them
-    while True:
-        steps = range(taken, min(taken + top, n_steps))  # steps filling rows above top
+    for first in range(0, max(n_steps, 1), BLOCK):
+        if first:  # the HISTORY newest rows move to the bottom
+            block[-HISTORY:] = block[:HISTORY]
+            top = rows - HISTORY
+        steps = range(first, min(first + BLOCK, n_steps))  # filling rows above top
         if modal:
             symbol, g, h = backend._multipliers(
                 k, scales[steps.start + 1:steps.stop + 1],
@@ -576,13 +556,12 @@ def _run(backend: BackendHandles, state: StepperState, n_steps: int,
             for i in steps:
                 top -= 1
                 system, precond, weights = backend._step_system(k, *scales[i + 1])
-                depth = min(rows - top - 1, HISTORY)
-                # (x0, b, r0) from the slots of the rows below, into the
-                # row's first three slots (ndarray.dot: at these sizes
+                # (x0, b, r0) from the slots of the HISTORY rows below, into
+                # the row's first three slots (ndarray.dot: at these sizes
                 # np.matmul's dispatch costs as much as its product)
                 start = block[top, :3]
-                weights[depth].dot(slots[(top + 1) * width:(top + 1 + depth) * width],
-                                   out=start)
+                weights[min(held + i, HISTORY) - 2].dot(
+                    slots[(top + 1) * width:(top + 1 + HISTORY) * width], out=start)
                 if forced:
                     start[1:] += force
                 u = start[0]
@@ -595,12 +574,23 @@ def _run(backend: BackendHandles, state: StepperState, n_steps: int,
                 backend._sine_products(u, out=block[top, 1:])
             span = slice(steps.start, steps.stop)
             trace.cg_iterations[span], trace.cg_residuals[span] = zip(*solves)
-        taken = steps.stop
-        flush()
-        if taken == n_steps:
-            break
-        block[-HISTORY:] = block[:HISTORY]
-        top = done = rows - HISTORY
+        # the energies of the pairs whose newest levels are rows top to
+        # rows - HISTORY, the block's start (recorded again after a wrap),
+        # each with the row below, and their distances
+        new, pairs = slice(first, steps.stop + 1), slice(top, rows - HISTORY + 2)
+        if modal:
+            np.multiply(levels[pairs, None], backend._symbols, out=products[pairs])
+        energy, cross = diagnostics.pair_energies(levels[pairs], products[pairs], k)
+        trace.energy[new], trace.cross[new] = energy[::-1], cross[::-1]
+        bad = np.flatnonzero(~np.isfinite(trace.energy[new]))
+        if bad.size:
+            i = first + bad[0]
+            raise StepError(f"non-finite energy at step n={n - 1 + i} (t={trace.t[i]:g})")
+        if reference is not None:
+            # rounding can leave a distance at the floor slightly negative
+            squared = np.einsum("in,in->i", levels[pairs][:-1] - reference,
+                                products[pairs][:-1, 0] - m_reference)
+            trace.distance[new] = np.sqrt(np.maximum(squared, 0.0))[::-1]
     new = [basis.transform(u) for u in levels[top:top + min(n_steps, HISTORY)]]
     final = np.array([*new, *state.levels[:HISTORY - len(new)]])
     return StepperState(n=n + n_steps, k=k, levels=final), trace

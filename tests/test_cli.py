@@ -1,10 +1,14 @@
 import csv
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from dataclasses import replace
 
+import dampedwave
 from dampedwave import harness, sparse
 from dampedwave.cli import main
 from dampedwave.fem import ScalarField
@@ -252,3 +256,17 @@ def test_eig_without_convergence_exits_two(monkeypatch, capsys):
     monkeypatch.setattr(sparse, "EIG_MAX_ITER", 1)
     assert main(["eig", "--N", "8"]) == 2
     assert "numerical failure: inverse power iteration" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("k", ["1e300", "1e-200"])
+def test_arithmetic_error_exits_two_without_a_traceback(k):
+    # the modal recurrence's 1 / k^2 overflows (k = 1e300) or divides by
+    # k^2 underflowed to zero (k = 1e-200): a numerical failure, reported
+    # in one line by the entry point
+    src = os.path.dirname(os.path.dirname(dampedwave.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    done = subprocess.run([sys.executable, "-m", "dampedwave.cli", "modal", "--k", k],
+                          capture_output=True, text=True, env=env)
+    assert done.returncode == 2
+    assert "numerical failure" in done.stderr and "Traceback" not in done.stderr

@@ -17,6 +17,7 @@ from dampedwave.sparse import cg_refine, cg_solve
 from dampedwave.stepper import (
     BLOCK,
     EXTRAPOLANTS,
+    HISTORY,
     STEP_RTOL,
     ModelParams,
     SpatialField,
@@ -114,7 +115,8 @@ def test_fd_step_systems_converge_in_one_iteration(alpha, beta, k, seed):
     backend = make_fd_backend(GRID, params)
     system, precond, weights = backend._step_system(k, alpha, beta)
     levels = np.random.default_rng(seed).normal(size=(2, backend.ndof))
-    x, b, r0 = weights[2] @ history_slots(backend, levels)
+    padded = np.vstack((levels, np.zeros((HISTORY - 2, backend.ndof))))
+    x, b, r0 = weights[0] @ history_slots(backend, padded)
     assert np.array_equal(x, EXTRAPOLANTS[2] @ levels)
     iterations, residual = cg_refine(system, b, x, r0, precond, STEP_RTOL)
     assert iterations == 1 and residual <= STEP_RTOL
@@ -324,8 +326,8 @@ def test_modal_run_matches_cg_steps_on_the_experiments(name, n):
 def test_modal_run_matches_cg_steps_across_history_blocks(name, n_steps):
     # a sine-basis run keeps its coefficients in the history block, which
     # takes the energies and distances of a whole block at once and wraps
-    # when full: first at step BLOCK + 3, as the initial levels and the
-    # HISTORY rows carried across take its bottom rows
+    # when full, every BLOCK steps, the first block included: the initial
+    # levels, like the HISTORY rows carried across, take its bottom rows
     exp = builtin_experiments()[name]
     backend, _ = build_backend(exp.params, 8, "fd")
     k = exp.time_step(8)

@@ -1,5 +1,6 @@
 import functools
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -223,8 +224,8 @@ def _check_system(backend, k, t, a, b, w=0.0, s=0.0):
     assert backend._step_system(k, *scales)[0] is system
     levels = rng.normal(size=(HISTORY, backend.ndof))
     slots = history_slots(backend, [backend.basis.transform(u) for u in levels])
-    assert weights[HISTORY].shape == (3, len(slots))
-    x0, rhs, r0 = weights[HISTORY] @ slots
+    assert weights[HISTORY - 2].shape == (3, len(slots))
+    x0, rhs, r0 = weights[HISTORY - 2] @ slots
     damping = a * m + w + b * kk + s
     want_x0 = np.dot(EXTRAPOLANTS[HISTORY], levels)
     want_rhs = m @ (2.0 * levels[0] - levels[1]) / k ** 2 + damping @ levels[0] / k
@@ -281,6 +282,56 @@ def test_cached_system_matches_dense_weighted(case):
     _check_system(backend, 0.02, 0.0, a, b, w=w, s=s)
 
 
+@pytest.mark.parametrize("depth", range(2, HISTORY + 1))
+@pytest.mark.parametrize("case", ["ex3ii", "both"])
+def test_each_depth_reads_zeros_from_the_rows_it_lacks(case, depth):
+    # a step from fewer than HISTORY levels reads the HISTORY rows below it,
+    # those of the levels it lacks being zero, through the weight table of
+    # its depth, which is zero on their slots: x0 is the extrapolant of its
+    # levels, and b and r0 are the dense right-hand side and residual, as
+    # _check_system finds for HISTORY levels (BLAS groups a product's sum by
+    # its length, so x0 agrees bit for bit with the extrapolant at depth 2
+    # only, and the padded product with the one over its own rows to rounding)
+    backend = _weighted_case(case)
+    k = 0.02
+    a, b = backend.params.check_schedules([0.0])[0]
+    table = backend._step_system(k, a, b)[2][depth - 2]
+    width = 1 + len(backend.operators)
+    assert table.shape == (3, HISTORY * width)
+    assert not table[:, depth * width:].any()
+    levels = np.random.default_rng(depth).normal(size=(depth, backend.ndof))
+    padded = np.vstack((levels, np.zeros((HISTORY - depth, backend.ndof))))
+    x0, rhs, r0 = table @ history_slots(backend, padded)
+    assert np.allclose(x0, EXTRAPOLANTS[depth] @ levels, rtol=0.0,
+                       atol=1e-14 * np.max(np.abs(levels)))
+    s2 = np.kron(backend.basis.matrix, backend.basis.matrix)
+    damping = a * backend.weak_op.to_dense() + b * backend.strong_op.to_dense()
+    m, kk, damping = (s2.T @ op @ s2 for op in
+                      (backend.M.to_dense(), backend.K.to_dense(), damping))
+    want_rhs = m @ (2.0 * levels[0] - levels[1]) / k ** 2 + damping @ levels[0] / k
+    want_r0 = want_rhs - (m / k ** 2 + damping / k + kk) @ x0
+    for got, want in ((rhs, want_rhs), (r0, want_r0)):
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want_rhs))
+
+
+@pytest.mark.parametrize("kind,name", [("fem", "ex3ii"), ("fd", "timevar")])
+def test_a_step_allocates_only_its_own_rows(kind, name):
+    # step() is _run over one step, whose history block holds that step's
+    # row and the HISTORY rows below it: at N = 64 one step from the initial
+    # state peaks near 0.9 MB, where a block of BLOCK + HISTORY rows would
+    # peak near 6.8 MB (FEM) and 8.9 MB (FD)
+    exp = builtin_experiments()[name]
+    backend, _ = build_backend(exp.params, 64, kind)
+    state = init_state(backend, exp.time_step(64))
+    tracemalloc.start()
+    try:
+        step(state, backend)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
+
+
 @pytest.mark.parametrize("name", ["timevar", "ex1"])
 def test_sine_basis_multipliers_are_the_cg_systems_symbol_and_weights(name):
     # a sine-basis run steps by A's symbol and the multipliers of U^n and
@@ -301,8 +352,8 @@ def test_sine_basis_multipliers_are_the_cg_systems_symbol_and_weights(name):
         system, _, weights = backend._step_system(k, a, b)
         symbol = system.symbol
         assert np.allclose(symbols[i], symbol, rtol=1e-14, atol=0.0)
-        b_row = weights[2][1].reshape(2, 1 + len(backend.operators))
-        assert np.array_equal(b_row[:, 0], [0.0, 0.0])
+        b_row = weights[0][1].reshape(HISTORY, 1 + len(backend.operators))
+        assert np.array_equal(b_row[:, 0], np.zeros(HISTORY)) and not b_row[2:].any()
         rhs = b_row[:, 1:] @ backend._symbols
         for got, want in ((g[i], rhs[0] / symbol), (h[i], rhs[1] / symbol)):
             assert np.allclose(got, want, rtol=1e-14, atol=1e-14 * np.max(np.abs(want)))
@@ -607,7 +658,7 @@ def test_a_step_refines_in_place_what_cg_solve_returns(name, monkeypatch):
     rows = np.array([backend.basis.transform(u) for u in state.levels])
     scales = tuple(backend.params.check_schedules([state.n * k])[0])
     system, precond, weights = backend._step_system(k, *scales)
-    x, b, r0 = weights[HISTORY] @ history_slots(backend, rows)
+    x, b, r0 = weights[HISTORY - 2] @ history_slots(backend, rows)
     assert np.allclose(x, EXTRAPOLANTS[HISTORY] @ rows, rtol=0.0,
                        atol=1e-14 * np.max(np.abs(rows)))
     report = cg_refine(system, b, x, r0, precond, STEP_RTOL)
@@ -953,8 +1004,8 @@ def test_replaced_or_rewritten_levels_step_like_a_fresh_state():
 @pytest.mark.parametrize("kind,name", [("fem", "ex3ii"), ("fem", "spacevar"),
                                        ("fd", "spacevar")])
 def test_run_matches_a_chain_of_steps_across_history_blocks(kind, name, n_steps):
-    # run() steps by CG in a history block that wraps when full (first at
-    # step BLOCK + 3, then every BLOCK steps) and takes the energies and
+    # run() steps by CG in a history block that wraps when full (every
+    # BLOCK steps, the first block included) and takes the energies and
     # distances of a whole block at once; a chain of dense solves, with
     # each state's energy and M-norm distance, is the reference
     exp = builtin_experiments()[name]
