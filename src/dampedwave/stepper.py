@@ -57,6 +57,10 @@ EXTRAPOLANTS = {n: np.array([(-1.0) ** j * math.comb(n, j + 1) for j in range(n)
 # steps of a run between two batched energy passes (see _run); 32 to 128
 # measured alike
 BLOCK = 64
+# the most steps run() takes: _run allocates the times, their schedule
+# factors and the trace's arrays, n_steps + 1 values each, before its first
+# step (about 0.6 GB at this count)
+MAX_STEPS = 10**7
 # each role's (M, W, S, K) weight, before its factor in c = (1/k^2, a/k,
 # b/k, 1), in A and in the right-hand side's U^n and U^{n-1} terms
 # (2 M/k^2 + D/k, -M/k^2), D = a W + b S
@@ -438,20 +442,22 @@ def step(state: StepperState, backend: BackendHandles) -> StepperState:
 def run(backend: BackendHandles, k: float, n_steps: int,
         exact_at: Callable[[float], ScalarField] | None = None,
         reference: np.ndarray | None = None):
-    """Run ``n_steps`` steps (a nonnegative integer, else ValueError; 0
-    records only the initial energy) from a fresh initial state, exact when
-    ``exact_at`` is given (see init_state); returns (final state,
-    EnergyTrace). The trace also carries each step's CG iterations and final
-    residual, and, given a finite ``reference`` vector u of shape (ndof,),
-    the distance ||U - u||_M of the newest level of each sample (ValueError
-    for any other reference). Raises StepError at the first sample whose
-    energy is not finite.
+    """Run ``n_steps`` steps (a nonnegative integer up to MAX_STEPS, else
+    ValueError before any set-up; 0 records only the initial energy) from a
+    fresh initial state, exact when ``exact_at`` is given (see init_state);
+    returns (final state, EnergyTrace). The trace also carries each step's
+    CG iterations and final residual, and, given a finite ``reference``
+    vector u of shape (ndof,), the distance ||U - u||_M of the newest level
+    of each sample (ValueError for any other reference). Raises StepError at
+    the first sample whose energy is not finite.
 
     The steps are taken in the backend's sine basis: on a backend that is
     diagonal there they solve nothing and report 0 iterations and residual
     0, on the others each is a CG step in that basis (see _run)."""
     if not isinstance(n_steps, int | np.integer) or n_steps < 0:
         raise ValueError(f"step count must be a nonnegative integer, not {n_steps!r}")
+    if n_steps > MAX_STEPS:
+        raise ValueError(f"step count {n_steps} exceeds the limit of {MAX_STEPS} steps")
     if reference is not None:
         reference = np.asarray(reference, dtype=float)
         if reference.shape != (backend.ndof,) or not np.all(np.isfinite(reference)):

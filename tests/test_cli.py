@@ -1,5 +1,6 @@
 import csv
 import os
+import resource
 import subprocess
 import sys
 
@@ -263,10 +264,47 @@ def test_arithmetic_error_exits_two_without_a_traceback(k):
     # the modal recurrence's 1 / k^2 overflows (k = 1e300) or divides by
     # k^2 underflowed to zero (k = 1e-200): a numerical failure, reported
     # in one line by the entry point
-    src = os.path.dirname(os.path.dirname(dampedwave.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH")))))
-    done = subprocess.run([sys.executable, "-m", "dampedwave.cli", "modal", "--k", k],
-                          capture_output=True, text=True, env=env)
+    done = _python("-m", "dampedwave.cli", "modal", "--k", k)
     assert done.returncode == 2
     assert "numerical failure" in done.stderr and "Traceback" not in done.stderr
+
+
+def test_impossible_step_count_exits_one_without_a_traceback():
+    # k = 1e-9 asks for 1e9 steps, whose per-step arrays would take about
+    # 8 GB each; run() rejects the count first. The address-space limit,
+    # set in the child only, turns a regression into a MemoryError there
+    # instead of a process that exhausts the machine's memory
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (2 * 2**30, 2 * 2**30))
+
+    done = _python("-m", "dampedwave.cli", "decay", "--k-override", "1e-9",
+                   preexec_fn=limit_memory, timeout=120)
+    assert done.returncode == 1
+    assert "step count 1000000000 exceeds" in done.stderr
+    assert "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize("preset, first, expected", [
+    (None, "", "16"),  # dampedwave loads numpy: the package's default
+    ("30", "", "30"),  # a value already set is kept
+    (None, "import numpy; ", "None"),  # OpenBLAS has already read it
+], ids=["default", "preset-kept", "numpy-first"])
+def test_openblas_thread_timeout_default(preset, first, expected):
+    env = {key: value for key, value in os.environ.items()
+           if key != "OPENBLAS_THREAD_TIMEOUT"}
+    if preset is not None:
+        env["OPENBLAS_THREAD_TIMEOUT"] = preset
+    done = _python("-c", f"{first}import os, dampedwave; "
+                   "print(os.environ.get('OPENBLAS_THREAD_TIMEOUT'))", env=env)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == expected
+
+
+def _python(*args, env=None, **kwargs):
+    """sys.executable run on ``args`` in a fresh process (environment
+    ``env``, default this one's) that imports this dampedwave."""
+    src = os.path.dirname(os.path.dirname(dampedwave.__file__))
+    env = dict(os.environ if env is None else env)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env, **kwargs)

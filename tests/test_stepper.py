@@ -19,6 +19,7 @@ from dampedwave.sparse import SineBasis, SparseMatrix, cg_refine, cg_solve
 from dampedwave.stepper import (
     EXTRAPOLANTS,
     HISTORY,
+    MAX_STEPS,
     STEP_RTOL,
     ModelParams,
     SpatialField,
@@ -107,6 +108,19 @@ def test_run_rejects_a_step_count_that_is_not_a_nonnegative_integer(n_steps):
     _, params, backend = fd_setup(u0=sine_field())
     with pytest.raises(ValueError, match="step count must be a nonnegative integer"):
         run(backend, k=0.05, n_steps=n_steps)
+
+
+def test_run_rejects_more_than_max_steps_before_any_set_up(monkeypatch):
+    # the count is rejected before init_state, so before any per-step
+    # array is allocated; the stub fails the test should it get that far
+    _, params, backend = fd_setup(m=4, u0=sine_field())
+
+    def no_set_up(*args, **kwargs):
+        raise AssertionError("run() set up a run of more than MAX_STEPS steps")
+
+    monkeypatch.setattr(stepper, "init_state", no_set_up)
+    with pytest.raises(ValueError, match=f"step count {MAX_STEPS + 1} exceeds"):
+        run(backend, k=0.05, n_steps=MAX_STEPS + 1)
 
 
 def test_single_mode_follows_scalar_recurrence():
